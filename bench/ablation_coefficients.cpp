@@ -121,5 +121,5 @@ int main() {
                   "paper set settles within a few hundred cycles");
   rb::shape_check(paper_ripple <= single_ripple + 1.0,
                   "paper set's ripple no worse than the fastest set");
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -111,5 +111,5 @@ int main() {
   rb::shape_check(paper.max_stable_m >= 10,
                   "the paper's set carries a double-digit delay margin "
                   "(robust to large clock domains)");
-  return 0;
+  return rb::shape_exit_code();
 }

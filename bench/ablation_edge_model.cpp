@@ -67,5 +67,5 @@ int main() {
   rb::shape_check(worst_rel_gap < 0.05,
                   "discrete Fig. 4 abstraction tracks the event-driven "
                   "model within a few percent");
-  return 0;
+  return rb::shape_exit_code();
 }

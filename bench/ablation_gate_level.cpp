@@ -109,5 +109,5 @@ int main() {
   rb::shape_check(worst_gap < 0.06,
                   "the linearised Fig. 4 model predicts the gate-level "
                   "loop's operating point within a few percent");
-  return 0;
+  return rb::shape_exit_code();
 }

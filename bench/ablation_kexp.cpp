@@ -69,5 +69,5 @@ int main() {
 
   rb::shape_check(err_k8 < err_k1,
                   "k_exp = 8 (paper) rounds less than an unscaled datapath");
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -84,5 +84,5 @@ int main() {
     rb::shape_check(outside.second > outside.first,
                     "outside the delay margin the loop rings up");
   }
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -94,5 +94,5 @@ int main() {
       run_variant({1.0, SignZeroPolicy::kHold, true}, 25.0);
   rb::shape_check(step1_fast.safety_margin <= delayed_fast.safety_margin,
                   "immediate-sign TEAtime dominates the delayed reading");
-  return 0;
+  return rb::shape_exit_code();
 }

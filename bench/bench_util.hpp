@@ -42,10 +42,24 @@ inline void print_header(const char* artefact, const char* description) {
   std::printf("================================================================================\n\n");
 }
 
-/// Prints a PASS/NOTE shape-assertion line (benches are not tests, but they
-/// state whether the paper's qualitative claim held in this run).
+/// Number of shape checks that have failed in this process.
+inline int& shape_failures() {
+  static int failures = 0;
+  return failures;
+}
+
+/// Prints a shape-assertion line: whether the paper's qualitative claim
+/// held in this run.  A [SHAPE-DIFF] also makes shape_exit_code() nonzero;
+/// the bench still runs to the end, so every artefact is written.
 inline void shape_check(bool ok, const char* claim) {
   std::printf("[%s] %s\n", ok ? "SHAPE-OK " : "SHAPE-DIFF", claim);
+  if (!ok) ++shape_failures();
+}
+
+/// Exit status every bench returns from main(): 1 once any shape check
+/// printed [SHAPE-DIFF], else 0.
+[[nodiscard]] inline int shape_exit_code() {
+  return shape_failures() == 0 ? 0 : 1;
 }
 
 // ------------------------------------------------- perf-run recording

@@ -294,5 +294,5 @@ int main(int argc, char** argv) {
         e.simd_backend.c_str());
   }
   std::printf("[json] %s\n", out_path.c_str());
-  return 0;
+  return roclk::bench::shape_exit_code();
 }

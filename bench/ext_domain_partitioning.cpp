@@ -81,5 +81,5 @@ int main() {
       "\nReading: the returns diminish once t_clk clears the Te/6 budget — "
       "further splitting\nbuys little margin but keeps multiplying clock "
       "generators and domain crossings.\n");
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -98,5 +98,5 @@ int main() {
   rb::shape_check(flat < 0.05,
                   "free RO performance is frequency-independent for "
                   "TDC-side variation (it simply pays the swing)");
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -115,5 +115,5 @@ int main() {
                           period_op.energy_factor + 1e-9,
                   "the adaptive clock dominates the period-margin strategy "
                   "in both axes");
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -67,5 +67,5 @@ int main() {
                   "type-1 loop: rejection is complete toward DC (eq. 8)");
   rb::shape_check(*std::max_element(analytic.begin(), analytic.end()) > 1.0,
                   "fast perturbations are amplified (the Fig. 8 >1 regime)");
-  return 0;
+  return rb::shape_exit_code();
 }

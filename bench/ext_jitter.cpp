@@ -92,5 +92,5 @@ int main() {
       "once cycle-to-cycle\njitter reaches a few stages RMS its margin "
       "advantage drains away — a real design\nconstraint the paper's "
       "noiseless model hides.\n");
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -129,5 +129,5 @@ int main() {
       "is 'worse' — on\npurpose.  Loads that need a spectrally clean clock "
       "(serial links, RF) must budget for\nthis or stay on a fixed domain; "
       "compute pipelines trade that cleanliness for margin.\n");
-  return 0;
+  return rb::shape_exit_code();
 }

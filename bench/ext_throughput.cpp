@@ -91,5 +91,5 @@ int main() {
   rb::shape_check(governed.efficiency > 0.9 * *best,
                   "the runtime governor reaches >90% of the static optimum "
                   "with no design-time tuning");
-  return 0;
+  return rb::shape_exit_code();
 }

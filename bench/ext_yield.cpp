@@ -91,5 +91,5 @@ int main() {
   rb::shape_check(monotone,
                   "more critical paths demand more margin for the same "
                   "yield (paper refs [1][3])");
-  return 0;
+  return rb::shape_exit_code();
 }

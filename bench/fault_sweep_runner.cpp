@@ -156,7 +156,5 @@ int main(int argc, char** argv) {
               "(%zu cycles each, fault at cycle %llu)\n",
               no_worse, grid.size(), recovered, grid.size(), cycles,
               static_cast<unsigned long long>(kFaultStart));
-  const bool ok = no_worse == grid.size() && recovered == grid.size() &&
-                  stuck_storms_silenced == stuck_storms;
-  return ok ? 0 : 1;
+  return roclk::bench::shape_exit_code();
 }

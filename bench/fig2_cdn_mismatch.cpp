@@ -116,5 +116,5 @@ int main() {
   }
   sim_table.print(std::cout);
   rb::save_table(sim_table, "fig2_simulation_crosscheck");
-  return 0;
+  return rb::shape_exit_code();
 }

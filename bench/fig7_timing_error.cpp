@@ -83,5 +83,5 @@ int main() {
   rb::shape_check(worst_iir[2] < worst_iir[1] + 0.5 &&
                       worst_iir[2] < 0.4 * worst_fixed[2],
                   "Te=50c: adaptation error reduced to a minimum");
-  return 0;
+  return rb::shape_exit_code();
 }

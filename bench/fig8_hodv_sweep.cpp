@@ -114,5 +114,5 @@ int main() {
     rb::shape_check(slowest.iir < 0.9,
                     "lower: slow perturbations recover real margin (<0.9)");
   }
-  return 0;
+  return rb::shape_exit_code();
 }

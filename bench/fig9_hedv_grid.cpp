@@ -102,5 +102,5 @@ int main() {
       "control overtakes the\nIIR filter falls between Te = 37.5c and "
       "Te = 50c here (the paper places it between 25c and\n37.5c); the "
       "middle row is within one TDC quantum of a tie.  See EXPERIMENTS.md.\n");
-  return 0;
+  return rb::shape_exit_code();
 }

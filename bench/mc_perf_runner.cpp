@@ -148,5 +148,5 @@ int main(int argc, char** argv) {
         e.after_items_per_sec, e.unit.c_str(), e.speedup(), e.threads);
   }
   std::printf("[json] %s\n", out_path.c_str());
-  return 0;
+  return roclk::bench::shape_exit_code();
 }

@@ -410,5 +410,5 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("[json] appended run to %s\n", out_path.c_str());
-  return 0;
+  return roclk::bench::shape_exit_code();
 }

@@ -94,5 +94,5 @@ int main() {
       "('if the adaptive clock\nallows reducing c by 10%%/20%%'); the rows "
       "above substitute *measured* relative periods\ninto the same "
       "conversion.\n");
-  return 0;
+  return rb::shape_exit_code();
 }

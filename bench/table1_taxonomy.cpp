@@ -74,5 +74,5 @@ int main() {
       "               |                         | off-chip voltage drops\n"
       "  heterogeneous| WID process, RND device | SSN, IR drop, hotspots,\n"
       "               |                         | aging\n");
-  return 0;
+  return rb::shape_exit_code();
 }

@@ -144,8 +144,24 @@ struct WorkedExample {
                                            double ns_per_setpoint = 1.0);
 
 /// Runs one system against a harmonic HoDV (+ optional static mu) and
-/// reports its metrics.  The building block of all sweeps above.
+/// reports its metrics.  The building block of all sweeps above.  Runs
+/// are memoised in SweepMemo::global() (sweep_cache.hpp): a hit skips the
+/// simulation, a miss runs simulate_system and stores the result.
 [[nodiscard]] RunMetrics measure_system(
+    SystemKind kind, double setpoint_c, double tclk_stages,
+    double amplitude_stages, double period_stages, double mu_stages,
+    double fixed_period, std::size_t cycles, std::size_t skip,
+    double free_ro_margin = 0.0,
+    cdn::DelayQuantization cdn_quantization =
+        cdn::DelayQuantization::kLinearInterp);
+
+/// The memo-free core of measure_system: always simulates, as the one lane
+/// of a simulate_system_ensemble call, and never touches SweepMemo.  The
+/// streamed metrics are bitwise identical to make_system + run_batch +
+/// evaluate_run, without materialising the trace.  The sweep service calls
+/// it, so the service's own bounded cache is the only one on its miss
+/// path.
+[[nodiscard]] RunMetrics simulate_system(
     SystemKind kind, double setpoint_c, double tclk_stages,
     double amplitude_stages, double period_stages, double mu_stages,
     double fixed_period, std::size_t cycles, std::size_t skip,
@@ -159,8 +175,8 @@ struct WorkedExample {
 /// `tclk_stages` and `mu_stages` each hold either one shared value or one
 /// per lane; the lane count is the longer of the two.  Results (and memo
 /// entries) are bit-for-bit identical to calling measure_system per lane —
-/// lanes already memoised are not re-simulated, the rest run through one
-/// EnsembleSimulator with a streaming MetricsReducer.
+/// lanes already memoised are not re-simulated, the rest run as the lanes
+/// of one simulate_system_ensemble call.
 [[nodiscard]] std::vector<RunMetrics> measure_system_ensemble(
     SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
     double amplitude_stages, double period_stages,
@@ -174,6 +190,20 @@ struct WorkedExample {
 /// results are bitwise identical for every choice of pool; the overload
 /// above runs on the shared process-wide pool.
 [[nodiscard]] std::vector<RunMetrics> measure_system_ensemble(
+    SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
+    double amplitude_stages, double period_stages,
+    std::span<const double> mu_stages, double fixed_period,
+    std::size_t cycles, std::size_t skip, double free_ro_margin,
+    cdn::DelayQuantization cdn_quantization, ThreadPool* pool);
+
+/// The memo-free core of measure_system_ensemble: every lane runs through
+/// one EnsembleSimulator with a streaming MetricsReducer, on `pool`
+/// (nullptr = strictly sequential), and SweepMemo is never touched.  The
+/// inputs are sampled in tiles of about 64 KiB (evaluate_homogeneous_mc),
+/// so a call's memory does not grow with `cycles`.  Lane
+/// i is bitwise identical to simulate_system at lane i's operating point,
+/// whichever other lanes run beside it.
+[[nodiscard]] std::vector<RunMetrics> simulate_system_ensemble(
     SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
     double amplitude_stages, double period_stages,
     std::span<const double> mu_stages, double fixed_period,

@@ -10,8 +10,11 @@
 //
 // The memo only covers measure_system's harmonic-HoDV + static-mu runs;
 // simulations driven by custom LoopConfigs or variation sources bypass it
-// (their inputs are not captured by the key).  It can also be switched off
-// globally (set_enabled(false)) for timing studies that must re-simulate.
+// (their inputs are not captured by the key).  The sweep service bypasses
+// it too: it calls the memo-free cores (simulate_system,
+// simulate_system_ensemble), and its own bounded ResultCache is its only
+// cache.  The memo can also be switched off globally (set_enabled(false))
+// for timing studies that must re-simulate.
 #pragma once
 
 #include <cstddef>

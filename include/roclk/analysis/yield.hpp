@@ -59,9 +59,9 @@ struct YieldCurve {
 /// StreamKey{seed}.split("analysis.yield").split("chip").at(i), so the
 /// result is a pure function of the config — bitwise identical whether
 /// `pool` is null (sequential single-stream order), the shared pool, or
-/// any explicitly sized pool.  yield_curve / compare_margins memoise this
-/// sampling; call it directly to shard a study or to gate scheduling
-/// invariance.
+/// any explicitly sized pool.  yield_curve and compare_margins call it on
+/// every query (nothing is memoised); call it directly to shard a study or
+/// to gate scheduling invariance.
 [[nodiscard]] std::vector<double> sample_worst_paths(
     const YieldConfig& config, ThreadPool* pool = nullptr);
 
@@ -70,8 +70,8 @@ struct YieldCurve {
 [[nodiscard]] YieldCurve yield_curve(std::span<const double> margins,
                                      const YieldConfig& config = {});
 
-/// Same, running any un-memoised chip sampling on an explicit pool
-/// (nullptr = strictly sequential).  The curve is bitwise identical for
+/// Same, running the chip sampling on an explicit pool (nullptr =
+/// strictly sequential).  The curve is bitwise identical for
 /// every choice of pool — the sampling is scheduling-invariant (§13).
 [[nodiscard]] YieldCurve yield_curve(std::span<const double> margins,
                                      const YieldConfig& config,

@@ -27,6 +27,20 @@ struct CriticalPath {
   std::string name{};
 };
 
+/// Where a randomly placed path lies and how deep it is.
+struct PathGeometry {
+  variation::DiePoint location{};
+  double depth_stages{0.0};
+};
+
+/// Path `index` of Floorplan::random_paths(n, nominal_depth, key): three
+/// draws from key.at(index), in this order: x, y, then the depth's +/-10%
+/// jitter around `nominal_depth`.  random_paths and the yield Monte-Carlo
+/// both place paths through this one function.
+[[nodiscard]] PathGeometry random_path_geometry(StreamKey key,
+                                                std::size_t index,
+                                                double nominal_depth);
+
 /// One delay-sensor (TDC) site.
 struct SensorSite {
   variation::DiePoint location{};

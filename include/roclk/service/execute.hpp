@@ -25,7 +25,10 @@ namespace roclk::service {
 /// of the normalized request, bitwise identical for every `pool`
 /// (nullptr = strictly sequential) — the property that lets the service
 /// serve cached and coalesced responses interchangeably with fresh ones.
-/// Exceptions from the simulation layer surface as kInternalError.
+/// Exceptions from the simulation layer surface as kInternalError.  Every
+/// query kind runs through the memo-free analysis cores
+/// (simulate_system, simulate_system_ensemble, yield_curve), so execute()
+/// never reads or grows analysis::SweepMemo.
 [[nodiscard]] Response execute(const Request& normalized,
                                ThreadPool* pool = nullptr);
 

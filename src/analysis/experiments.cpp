@@ -112,16 +112,89 @@ RunMetrics measure_system(SystemKind kind, double setpoint_c,
         (metrics.mean_period + metrics.safety_margin) / fixed_period;
     return metrics;
   }
-
-  auto system = make_system(kind, setpoint_c, tclk_stages, free_ro_margin,
-                            cdn_quantization);
-  const auto inputs = core::SimulationInputs::harmonic(
-      amplitude_stages, period_stages, mu_stages);
-  const auto block = inputs.sample(cycles, setpoint_c);
-  const auto trace = system.run_batch(block);
-  metrics = evaluate_run(trace, setpoint_c, fixed_period, skip);
+  metrics = simulate_system(kind, setpoint_c, tclk_stages, amplitude_stages,
+                            period_stages, mu_stages, fixed_period, cycles,
+                            skip, free_ro_margin, cdn_quantization);
   memo.store(key, metrics);
   return metrics;
+}
+
+namespace {
+
+/// Lane count of an ensemble call whose `tclk_stages` and `mu_stages` each
+/// hold one shared value or one value per lane.
+std::size_t lane_count(std::span<const double> tclk_stages,
+                       std::span<const double> mu_stages) {
+  const std::size_t lanes = std::max(tclk_stages.size(), mu_stages.size());
+  ROCLK_CHECK(lanes > 0, "no operating points");
+  ROCLK_CHECK(tclk_stages.size() == lanes || tclk_stages.size() == 1,
+                "tclk span must hold one value or one per lane");
+  ROCLK_CHECK(mu_stages.size() == lanes || mu_stages.size() == 1,
+                "mu span must hold one value or one per lane");
+  return lanes;
+}
+
+/// Lane `i`'s value of a span holding one shared value or one per lane.
+double lane_value(std::span<const double> values, std::size_t i) {
+  return values.size() == 1 ? values.front() : values[i];
+}
+
+/// Bytes of input samples per lane and cycle (e_ro, e_tdc and mu).
+constexpr std::size_t kSampleBytes = 3 * sizeof(double);
+/// Budget of one sampled input tile of simulate_system_ensemble.
+constexpr std::size_t kSampleTileBytes = 64 * std::size_t{1024};
+
+}  // namespace
+
+std::vector<RunMetrics> simulate_system_ensemble(
+    SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
+    double amplitude_stages, double period_stages,
+    std::span<const double> mu_stages, double fixed_period,
+    std::size_t cycles, std::size_t skip, double free_ro_margin,
+    cdn::DelayQuantization cdn_quantization, ThreadPool* pool) {
+  const std::size_t lanes = lane_count(tclk_stages, mu_stages);
+  std::vector<core::LoopConfig> configs;
+  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
+  std::vector<double> lane_mus;
+  configs.reserve(lanes);
+  lane_mus.reserve(lanes);
+  for (std::size_t i = 0; i < lanes; ++i) {
+    SystemParts parts =
+        make_system_parts(kind, setpoint_c, lane_value(tclk_stages, i),
+                          free_ro_margin, cdn_quantization);
+    configs.push_back(parts.config);
+    if (parts.controller) controllers.push_back(std::move(parts.controller));
+    lane_mus.push_back(lane_value(mu_stages, i));
+  }
+  core::EnsembleSimulator ensemble{std::move(configs),
+                                   std::move(controllers)};
+
+  // All lanes share the harmonic HoDV waveform; it is evaluated once per
+  // cycle and broadcast (the bit-identical fast path of per-lane
+  // SimulationInputs::harmonic sampling), one tile of about
+  // kSampleTileBytes (at least 64 cycles) at a time.  A whole cycles x
+  // lanes block (1.9 MB for a 16-point, 5000-cycle grid) is handed back to
+  // the OS when it is freed and faulted in again by the next call; a tile
+  // this small is reused from the allocator's free lists.
+  const signal::SineWaveform waveform{amplitude_stages, period_stages};
+  const std::size_t tile_cycles =
+      std::max<std::size_t>(64, kSampleTileBytes / (kSampleBytes * lanes));
+  return evaluate_homogeneous_mc(ensemble, waveform, lane_mus, cycles,
+                                 setpoint_c, {fixed_period}, skip, pool,
+                                 tile_cycles);
+}
+
+RunMetrics simulate_system(SystemKind kind, double setpoint_c,
+                           double tclk_stages, double amplitude_stages,
+                           double period_stages, double mu_stages,
+                           double fixed_period, std::size_t cycles,
+                           std::size_t skip, double free_ro_margin,
+                           cdn::DelayQuantization cdn_quantization) {
+  return simulate_system_ensemble(kind, setpoint_c, {&tclk_stages, 1},
+                                  amplitude_stages, period_stages,
+                                  {&mu_stages, 1}, fixed_period, cycles, skip,
+                                  free_ro_margin, cdn_quantization, nullptr)
+      .front();
 }
 
 std::vector<RunMetrics> measure_system_ensemble(
@@ -142,25 +215,14 @@ std::vector<RunMetrics> measure_system_ensemble(
     std::span<const double> mu_stages, double fixed_period,
     std::size_t cycles, std::size_t skip, double free_ro_margin,
     cdn::DelayQuantization cdn_quantization, ThreadPool* pool) {
-  const std::size_t lanes = std::max(tclk_stages.size(), mu_stages.size());
-  ROCLK_CHECK(lanes > 0, "no operating points");
-  ROCLK_CHECK(tclk_stages.size() == lanes || tclk_stages.size() == 1,
-                "tclk span must hold one value or one per lane");
-  ROCLK_CHECK(mu_stages.size() == lanes || mu_stages.size() == 1,
-                "mu span must hold one value or one per lane");
-  const auto tclk_at = [&](std::size_t i) {
-    return tclk_stages.size() == 1 ? tclk_stages.front() : tclk_stages[i];
-  };
-  const auto mu_at = [&](std::size_t i) {
-    return mu_stages.size() == 1 ? mu_stages.front() : mu_stages[i];
-  };
+  const std::size_t lanes = lane_count(tclk_stages, mu_stages);
   const auto key_for = [&](std::size_t i) {
     return SweepKey{static_cast<int>(kind),
                     setpoint_c,
-                    tclk_at(i),
+                    lane_value(tclk_stages, i),
                     amplitude_stages,
                     period_stages,
-                    mu_at(i),
+                    lane_value(mu_stages, i),
                     cycles,
                     skip,
                     free_ro_margin,
@@ -170,6 +232,8 @@ std::vector<RunMetrics> measure_system_ensemble(
   auto& memo = SweepMemo::global();
   std::vector<RunMetrics> out(lanes);
   std::vector<std::size_t> pending;
+  std::vector<double> pending_tclks;
+  std::vector<double> pending_mus;
   for (std::size_t i = 0; i < lanes; ++i) {
     RunMetrics metrics;
     if (memo.lookup(key_for(i), metrics)) {
@@ -178,34 +242,17 @@ std::vector<RunMetrics> measure_system_ensemble(
       out[i] = metrics;
     } else {
       pending.push_back(i);
+      pending_tclks.push_back(lane_value(tclk_stages, i));
+      pending_mus.push_back(lane_value(mu_stages, i));
     }
   }
   if (pending.empty()) return out;
 
   // Only the memo misses become ensemble lanes.
-  std::vector<core::LoopConfig> configs;
-  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
-  std::vector<double> lane_mus;
-  configs.reserve(pending.size());
-  lane_mus.reserve(pending.size());
-  for (const std::size_t i : pending) {
-    SystemParts parts = make_system_parts(kind, setpoint_c, tclk_at(i),
-                                          free_ro_margin, cdn_quantization);
-    configs.push_back(parts.config);
-    if (parts.controller) controllers.push_back(std::move(parts.controller));
-    lane_mus.push_back(mu_at(i));
-  }
-  core::EnsembleSimulator ensemble{std::move(configs),
-                                   std::move(controllers)};
-
-  // All lanes share the harmonic HoDV waveform; it is evaluated once per
-  // cycle and broadcast (the bit-identical fast path of the per-lane
-  // SimulationInputs::harmonic sampling measure_system performs).
-  const signal::SineWaveform waveform{amplitude_stages, period_stages};
-  const auto block = core::sample_homogeneous_ensemble(
-      waveform, lane_mus, cycles, setpoint_c);
-  const std::vector<RunMetrics> measured =
-      evaluate_ensemble(ensemble, block, {fixed_period}, skip, pool);
+  const std::vector<RunMetrics> measured = simulate_system_ensemble(
+      kind, setpoint_c, pending_tclks, amplitude_stages, period_stages,
+      pending_mus, fixed_period, cycles, skip, free_ro_margin,
+      cdn_quantization, pool);
   for (std::size_t j = 0; j < pending.size(); ++j) {
     out[pending[j]] = measured[j];
     memo.store(key_for(pending[j]), measured[j]);

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <mutex>
-#include <utility>
 
 #include "roclk/common/sharded_mc.hpp"
 #include "roclk/common/stats.hpp"
@@ -18,22 +15,24 @@ namespace {
 
 /// Slowest-path delay (stages) of one fabricated chip.  `chip_key` is the
 /// chip's own stream: every variation mechanism draws from a named child,
-/// and each path's device noise from its own indexed substream, so the
-/// sample is a pure function of the key — no draw-order coupling between
-/// chips, mechanisms or paths.
+/// and each path's geometry and device noise from their own indexed
+/// substreams, so the sample is a pure function of the key — no draw-order
+/// coupling between chips, mechanisms or paths.  Path i is the i-th path
+/// of Floorplan::random_paths(paths, depth, chip_key.split("floorplan")),
+/// placed without building the floorplan.
 double sample_worst_path(const YieldConfig& config, StreamKey chip_key) {
   CounterRng d2d_rng{chip_key.split("d2d")};
   const double d2d = d2d_rng.normal(0.0, config.d2d_sigma);
   const variation::WithinDieProcess wid{config.wid_sigma,
                                         chip_key.split("wid")};
-  const auto floorplan = chip::Floorplan::random_paths(
-      config.paths, config.nominal_depth, chip_key.split("floorplan"));
+  const StreamKey floorplan_key = chip_key.split("floorplan");
   const StreamKey rnd_key = chip_key.split("rnd");
 
   double worst = 0.0;
-  std::size_t path_index = 0;
-  for (const auto& path : floorplan.paths()) {
-    CounterRng path_rng{rnd_key.at(path_index++)};
+  for (std::size_t i = 0; i < config.paths; ++i) {
+    const chip::PathGeometry path =
+        chip::random_path_geometry(floorplan_key, i, config.nominal_depth);
+    CounterRng path_rng{rnd_key.at(i)};
     const double rnd = path_rng.normal(0.0, config.rnd_sigma);
     const double v = d2d + wid.at(0.0, path.location) + rnd;
     worst = std::max(worst, path.depth_stages * (1.0 + v));
@@ -41,56 +40,13 @@ double sample_worst_path(const YieldConfig& config, StreamKey chip_key) {
   return worst;
 }
 
-/// The fields of YieldConfig that determine the worst-path distribution
-/// (set-point, RO range and margins only post-process it).
-struct WorstPathKey {
-  std::size_t chips{0};
-  std::size_t paths{0};
-  double nominal_depth{0.0};
-  double d2d_sigma{0.0};
-  double wid_sigma{0.0};
-  double rnd_sigma{0.0};
-  std::uint64_t seed{0};
-
-  [[nodiscard]] bool operator==(const WorstPathKey&) const = default;
-};
-
-/// Samples the per-chip slowest-path delays for `config`, memoising the
-/// result: yield_curve and compare_margins share the Monte-Carlo instead
-/// of re-fabricating the same virtual chips.  Chips draw from indexed
-/// substreams of the yield stream key, so the sampling shards with
-/// bitwise-identical results at any thread count.
-std::shared_ptr<const std::vector<double>> sampled_worst_paths(
-    const YieldConfig& config, ThreadPool* pool = &ThreadPool::shared()) {
-  const WorstPathKey key{config.chips,     config.paths,
-                         config.nominal_depth, config.d2d_sigma,
-                         config.wid_sigma, config.rnd_sigma,
-                         config.seed};
-  static std::mutex mutex;
-  static std::vector<
-      std::pair<WorstPathKey, std::shared_ptr<const std::vector<double>>>>
-      cache;
-  {
-    const std::lock_guard<std::mutex> lock{mutex};
-    for (const auto& [cached_key, cached] : cache) {
-      if (cached_key == key) return cached;
-    }
-  }
-
-  auto worst_paths = std::make_shared<std::vector<double>>(
-      sample_worst_paths(config, pool));
-
-  const std::lock_guard<std::mutex> lock{mutex};
-  // A concurrent caller may have raced us here; the duplicate entry is
-  // harmless (both hold identical samples) and the first match wins.
-  cache.emplace_back(key, worst_paths);
-  return worst_paths;
-}
-
 }  // namespace
 
 std::vector<double> sample_worst_paths(const YieldConfig& config,
                                        ThreadPool* pool) {
+  // The check Floorplan::random_paths makes for every chip's paths.
+  ROCLK_CHECK(config.chips == 0 || config.nominal_depth > 0.0,
+              "path depth must be positive");
   const StreamKey chips_key =
       StreamKey{config.seed}.split("analysis.yield").split("chip");
   return mc::keyed_map(config.chips, chips_key, pool,
@@ -110,8 +66,7 @@ YieldCurve yield_curve(std::span<const double> margins,
   ROCLK_CHECK(config.paths > 0, "need at least one path");
   ROCLK_CHECK(!margins.empty(), "empty margin sweep");
 
-  const auto worst_paths_ptr = sampled_worst_paths(config, pool);
-  const std::vector<double>& worst_paths = *worst_paths_ptr;
+  const std::vector<double> worst_paths = sample_worst_paths(config, pool);
 
   RunningStats worst_stats;
   RunningStats adaptive_period_stats;
@@ -161,8 +116,8 @@ MarginComparison compare_margins(double target_yield,
   ROCLK_CHECK(config.chips > 0, "need at least one chip");
   ROCLK_CHECK(config.paths > 0, "need at least one path");
 
-  const auto worst_paths_ptr = sampled_worst_paths(config);
-  const std::vector<double>& worst_paths = *worst_paths_ptr;
+  const std::vector<double> worst_paths =
+      sample_worst_paths(config, &ThreadPool::shared());
 
   RunningStats adaptive_extra;
   for (const double worst : worst_paths) {

@@ -3,25 +3,31 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "roclk/common/status.hpp"
 #include "roclk/common/stream_key.hpp"
 
 namespace roclk::chip {
 
+PathGeometry random_path_geometry(StreamKey key, std::size_t index,
+                                  double nominal_depth) {
+  CounterRng rng{key.at(index)};
+  PathGeometry path;
+  path.location.x = rng.uniform();
+  path.location.y = rng.uniform();
+  path.depth_stages = nominal_depth * rng.uniform(0.9, 1.1);
+  return path;
+}
+
 Floorplan Floorplan::random_paths(std::size_t n, double nominal_depth,
                                   StreamKey key) {
   ROCLK_CHECK(nominal_depth > 0.0, "path depth must be positive");
   Floorplan fp;
   for (std::size_t i = 0; i < n; ++i) {
-    CounterRng rng{key.at(i)};
-    CriticalPath path;
-    path.location = {rng.uniform(), rng.uniform()};
-    path.depth_stages = nominal_depth * rng.uniform(0.9, 1.1);
-    std::ostringstream os;
-    os << "cp" << i;
-    path.name = os.str();
-    fp.add_path(std::move(path));
+    const PathGeometry geometry = random_path_geometry(key, i, nominal_depth);
+    fp.add_path({geometry.location, geometry.depth_stages,
+                 "cp" + std::to_string(i)});
   }
   return fp;
 }

@@ -24,10 +24,12 @@ double fixed_period_for(const CornerQuery& c) {
   return analysis::fixed_clock_period(c.setpoint_c, amplitude, mu_bound);
 }
 
+/// Simulates one corner.  Always the memo-free core: the service's own
+/// bounded ResultCache (and its journal) are the only caches it keeps.
 RunMetrics run_corner(const CornerQuery& c, double mu_over_c,
                       double tclk_over_c, double fixed_period) {
   const double setpoint = c.setpoint_c;
-  return analysis::measure_system(
+  return analysis::simulate_system(
       static_cast<SystemKind>(c.system), setpoint, tclk_over_c * setpoint,
       c.amplitude_frac * setpoint, c.te_over_c * setpoint,
       mu_over_c * setpoint, fixed_period, c.cycles, c.skip,
@@ -66,7 +68,7 @@ Response execute_grid(const GridQuery& g, ThreadPool* pool) {
   std::vector<RunMetrics> metrics;
   if (g.axis == GridAxis::kTeOverC) {
     // The perturbation period changes per point, so the points cannot
-    // share one ensemble waveform; each corner is still memoised.
+    // share one ensemble waveform; each runs as its own corner.
     metrics.reserve(xs.size());
     for (const double te : xs) {
       CornerQuery point = b;
@@ -90,7 +92,7 @@ Response execute_grid(const GridQuery& g, ThreadPool* pool) {
         mus[i] = xs[i] * setpoint;
       }
     }
-    metrics = analysis::measure_system_ensemble(
+    metrics = analysis::simulate_system_ensemble(
         static_cast<SystemKind>(b.system), setpoint, tclks,
         b.amplitude_frac * setpoint, b.te_over_c * setpoint, mus,
         fixed_period, b.cycles, b.skip, b.free_ro_margin_frac * setpoint,

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
+#include "roclk/analysis/metrics.hpp"
 #include "roclk/common/stats.hpp"
 
 namespace roclk::analysis {
@@ -51,6 +54,90 @@ TEST(Experiments, MeasureSystemQuietEnvironmentIsPerfect) {
   EXPECT_DOUBLE_EQ(m.safety_margin, 0.0);
   EXPECT_EQ(m.violations, 0u);
   EXPECT_NEAR(m.relative_adaptive_period, 64.0 / 76.8, 1e-6);
+}
+
+TEST(Experiments, SimulateSystemMatchesScalarRunBatchBitForBit) {
+  // simulate_system runs a corner as a one-lane ensemble with streamed
+  // metrics; the scalar reference materialises the trace and walks it
+  // again.  Every system kind and CDN quantisation, over corners that
+  // span the CDN delay, the mismatch sign and the perturbation period.
+  constexpr cdn::DelayQuantization kQuantizations[] = {
+      cdn::DelayQuantization::kRound, cdn::DelayQuantization::kFloor,
+      cdn::DelayQuantization::kLinearInterp};
+  constexpr double kTclkOverC[] = {0.3, 1.0, 1.55};
+  constexpr double kMuOverC[] = {-0.08, 0.0, 0.05};
+  constexpr double kTeOverC[] = {7.5, 50.0};
+  const double c = 64.0;
+  const double amplitude = 0.2 * c;
+  int checked = 0;
+  for (const SystemKind kind : kAllSystems) {
+    for (const auto quantization : kQuantizations) {
+      for (std::size_t i = 0; i < std::size(kTclkOverC); ++i) {
+        const double tclk = kTclkOverC[i] * c;
+        const double mu = kMuOverC[i] * c;
+        const double te = kTeOverC[i % 2] * c;
+        const double margin = kind == SystemKind::kFreeRo ? 3.0 : 0.0;
+        const double fixed = fixed_clock_period(c, amplitude, std::abs(mu));
+        auto system = make_system(kind, c, tclk, margin, quantization);
+        const auto block = core::SimulationInputs::harmonic(amplitude, te, mu)
+                               .sample(1500, c);
+        const RunMetrics want =
+            evaluate_run(system.run_batch(block), c, fixed, 300);
+        const RunMetrics got = simulate_system(kind, c, tclk, amplitude, te,
+                                               mu, fixed, 1500, 300, margin,
+                                               quantization);
+        EXPECT_EQ(got.safety_margin, want.safety_margin) << to_string(kind);
+        EXPECT_EQ(got.mean_period, want.mean_period) << to_string(kind);
+        EXPECT_EQ(got.relative_adaptive_period, want.relative_adaptive_period)
+            << to_string(kind);
+        EXPECT_EQ(got.violations, want.violations) << to_string(kind);
+        EXPECT_EQ(got.tau_ripple, want.tau_ripple) << to_string(kind);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 36);
+}
+
+TEST(Experiments, SimulateSystemEnsembleIsTileInvariant) {
+  // simulate_system_ensemble samples its inputs in tiles of about
+  // 64 KiB: 170 cycles at 16 lanes, 2730 at one lane.  Runs spanning many
+  // tiles (and a partial last one) must equal the scalar reference.
+  const double c = 64.0;
+  const double amplitude = 0.2 * c;
+  const double te = 40.0 * c;
+  const double fixed = fixed_clock_period(c, amplitude, 0.1 * c);
+  std::vector<double> tclks;
+  std::vector<double> mus;
+  for (std::size_t i = 0; i < 16; ++i) {
+    tclks.push_back((0.5 + 0.1 * static_cast<double>(i)) * c);
+    mus.push_back((-0.1 + 0.0125 * static_cast<double>(i)) * c);
+  }
+  const auto reference = [&](double tclk, double mu, std::size_t cycles) {
+    auto system = make_system(SystemKind::kIir, c, tclk);
+    const auto block =
+        core::SimulationInputs::harmonic(amplitude, te, mu).sample(cycles, c);
+    return evaluate_run(system.run_batch(block), c, fixed, 300);
+  };
+  const auto expect_same = [](const RunMetrics& got, const RunMetrics& want) {
+    EXPECT_EQ(got.safety_margin, want.safety_margin);
+    EXPECT_EQ(got.mean_period, want.mean_period);
+    EXPECT_EQ(got.relative_adaptive_period, want.relative_adaptive_period);
+    EXPECT_EQ(got.violations, want.violations);
+    EXPECT_EQ(got.tau_ripple, want.tau_ripple);
+  };
+
+  const std::vector<RunMetrics> grid = simulate_system_ensemble(
+      SystemKind::kIir, c, tclks, amplitude, te, mus, fixed, 1500, 300, 0.0,
+      cdn::DelayQuantization::kLinearInterp, nullptr);
+  ASSERT_EQ(grid.size(), tclks.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_same(grid[i], reference(tclks[i], mus[i], 1500));
+  }
+  expect_same(simulate_system(SystemKind::kIir, c, tclks[5], amplitude, te,
+                              mus[5], fixed, 6000, 300),
+              reference(tclks[5], mus[5], 6000));
 }
 
 TEST(Experiments, Fig7WindowAndSystems) {

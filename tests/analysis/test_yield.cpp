@@ -128,8 +128,9 @@ TEST(Yield, SortedScanMatchesSingleMarginQueries) {
 }
 
 TEST(Yield, SharedSamplingKeepsEntryPointsConsistent) {
-  // yield_curve and compare_margins memoise one worst-path sample set per
-  // config, so statistics they both derive from it must agree exactly.
+  // yield_curve and compare_margins sample the same worst-path set (a pure
+  // function of the config), so statistics they both derive from it must
+  // agree exactly.
   const YieldConfig cfg = small_config();
   const auto curve = yield_curve(std::vector<double>{0.0}, cfg);
   const auto cmp = compare_margins(0.99, cfg);

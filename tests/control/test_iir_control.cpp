@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "roclk/signal/filter.hpp"
 
@@ -237,6 +238,16 @@ struct CoeffCase {
   std::vector<double> taps;
   double k_star;
 };
+
+/// Prints a case as taps_<taps>_kstar_<k*>.  gtest_discover_tests names
+/// each ctest after the printed parameter; without this the listing shows
+/// the struct's raw bytes, heap pointers included, which change from run
+/// to run.
+void PrintTo(const CoeffCase& c, std::ostream* os) {
+  *os << "taps";
+  for (const double tap : c.taps) *os << '_' << tap;
+  *os << "_kstar_" << c.k_star;
+}
 
 class IirCoefficientSets : public ::testing::TestWithParam<CoeffCase> {};
 

@@ -4,10 +4,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "roclk/analysis/experiments.hpp"
+#include "roclk/analysis/metrics.hpp"
+#include "roclk/analysis/sweep_cache.hpp"
+#include "roclk/analysis/yield.hpp"
 #include "roclk/common/thread_pool.hpp"
 
 namespace roclk::service {
@@ -349,6 +354,141 @@ TEST(SweepService, ServesYieldCurveQueries) {
     EXPECT_LE(response.values[i + 1], 1.0);
     EXPECT_GE(response.values[i + 2], response.values[i + 1]);
   }
+}
+
+Request grid_request(GridAxis axis, double lo, double hi,
+                     std::uint64_t points) {
+  Request request;
+  request.kind = QueryKind::kGridSweep;
+  request.grid.axis = axis;
+  request.grid.lo = lo;
+  request.grid.hi = hi;
+  request.grid.points = points;
+  request.grid.base.cycles = 2000;
+  request.grid.base.skip = 200;
+  return request;
+}
+
+/// The memo-backed library answer (measure_system*, yield_curve) to a
+/// normalized request, in execute()'s value layout.  Grid and yield
+/// answers take their x values from `served`, which carries them.
+std::vector<double> memo_backed_values(const Request& n,
+                                       const std::vector<double>& served) {
+  using analysis::RunMetrics;
+  using analysis::SystemKind;
+  const CornerQuery& c =
+      n.kind == QueryKind::kGridSweep ? n.grid.base : n.corner;
+  const double sp = c.setpoint_c;
+  const double fixed_period = analysis::fixed_clock_period(
+      sp, c.amplitude_frac * sp, std::abs(c.mu_over_c) * sp);
+  const auto kind = static_cast<SystemKind>(c.system);
+  const auto quantization =
+      static_cast<cdn::DelayQuantization>(c.quantization);
+  const auto corner = [&](double tclk_over_c, double te_over_c) {
+    return analysis::measure_system(
+        kind, sp, tclk_over_c * sp, c.amplitude_frac * sp, te_over_c * sp,
+        c.mu_over_c * sp, fixed_period, c.cycles, c.skip,
+        c.free_ro_margin_frac * sp, quantization);
+  };
+
+  std::vector<double> values;
+  if (n.kind == QueryKind::kCornerMargin) {
+    const RunMetrics m = corner(c.tclk_over_c, c.te_over_c);
+    return {m.safety_margin, m.mean_period, m.relative_adaptive_period,
+            static_cast<double>(m.violations), m.tau_ripple};
+  }
+  if (n.kind == QueryKind::kYieldCurve) {
+    const YieldQuery& y = n.yield;
+    analysis::YieldConfig config;
+    config.chips = y.chips;
+    config.paths = y.paths;
+    config.nominal_depth = y.nominal_depth;
+    config.d2d_sigma = y.d2d_sigma;
+    config.wid_sigma = y.wid_sigma;
+    config.rnd_sigma = y.rnd_sigma;
+    config.setpoint_c = y.setpoint_c;
+    config.ro_max_length = y.ro_max_length;
+    config.seed = y.seed;
+    std::vector<double> margins;
+    for (std::size_t i = 3; i < served.size(); i += 3) {
+      margins.push_back(served[i]);
+    }
+    const analysis::YieldCurve curve = analysis::yield_curve(margins, config);
+    values = {curve.mean_worst_path, curve.mean_adaptive_period,
+              curve.p99_worst_path};
+    for (const analysis::YieldPoint& p : curve.points) {
+      values.insert(values.end(),
+                    {p.margin_stages, p.fixed_yield, p.adaptive_yield});
+    }
+    return values;
+  }
+
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < served.size(); i += 3) xs.push_back(served[i]);
+  std::vector<RunMetrics> metrics;
+  if (n.grid.axis == GridAxis::kTeOverC) {
+    for (const double te : xs) metrics.push_back(corner(c.tclk_over_c, te));
+  } else {
+    std::vector<double> tclks{c.tclk_over_c * sp};
+    std::vector<double> mus{c.mu_over_c * sp};
+    std::vector<double>& axis =
+        n.grid.axis == GridAxis::kTclkOverC ? tclks : mus;
+    axis.clear();
+    for (const double x : xs) axis.push_back(x * sp);
+    metrics = analysis::measure_system_ensemble(
+        kind, sp, tclks, c.amplitude_frac * sp, c.te_over_c * sp, mus,
+        fixed_period, c.cycles, c.skip, c.free_ro_margin_frac * sp,
+        quantization);
+  }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    values.insert(values.end(), {xs[i], metrics[i].relative_adaptive_period,
+                                 metrics[i].safety_margin});
+  }
+  return values;
+}
+
+TEST(SweepService, MissesRunMemoFreeAndMatchTheMemoBackedPath) {
+  // The service's bounded ResultCache and its journal are its only
+  // caches: no kind of miss may read or grow the process-wide SweepMemo.
+  analysis::SweepMemo& memo = analysis::SweepMemo::global();
+  memo.clear();
+  ASSERT_TRUE(memo.enabled());
+
+  std::vector<Request> requests;
+  requests.push_back(corner_request(1.25));
+  requests.back().corner.mu_over_c = 0.05;
+  requests.push_back(grid_request(GridAxis::kTclkOverC, 0.8, 1.6, 4));
+  requests.push_back(grid_request(GridAxis::kMuOverC, -0.1, 0.1, 3));
+  requests.push_back(grid_request(GridAxis::kTeOverC, 10.0, 40.0, 3));
+  requests.back().grid.scale = GridScale::kLog;
+  requests.push_back(Request{});
+  requests.back().kind = QueryKind::kYieldCurve;
+  requests.back().yield.chips = 48;
+  requests.back().yield.margin_points = 4;
+
+  SweepService service{{}};
+  std::vector<Response> responses;
+  for (const Request& request : requests) {
+    responses.push_back(service.handle(request));
+    ASSERT_EQ(responses.back().status, ResponseStatus::kOk);
+    EXPECT_FALSE(responses.back().from_cache);
+  }
+  const analysis::SweepMemoStats untouched = memo.stats();
+  EXPECT_EQ(untouched.hits, 0u);
+  EXPECT_EQ(untouched.misses, 0u);
+  EXPECT_EQ(untouched.entries, 0u);
+  EXPECT_EQ(service.stats().simulations, requests.size());
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Result<Request> normalized = normalize(requests[i]);
+    ASSERT_TRUE(normalized.is_ok());
+    EXPECT_EQ(responses[i].values,
+              memo_backed_values(normalized.value(), responses[i].values))
+        << "request " << i;
+  }
+  // The references really went through the memo.
+  EXPECT_GT(memo.stats().entries, 0u);
+  memo.clear();
 }
 
 }  // namespace
