@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include "roclk/common/simd.hpp"
 #include "roclk/control/iir_control.hpp"
+#include "roclk/control/teatime.hpp"
 #include "roclk/core/ensemble_simulator.hpp"
 #include "roclk/core/loop_simulator.hpp"
 #include "roclk/fault/fault.hpp"
@@ -74,22 +77,40 @@ std::vector<SimulationInputs> varied_inputs(std::size_t lanes) {
   return inputs;
 }
 
-/// Runs a `width`-lane uniform IIR ensemble on `backend` and checks every
-/// lane's streamed trace bitwise against a fresh scalar run_batch.
+/// Builds lane `lane`'s controller; a null factory means an open-loop
+/// ensemble (free-running RO or fixed clock), which has no controllers.
+using ControllerFactory =
+    std::function<std::unique_ptr<control::ControlBlock>(std::size_t lane)>;
+
+std::unique_ptr<control::ControlBlock> paper_iir(std::size_t /*lane*/) {
+  return std::make_unique<control::IirControlHardware>(
+      control::paper_iir_config());
+}
+
+/// Runs a `width`-lane ensemble of `cfg` on `backend`, one controller per
+/// lane from `make_controller`, and checks every lane's streamed trace
+/// bitwise against a fresh scalar run_batch.
 void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
                       simd::Backend backend,
                       const std::vector<fault::FaultSchedule>* faults =
-                          nullptr) {
+                          nullptr,
+                      const ControllerFactory& make_controller = paper_iir) {
   BackendOverrideGuard forced{backend};
-  const control::IirControlHardware prototype{control::paper_iir_config()};
-  auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, width);
+  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
+  if (make_controller) {
+    for (std::size_t w = 0; w < width; ++w) {
+      controllers.push_back(make_controller(w));
+    }
+  }
+  EnsembleSimulator ensemble{std::vector<LoopConfig>(width, cfg),
+                             std::move(controllers)};
   if (faults != nullptr) ensemble.attach_faults(*faults);
   const auto block = sample_ensemble(varied_inputs(width), kCycles, kSetpoint);
   TraceReducer reducer{width, kCycles};
   ensemble.run(block, reducer);
   for (std::size_t w = 0; w < width; ++w) {
-    LoopSimulator scalar{cfg, std::make_unique<control::IirControlHardware>(
-                                  control::paper_iir_config())};
+    LoopSimulator scalar{cfg,
+                         make_controller ? make_controller(w) : nullptr};
     if (faults != nullptr) scalar.attach_faults((*faults)[w]);
     const SimulationTrace reference = scalar.run_batch(block.lane(w));
     const SimulationTrace& lane = reducer.trace(w);
@@ -211,6 +232,134 @@ TEST(EnsembleSimd, ClearFaultsRestoresVectorPathExactly) {
     for (std::size_t k = 0; k < reference.size(); ++k) {
       ASSERT_EQ(reference.tau()[k], reducer.trace(w).tau()[k])
           << "lane " << w << " cycle " << k;
+    }
+  }
+}
+
+// Widths for the route tests: a pure tail lane, one vector group plus a
+// tail, and two chunks.
+const std::size_t kRouteWidths[] = {1, 5, 33};
+
+/// Per-lane fault schedules: seeded random events on lanes 0 and 9 of
+/// every 16, the isolating double droop of 1e308 on mid-vector lane 2, and
+/// no events elsewhere, so vector groups with and without armed lanes both
+/// occur on every backend.
+std::vector<fault::FaultSchedule> route_schedules(std::size_t width) {
+  fault::RandomFaultSpec spec;
+  spec.horizon_cycles = kCycles;
+  spec.event_count = 6;
+  std::vector<fault::FaultSchedule> schedules(width);
+  for (std::size_t w = 0; w < width; ++w) {
+    if (w == 2) {
+      schedules[w]
+          .add({fault::FaultKind::kVoltageDroop, 30, 4, 1e308})
+          .add({fault::FaultKind::kVoltageDroop, 30, 4, 1e308});
+    } else if (w % 16 == 0 || w % 16 == 9) {
+      schedules[w] = fault::FaultSchedule::random(4100 + w, spec);
+    }
+  }
+  return schedules;
+}
+
+/// Controllers the IIR bank cannot devirtualize: TEAtime, the hardened IIR
+/// wrapper, and IIR lanes whose tap sets differ.
+struct VirtualKind {
+  const char* name;
+  ControllerFactory make;
+};
+
+std::vector<VirtualKind> virtual_kinds() {
+  return {
+      {"teatime",
+       [](std::size_t) { return std::make_unique<control::TeaTimeControl>(); }},
+      {"hardened_iir",
+       [](std::size_t) {
+         return make_hardened_iir_system(kSetpoint, kSetpoint)
+             .controller()
+             ->clone();
+       }},
+      {"mixed_tap_iir",
+       [](std::size_t lane) -> std::unique_ptr<control::ControlBlock> {
+         control::IirConfig config = control::paper_iir_config();
+         if (lane % 2 == 1) config.taps = {2.0, 1.0, 0.5, 0.5};
+         return std::make_unique<control::IirControlHardware>(config);
+       }},
+  };
+}
+
+TEST(EnsembleSimd, VirtualControllersBitExactOnEveryBackend) {
+  const LoopConfig cfg = make_config(sensor::Quantization::kNearest,
+                                     cdn::DelayQuantization::kLinearInterp,
+                                     true);
+  for (const VirtualKind& kind : virtual_kinds()) {
+    {
+      std::vector<std::unique_ptr<control::ControlBlock>> controllers;
+      for (std::size_t w = 0; w < 2; ++w) controllers.push_back(kind.make(w));
+      const EnsembleSimulator probe{std::vector<LoopConfig>(2, cfg),
+                                    std::move(controllers)};
+      ASSERT_FALSE(probe.uses_iir_fast_path()) << kind.name;
+    }
+    for (const simd::Backend backend : backends_under_test()) {
+      for (const std::size_t width : kRouteWidths) {
+        SCOPED_TRACE(std::string{kind.name} + " backend " +
+                     simd::to_string(backend) + " width " +
+                     std::to_string(width));
+        expect_bit_exact(width, cfg, backend, nullptr, kind.make);
+      }
+    }
+  }
+}
+
+TEST(EnsembleSimd, VirtualControllersUnderFaultsBitExactOnEveryBackend) {
+  const LoopConfig cfg = make_config(sensor::Quantization::kNearest,
+                                     cdn::DelayQuantization::kLinearInterp,
+                                     true);
+  for (const VirtualKind& kind : virtual_kinds()) {
+    for (const simd::Backend backend : backends_under_test()) {
+      for (const std::size_t width : kRouteWidths) {
+        SCOPED_TRACE(std::string{kind.name} + " backend " +
+                     simd::to_string(backend) + " width " +
+                     std::to_string(width));
+        const auto schedules = route_schedules(width);
+        expect_bit_exact(width, cfg, backend, &schedules, kind.make);
+      }
+    }
+  }
+}
+
+TEST(EnsembleSimd, OpenLoopLanesUnderFaultsBitExactOnEveryBackend) {
+  for (const GeneratorMode mode :
+       {GeneratorMode::kFreeRunningRo, GeneratorMode::kFixedClock}) {
+    LoopConfig cfg = make_config(sensor::Quantization::kFloor,
+                                 cdn::DelayQuantization::kRound, true);
+    cfg.mode = mode;
+    cfg.open_loop_period = kSetpoint + 6.0;
+    for (const simd::Backend backend : backends_under_test()) {
+      for (const std::size_t width : kRouteWidths) {
+        SCOPED_TRACE(std::string{"mode "} +
+                     std::to_string(static_cast<int>(mode)) + " backend " +
+                     simd::to_string(backend) + " width " +
+                     std::to_string(width));
+        const auto schedules = route_schedules(width);
+        expect_bit_exact(width, cfg, backend, &schedules, nullptr);
+      }
+    }
+  }
+}
+
+TEST(EnsembleSimd, OutOfDomainConfigBitExactOnEveryBackend) {
+  // A TDC chain of 2^50 stages lies outside the vector backends' exact
+  // int64<->double window (static magnitudes up to 2^49).
+  LoopConfig cfg = make_config(sensor::Quantization::kFloor,
+                               cdn::DelayQuantization::kRound, true);
+  cfg.tdc_max_reading = std::int64_t{1} << 50;
+  for (const simd::Backend backend : backends_under_test()) {
+    for (const std::size_t width : kRouteWidths) {
+      SCOPED_TRACE(std::string{"backend "} + simd::to_string(backend) +
+                   " width " + std::to_string(width));
+      expect_bit_exact(width, cfg, backend);
+      const auto schedules = route_schedules(width);
+      expect_bit_exact(width, cfg, backend, &schedules);
     }
   }
 }
