@@ -18,13 +18,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <string>
 
 #include "roclk/analysis/metrics.hpp"
 #include "roclk/cdn/cdn.hpp"
-#include "roclk/common/status.hpp"
 
 namespace roclk::analysis {
 
@@ -51,7 +48,6 @@ struct SweepMemoStats {
   std::size_t hits{0};
   std::size_t misses{0};
   std::size_t entries{0};
-  std::size_t evictions{0};
 };
 
 /// Thread-safe memo; safe to use from parallel_for workers.
@@ -78,26 +74,8 @@ class SweepMemo {
   /// Drops all entries and zeroes the counters.
   void clear();
 
-  /// Persists every entry to `path` (binary, checksummed).  Entries only;
-  /// hit/miss counters and the enabled flag are session state.
-  [[nodiscard]] Status save_file(const std::string& path) const;
-
-  /// Replaces the memo's entries with the ones persisted at `path`.
-  /// Robustness contract: a missing, truncated (torn write), or corrupt
-  /// file can only DEGRADE the memo — entries become empty, a non-ok
-  /// Status describes the problem, and nothing throws.  A stale or broken
-  /// cache must never break a sweep; it just stops saving time.
-  [[nodiscard]] Status load_file(const std::string& path);
-
   void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const;
-
-  /// Bounds the memo to `capacity` entries, evicting least-recently-used
-  /// ones (lookup hits and stores both refresh recency).  0 restores the
-  /// historical unbounded behaviour.  Shrinking below the current size
-  /// evicts immediately; load_file also respects the bound.
-  void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const;
 
  private:
   struct Impl;

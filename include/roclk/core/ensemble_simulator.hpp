@@ -14,7 +14,12 @@
 //    two slots, mask indexing) and stay L1-resident;
 //  * the IIR control hardware is devirtualized once per ensemble into a
 //    lane-strided integer bank ([tap][lane]), mirroring run_batch's fast
-//    path; other controllers fall back to one cloned ControlBlock per lane.
+//    path; other controllers keep one ControlBlock per lane, stepped on
+//    the lane values the vector computed;
+//  * one per-chunk kernel, templated over the SIMD backend
+//    (src/core/ensemble_simd_kernel.hpp), runs every chunk: vector groups
+//    of lanes, with the fault-armed groups and the tail on its width-1
+//    instantiation.
 //
 // Per-cycle results stream into a StreamingReducer instead of a trace, so
 // a 1k-lane study allocates O(W) accumulator state, not O(W * cycles)
@@ -144,8 +149,8 @@ class EnsembleSimulator {
   /// fault-free), replayed against each lane's absolute cycle counter just
   /// like LoopSimulator::attach_faults.  Lane w of a faulted ensemble run
   /// stays bit-for-bit identical to a scalar LoopSimulator running the
-  /// same schedule.  The fault-free kernel is compiled separately, so runs
-  /// without faults are untouched.
+  /// same schedule.  The fault sites are compiled into the width-1 body
+  /// that runs the armed lanes only, so fault-free lanes are untouched.
   void attach_faults(std::vector<fault::FaultSchedule> schedules);
   void clear_faults();
   [[nodiscard]] bool has_faults() const { return faults_active_; }
@@ -159,9 +164,9 @@ class EnsembleSimulator {
  private:
   // Lanes are processed in chunks of kChunkLanes: the chunk's interleaved
   // CDN ring plus its delay registers fit in L1, and chunks are the unit
-  // of thread parallelism.  32 lanes = 8 AVX2 vectors per per-cycle array
-  // pass — wide enough to amortize the per-cycle reducer call, small
-  // enough that the ring stays L1-resident.
+  // of thread parallelism and of kernel calls.  32 lanes = 8 AVX2 vectors
+  // per per-cycle array pass — wide enough to amortize the per-cycle
+  // reducer call, small enough that the ring stays L1-resident.
   static constexpr std::size_t kChunkLanes = 32;
 
   // All lane arrays use simd::aligned_vector: every array starts on its
@@ -223,51 +228,20 @@ class EnsembleSimulator {
     // Fault replay state (populated only by attach_faults).  An isolated
     // lane is skipped by the kernel, so its staging entries keep repeating
     // the last good cycle — the exact analogue of LoopSimulator's frozen
-    // record.  has_fault_events marks a chunk with at least one non-empty
-    // schedule: only those chunks leave the SIMD path, so arming faults on
-    // a few lanes keeps every other chunk vectorized.
+    // record.  Bit w of `armed` marks lane w's schedule as having events:
+    // only the vector groups holding such a lane leave the vector path, so
+    // arming faults on a few lanes keeps every other group vectorized.
     std::vector<fault::FaultInjector> injectors;
     simd::aligned_vector<std::uint8_t> isolated;
-    bool has_fault_events{false};
+    std::uint64_t armed{0};
   };
+  static_assert(kChunkLanes <= 64, "Chunk::armed holds one bit per lane");
 
-  // kIntegralCommand marks controllers whose commanded length is already
-  // an exact integer (the IIR bank emits double(int64)), letting the
-  // quantize-l_RO step cast instead of rounding.  The TDC and CDN
-  // quantization modes are template parameters so the per-lane-cycle
-  // switches compile away; `Control` provides step(lane, delta) plus an
-  // end_cycle() hook called once per simulated cycle.
-  // kFaults compiles the fault-replay sites into the lane body; the
-  // fault-free instantiation is the exact pre-fault kernel.
-  template <bool kIntegralCommand, bool kFaults, sensor::Quantization TdcQ,
-            cdn::DelayQuantization CdnQ, typename Control>
-  void run_chunk(Chunk& chunk, const EnsembleInputBlock& block,
-                 StreamingReducer& reducer, Control& control);
-
-  // Runtime-to-compile-time dispatch of the quantization modes.
-  template <bool kIntegralCommand, bool kFaults, sensor::Quantization TdcQ,
-            typename Control>
-  void dispatch_cdn(Chunk& chunk, const EnsembleInputBlock& block,
-                    StreamingReducer& reducer, Control& control);
-  template <bool kIntegralCommand, bool kFaults, typename Control>
-  void dispatch_tdc(Chunk& chunk, const EnsembleInputBlock& block,
-                    StreamingReducer& reducer, Control& control);
-  template <bool kIntegralCommand, typename Control>
-  void dispatch_chunk(Chunk& chunk, const EnsembleInputBlock& block,
-                      StreamingReducer& reducer, Control& control);
-
+  /// Runs `chunk` through the per-chunk kernel (ensemble_simd_kernel.hpp)
+  /// on `backend`, or on the scalar pack when a config lies outside the
+  /// vector backends' exact-conversion domain.
   void run_one_chunk(Chunk& chunk, const EnsembleInputBlock& block,
                      StreamingReducer& reducer, simd::Backend backend);
-
-  /// True when `chunk` may run the vectorized kernel on this call: the
-  /// controller is the devirtualized IIR bank (or the mode is open-loop),
-  /// no lane of the chunk has fault events armed, and the ensemble's
-  /// static magnitudes fit the exact int64<->double conversion window.
-  [[nodiscard]] bool chunk_simd_eligible(const Chunk& chunk) const;
-
-  /// Dispatches `chunk` to a vector backend's kernel entry point.
-  void run_chunk_simd(Chunk& chunk, const EnsembleInputBlock& block,
-                      StreamingReducer& reducer, simd::Backend backend);
 
   std::vector<LoopConfig> configs_;
   std::vector<std::unique_ptr<control::ControlBlock>> controllers_;
@@ -289,8 +263,9 @@ class EnsembleSimulator {
 
   bool faults_active_{false};
   // Static magnitudes (set-points, TDC range, length bounds) small enough
-  // that every int64<->double conversion in the vector kernel is exact;
+  // that every int64<->double conversion in the vector backends is exact;
   // checked once at construction (see kSimdMaxMagnitude in the .cpp).
+  // Otherwise every chunk runs the scalar pack.
   bool simd_domain_ok_{false};
   std::vector<Chunk> chunks_;
 };

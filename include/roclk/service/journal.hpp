@@ -13,8 +13,7 @@
 //            word 3..2+N-1      encode_response words (OK responses only)
 //            word 3+N-1+1       checksum over words 0..2+N-1
 //
-// Crash-safety contract (the SweepMemo torn-write discipline, applied
-// to an append-only log):
+// Crash-safety contract (torn-write recovery for an append-only log):
 //
 //   * every append is one buffered write + flush of a whole record, so
 //     a crash — kill -9 included — can only tear the LAST record;

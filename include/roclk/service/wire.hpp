@@ -19,7 +19,7 @@
 namespace roclk::service {
 
 /// Chain seed shared by checksums and content hashes (FNV-1a offset
-/// basis, the same constant the SweepMemo file format chains from).
+/// basis, the same constant SweepMemo's key hash starts from).
 inline constexpr std::uint64_t kWireSeed = 0x6C62272E07BB0142ULL;
 
 /// splitmix64-style combiner: absorbs one word into a running hash.

@@ -1,13 +1,10 @@
 #include "roclk/analysis/sweep_cache.hpp"
 
 #include <bit>
-#include <cstring>
-#include <fstream>
-#include <list>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 namespace roclk::analysis {
 
@@ -42,45 +39,11 @@ struct KeyHash {
 }  // namespace
 
 struct SweepMemo::Impl {
-  struct Entry {
-    RunMetrics metrics;
-    std::list<SweepKey>::iterator recency;  // position in `lru`
-  };
-
   mutable std::mutex mutex;
-  std::unordered_map<SweepKey, Entry, KeyHash> entries;
-  std::list<SweepKey> lru;  // front = most recently used
-  std::size_t capacity{0};  // 0 = unbounded (the historical behaviour)
+  std::unordered_map<SweepKey, RunMetrics, KeyHash> entries;
   std::size_t hits{0};
   std::size_t misses{0};
-  std::size_t evictions{0};
   bool enabled{true};
-
-  // All three helpers assume `mutex` is held.
-  void touch(Entry& entry) {
-    lru.splice(lru.begin(), lru, entry.recency);
-  }
-
-  void insert(const SweepKey& key, const RunMetrics& metrics) {
-    const auto it = entries.find(key);
-    if (it != entries.end()) {
-      it->second.metrics = metrics;
-      touch(it->second);
-      return;
-    }
-    lru.push_front(key);
-    entries.emplace(key, Entry{metrics, lru.begin()});
-    evict_over_capacity();
-  }
-
-  void evict_over_capacity() {
-    if (capacity == 0) return;
-    while (entries.size() > capacity) {
-      entries.erase(lru.back());
-      lru.pop_back();
-      ++evictions;
-    }
-  }
 };
 
 SweepMemo::SweepMemo() : impl_{std::make_unique<Impl>()} {}
@@ -103,191 +66,26 @@ bool SweepMemo::lookup(const SweepKey& key, RunMetrics& metrics) {
     return false;
   }
   ++impl_->hits;
-  impl_->touch(it->second);
-  metrics = it->second.metrics;
+  metrics = it->second;
   return true;
 }
 
 void SweepMemo::store(const SweepKey& key, const RunMetrics& metrics) {
   std::lock_guard lock(impl_->mutex);
   if (!impl_->enabled) return;
-  impl_->insert(key, metrics);
+  impl_->entries.insert_or_assign(key, metrics);
 }
 
 SweepMemoStats SweepMemo::stats() const {
   std::lock_guard lock(impl_->mutex);
-  return {impl_->hits, impl_->misses, impl_->entries.size(),
-          impl_->evictions};
+  return {impl_->hits, impl_->misses, impl_->entries.size()};
 }
 
 void SweepMemo::clear() {
   std::lock_guard lock(impl_->mutex);
   impl_->entries.clear();
-  impl_->lru.clear();
   impl_->hits = 0;
   impl_->misses = 0;
-  impl_->evictions = 0;
-}
-
-void SweepMemo::set_capacity(std::size_t capacity) {
-  std::lock_guard lock(impl_->mutex);
-  impl_->capacity = capacity;
-  impl_->evict_over_capacity();
-}
-
-std::size_t SweepMemo::capacity() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->capacity;
-}
-
-namespace {
-
-// Little-endian-agnostic framing: every field widens to a u64 word, the
-// trailing checksum chains the same splitmix combiner over every word.  A
-// torn write truncates the stream or breaks the checksum; either way the
-// loader degrades instead of trusting partial data.
-constexpr std::uint64_t kMemoMagic = 0x524F434C4B4D454DULL;  // "ROCLKMEM"
-constexpr std::uint32_t kMemoVersion = 1;
-constexpr std::size_t kWordsPerEntry = 15;  // 10 key + 5 metrics words
-
-struct WordWriter {
-  std::vector<std::uint64_t> words;
-  std::uint64_t checksum{0x6C62272E07BB0142ULL};
-  void put(std::uint64_t v) {
-    words.push_back(v);
-    checksum = mix(checksum, v);
-  }
-  void put(double v) { put(bits(v)); }
-};
-
-struct WordReader {
-  const std::uint64_t* words{nullptr};
-  std::size_t count{0};
-  std::size_t next{0};
-  std::uint64_t checksum{0x6C62272E07BB0142ULL};
-  std::uint64_t take() {
-    const std::uint64_t v = words[next++];
-    checksum = mix(checksum, v);
-    return v;
-  }
-  double take_double() { return std::bit_cast<double>(take()); }
-};
-
-}  // namespace
-
-Status SweepMemo::save_file(const std::string& path) const {
-  std::lock_guard lock(impl_->mutex);
-  WordWriter out;
-  out.put(kMemoMagic);
-  out.put(static_cast<std::uint64_t>(kMemoVersion));
-  out.put(static_cast<std::uint64_t>(impl_->entries.size()));
-  for (const auto& [key, entry] : impl_->entries) {
-    const RunMetrics& metrics = entry.metrics;
-    out.put(static_cast<std::uint64_t>(static_cast<std::int64_t>(key.kind)));
-    out.put(key.setpoint_c);
-    out.put(key.tclk_stages);
-    out.put(key.amplitude_stages);
-    out.put(key.period_stages);
-    out.put(key.mu_stages);
-    out.put(static_cast<std::uint64_t>(key.cycles));
-    out.put(static_cast<std::uint64_t>(key.skip));
-    out.put(key.free_ro_margin);
-    out.put(static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(key.quantization)));
-    out.put(metrics.safety_margin);
-    out.put(metrics.mean_period);
-    out.put(metrics.relative_adaptive_period);
-    out.put(static_cast<std::uint64_t>(metrics.violations));
-    out.put(metrics.tau_ripple);
-  }
-  const std::uint64_t checksum = out.checksum;
-  out.words.push_back(checksum);
-
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return Status::internal("cannot open memo file for writing: " + path);
-  }
-  file.write(reinterpret_cast<const char*>(out.words.data()),
-             static_cast<std::streamsize>(out.words.size() *
-                                          sizeof(std::uint64_t)));
-  if (!file) {
-    return Status::internal("short write persisting memo to " + path);
-  }
-  return Status::ok();
-}
-
-Status SweepMemo::load_file(const std::string& path) {
-  std::lock_guard lock(impl_->mutex);
-  // Degrade-first: the entries are dropped up front, so EVERY early return
-  // below leaves an empty (never a half-loaded or stale) memo.
-  impl_->entries.clear();
-  impl_->lru.clear();
-
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
-  if (!file) {
-    return Status::not_found("no persisted memo at " + path);
-  }
-  const std::streamoff size = file.tellg();
-  if (size < 0 ||
-      static_cast<std::size_t>(size) % sizeof(std::uint64_t) != 0 ||
-      static_cast<std::size_t>(size) < 4 * sizeof(std::uint64_t)) {
-    return Status::invalid_argument(
-        "memo file is truncated or not a memo: " + path);
-  }
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(size) /
-                                   sizeof(std::uint64_t));
-  file.seekg(0);
-  file.read(reinterpret_cast<char*>(words.data()), size);
-  if (!file) {
-    return Status::internal("short read loading memo from " + path);
-  }
-
-  WordReader in{words.data(), words.size()};
-  if (in.take() != kMemoMagic) {
-    return Status::invalid_argument("bad memo magic in " + path);
-  }
-  const std::uint64_t version = in.take();
-  if (version != kMemoVersion) {
-    return Status::invalid_argument("unsupported memo version in " + path);
-  }
-  const std::uint64_t count = in.take();
-  // 3 header words + entries + 1 checksum word, checked BEFORE indexing so
-  // a truncated (torn-write) file cannot read out of bounds.
-  const std::uint64_t expected = 3 + count * kWordsPerEntry + 1;
-  if (count > (words.size() - 4) / kWordsPerEntry ||
-      words.size() != expected) {
-    return Status::invalid_argument(
-        "memo file is truncated (torn write?): " + path);
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    SweepKey key;
-    RunMetrics metrics;
-    key.kind = static_cast<int>(static_cast<std::int64_t>(in.take()));
-    key.setpoint_c = in.take_double();
-    key.tclk_stages = in.take_double();
-    key.amplitude_stages = in.take_double();
-    key.period_stages = in.take_double();
-    key.mu_stages = in.take_double();
-    key.cycles = static_cast<std::size_t>(in.take());
-    key.skip = static_cast<std::size_t>(in.take());
-    key.free_ro_margin = in.take_double();
-    key.quantization =
-        static_cast<int>(static_cast<std::int64_t>(in.take()));
-    metrics.safety_margin = in.take_double();
-    metrics.mean_period = in.take_double();
-    metrics.relative_adaptive_period = in.take_double();
-    metrics.violations = static_cast<std::size_t>(in.take());
-    metrics.tau_ripple = in.take_double();
-    impl_->insert(key, metrics);
-  }
-  const std::uint64_t computed = in.checksum;
-  if (in.take() != computed) {
-    impl_->entries.clear();
-    impl_->lru.clear();
-    return Status::invalid_argument(
-        "memo checksum mismatch (corrupt file): " + path);
-  }
-  return Status::ok();
 }
 
 void SweepMemo::set_enabled(bool enabled) {

@@ -1,20 +1,25 @@
-// Vectorized per-chunk ensemble kernel, templated over a SIMD backend.
+// The per-chunk ensemble kernel, templated over a SIMD backend.
 //
 // This internal header is instantiated once per compiled backend
-// (ensemble_kernel_{scalar,avx2,neon}.cpp); EnsembleSimulator dispatches a
-// chunk here when the chunk is SIMD-eligible: fault-free (or armed with an
-// all-empty schedule set), running either an open-loop generator or the
-// devirtualized IIR bank, with its static magnitudes inside the exact
-// int<->double conversion domain (see EnsembleSimulator::kSimdMaxMagnitude).
-// Everything else — per-lane virtual controllers, chunks with pending fault
-// events, out-of-domain configs — keeps the scalar reference kernel, which
-// preserves PR 4's bit-for-bit fault replay unchanged.
+// (ensemble_kernel_{scalar,avx2,neon}.cpp) and is EnsembleSimulator's only
+// per-chunk kernel.  One templated cycle body covers every ensemble; the
+// route is chosen from what the ensemble holds, never from an option:
+//  * the controller kind (ControlKind): open loop, the devirtualized IIR
+//    bank on lane vectors, or virtual ControlBlocks stepped one lane at a
+//    time over the extracted lane values;
+//  * the fault schedules: a vector group holding a lane whose schedule has
+//    events runs lane by lane through the width-1 body, with the fault
+//    sites compiled in for the armed lanes; the chunk's other groups stay
+//    on vectors;
+//  * the config magnitudes: a config outside the exact-conversion domain
+//    (see kSimdMaxMagnitude in ensemble_simulator.cpp) runs the
+//    ScalarTraits instantiation, whose conversions are plain casts.
 //
 // Bit-exactness argument (gated by tests/core/test_ensemble_simd):
 //  * Lanes are arithmetically independent; vectorizing ACROSS lanes only
 //    changes which instruction computes a lane, never its operand values.
 //  * Every floating-point step is the same IEEE-754 operation, in the same
-//    order, as the scalar reference (correctly-rounded add/sub/mul/div,
+//    order, as LoopSimulator::step_impl (correctly-rounded add/sub/mul/div,
 //    directed-rounding floor/trunc).  min/max/clamp are composed from
 //    cmp+select in the exact std::min/std::max/std::clamp selection order,
 //    so -0.0 and equal-value selections match bitwise.  No FMA contraction
@@ -22,28 +27,40 @@
 //  * Integer IIR-bank steps are exact by definition; the AVX2 arithmetic
 //    right shift is rebuilt from logical shift + sign fill.
 //  * double->int64 casts use each backend's exact conversion, valid for
-//    the guarded magnitude domain (< 2^51); the CDN look-back's per-lane
-//    variable ring indexing runs scalar on extracted lane values — the
-//    same values the vector computed, so the same results.
-//  * Lane widths not divisible by the vector width run the SAME templated
-//    cycle body instantiated at width 1 (ScalarTraits<1>) — the masked
-//    scalar tail shares one source of truth with the vector path.
+//    the guarded magnitude domain (< 2^51); ScalarTraits uses plain casts,
+//    exact at any magnitude (llround_ties_away is the same cast).  The CDN
+//    look-back's per-lane ring indexing and the virtual controllers run
+//    scalar on extracted lane values — the same values the vector
+//    computed, so the same results.
+//  * Lane widths not divisible by the vector width, and fault-armed
+//    groups, run the SAME templated cycle body instantiated at width 1
+//    (ScalarTraits<1>) — one source of truth for every lane.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "roclk/cdn/cdn.hpp"
 #include "roclk/common/check.hpp"
 #include "roclk/common/fixed_point.hpp"
 #include "roclk/common/simd.hpp"
+#include "roclk/control/control_block.hpp"
 #include "roclk/core/ensemble_simulator.hpp"
+#include "roclk/fault/injector.hpp"
 #include "roclk/sensor/tdc.hpp"
 
 namespace roclk::core::detail {
+
+/// How a chunk's lanes turn delta into l_RO.
+enum class ControlKind {
+  kOpenLoop,  // free-running RO or fixed clock: the lane's open-loop period
+  kIirBank,   // the devirtualized integer IIR bank, on lane vectors
+  kVirtual,   // one ControlBlock per lane, stepped on extracted lane values
+};
 
 /// Devirtualized IIR bank parameters for the vector kernel (mirrors
 /// EnsembleSimulator's cached IirControlHardware configuration).
@@ -112,16 +129,23 @@ struct SimdChunkArgs {
   double tdc_mismatch{0.0};
   double tdc_max{0.0};
 
-  // Controller: the devirtualized IIR bank, or open-loop when inactive.
-  bool use_iir_bank{false};
+  // Controller: `iir` serves kIirBank, `controllers` (from the chunk's
+  // first lane on) serves kVirtual.
+  ControlKind control{ControlKind::kOpenLoop};
   SimdIirArgs iir;
+  const std::unique_ptr<control::ControlBlock>* controllers{nullptr};
 
   // Streaming sink.
   StreamingReducer* reducer{nullptr};
   bool full_slice{true};
-  // Slice isolation mask for a fault-armed ensemble whose chunk has no
-  // events (all zeros by construction); nullptr on a fault-free run.
-  const std::uint8_t* isolated_flags{nullptr};
+
+  // Fault replay, set on a fault-armed ensemble only.  Bit w of `armed`
+  // marks lane w's schedule as having events; `isolated` is the chunk's
+  // isolation mask, written by armed lanes and handed to the reducer as
+  // LaneSlice::isolated (nullptr on a fault-free run).
+  fault::FaultInjector* injectors{nullptr};
+  std::uint64_t armed{0};
+  std::uint8_t* isolated{nullptr};
 };
 
 /// Backend entry points.  Each is defined in its ensemble_kernel_*.cpp TU;
@@ -157,11 +181,33 @@ inline typename T::I iclamp(typename T::I v, typename T::I lo,
   return T::iselect(T::icmp_lt(v, lo), lo, v);
 }
 
-/// One simulated cycle for the V::kWidth lanes starting at chunk offset w.
-/// Mirrors EnsembleSimulator::run_chunk's fault-free lane body statement by
-/// statement; see that kernel for the semantics of each step.
+/// The value held by a width-1 vector.
+template <class V>
+inline double lane_value(typename V::D v) {
+  static_assert(V::kWidth == 1, "only a width-1 vector holds one value");
+  double x;
+  V::store(&x, v);
+  return x;
+}
+
+/// step_impl's l_RO from a scalar controller command: rounded and clamped
+/// to the lane's length range, or clamped unrounded.
+inline double command_to_lro(const SimdChunkArgs& a, std::size_t lane,
+                             double commanded) {
+  if (a.quantize_lro) {
+    return static_cast<double>(std::clamp(llround_ties_away(commanded),
+                                          a.min_len[lane], a.max_len[lane]));
+  }
+  return std::clamp(commanded, a.min_len_d[lane], a.max_len_d[lane]);
+}
+
+/// One simulated cycle for the V::kWidth lanes starting at chunk offset w:
+/// LoopSimulator::step_impl statement by statement.  kFaults (width 1
+/// only) compiles in step_impl's fault sites, in its order: isolation
+/// skip, begin_cycle, sensor overrides, ro_offset, ring push, cdn_drop,
+/// isolation check, droop.
 template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
-          bool kBank>
+          ControlKind kControl, bool kFaults>
 inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
                              const double* e_ro_row, const double* e_tdc_row,
                              const double* mu_row, std::uint64_t pos,
@@ -169,6 +215,15 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   using D = typename V::D;
   using I [[maybe_unused]] = typename V::I;
   constexpr std::size_t W = V::kWidth;
+  static_assert(!kFaults || W == 1, "fault sites run on single lanes");
+
+  // An isolated lane is frozen: it is skipped, so its staging entries keep
+  // the last good cycle, exactly like LoopSimulator's frozen record.
+  [[maybe_unused]] fault::CycleFaults faults;
+  if constexpr (kFaults) {
+    if (a.isolated[w] != 0) return;
+    faults = a.injectors[w].begin_cycle(pos);
+  }
 
   // TDC (one-cycle latency): tau = quantize(prev_t_dlv - e_local + mism),
   // clamped to [0, max_reading].
@@ -195,14 +250,30 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   }
   tau = dclamp<V>(tau, zero, V::broadcast(a.tdc_max));
 
+  // Violation is judged on the TRUE reading, before any sensor fault.
   const D setpoint = V::load(a.setpoint + w);
   const unsigned viol_bits = V::mask_bits(V::cmp_lt(tau, setpoint));
+  if constexpr (kFaults) {
+    if (faults.any) {
+      // Sensor-mux faults (precedence resolved by the injector); a faulted
+      // reading still passes through the chain's saturation.
+      double t = lane_value<V>(tau);
+      if (faults.tau_stuck) {
+        t = std::clamp(faults.tau_stuck_value, 0.0, a.tdc_max);
+      } else if (faults.tau_dropped) {
+        t = 0.0;
+      } else if (faults.tau_glitch != 0.0) {
+        t = std::clamp(t + faults.tau_glitch, 0.0, a.tdc_max);
+      }
+      tau = V::broadcast(t);
+    }
+  }
   const D delta = V::sub(setpoint, tau);
 
   // Controller / generator.
   D lro_now;
-  if constexpr (kBank) {
-    // IirBankControl::step on a lane-vector: feedback taps, shift-scaled
+  if constexpr (kControl == ControlKind::kIirBank) {
+    // IirControlHardware::step on a lane-vector: feedback taps, shift-scaled
     // state update, anti-windup back-write — all exact integer arithmetic.
     const SimdIirArgs& iir = a.iir;
     I feedback = V::ibroadcast(0);
@@ -230,11 +301,11 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
                            apply_gain<V>(bounded, iir.k_exp_gain));
     }
     V::istore(rows[iir.taps - 1] + w, new_row);
-    // Quantize: the scalar path computes commanded = double(y), then casts
-    // back.  Inside the exact conversion window |y| < 2^51 that round trip
-    // is the identity, so the vector path keeps y; a diverged loop can push
-    // y outside the window, where double(y) rounds — those (rare) vectors
-    // replay the scalar round trip lane by lane, bit for bit.
+    // Quantize: the scalar path computes commanded = double(y), then rounds
+    // it back.  Inside the exact conversion window |y| < 2^51 that round
+    // trip is the identity, so the vector path keeps y; a diverged loop can
+    // push y outside the window, where double(y) rounds — those (rare)
+    // vectors replay the scalar round trip lane by lane, bit for bit.
     constexpr std::int64_t kWindow = std::int64_t{1} << 51;
     const unsigned in_window =
         V::imask_bits(V::icmp_lt(y, V::ibroadcast(kWindow))) &
@@ -253,27 +324,37 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
       V::istore(y_lanes, y);
       double lro_lanes[W];
       for (std::size_t j = 0; j < W; ++j) {
-        const double commanded = static_cast<double>(y_lanes[j]);
-        if (a.quantize_lro) {
-          const auto length = static_cast<std::int64_t>(commanded);
-          lro_lanes[j] = static_cast<double>(
-              std::clamp(length, a.min_len[w + j], a.max_len[w + j]));
-        } else {
-          lro_lanes[j] =
-              std::clamp(commanded, a.min_len_d[w + j], a.max_len_d[w + j]);
-        }
+        lro_lanes[j] =
+            command_to_lro(a, w + j, static_cast<double>(y_lanes[j]));
       }
       lro_now = V::load(lro_lanes);
     }
+  } else if constexpr (kControl == ControlKind::kVirtual) {
+    // Each lane's own ControlBlock, stepped on the extracted delta.
+    double delta_lanes[W];
+    V::store(delta_lanes, delta);
+    double lro_lanes[W];
+    for (std::size_t j = 0; j < W; ++j) {
+      lro_lanes[j] = command_to_lro(
+          a, w + j, a.controllers[w + j]->step(delta_lanes[j]));
+    }
+    lro_now = V::load(lro_lanes);
   } else {
     lro_now = V::load(a.open_loop + w);
   }
 
   // RO (one-cycle latency): t_gen = max(1.0, prev_lro + e_at_ro), with
-  // std::max's exact selection order (1.0 < raw ? raw : 1.0).
+  // std::max's exact selection order (1.0 < raw ? raw : 1.0).  A fixed
+  // clock ignores on-die variation; an active stage failure steps the
+  // l_RO -> period mapping.
   const D e_at_ro =
       a.fixed_clock ? zero : V::load(a.prev_e_ro + w);
-  const D t_gen_raw = V::add(V::load(a.prev_lro + w), e_at_ro);
+  D t_gen_raw = V::add(V::load(a.prev_lro + w), e_at_ro);
+  if constexpr (kFaults) {
+    if (faults.any && faults.ro_offset != 0.0) {
+      t_gen_raw = V::add(t_gen_raw, V::broadcast(faults.ro_offset));
+    }
+  }
   const D one = V::broadcast(1.0);
   const D t_gen = V::select(V::cmp_lt(one, t_gen_raw), t_gen_raw, one);
 
@@ -286,9 +367,11 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   const D d =
       V::select(V::cmp_lt(history_d, quotient), history_d, quotient);
 
-  // Quantised look-back: the ring slot varies per lane, so this step runs
-  // scalar over the extracted lane values of d — the same doubles the
-  // vector computed, through the same scalar ops as the reference kernel.
+  // Quantised look-back, with QuantizedTimeCdn::look_back's boundary rule:
+  // beyond the lane's history window, or before the simulation started,
+  // the clock ran at the initial (equilibrium) period.  The ring slot
+  // varies per lane, so this step runs scalar over the extracted lane
+  // values of d — the same doubles the vector computed.
   double d_lanes[W];
   V::store(d_lanes, d);
   double t_dlv_lanes[W];
@@ -318,9 +401,23 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
     }
     t_dlv_lanes[j] = t_dlv;
   }
+  if constexpr (kFaults) {
+    // A delivery drop swallows the leaf edge: a doubled period this cycle,
+    // with the tree's pipeline unaffected.
+    if (faults.any && faults.cdn_drop) t_dlv_lanes[0] *= 2.0;
+    // Lane isolation: a non-physical signal freezes the lane BEFORE
+    // anything is staged or latched, so it can never reach a reducer.
+    const double t = lane_value<V>(tau);
+    if (!std::isfinite(t) || !std::isfinite(t_dlv_lanes[0]) ||
+        t_dlv_lanes[0] <= 0.0) {
+      a.isolated[w] = 1;
+      return;
+    }
+  }
   const D t_dlv = V::load(t_dlv_lanes);
 
-  // Stage the cycle's results and advance the z^-1 registers.
+  // Stage the cycle's results and advance the z^-1 registers.  The TDC
+  // only ever reads e_tdc - mu, so one register holds the difference.
   V::store(a.out_tau + w, tau);
   V::store(a.out_delta + w, delta);
   if (a.full_slice) {
@@ -336,21 +433,35 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   V::store(a.prev_e_ro + w, V::load(e_ro_row + w));
   V::store(a.prev_e_local + w,
            V::sub(V::load(e_tdc_row + w), V::load(mu_row + w)));
+  if constexpr (kFaults) {
+    // A supply droop slows the whole die: both the RO and the TDC chain
+    // see the extra stages next cycle, in step_impl's operand order
+    // (`prev_e_tdc_ += droop`, then the TDC subtracts mu).
+    if (faults.any && faults.droop != 0.0) {
+      a.prev_e_ro[w] = e_ro_row[w] + faults.droop;
+      a.prev_e_local[w] = (e_tdc_row[w] + faults.droop) - mu_row[w];
+    }
+  }
 }
 
 /// Full chunk run at one (TdcQ, CdnQ, controller) combination: vector
-/// groups of T::kWidth lanes plus a width-1 tail from the same body.
+/// groups of T::kWidth lanes, plus the width-1 body for the tail and for
+/// every group that holds a fault-armed lane.
 template <class T, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
-          bool kBank>
+          ControlKind kControl>
 void run_chunk_simd_typed(const SimdChunkArgs& a) {
+  using S1 = simd::ScalarTraits<1>;
   constexpr std::size_t W = T::kWidth;
+  constexpr std::uint64_t kGroupBits = (std::uint64_t{1} << W) - 1;
   const std::size_t cw = a.cw;
   const std::size_t vector_end = cw - cw % W;
 
-  // Newest-first tap-row pointer ring (see IirBankControl): rotated once
-  // per cycle so the shift register advances without per-lane moves.
+  // Newest-first tap-row pointer ring: a step reads the feedback taps and
+  // overwrites the oldest row in place with the new state; rotating the
+  // ring once per cycle makes that row rows[0], so the shift register
+  // advances without per-lane register moves.
   std::vector<std::int64_t*> rows;
-  if constexpr (kBank) {
+  if constexpr (kControl == ControlKind::kIirBank) {
     rows.resize(a.iir.taps);
     for (std::size_t i = 0; i < a.iir.taps; ++i) {
       rows[i] = a.iir.bank + ((*a.iir.head + i) % a.iir.taps) * cw;
@@ -366,22 +477,34 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
   slice.t_gen = a.out_t_gen;
   slice.t_dlv = a.out_t_dlv;
   slice.violation = a.out_violation;
-  slice.isolated = a.isolated_flags;
+  slice.isolated = a.isolated;
 
   std::uint64_t pos = *a.pushes;
   for (std::size_t k = 0; k < a.cycles; ++k) {
     const double* e_ro_row = a.e_ro + k * a.stride + a.first;
     const double* e_tdc_row = a.e_tdc + k * a.stride + a.first;
     const double* mu_row = a.mu + k * a.stride + a.first;
+    // One lane on the width-1 body, with the fault sites compiled in when
+    // its schedule has events.
+    const auto lane_cycle = [&](std::size_t lane) {
+      if (((a.armed >> lane) & 1u) != 0) {
+        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, true>(
+            a, lane, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+      } else {
+        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, false>(
+            a, lane, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+      }
+    };
     for (std::size_t w = 0; w < vector_end; w += W) {
-      simd_cycle_lanes<T, TdcQ, CdnQ, kBank>(a, w, e_ro_row, e_tdc_row,
-                                             mu_row, pos, rows.data());
+      if (((a.armed >> w) & kGroupBits) == 0) {
+        simd_cycle_lanes<T, TdcQ, CdnQ, kControl, false>(
+            a, w, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+      } else {
+        for (std::size_t lane = w; lane < w + W; ++lane) lane_cycle(lane);
+      }
     }
-    for (std::size_t w = vector_end; w < cw; ++w) {
-      simd_cycle_lanes<simd::ScalarTraits<1>, TdcQ, CdnQ, kBank>(
-          a, w, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
-    }
-    if constexpr (kBank) {
+    for (std::size_t w = vector_end; w < cw; ++w) lane_cycle(w);
+    if constexpr (kControl == ControlKind::kIirBank) {
       std::rotate(rows.begin(), rows.end() - 1, rows.end());
     }
     ++pos;
@@ -390,19 +513,25 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
     a.reducer->accumulate(slice);
   }
   *a.pushes = pos;
-  if constexpr (kBank) {
+  if constexpr (kControl == ControlKind::kIirBank) {
     *a.iir.head = static_cast<std::size_t>(rows[0] - a.iir.bank) / cw;
   }
 }
 
-/// Runtime-to-compile-time dispatch of the quantization modes and the
-/// controller kind, mirroring EnsembleSimulator's scalar dispatch cascade.
+/// Runtime-to-compile-time dispatch of the controller kind and the
+/// quantization modes.
 template <class T, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ>
 void dispatch_simd_control(const SimdChunkArgs& a) {
-  if (a.use_iir_bank) {
-    run_chunk_simd_typed<T, TdcQ, CdnQ, true>(a);
-  } else {
-    run_chunk_simd_typed<T, TdcQ, CdnQ, false>(a);
+  switch (a.control) {
+    case ControlKind::kOpenLoop:
+      run_chunk_simd_typed<T, TdcQ, CdnQ, ControlKind::kOpenLoop>(a);
+      break;
+    case ControlKind::kIirBank:
+      run_chunk_simd_typed<T, TdcQ, CdnQ, ControlKind::kIirBank>(a);
+      break;
+    case ControlKind::kVirtual:
+      run_chunk_simd_typed<T, TdcQ, CdnQ, ControlKind::kVirtual>(a);
+      break;
   }
 }
 

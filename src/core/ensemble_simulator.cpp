@@ -17,7 +17,7 @@ namespace {
 /// every int64<->double conversion in the vector kernel is provably exact:
 /// with inputs bounded by 2^49, |delta| <= 2^50 stays inside the vector
 /// backends' exact conversion window (|x| < 2^51, see simd::to_int_exact).
-/// Configs beyond this keep the scalar reference kernel.
+/// Configs beyond this run the scalar pack, whose conversions are casts.
 constexpr double kSimdMaxMagnitude = 0x1p49;
 
 }  // namespace
@@ -299,10 +299,10 @@ void EnsembleSimulator::attach_faults(
   for (Chunk& chunk : chunks_) {
     chunk.injectors.clear();
     chunk.injectors.reserve(chunk.width);
-    chunk.has_fault_events = false;
+    chunk.armed = 0;
     for (std::size_t w = 0; w < chunk.width; ++w) {
       const fault::FaultSchedule& schedule = schedules[chunk.first + w];
-      chunk.has_fault_events = chunk.has_fault_events || !schedule.empty();
+      if (!schedule.empty()) chunk.armed |= std::uint64_t{1} << w;
       chunk.injectors.emplace_back(schedule);
     }
     chunk.isolated.assign(chunk.width, 0);
@@ -314,7 +314,7 @@ void EnsembleSimulator::clear_faults() {
   for (Chunk& chunk : chunks_) {
     chunk.injectors.clear();
     chunk.isolated.clear();
-    chunk.has_fault_events = false;
+    chunk.armed = 0;
   }
 }
 
@@ -333,370 +333,10 @@ std::size_t EnsembleSimulator::isolated_count() const {
   return count;
 }
 
-namespace {
-
-/// Control policy for the open-loop generator modes: never consulted (the
-/// kernel's `controlled` branch is false) but keeps run_chunk uniform.
-struct OpenLoopControl {
-  static double step(std::size_t, double) { return 0.0; }
-  static void end_cycle() {}
-};
-
-/// Fallback control policy: one virtual ControlBlock per lane.
-struct VirtualControl {
-  control::ControlBlock* const* controllers;  // chunk's first lane
-  [[nodiscard]] double step(std::size_t w, double delta) const {
-    return controllers[w]->step(delta);
-  }
-  static void end_cycle() {}
-};
-
-/// Devirtualized IIR bank policy.  The tap rows are addressed through a
-/// newest-first pointer ring: step() reads the feedback taps, overwrites
-/// the oldest row in place with the new state, and end_cycle() rotates the
-/// ring so that row becomes rows[0] — the shift register advances with one
-/// pointer rotation per cycle instead of taps-1 moves per lane.
-struct IirBankControl {
-  const PowerOfTwoGain* tap_gains;
-  std::size_t taps;
-  PowerOfTwoGain k_exp_gain;
-  PowerOfTwoGain k_star_gain;
-  std::int64_t* prev_input;
-  std::vector<std::int64_t*> rows;  // rows[i] = W[n-1-i]'s physical row
-  // True when delta is always exactly integral (integral set-points and a
-  // quantizing TDC): the ties-away rounding of the bank input collapses to
-  // a cast with identical results.
-  bool integral_input{false};
-  // IirControlHardware's pre-resolved anti-windup clamp.
-  bool aw_enabled{false};
-  std::int64_t aw_min{0};
-  std::int64_t aw_max{0};
-
-  double step(std::size_t w, double delta) {
-    // IirControlHardware::step on the lane-strided integer bank.
-    std::int64_t* const* const r = rows.data();
-    std::int64_t feedback = 0;
-    for (std::size_t i = 0; i < taps; ++i) {
-      feedback += tap_gains[i].apply(r[i][w]);
-    }
-    const std::int64_t a = k_exp_gain.apply(prev_input[w]) + feedback;
-    const std::int64_t state = k_star_gain.apply(a);
-    r[taps - 1][w] = state;  // all taps are read; reuse the oldest row
-    prev_input[w] = integral_input ? static_cast<std::int64_t>(delta)
-                                   : llround_ties_away(delta);
-    const std::int64_t y = shift_signed(state, -k_exp_gain.exponent());
-    if (aw_enabled) {
-      const std::int64_t bounded = std::clamp(y, aw_min, aw_max);
-      if (bounded != y) r[taps - 1][w] = k_exp_gain.apply(bounded);
-    }
-    return static_cast<double>(y);
-  }
-  void end_cycle() {
-    std::rotate(rows.begin(), rows.end() - 1, rows.end());
-  }
-};
-
-}  // namespace
-
-// The per-chunk kernel.  Lane w executes exactly the arithmetic of
-// LoopSimulator::step_impl, in the same order, against its own CDN
-// boundary conditions — the equivalence tests rely on this being
-// bit-for-bit faithful.  The libm ties-away rounders are replaced by the
-// bit-exact inline round_ties_away / llround_ties_away (common/math.hpp),
-// every per-lane array is hoisted to a raw pointer so the eight lane
-// dependency chains stay register-resident, and the TDC/CDN quantization
-// switches are resolved at compile time.
-template <bool kIntegralCommand, bool kFaults, sensor::Quantization TdcQ,
-          cdn::DelayQuantization CdnQ, typename Control>
-void EnsembleSimulator::run_chunk(Chunk& chunk,
-                                  const EnsembleInputBlock& block,
-                                  StreamingReducer& reducer,
-                                  Control& control) {
-  const std::size_t cw = chunk.width;
-  const std::size_t stride = block.width;
-  const std::size_t cycles = block.cycles;
-  const bool controlled = mode_ == GeneratorMode::kControlledRo;
-  const bool fixed_clock = mode_ == GeneratorMode::kFixedClock;
-  const bool quantize_lro = quantize_lro_;
-
-  // Tdc::measure_additive with its configuration hoisted out of the loop.
-  const sensor::TdcConfig& tdc = tdc_.config();
-  const double tdc_mismatch = tdc.mismatch_stages;
-  const double tdc_max = static_cast<double>(tdc.max_reading);
-
-  // __restrict: the chunk's arrays are distinct allocations, so stores
-  // through one never alias loads through another — this keeps the lane
-  // dependency chains schedulable across the ring/staging stores.
-  double* __restrict const prev_lro = chunk.prev_lro.data();
-  double* __restrict const prev_t_dlv = chunk.prev_t_dlv.data();
-  double* __restrict const prev_e_ro = chunk.prev_e_ro.data();
-  double* __restrict const prev_e_local = chunk.prev_e_local.data();
-  const double* __restrict const setpoint = chunk.setpoint.data();
-  const double* __restrict const open_loop = chunk.open_loop.data();
-  const std::int64_t* __restrict const min_len = chunk.min_len.data();
-  const std::int64_t* __restrict const max_len = chunk.max_len.data();
-  const double* __restrict const min_len_d = chunk.min_len_d.data();
-  const double* __restrict const max_len_d = chunk.max_len_d.data();
-  double* __restrict const ring = chunk.ring.data();
-  const std::size_t slot_mask = chunk.slot_mask;
-  const double* __restrict const cdn_delay = chunk.cdn_delay.data();
-  const double* __restrict const cdn_history_d = chunk.cdn_history_d.data();
-  const std::uint64_t* const cdn_history = chunk.cdn_history.data();
-  const double* __restrict const cdn_initial = chunk.cdn_initial.data();
-  double* __restrict const out_tau = chunk.tau.data();
-  double* __restrict const out_delta = chunk.delta.data();
-  double* __restrict const out_lro = chunk.lro.data();
-  double* __restrict const out_t_gen = chunk.t_gen.data();
-  double* __restrict const out_t_dlv = chunk.t_dlv.data();
-  std::uint8_t* __restrict const out_violation = chunk.violation.data();
-  [[maybe_unused]] fault::FaultInjector* const injectors =
-      chunk.injectors.data();
-  [[maybe_unused]] std::uint8_t* const isolated = chunk.isolated.data();
-
-  const bool full_slice = reducer.wants_full_slice();
-
-  LaneSlice slice;
-  slice.first_lane = chunk.first;
-  slice.width = cw;
-  slice.tau = out_tau;
-  slice.delta = out_delta;
-  slice.lro = out_lro;
-  slice.t_gen = out_t_gen;
-  slice.t_dlv = out_t_dlv;
-  slice.violation = out_violation;
-  if constexpr (kFaults) slice.isolated = isolated;
-
-  std::uint64_t pos = chunk.pushes;
-  for (std::size_t k = 0; k < cycles; ++k) {
-    const double* const e_ro = block.e_ro.data() + k * stride + chunk.first;
-    const double* const e_tdc = block.e_tdc.data() + k * stride + chunk.first;
-    const double* const mu = block.mu.data() + k * stride + chunk.first;
-
-    // Period generated `m` cycles before this cycle's push, with the same
-    // boundary rule as QuantizedTimeCdn::look_back: beyond the lane's
-    // history window, or before the simulation started, the clock ran at
-    // the initial (equilibrium) period.
-    const auto look_back = [&](std::size_t w, std::uint64_t m) -> double {
-      if (m >= cdn_history[w] || m > pos) return cdn_initial[w];
-      return ring[((pos - m) & slot_mask) * cw + w];
-    };
-
-    for (std::size_t w = 0; w < cw; ++w) {
-      // An isolated lane is frozen: its staging entries keep the last good
-      // cycle, exactly like LoopSimulator's frozen record.
-      [[maybe_unused]] fault::CycleFaults faults;
-      if constexpr (kFaults) {
-        if (isolated[w] != 0) continue;
-        faults = injectors[w].begin_cycle(pos);
-      }
-
-      // TDC (one-cycle latency): Tdc::measure_additive inlined, with the
-      // identical operation order (delivered - e_local, then + mismatch).
-      ROCLK_CHECK(prev_t_dlv[w] > 0.0,
-                  "delivered period must be positive, got "
-                      << prev_t_dlv[w] << " stages (lane "
-                      << chunk.first + w << ")");
-      const double e_local = prev_e_local[w];
-      const double raw = prev_t_dlv[w] - e_local + tdc_mismatch;
-      double tau;
-      if constexpr (TdcQ == sensor::Quantization::kFloor) {
-        tau = std::floor(raw);
-      } else if constexpr (TdcQ == sensor::Quantization::kNearest) {
-        tau = round_ties_away(raw);
-      } else {
-        tau = raw;
-      }
-      tau = std::clamp(tau, 0.0, tdc_max);
-      // Violation is judged on the TRUE reading, before any sensor fault
-      // (same rule as LoopSimulator::step_impl).
-      const std::uint8_t viol = tau < setpoint[w] ? 1 : 0;
-      if constexpr (kFaults) {
-        if (faults.any) {
-          if (faults.tau_stuck) {
-            tau = std::clamp(faults.tau_stuck_value, 0.0, tdc_max);
-          } else if (faults.tau_dropped) {
-            tau = 0.0;
-          } else if (faults.tau_glitch != 0.0) {
-            tau = std::clamp(tau + faults.tau_glitch, 0.0, tdc_max);
-          }
-        }
-      }
-      const double delta = setpoint[w] - tau;
-
-      // Controller / generator.
-      double lro_now;
-      if (controlled) {
-        const double commanded = control.step(w, delta);
-        if (quantize_lro) {
-          const std::int64_t length =
-              kIntegralCommand ? static_cast<std::int64_t>(commanded)
-                               : llround_ties_away(commanded);
-          lro_now = static_cast<double>(
-              std::clamp(length, min_len[w], max_len[w]));
-        } else {
-          lro_now = std::clamp(commanded, min_len_d[w], max_len_d[w]);
-        }
-      } else {
-        lro_now = open_loop[w];
-      }
-
-      // RO (one-cycle latency; a fixed clock ignores on-die variation).
-      // An active stage failure steps the l_RO -> period mapping.
-      const double e_at_ro = fixed_clock ? 0.0 : prev_e_ro[w];
-      double t_gen_raw = prev_lro[w] + e_at_ro;
-      if constexpr (kFaults) {
-        if (faults.any && faults.ro_offset != 0.0) {
-          t_gen_raw += faults.ro_offset;
-        }
-      }
-      const double t_gen = std::max(1.0, t_gen_raw);
-
-      // CDN push into the interleaved ring, then the quantised look-back.
-      ring[(pos & slot_mask) * cw + w] = t_gen;
-      const double d = std::min(cdn_delay[w] / t_gen, cdn_history_d[w]);
-      double t_dlv;
-      if constexpr (CdnQ == cdn::DelayQuantization::kRound) {
-        t_dlv = look_back(
-            w, static_cast<std::uint64_t>(llround_ties_away(d)));
-      } else if constexpr (CdnQ == cdn::DelayQuantization::kFloor) {
-        t_dlv = look_back(w, static_cast<std::uint64_t>(std::floor(d)));
-      } else {
-        const auto m0 = static_cast<std::uint64_t>(std::floor(d));
-        const double frac = d - std::floor(d);
-        const double v0 = look_back(w, m0);
-        if (frac == 0.0) {
-          t_dlv = v0;
-        } else {
-          const double v1 = look_back(w, m0 + 1);
-          t_dlv = v0 * (1.0 - frac) + v1 * frac;
-        }
-      }
-      if constexpr (kFaults) {
-        // A delivery drop swallows the leaf edge: a doubled period this
-        // cycle, with the tree's pipeline unaffected.
-        if (faults.any && faults.cdn_drop) t_dlv *= 2.0;
-        // Lane isolation: a non-physical signal freezes the lane BEFORE
-        // anything is staged or latched, so it can never reach a reducer.
-        if (!std::isfinite(tau) || !std::isfinite(t_dlv) || t_dlv <= 0.0) {
-          isolated[w] = 1;
-          continue;
-        }
-      }
-
-      out_tau[w] = tau;
-      out_delta[w] = delta;
-      if (full_slice) {
-        out_lro[w] = lro_now;
-        out_t_gen[w] = t_gen;
-      }
-      out_t_dlv[w] = t_dlv;
-      out_violation[w] = viol;
-
-      // Advance the z^-1 delay registers.
-      prev_lro[w] = lro_now;
-      prev_t_dlv[w] = t_dlv;
-      prev_e_ro[w] = e_ro[w];
-      // The TDC only ever reads e_tdc - mu; folding the subtraction
-      // here (same operands, same op) keeps one delay register instead
-      // of two while staying bit-identical to Tdc::measure_additive.
-      prev_e_local[w] = e_tdc[w] - mu[w];
-      if constexpr (kFaults) {
-        // A supply droop slows the whole die: both the RO and the TDC
-        // chain see the extra stages next cycle.  The operand order
-        // matches the scalar simulator's `prev_e_tdc_ += droop` so the
-        // two engines stay bit-for-bit equal under faults.
-        if (faults.any && faults.droop != 0.0) {
-          prev_e_ro[w] = e_ro[w] + faults.droop;
-          prev_e_local[w] = (e_tdc[w] + faults.droop) - mu[w];
-        }
-      }
-    }
-    control.end_cycle();
-    ++pos;
-
-    slice.cycle = k;
-    reducer.accumulate(slice);
-  }
-  chunk.pushes = pos;
-}
-
-template <bool kIntegralCommand, bool kFaults, sensor::Quantization TdcQ,
-          typename Control>
-void EnsembleSimulator::dispatch_cdn(Chunk& chunk,
-                                     const EnsembleInputBlock& block,
-                                     StreamingReducer& reducer,
-                                     Control& control) {
-  switch (cdn_quantization_) {
-    case cdn::DelayQuantization::kRound:
-      run_chunk<kIntegralCommand, kFaults, TdcQ,
-                cdn::DelayQuantization::kRound>(chunk, block, reducer,
-                                                control);
-      break;
-    case cdn::DelayQuantization::kFloor:
-      run_chunk<kIntegralCommand, kFaults, TdcQ,
-                cdn::DelayQuantization::kFloor>(chunk, block, reducer,
-                                                control);
-      break;
-    case cdn::DelayQuantization::kLinearInterp:
-      run_chunk<kIntegralCommand, kFaults, TdcQ,
-                cdn::DelayQuantization::kLinearInterp>(chunk, block, reducer,
-                                                       control);
-      break;
-  }
-}
-
-template <bool kIntegralCommand, bool kFaults, typename Control>
-void EnsembleSimulator::dispatch_tdc(Chunk& chunk,
-                                     const EnsembleInputBlock& block,
-                                     StreamingReducer& reducer,
-                                     Control& control) {
-  switch (tdc_.config().quantization) {
-    case sensor::Quantization::kFloor:
-      dispatch_cdn<kIntegralCommand, kFaults, sensor::Quantization::kFloor>(
-          chunk, block, reducer, control);
-      break;
-    case sensor::Quantization::kNearest:
-      dispatch_cdn<kIntegralCommand, kFaults,
-                   sensor::Quantization::kNearest>(chunk, block, reducer,
-                                                   control);
-      break;
-    case sensor::Quantization::kNone:
-      dispatch_cdn<kIntegralCommand, kFaults, sensor::Quantization::kNone>(
-          chunk, block, reducer, control);
-      break;
-  }
-}
-
-template <bool kIntegralCommand, typename Control>
-void EnsembleSimulator::dispatch_chunk(Chunk& chunk,
-                                       const EnsembleInputBlock& block,
-                                       StreamingReducer& reducer,
-                                       Control& control) {
-  // The fault-free kernel is its own instantiation: runs without faults
-  // execute exactly the pre-fault code.
-  if (faults_active_) {
-    dispatch_tdc<kIntegralCommand, true>(chunk, block, reducer, control);
-  } else {
-    dispatch_tdc<kIntegralCommand, false>(chunk, block, reducer, control);
-  }
-}
-
-bool EnsembleSimulator::chunk_simd_eligible(const Chunk& chunk) const {
-  // Per-lane virtual controllers, chunks with armed fault events, and
-  // configs outside the exact-conversion window keep the scalar reference
-  // kernel (for faults: bit-for-bit replay is the contract).
-  if (!simd_domain_ok_) return false;
-  if (mode_ == GeneratorMode::kControlledRo && !iir_bank_active_) {
-    return false;
-  }
-  if (faults_active_ && chunk.has_fault_events) return false;
-  return true;
-}
-
-void EnsembleSimulator::run_chunk_simd(Chunk& chunk,
-                                       const EnsembleInputBlock& block,
-                                       StreamingReducer& reducer,
-                                       simd::Backend backend) {
+void EnsembleSimulator::run_one_chunk(Chunk& chunk,
+                                      const EnsembleInputBlock& block,
+                                      StreamingReducer& reducer,
+                                      simd::Backend backend) {
   detail::SimdChunkArgs args;
   args.first = chunk.first;
   args.cw = chunk.width;
@@ -734,8 +374,10 @@ void EnsembleSimulator::run_chunk_simd(Chunk& chunk,
   args.cdn_q = cdn_quantization_;
   args.tdc_mismatch = tdc_.config().mismatch_stages;
   args.tdc_max = static_cast<double>(tdc_.config().max_reading);
-  args.use_iir_bank = mode_ == GeneratorMode::kControlledRo;
-  if (args.use_iir_bank) {
+  if (mode_ != GeneratorMode::kControlledRo) {
+    args.control = detail::ControlKind::kOpenLoop;
+  } else if (iir_bank_active_) {
+    args.control = detail::ControlKind::kIirBank;
     args.iir.tap_gains = iir_tap_gains_.data();
     args.iir.taps = iir_tap_gains_.size();
     args.iir.k_exp_gain = iir_k_exp_gain_;
@@ -743,20 +385,31 @@ void EnsembleSimulator::run_chunk_simd(Chunk& chunk,
     args.iir.prev_input = chunk.iir_prev_input.data();
     args.iir.bank = chunk.iir_state.data();
     args.iir.head = &chunk.iir_head;
-    // Same deduction as the scalar IIR bank policy below: an integral
-    // delta (integral set-points, quantizing TDC, no faults) lets the
-    // bank cast its input instead of rounding, with identical results.
+    // delta = setpoint - tau is exactly integral when the set-points are
+    // integers and the TDC floors or rounds (tau and the clamp bounds are
+    // then integral), so the bank input needs no rounding.  Fault
+    // injection voids the deduction: a stuck or glitched reading carries
+    // an arbitrary real magnitude past the quantizer, so a fault-armed
+    // ensemble keeps the ties-away rounding of the scalar controller.
     args.iir.integral_input =
         chunk.integral_setpoints && !faults_active_ &&
         tdc_.config().quantization != sensor::Quantization::kNone;
     args.iir.aw_enabled = iir_aw_enabled_;
     args.iir.aw_min = iir_aw_min_;
     args.iir.aw_max = iir_aw_max_;
+  } else {
+    args.control = detail::ControlKind::kVirtual;
+    args.controllers = controllers_.data() + chunk.first;
   }
   args.reducer = &reducer;
   args.full_slice = reducer.wants_full_slice();
-  args.isolated_flags = faults_active_ ? chunk.isolated.data() : nullptr;
+  if (faults_active_) {
+    args.injectors = chunk.injectors.data();
+    args.armed = chunk.armed;
+    args.isolated = chunk.isolated.data();
+  }
 
+  if (!simd_domain_ok_) backend = simd::Backend::kScalar;
   switch (backend) {
     case simd::Backend::kAvx2:
 #ifdef ROCLK_SIMD_HAVE_AVX2
@@ -778,63 +431,13 @@ void EnsembleSimulator::run_chunk_simd(Chunk& chunk,
   detail::run_chunk_simd_scalar(args);
 }
 
-void EnsembleSimulator::run_one_chunk(Chunk& chunk,
-                                      const EnsembleInputBlock& block,
-                                      StreamingReducer& reducer,
-                                      simd::Backend backend) {
-  if (chunk_simd_eligible(chunk)) {
-    run_chunk_simd(chunk, block, reducer, backend);
-    return;
-  }
-  if (mode_ != GeneratorMode::kControlledRo) {
-    OpenLoopControl control;
-    dispatch_chunk<false>(chunk, block, reducer, control);
-    return;
-  }
-  if (iir_bank_active_) {
-    // The bank's output double(y) is exactly integral, so the kernel casts
-    // instead of rounding (kIntegralCommand).
-    const std::size_t taps = iir_tap_gains_.size();
-    const std::size_t cw = chunk.width;
-    std::int64_t* const bank = chunk.iir_state.data();
-    IirBankControl control;
-    control.tap_gains = iir_tap_gains_.data();
-    control.taps = taps;
-    control.k_exp_gain = iir_k_exp_gain_;
-    control.k_star_gain = iir_k_star_gain_;
-    control.prev_input = chunk.iir_prev_input.data();
-    // delta = setpoint - tau is exactly integral when the set-points are
-    // integers and the TDC floors or rounds (tau and the clamp bounds are
-    // then integral), so the bank input needs no rounding.  Fault
-    // injection voids the deduction: a stuck or glitched reading carries
-    // an arbitrary real magnitude past the quantizer, so faulted chunks
-    // keep the ties-away rounding of the scalar controller.
-    control.integral_input =
-        chunk.integral_setpoints && !faults_active_ &&
-        tdc_.config().quantization != sensor::Quantization::kNone;
-    control.aw_enabled = iir_aw_enabled_;
-    control.aw_min = iir_aw_min_;
-    control.aw_max = iir_aw_max_;
-    control.rows.resize(taps);
-    for (std::size_t i = 0; i < taps; ++i) {
-      control.rows[i] = bank + ((chunk.iir_head + i) % taps) * cw;
-    }
-    dispatch_chunk<true>(chunk, block, reducer, control);
-    // Persist the ring phase so the next tile continues the shift register.
-    chunk.iir_head =
-        static_cast<std::size_t>(control.rows[0] - bank) / cw;
-    return;
-  }
-  std::vector<control::ControlBlock*> lane_controllers(chunk.width);
-  for (std::size_t w = 0; w < chunk.width; ++w) {
-    lane_controllers[w] = controllers_[chunk.first + w].get();
-  }
-  VirtualControl control{lane_controllers.data()};
-  dispatch_chunk<false>(chunk, block, reducer, control);
+void EnsembleSimulator::run(const EnsembleInputBlock& block,
+                            StreamingReducer& reducer, bool parallel) {
+  run(block, reducer, parallel ? &ThreadPool::shared() : nullptr);
 }
 
 void EnsembleSimulator::run(const EnsembleInputBlock& block,
-                            StreamingReducer& reducer, bool parallel) {
+                            StreamingReducer& reducer, ThreadPool* pool) {
   ROCLK_CHECK(block.width == width(),
               "input block has " << block.width << " lanes but the ensemble "
                                  << width());
@@ -849,36 +452,12 @@ void EnsembleSimulator::run(const EnsembleInputBlock& block,
                   << ", mu=" << block.mu.size());
   // Resolved once per run: every chunk of one call uses one backend.
   const simd::Backend backend = simd::active_backend();
-  if (parallel && chunks_.size() > 1) {
-    parallel_for(chunks_.size(), [&](std::size_t i) {
-      run_one_chunk(chunks_[i], block, reducer, backend);
-    });
-    return;
-  }
-  for (Chunk& chunk : chunks_) {
-    run_one_chunk(chunk, block, reducer, backend);
-  }
-}
-
-void EnsembleSimulator::run(const EnsembleInputBlock& block,
-                            StreamingReducer& reducer, ThreadPool* pool) {
   if (pool == nullptr || pool->size() <= 1 || chunks_.size() <= 1) {
-    run(block, reducer, /*parallel=*/false);
+    for (Chunk& chunk : chunks_) {
+      run_one_chunk(chunk, block, reducer, backend);
+    }
     return;
   }
-  ROCLK_CHECK(block.width == width(),
-              "input block has " << block.width << " lanes but the ensemble "
-                                 << width());
-  if (block.empty()) return;
-  const std::size_t samples = block.width * block.cycles;
-  ROCLK_CHECK(block.e_ro.size() == samples &&
-                  block.e_tdc.size() == samples &&
-                  block.mu.size() == samples,
-              "ragged ensemble block: expected "
-                  << samples << " samples per signal, got e_ro="
-                  << block.e_ro.size() << ", e_tdc=" << block.e_tdc.size()
-                  << ", mu=" << block.mu.size());
-  const simd::Backend backend = simd::active_backend();
   parallel_for(*pool, chunks_.size(), [&](std::size_t i) {
     run_one_chunk(chunks_[i], block, reducer, backend);
   });

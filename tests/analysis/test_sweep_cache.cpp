@@ -4,10 +4,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string>
 
 #include "roclk/analysis/experiments.hpp"
 #include "roclk/common/thread_pool.hpp"
@@ -78,79 +74,6 @@ TEST(SweepMemo, ClearDropsEntriesAndCounters) {
   EXPECT_FALSE(memo.lookup(key_of(0.0), out));
 }
 
-TEST(SweepMemo, CapacityBoundEvictsLeastRecentlyUsed) {
-  SweepMemo memo;
-  memo.set_capacity(2);
-  EXPECT_EQ(memo.capacity(), 2u);
-  memo.store(key_of(0.0), RunMetrics{});
-  memo.store(key_of(1.0), RunMetrics{});
-
-  // Touch 0.0 so 1.0 becomes least recently used, then overflow.
-  RunMetrics out;
-  EXPECT_TRUE(memo.lookup(key_of(0.0), out));
-  memo.store(key_of(2.0), RunMetrics{});
-
-  EXPECT_TRUE(memo.lookup(key_of(0.0), out));
-  EXPECT_FALSE(memo.lookup(key_of(1.0), out));
-  EXPECT_TRUE(memo.lookup(key_of(2.0), out));
-  const auto stats = memo.stats();
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-}
-
-TEST(SweepMemo, StoreRefreshesRecency) {
-  SweepMemo memo;
-  memo.set_capacity(2);
-  memo.store(key_of(0.0), RunMetrics{});
-  memo.store(key_of(1.0), RunMetrics{});
-  memo.store(key_of(0.0), RunMetrics{});  // refresh: 1.0 is now LRU
-  memo.store(key_of(2.0), RunMetrics{});  // evicts 1.0
-  RunMetrics out;
-  EXPECT_TRUE(memo.lookup(key_of(0.0), out));
-  EXPECT_FALSE(memo.lookup(key_of(1.0), out));
-}
-
-TEST(SweepMemo, ShrinkingCapacityEvictsImmediately) {
-  SweepMemo memo;
-  memo.store(key_of(0.0), RunMetrics{});
-  memo.store(key_of(1.0), RunMetrics{});
-  memo.store(key_of(2.0), RunMetrics{});
-  EXPECT_EQ(memo.stats().entries, 3u);
-  memo.set_capacity(1);
-  EXPECT_EQ(memo.stats().entries, 1u);
-  EXPECT_EQ(memo.stats().evictions, 2u);
-  // The survivor is the most recently stored key.
-  RunMetrics out;
-  EXPECT_TRUE(memo.lookup(key_of(2.0), out));
-}
-
-TEST(SweepMemo, ZeroCapacityRestoresUnboundedGrowth) {
-  SweepMemo memo;
-  memo.set_capacity(1);
-  memo.set_capacity(0);
-  for (double mu = 0.0; mu < 8.0; mu += 1.0) {
-    memo.store(key_of(mu), RunMetrics{});
-  }
-  EXPECT_EQ(memo.stats().entries, 8u);
-  EXPECT_EQ(memo.stats().evictions, 0u);
-}
-
-TEST(SweepMemo, LoadFileRespectsTheCapacityBound) {
-  const std::string path = "sweep_memo_capacity_test.bin";
-  {
-    SweepMemo memo;
-    for (double mu = 0.0; mu < 4.0; mu += 1.0) {
-      memo.store(key_of(mu), RunMetrics{});
-    }
-    ASSERT_TRUE(memo.save_file(path).is_ok());
-  }
-  SweepMemo bounded;
-  bounded.set_capacity(2);
-  ASSERT_TRUE(bounded.load_file(path).is_ok());
-  EXPECT_EQ(bounded.stats().entries, 2u);
-  std::filesystem::remove(path);
-}
-
 TEST(SweepMemo, MeasureSystemHitsOnRepeatAndRenormalises) {
   auto& memo = SweepMemo::global();
   memo.clear();
@@ -206,130 +129,6 @@ TEST(SweepMemo, ThreadSafeUnderConcurrentSweep) {
   EXPECT_GE(stats.hits + worst_misses, 64u);
   EXPECT_GE(stats.hits, 1u);
   EXPECT_EQ(stats.entries, 4u);
-}
-
-// ---------------------------------------------------------- persistence
-
-namespace fs = std::filesystem;
-
-class SweepMemoFileTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = (fs::temp_directory_path() /
-             ("roclk_sweep_memo_" +
-              std::to_string(::testing::UnitTest::GetInstance()
-                                 ->random_seed()) +
-              "_" + ::testing::UnitTest::GetInstance()
-                        ->current_test_info()
-                        ->name() +
-              ".bin"))
-                .string();
-    fs::remove(path_);
-  }
-  void TearDown() override { fs::remove(path_); }
-
-  static SweepMemo& filled_memo(SweepMemo& memo) {
-    memo.clear();
-    for (int i = 0; i < 5; ++i) {
-      RunMetrics metrics;
-      metrics.safety_margin = 1.0 + i;
-      metrics.mean_period = 64.0 + 0.25 * i;
-      metrics.violations = static_cast<std::size_t>(3 * i);
-      metrics.tau_ripple = 0.5 * i;
-      memo.store(key_of(static_cast<double>(i)), metrics);
-    }
-    return memo;
-  }
-
-  std::string path_;
-};
-
-TEST_F(SweepMemoFileTest, SaveThenLoadRoundTripsEveryEntry) {
-  SweepMemo a;
-  ASSERT_TRUE(filled_memo(a).save_file(path_).is_ok());
-
-  SweepMemo b;
-  b.store(key_of(99.0), RunMetrics{});  // replaced by the load
-  ASSERT_TRUE(b.load_file(path_).is_ok());
-  EXPECT_EQ(b.stats().entries, 5u);
-  RunMetrics out;
-  EXPECT_FALSE(b.lookup(key_of(99.0), out));
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(b.lookup(key_of(static_cast<double>(i)), out)) << i;
-    EXPECT_DOUBLE_EQ(out.safety_margin, 1.0 + i);
-    EXPECT_DOUBLE_EQ(out.mean_period, 64.0 + 0.25 * i);
-    EXPECT_EQ(out.violations, static_cast<std::size_t>(3 * i));
-    EXPECT_DOUBLE_EQ(out.tau_ripple, 0.5 * i);
-  }
-}
-
-TEST_F(SweepMemoFileTest, MissingFileDegradesToEmptyMemo) {
-  SweepMemo memo;
-  filled_memo(memo);
-  const Status status = memo.load_file(path_ + ".does-not-exist");
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_EQ(memo.stats().entries, 0u);  // degraded, not preserved
-}
-
-TEST_F(SweepMemoFileTest, TornWriteDegradesToEmptyMemoWithoutThrowing) {
-  SweepMemo a;
-  ASSERT_TRUE(filled_memo(a).save_file(path_).is_ok());
-  std::string bytes;
-  {
-    std::ifstream in{path_, std::ios::binary};
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
-  ASSERT_GT(bytes.size(), 32u);
-
-  // Simulate a torn write at several truncation points: whatever prefix
-  // survived, the load must degrade to an empty memo, not throw.
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{3}, std::size_t{8}, bytes.size() / 2,
-        bytes.size() - 8, bytes.size() - 1}) {
-    SCOPED_TRACE("truncated to " + std::to_string(keep) + " bytes");
-    {
-      std::ofstream out{path_, std::ios::binary | std::ios::trunc};
-      out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    }
-    SweepMemo memo;
-    filled_memo(memo);
-    const Status status = memo.load_file(path_);
-    EXPECT_FALSE(status.is_ok());
-    EXPECT_EQ(memo.stats().entries, 0u);
-  }
-}
-
-TEST_F(SweepMemoFileTest, CorruptPayloadFailsTheChecksum) {
-  SweepMemo a;
-  ASSERT_TRUE(filled_memo(a).save_file(path_).is_ok());
-  // Flip one byte in the middle of the payload.
-  {
-    std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
-    file.seekp(static_cast<std::streamoff>(fs::file_size(path_) / 2));
-    char byte = 0;
-    file.read(&byte, 1);
-    file.seekp(-1, std::ios::cur);
-    byte = static_cast<char>(byte ^ 0x5a);
-    file.write(&byte, 1);
-  }
-  SweepMemo memo;
-  const Status status = memo.load_file(path_);
-  EXPECT_FALSE(status.is_ok());
-  EXPECT_EQ(memo.stats().entries, 0u);
-}
-
-TEST_F(SweepMemoFileTest, WrongMagicIsRejected) {
-  {
-    std::ofstream out{path_, std::ios::binary};
-    const std::string garbage(64, 'x');
-    out.write(garbage.data(), static_cast<std::streamsize>(garbage.size()));
-  }
-  SweepMemo memo;
-  filled_memo(memo);
-  EXPECT_FALSE(memo.load_file(path_).is_ok());
-  EXPECT_EQ(memo.stats().entries, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Bit-exactness of the vectorized ensemble kernel against the scalar
 // LoopSimulator reference, across backends, ensemble widths that exercise
-// every vector/tail split, and every quantization mode.
+// every vector/tail split, every quantization mode, and every route:
+// IIR bank, virtual controllers, open loop, fault-armed groups and
+// out-of-domain configs.
 //
 // The ensemble engine promises each lane's streamed trace is identical to
 // run_batch on that lane's config and inputs — on the forced portable
@@ -178,8 +180,9 @@ TEST(EnsembleSimd, AllQuantizationModesBitExactOnEveryBackend) {
 
 TEST(EnsembleSimd, MidVectorIsolatedLaneFallsBackExactly) {
   // Lane 2 sits mid-vector in every backend's first group.  Its schedule
-  // forces isolation; the chunk must take the scalar fault path and still
-  // reproduce run_batch bit for bit on every lane, isolated one included.
+  // forces isolation; its group must take the width-1 fault route and
+  // still reproduce run_batch bit for bit on every lane, isolated one
+  // included.
   const std::size_t width = 8;
   const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
                                      cdn::DelayQuantization::kRound, true);
@@ -187,7 +190,7 @@ TEST(EnsembleSimd, MidVectorIsolatedLaneFallsBackExactly) {
   schedules[2]
       .add({fault::FaultKind::kVoltageDroop, 30, 4, 1e308})
       .add({fault::FaultKind::kVoltageDroop, 30, 4, 1e308});
-  // A recoverable glitch elsewhere keeps a second lane on the replay path
+  // A recoverable glitch elsewhere keeps a second lane on the fault route
   // without isolating it.
   schedules[5].add({fault::FaultKind::kTdcGlitch, 100, 1, 7.0});
 
@@ -209,7 +212,7 @@ TEST(EnsembleSimd, MidVectorIsolatedLaneFallsBackExactly) {
 }
 
 TEST(EnsembleSimd, ClearFaultsRestoresVectorPathExactly) {
-  // After clear_faults the chunk is vector-eligible again and must still
+  // After clear_faults every group is back on vectors and must still
   // match run_batch from the reset state.
   const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
                                      cdn::DelayQuantization::kRound, true);
