@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <tuple>
@@ -134,6 +135,81 @@ TEST(McSchedulingTest, EnsembleMcIsBitwiseThreadInvariant) {
               threaded[w].relative_adaptive_period);
     EXPECT_EQ(sequential[w].violations, threaded[w].violations);
     EXPECT_EQ(sequential[w].tau_ripple, threaded[w].tau_ripple);
+  }
+}
+
+/// The bit pattern of a double: equal patterns are equal results, NaN and
+/// signed zero included.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// A fault campaign through the Monte-Carlo driver.  100 lanes are three
+// 32-lane chunks plus a 4-lane tail; seeded random schedules arm every
+// 8th lane (perfbench's mc_campaign pattern), and a doubled 1e308 droop
+// isolates mid-vector lane 34 (lane 2 of the second chunk).  1,000 cycles
+// span several sampled tiles and end in a partial one.
+TEST(McSchedulingTest, FaultedEnsembleMcIsBitwiseThreadInvariant) {
+  core::LoopConfig loop;
+  loop.setpoint_c = 64.0;
+  loop.cdn_delay_stages = 64.0;
+  loop.mode = core::GeneratorMode::kControlledRo;
+  const control::IirControlHardware prototype{control::paper_iir_config()};
+
+  const std::size_t lanes = 100;
+  const std::size_t cycles = 1000;
+  const std::size_t skip = 150;
+  std::vector<double> mus(lanes);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    mus[w] = 64.0 * (-0.1 + 0.2 * static_cast<double>(w) /
+                                static_cast<double>(lanes - 1));
+  }
+  fault::RandomFaultSpec spec;
+  spec.horizon_cycles = cycles;
+  const StreamKey key = StreamKey{2024}.split("test.faulted_mc");
+  std::vector<fault::FaultSchedule> schedules(lanes);
+  for (std::size_t w = 0; w < lanes; w += 8) {
+    schedules[w] = fault::FaultSchedule::random(key.at(w), spec);
+  }
+  schedules[34]
+      .add({fault::FaultKind::kVoltageDroop, 400, 4, 1e308})
+      .add({fault::FaultKind::kVoltageDroop, 400, 4, 1e308});
+  const signal::SineWaveform hodv{12.8, 3200.0};
+
+  struct Outcome {
+    std::vector<analysis::RunMetrics> metrics;
+    std::size_t isolated{0};
+  };
+  const auto run = [&](ThreadPool* pool) {
+    auto ensemble = core::EnsembleSimulator::uniform(loop, &prototype, lanes);
+    ensemble.attach_faults(schedules);
+    Outcome out;
+    out.metrics = analysis::evaluate_homogeneous_mc(
+        ensemble, hodv, mus, cycles, 64.0, {76.8}, skip, pool);
+    out.isolated = ensemble.isolated_count();
+    return out;
+  };
+
+  const Outcome sequential = run(nullptr);
+  ASSERT_EQ(sequential.metrics.size(), lanes);
+  EXPECT_GE(sequential.isolated, 1u);
+
+  ThreadPool one{1};
+  ThreadPool many{full_width()};
+  for (ThreadPool* pool : {&one, &many}) {
+    SCOPED_TRACE(pool->size());
+    const Outcome threaded = run(pool);
+    ASSERT_EQ(threaded.metrics.size(), lanes);
+    EXPECT_EQ(threaded.isolated, sequential.isolated);
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const analysis::RunMetrics& a = sequential.metrics[w];
+      const analysis::RunMetrics& b = threaded.metrics[w];
+      EXPECT_EQ(bits(a.safety_margin), bits(b.safety_margin)) << w;
+      EXPECT_EQ(bits(a.mean_period), bits(b.mean_period)) << w;
+      EXPECT_EQ(bits(a.relative_adaptive_period),
+                bits(b.relative_adaptive_period))
+          << w;
+      EXPECT_EQ(a.violations, b.violations) << w;
+      EXPECT_EQ(bits(a.tau_ripple), bits(b.tau_ripple)) << w;
+    }
   }
 }
 
