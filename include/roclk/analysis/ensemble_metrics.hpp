@@ -30,8 +30,8 @@ namespace roclk::analysis {
 
 /// Streaming per-lane RunMetrics accumulator.  `skip` drops the initial
 /// transient, counted per lane (like evaluate_run's skip).  Thread-safe
-/// under EnsembleSimulator::run(parallel=true): each lane's state is
-/// touched only by the chunk that owns the lane.
+/// under pooled EnsembleSimulator runs: each lane's state is touched only
+/// by the chunk that owns the lane.
 class MetricsReducer final : public core::StreamingReducer {
  public:
   /// One shared fixed-clock reference period for every lane.
@@ -85,17 +85,17 @@ class MetricsReducer final : public core::StreamingReducer {
 
 /// The homogeneous Monte-Carlo fast path: equivalent to
 /// sample_homogeneous_ensemble + evaluate_ensemble over `cycles` cycles
-/// sampled at `dt`, but sampling and simulating in cache-resident cycle
-/// tiles (sample a tile, run it, refill) so a long study never
+/// sampled at `dt`, but one EnsembleSimulator::run_homogeneous call: each
+/// 32-lane chunk is one pool task that samples its own lanes one tile of
+/// at most 64 KiB at a time and runs it, so a long study never
 /// materialises cycles * lanes * 3 doubles at once.  Per-lane results are
 /// bit-identical to the whole-block path — and therefore to per-lane
-/// run_batch + evaluate_run.  `tile_cycles` = 0 picks a tile sized to
-/// ~256 KiB of samples.
+/// run_batch + evaluate_run.
 [[nodiscard]] std::vector<RunMetrics> evaluate_homogeneous_mc(
     core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
     std::span<const double> static_mu_stages, std::size_t cycles, double dt,
     std::vector<double> fixed_periods, std::size_t skip,
-    bool parallel = false, std::size_t tile_cycles = 0);
+    bool parallel = false);
 
 /// Same, on an explicit pool (nullptr = strictly sequential).  Per-lane
 /// results are bitwise identical for every choice of pool — the
@@ -103,7 +103,6 @@ class MetricsReducer final : public core::StreamingReducer {
 [[nodiscard]] std::vector<RunMetrics> evaluate_homogeneous_mc(
     core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
     std::span<const double> static_mu_stages, std::size_t cycles, double dt,
-    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool,
-    std::size_t tile_cycles = 0);
+    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool);
 
 }  // namespace roclk::analysis

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -45,6 +46,7 @@
 #include "roclk/core/loop_simulator.hpp"
 #include "roclk/core/trace.hpp"
 #include "roclk/sensor/tdc.hpp"
+#include "roclk/signal/waveform.hpp"
 
 namespace roclk::core {
 
@@ -54,7 +56,7 @@ namespace roclk::core {
 struct LaneSlice {
   std::size_t first_lane{0};
   std::size_t width{0};
-  std::size_t cycle{0};  // cycle index within the current run() call
+  std::size_t cycle{0};  // counted from 0 over the whole run call
   const double* tau{nullptr};
   const double* delta{nullptr};
   const double* lro{nullptr};
@@ -69,9 +71,10 @@ struct LaneSlice {
 
 /// Streaming consumer of ensemble results.  accumulate() is called once
 /// per cycle per lane chunk, with cycles strictly increasing within a
-/// chunk.  When run(..., parallel=true) is used, chunks covering disjoint
-/// lane ranges may call accumulate() concurrently — implementations must
-/// only touch per-lane state (as MetricsReducer and TraceReducer do).
+/// chunk.  When a run call has a pool, each chunk runs as one pool task
+/// for the whole call, so chunks covering disjoint lane ranges may call
+/// accumulate() concurrently — implementations must only touch per-lane
+/// state (as MetricsReducer and TraceReducer do).
 class StreamingReducer {
  public:
   virtual ~StreamingReducer() = default;
@@ -144,6 +147,22 @@ class EnsembleSimulator {
   /// per-lane results are bitwise identical for every choice of pool.
   void run(const EnsembleInputBlock& block, StreamingReducer& reducer,
            ThreadPool* pool);
+
+  /// The homogeneous Monte-Carlo run: `cycles` cycles in which every lane
+  /// sees `waveform` sampled at t = k * dt (k counted from 0 in this
+  /// call) on both e_ro and e_tdc, plus its own static mismatch
+  /// static_mu_stages[w] — bitwise the same as running
+  /// sample_homogeneous_ensemble's block through run().  Each chunk is one
+  /// pool task for the whole call: it samples only its own lanes, one
+  /// tile of at most 64 KiB at a time, and runs the kernel on that tile,
+  /// so its state stays on one core and sampling runs on every thread.
+  /// waveform.at() is therefore called concurrently (every waveform in
+  /// roclk::signal is stateless).  The loop state continues from the
+  /// previous call, as in run().
+  void run_homogeneous(const signal::Waveform& waveform,
+                       std::span<const double> static_mu_stages, double dt,
+                       std::size_t cycles, StreamingReducer& reducer,
+                       ThreadPool* pool);
 
   /// Arms one FaultSchedule per lane (an empty schedule leaves its lane
   /// fault-free), replayed against each lane's absolute cycle counter just
@@ -237,10 +256,20 @@ class EnsembleSimulator {
   };
   static_assert(kChunkLanes <= 64, "Chunk::armed holds one bit per lane");
 
-  /// Runs `chunk` through the per-chunk kernel (ensemble_simd_kernel.hpp)
-  /// on `backend`, or on the scalar pack when a config lies outside the
+  /// The one scheduling decision of both run entry points: task(chunk)
+  /// for every chunk, sequentially when `pool` is null, has at most one
+  /// worker, or the ensemble has a single chunk; otherwise one
+  /// parallel_for over the chunks.
+  void for_each_chunk(ThreadPool* pool,
+                      const std::function<void(Chunk&)>& task);
+
+  /// Runs `chunk` over `block`, whose column `column` holds the chunk's
+  /// lane 0 and whose first cycle is cycle `first_cycle` of the run call,
+  /// through the per-chunk kernel (ensemble_simd_kernel.hpp) on
+  /// `backend`, or on the scalar pack when a config lies outside the
   /// vector backends' exact-conversion domain.
   void run_one_chunk(Chunk& chunk, const EnsembleInputBlock& block,
+                     std::size_t column, std::size_t first_cycle,
                      StreamingReducer& reducer, simd::Backend backend);
 
   std::vector<LoopConfig> configs_;

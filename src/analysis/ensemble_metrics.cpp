@@ -110,24 +110,17 @@ std::vector<RunMetrics> evaluate_ensemble(
 std::vector<RunMetrics> evaluate_homogeneous_mc(
     core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
     std::span<const double> static_mu_stages, std::size_t cycles, double dt,
-    std::vector<double> fixed_periods, std::size_t skip, bool parallel,
-    std::size_t tile_cycles) {
+    std::vector<double> fixed_periods, std::size_t skip, bool parallel) {
   return evaluate_homogeneous_mc(ensemble, waveform, static_mu_stages,
                                  cycles, dt, std::move(fixed_periods), skip,
-                                 parallel ? &ThreadPool::shared() : nullptr,
-                                 tile_cycles);
+                                 parallel ? &ThreadPool::shared() : nullptr);
 }
 
 std::vector<RunMetrics> evaluate_homogeneous_mc(
     core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
     std::span<const double> static_mu_stages, std::size_t cycles, double dt,
-    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool,
-    std::size_t tile_cycles) {
+    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool) {
   const std::size_t lanes = ensemble.width();
-  ROCLK_CHECK(static_mu_stages.size() == lanes,
-              "one mu per lane: got " << static_mu_stages.size()
-                                      << " for " << lanes << " lanes");
-  ROCLK_CHECK(dt > 0.0, "sampling period must be positive, got " << dt);
   ROCLK_CHECK(skip < cycles, "transient skip " << skip
                                                << " must leave at least one "
                                                   "of the "
@@ -138,21 +131,10 @@ std::vector<RunMetrics> evaluate_homogeneous_mc(
   ROCLK_CHECK(fixed_periods.size() == lanes,
               "need one fixed period per lane (or one shared), got "
                   << fixed_periods.size() << " for " << lanes << " lanes");
-  if (tile_cycles == 0) {
-    // ~256 KiB of samples per tile (3 arrays of lanes doubles per cycle),
-    // floored so per-tile dispatch overhead stays negligible.
-    tile_cycles = std::max<std::size_t>(
-        64, (256 * std::size_t{1024}) / (24 * lanes));
-  }
   MetricsReducer reducer{std::move(fixed_periods), skip};
   ensemble.reset();
-  core::EnsembleInputBlock tile;
-  for (std::size_t start = 0; start < cycles; start += tile_cycles) {
-    const std::size_t n = std::min(tile_cycles, cycles - start);
-    core::sample_homogeneous_into(tile, waveform, static_mu_stages, n, dt,
-                                  start);
-    ensemble.run(tile, reducer, pool);
-  }
+  ensemble.run_homogeneous(waveform, static_mu_stages, dt, cycles, reducer,
+                           pool);
   return reducer.all();
 }
 

@@ -139,11 +139,6 @@ double lane_value(std::span<const double> values, std::size_t i) {
   return values.size() == 1 ? values.front() : values[i];
 }
 
-/// Bytes of input samples per lane and cycle (e_ro, e_tdc and mu).
-constexpr std::size_t kSampleBytes = 3 * sizeof(double);
-/// Budget of one sampled input tile of simulate_system_ensemble.
-constexpr std::size_t kSampleTileBytes = 64 * std::size_t{1024};
-
 }  // namespace
 
 std::vector<RunMetrics> simulate_system_ensemble(
@@ -169,19 +164,12 @@ std::vector<RunMetrics> simulate_system_ensemble(
   core::EnsembleSimulator ensemble{std::move(configs),
                                    std::move(controllers)};
 
-  // All lanes share the harmonic HoDV waveform; it is evaluated once per
-  // cycle and broadcast (the bit-identical fast path of per-lane
-  // SimulationInputs::harmonic sampling), one tile of about
-  // kSampleTileBytes (at least 64 cycles) at a time.  A whole cycles x
-  // lanes block (1.9 MB for a 16-point, 5000-cycle grid) is handed back to
-  // the OS when it is freed and faulted in again by the next call; a tile
-  // this small is reused from the allocator's free lists.
+  // All lanes share the harmonic HoDV waveform: the bit-identical fast
+  // path of per-lane SimulationInputs::harmonic sampling, streamed in
+  // tiles that never map memory (EnsembleSimulator::run_homogeneous).
   const signal::SineWaveform waveform{amplitude_stages, period_stages};
-  const std::size_t tile_cycles =
-      std::max<std::size_t>(64, kSampleTileBytes / (kSampleBytes * lanes));
   return evaluate_homogeneous_mc(ensemble, waveform, lane_mus, cycles,
-                                 setpoint_c, {fixed_period}, skip, pool,
-                                 tile_cycles);
+                                 setpoint_c, {fixed_period}, skip, pool);
 }
 
 RunMetrics simulate_system(SystemKind kind, double setpoint_c,

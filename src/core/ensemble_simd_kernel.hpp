@@ -82,12 +82,18 @@ struct SimdIirArgs {
 /// kernel needs; assembled by EnsembleSimulator::run_one_chunk.
 struct SimdChunkArgs {
   // Geometry.
-  std::size_t first{0};   // chunk's first lane (slice labelling)
-  std::size_t cw{0};      // chunk width
-  std::size_t cycles{0};  // cycles to run
-  std::size_t stride{0};  // input block lane stride (= block.width)
+  std::size_t first{0};        // chunk's first lane (slice labelling)
+  std::size_t cw{0};           // chunk width
+  std::size_t cycles{0};       // cycles to run
+  std::size_t first_cycle{0};  // LaneSlice::cycle of the first cycle run
 
-  // Input block base pointers (cycle-major, lane-interleaved).
+  // Input addressing: sample k of chunk lane w sits at
+  // [k * stride + column + w].  A whole-ensemble block has column = first
+  // and stride = its width; a chunk's own tile has column 0, stride cw.
+  std::size_t column{0};
+  std::size_t stride{0};
+
+  // Input base pointers (cycle-major, lane-interleaved).
   const double* e_ro{nullptr};
   const double* e_tdc{nullptr};
   const double* mu{nullptr};
@@ -481,9 +487,9 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
 
   std::uint64_t pos = *a.pushes;
   for (std::size_t k = 0; k < a.cycles; ++k) {
-    const double* e_ro_row = a.e_ro + k * a.stride + a.first;
-    const double* e_tdc_row = a.e_tdc + k * a.stride + a.first;
-    const double* mu_row = a.mu + k * a.stride + a.first;
+    const double* e_ro_row = a.e_ro + k * a.stride + a.column;
+    const double* e_tdc_row = a.e_tdc + k * a.stride + a.column;
+    const double* mu_row = a.mu + k * a.stride + a.column;
     // One lane on the width-1 body, with the fault sites compiled in when
     // its schedule has events.
     const auto lane_cycle = [&](std::size_t lane) {
@@ -509,7 +515,7 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
     }
     ++pos;
 
-    slice.cycle = k;
+    slice.cycle = a.first_cycle + k;
     a.reducer->accumulate(slice);
   }
   *a.pushes = pos;

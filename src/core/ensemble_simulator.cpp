@@ -20,6 +20,16 @@ namespace {
 /// Configs beyond this run the scalar pack, whose conversions are casts.
 constexpr double kSimdMaxMagnitude = 0x1p49;
 
+/// Bytes of input samples per lane and cycle (e_ro, e_tdc and mu).
+constexpr std::size_t kSampleBytes = 3 * sizeof(double);
+/// Budget of one sampled input tile of run_homogeneous.  A chunk task
+/// holds one such tile while it runs, so at most (pool size + 1) are live.
+/// Each of its three arrays stays far below glibc's 128 KiB mmap
+/// threshold, so refilling a tile is served from the allocator's free
+/// lists and never maps memory.  A full 32-lane chunk refills every 85
+/// cycles, a single lane every 2,730.
+constexpr std::size_t kTileBytes = 64 * std::size_t{1024};
+
 }  // namespace
 
 // ------------------------------------------------------- TraceReducer
@@ -335,12 +345,16 @@ std::size_t EnsembleSimulator::isolated_count() const {
 
 void EnsembleSimulator::run_one_chunk(Chunk& chunk,
                                       const EnsembleInputBlock& block,
+                                      std::size_t column,
+                                      std::size_t first_cycle,
                                       StreamingReducer& reducer,
                                       simd::Backend backend) {
   detail::SimdChunkArgs args;
   args.first = chunk.first;
   args.cw = chunk.width;
   args.cycles = block.cycles;
+  args.first_cycle = first_cycle;
+  args.column = column;
   args.stride = block.width;
   args.e_ro = block.e_ro.data();
   args.e_tdc = block.e_tdc.data();
@@ -452,15 +466,45 @@ void EnsembleSimulator::run(const EnsembleInputBlock& block,
                   << ", mu=" << block.mu.size());
   // Resolved once per run: every chunk of one call uses one backend.
   const simd::Backend backend = simd::active_backend();
-  if (pool == nullptr || pool->size() <= 1 || chunks_.size() <= 1) {
-    for (Chunk& chunk : chunks_) {
-      run_one_chunk(chunk, block, reducer, backend);
+  for_each_chunk(pool, [&](Chunk& chunk) {
+    run_one_chunk(chunk, block, chunk.first, 0, reducer, backend);
+  });
+}
+
+void EnsembleSimulator::run_homogeneous(
+    const signal::Waveform& waveform,
+    std::span<const double> static_mu_stages, double dt, std::size_t cycles,
+    StreamingReducer& reducer, ThreadPool* pool) {
+  ROCLK_CHECK(static_mu_stages.size() == width(),
+              "one mu per lane: got " << static_mu_stages.size() << " for "
+                                      << width() << " lanes");
+  ROCLK_CHECK(dt > 0.0, "sampling period must be positive, got " << dt);
+  if (cycles == 0) return;
+  const simd::Backend backend = simd::active_backend();
+  for_each_chunk(pool, [&](Chunk& chunk) {
+    // Tile values equal the whole-run block's, whatever the tile length:
+    // sample k of a tile is the waveform at (start + k) * dt.
+    const std::size_t tile_length = kTileBytes / (kSampleBytes * chunk.width);
+    const std::span<const double> lane_mus =
+        static_mu_stages.subspan(chunk.first, chunk.width);
+    EnsembleInputBlock tile;
+    for (std::size_t start = 0; start < cycles; start += tile_length) {
+      const std::size_t n = std::min(tile_length, cycles - start);
+      sample_homogeneous_into(tile, waveform, lane_mus, n, dt, start);
+      run_one_chunk(chunk, tile, /*column=*/0, /*first_cycle=*/start,
+                    reducer, backend);
     }
+  });
+}
+
+void EnsembleSimulator::for_each_chunk(
+    ThreadPool* pool, const std::function<void(Chunk&)>& task) {
+  if (pool == nullptr || pool->size() <= 1 || chunks_.size() <= 1) {
+    for (Chunk& chunk : chunks_) task(chunk);
     return;
   }
-  parallel_for(*pool, chunks_.size(), [&](std::size_t i) {
-    run_one_chunk(chunks_[i], block, reducer, backend);
-  });
+  parallel_for(*pool, chunks_.size(),
+               [&](std::size_t i) { task(chunks_[i]); });
 }
 
 }  // namespace roclk::core

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "roclk/analysis/ensemble_metrics.hpp"
 #include "roclk/analysis/metrics.hpp"
+#include "roclk/common/thread_pool.hpp"
 #include "roclk/control/iir_control.hpp"
 #include "roclk/control/teatime.hpp"
 #include "roclk/signal/waveform.hpp"
@@ -277,6 +281,49 @@ TEST(EnsembleSimulator, SuccessiveRunsContinueLikeRunBatch) {
   }
 }
 
+TEST(EnsembleSimulator, RunHomogeneousMatchesWholeBlockRun) {
+  // 70 lanes: two 32-lane chunks (85-cycle tiles) and a 6-lane tail
+  // (455-cycle tiles), each sampling its own lanes at column 0.  Every
+  // streamed value must equal a run over the whole sampled block, both
+  // sequentially and on a pool.
+  const std::size_t lanes = 70;
+  const std::size_t cycles = 1000;
+  const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
+  const control::IirControlHardware prototype{control::paper_iir_config()};
+  const signal::SineWaveform wave{10.0, 1600.0, 0.25};
+  std::vector<double> mus(lanes);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    mus[w] = -6.0 + 0.17 * static_cast<double>(w);
+  }
+  auto whole = EnsembleSimulator::uniform(cfg, &prototype, lanes);
+  TraceReducer reference{lanes, cycles};
+  whole.run(sample_homogeneous_ensemble(wave, mus, cycles, kSetpoint),
+            reference);
+
+  ThreadPool pool{3};
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "sequential" : "pool");
+    auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
+    TraceReducer streamed{lanes, cycles};
+    ensemble.run_homogeneous(wave, mus, kSetpoint, cycles, streamed, p);
+    for (std::size_t w = 0; w < lanes; ++w) {
+      const SimulationTrace& want = reference.trace(w);
+      const SimulationTrace& got = streamed.trace(w);
+      ASSERT_EQ(got.size(), cycles) << "lane " << w;
+      for (std::size_t k = 0; k < cycles; ++k) {
+        ASSERT_EQ(want.tau()[k], got.tau()[k]) << "lane " << w << " " << k;
+        ASSERT_EQ(want.delta()[k], got.delta()[k])
+            << "lane " << w << " " << k;
+        ASSERT_EQ(want.lro()[k], got.lro()[k]) << "lane " << w << " " << k;
+        ASSERT_EQ(want.generated_period()[k], got.generated_period()[k])
+            << "lane " << w << " " << k;
+        ASSERT_EQ(want.delivered_period()[k], got.delivered_period()[k])
+            << "lane " << w << " " << k;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------- streaming metrics
 
 TEST(EnsembleMetrics, MetricsReducerMatchesEvaluateRunBitForBit) {
@@ -397,6 +444,60 @@ TEST(EnsembleMetrics, HomogeneousMcRejectsBadLanePreconditions) {
   EXPECT_THROW((void)analysis::evaluate_homogeneous_mc(
                    ensemble, wave, mu, 100, kSetpoint, {kSetpoint}, 100),
                std::logic_error);
+}
+
+/// Records the thread and the cycle index of every slice, per 32-lane
+/// chunk.  A chunk's record is written only by the thread running that
+/// chunk, as the StreamingReducer contract allows.
+class ChunkScheduleReducer final : public StreamingReducer {
+ public:
+  static constexpr std::size_t kChunkLanes = 32;
+
+  explicit ChunkScheduleReducer(std::size_t chunks)
+      : threads(chunks), cycles(chunks) {}
+
+  void accumulate(const LaneSlice& slice) override {
+    const std::size_t chunk = slice.first_lane / kChunkLanes;
+    threads[chunk].push_back(std::this_thread::get_id());
+    cycles[chunk].push_back(slice.cycle);
+  }
+  [[nodiscard]] bool wants_full_slice() const override { return false; }
+
+  std::vector<std::vector<std::thread::id>> threads;
+  std::vector<std::vector<std::size_t>> cycles;
+};
+
+TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
+  // run_homogeneous makes each chunk one pool task for the whole call: its
+  // slices all come from one thread, and its cycle index runs 0..999 once
+  // across the dozen 85-cycle tiles it samples.  A fork/join per tile
+  // would hand chunks between threads and restart the index per tile.
+  const std::size_t lanes = 128;
+  const std::size_t chunks = lanes / ChunkScheduleReducer::kChunkLanes;
+  const std::size_t cycles = 1000;
+  const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
+  const control::IirControlHardware prototype{control::paper_iir_config()};
+  auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
+  const signal::SineWaveform wave{10.0, 1600.0, 0.0};
+  std::vector<double> mus(lanes);
+  for (std::size_t w = 0; w < lanes; ++w) {
+    mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
+  }
+
+  ThreadPool pool{4};
+  ChunkScheduleReducer reducer{chunks};
+  ensemble.run_homogeneous(wave, mus, kSetpoint, cycles, reducer, &pool);
+
+  std::vector<std::size_t> every_cycle(cycles);
+  std::iota(every_cycle.begin(), every_cycle.end(), std::size_t{0});
+  for (std::size_t c = 0; c < chunks; ++c) {
+    SCOPED_TRACE(c);
+    const auto& threads = reducer.threads[c];
+    ASSERT_EQ(threads.size(), cycles);
+    EXPECT_EQ(std::count(threads.begin(), threads.end(), threads.front()),
+              static_cast<std::ptrdiff_t>(cycles));
+    EXPECT_EQ(reducer.cycles[c], every_cycle);
+  }
 }
 
 TEST(EnsembleSimulator, RunRejectsMismatchedBlock) {
