@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,8 +25,10 @@
 #include "roclk/control/iir_control.hpp"
 #include "roclk/control/teatime.hpp"
 #include "roclk/core/ensemble_simulator.hpp"
+#include "roclk/core/inputs.hpp"
 #include "roclk/core/loop_simulator.hpp"
 #include "roclk/fault/fault.hpp"
+#include "roclk/signal/waveform.hpp"
 
 namespace roclk::core {
 namespace {
@@ -89,6 +93,27 @@ std::unique_ptr<control::ControlBlock> paper_iir(std::size_t /*lane*/) {
       control::paper_iir_config());
 }
 
+/// Checks lane `w`'s streamed trace against its scalar reference, record
+/// by record.
+void expect_same_trace(const SimulationTrace& reference,
+                       const SimulationTrace& lane, std::size_t w) {
+  ASSERT_EQ(reference.size(), lane.size()) << "lane " << w;
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    ASSERT_EQ(reference.tau()[k], lane.tau()[k])
+        << "lane " << w << " cycle " << k;
+    ASSERT_EQ(reference.delta()[k], lane.delta()[k])
+        << "lane " << w << " cycle " << k;
+    ASSERT_EQ(reference.lro()[k], lane.lro()[k])
+        << "lane " << w << " cycle " << k;
+    ASSERT_EQ(reference.generated_period()[k], lane.generated_period()[k])
+        << "lane " << w << " cycle " << k;
+    ASSERT_EQ(reference.delivered_period()[k], lane.delivered_period()[k])
+        << "lane " << w << " cycle " << k;
+  }
+  ASSERT_EQ(reference.violation_count(), lane.violation_count())
+      << "lane " << w;
+}
+
 /// Runs a `width`-lane ensemble of `cfg` on `backend`, one controller per
 /// lane from `make_controller`, and checks every lane's streamed trace
 /// bitwise against a fresh scalar run_batch.
@@ -114,23 +139,8 @@ void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
     LoopSimulator scalar{cfg,
                          make_controller ? make_controller(w) : nullptr};
     if (faults != nullptr) scalar.attach_faults((*faults)[w]);
-    const SimulationTrace reference = scalar.run_batch(block.lane(w));
-    const SimulationTrace& lane = reducer.trace(w);
-    ASSERT_EQ(reference.size(), lane.size());
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      ASSERT_EQ(reference.tau()[k], lane.tau()[k])
-          << "lane " << w << " cycle " << k;
-      ASSERT_EQ(reference.delta()[k], lane.delta()[k])
-          << "lane " << w << " cycle " << k;
-      ASSERT_EQ(reference.lro()[k], lane.lro()[k])
-          << "lane " << w << " cycle " << k;
-      ASSERT_EQ(reference.generated_period()[k], lane.generated_period()[k])
-          << "lane " << w << " cycle " << k;
-      ASSERT_EQ(reference.delivered_period()[k], lane.delivered_period()[k])
-          << "lane " << w << " cycle " << k;
-    }
-    ASSERT_EQ(reference.violation_count(), lane.violation_count())
-        << "lane " << w;
+    ASSERT_NO_FATAL_FAILURE(expect_same_trace(
+        scalar.run_batch(block.lane(w)), reducer.trace(w), w));
   }
 }
 
@@ -363,6 +373,142 @@ TEST(EnsembleSimd, OutOfDomainConfigBitExactOnEveryBackend) {
       expect_bit_exact(width, cfg, backend);
       const auto schedules = route_schedules(width);
       expect_bit_exact(width, cfg, backend, &schedules);
+    }
+  }
+}
+
+// Fault windows against every boundary the fault route carries state
+// across: run() calls, run_homogeneous's sampling tiles and reset().
+// 33 lanes are a full chunk plus a 1-lane second chunk; run_homogeneous
+// samples the full chunk in tiles of 85 cycles (64 KiB over 3 doubles x
+// 32 lanes), so its tiles start at cycles 85, 170, 255 and 340.
+constexpr std::size_t kWindowWidth = 33;
+constexpr std::size_t kWindowCycles = 400;
+const std::size_t kRunSplits[] = {0, 100, 257, kWindowCycles};
+
+/// Hand-placed schedules on lanes 0, 8, 9, 16, 24 and 32; every other
+/// lane is fault-free.
+std::vector<fault::FaultSchedule> window_schedules() {
+  using fault::FaultEvent;
+  using fault::FaultKind;
+  std::vector<fault::FaultSchedule> schedules(kWindowWidth);
+  // An event on cycle 0, and a window across the first tile boundary.
+  schedules[0]
+      .add({FaultKind::kTdcGlitch, 0, 1, 5.0})
+      .add({FaultKind::kRoStageFailure, 83, 5, 3.0});
+  // Overlapping windows on one lane, and a window on a second lane of
+  // its vector group (lanes 8-11 on AVX2 and the scalar pack, 8-9 on
+  // NEON) that overlaps both.
+  schedules[8]
+      .add({FaultKind::kTdcStuckAt, 150, 20, 40.0})
+      .add({FaultKind::kTdcGlitch, 160, 30, -6.0});
+  schedules[9].add({FaultKind::kVoltageDroop, 165, 10, 4.0});
+  // A window straddling the run() boundary at cycle 100, one across the
+  // tile boundary at 255 and the run() boundary at 257, then an event
+  // that never ends.
+  schedules[16]
+      .add({FaultKind::kRoStageFailure, 98, 4, -2.0})
+      .add({FaultKind::kCdnDeliveryDrop, 255, 4, 0.0})
+      .add({FaultKind::kTdcGlitch, 330, FaultEvent::kPermanent, -3.0});
+  // A 1-cycle doubled 1e308 droop: the summed droop overflows, so the
+  // lane isolates on cycle 201, the first cycle after its window.
+  schedules[24]
+      .add({FaultKind::kVoltageDroop, 200, 1, 1e308})
+      .add({FaultKind::kVoltageDroop, 200, 1, 1e308});
+  // A permanent event on the second chunk's only lane.
+  schedules[32].add(
+      {FaultKind::kRoStageFailure, 120, FaultEvent::kPermanent, 2.0});
+  return schedules;
+}
+
+/// Cycles [begin, end) of `block`.
+EnsembleInputBlock cycle_range(const EnsembleInputBlock& block,
+                               std::size_t begin, std::size_t end) {
+  EnsembleInputBlock part;
+  part.dt = block.dt;
+  part.width = block.width;
+  part.cycles = end - begin;
+  const auto first = static_cast<std::ptrdiff_t>(begin * block.width);
+  const auto last = static_cast<std::ptrdiff_t>(end * block.width);
+  part.e_ro.assign(block.e_ro.begin() + first, block.e_ro.begin() + last);
+  part.e_tdc.assign(block.e_tdc.begin() + first, block.e_tdc.begin() + last);
+  part.mu.assign(block.mu.begin() + first, block.mu.begin() + last);
+  return part;
+}
+
+/// Every lane of `ensemble`'s run into `reducer` against run_batch on the
+/// same lane of `block` with the same schedule, isolation verdict included.
+void expect_faulted_lanes_exact(
+    const EnsembleSimulator& ensemble, const TraceReducer& reducer,
+    const EnsembleInputBlock& block,
+    const std::vector<fault::FaultSchedule>& schedules, const LoopConfig& cfg) {
+  for (std::size_t w = 0; w < block.width; ++w) {
+    LoopSimulator scalar{cfg, paper_iir(w)};
+    scalar.attach_faults(schedules[w]);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_trace(scalar.run_batch(block.lane(w)), reducer.trace(w),
+                          w));
+    ASSERT_EQ(scalar.isolated(), ensemble.isolated(w)) << "lane " << w;
+  }
+}
+
+TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
+  const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
+                                     cdn::DelayQuantization::kRound, true);
+  const auto schedules = window_schedules();
+  // run() inputs: an infinite e_ro sample on armed lane 8 at cycle 310,
+  // long after its windows, isolates it on cycle 311 while lanes 9-11 of
+  // its group run on.
+  auto block = sample_ensemble(varied_inputs(kWindowWidth), kWindowCycles,
+                               kSetpoint);
+  block.e_ro[310 * kWindowWidth + 8] = std::numeric_limits<double>::infinity();
+  // run_homogeneous inputs: one sine on every lane plus a static mu.
+  const signal::SineWaveform wave{10.0, 1600.0};
+  std::vector<double> mus(kWindowWidth);
+  for (std::size_t w = 0; w < kWindowWidth; ++w) {
+    mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
+  }
+  const auto homogeneous =
+      sample_homogeneous_ensemble(wave, mus, kWindowCycles, kSetpoint);
+
+  for (const simd::Backend backend : backends_under_test()) {
+    SCOPED_TRACE(simd::to_string(backend));
+    BackendOverrideGuard forced{backend};
+    const control::IirControlHardware prototype{control::paper_iir_config()};
+    auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, kWindowWidth);
+    ensemble.attach_faults(schedules);
+    const auto run_in_calls = [&] {
+      TraceReducer reducer{kWindowWidth, kWindowCycles};
+      for (std::size_t i = 0; i + 1 < std::size(kRunSplits); ++i) {
+        ensemble.run(cycle_range(block, kRunSplits[i], kRunSplits[i + 1]),
+                     reducer);
+      }
+      return reducer;
+    };
+
+    {
+      SCOPED_TRACE("successive run() calls");
+      const TraceReducer reducer = run_in_calls();
+      ASSERT_TRUE(ensemble.isolated(8));
+      ASSERT_TRUE(ensemble.isolated(24));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_faulted_lanes_exact(ensemble, reducer, block, schedules, cfg));
+    }
+    {
+      SCOPED_TRACE("run_homogeneous after reset()");
+      ensemble.reset();
+      TraceReducer reducer{kWindowWidth, kWindowCycles};
+      ensemble.run_homogeneous(wave, mus, kSetpoint, kWindowCycles, reducer,
+                               nullptr);
+      ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
+          ensemble, reducer, homogeneous, schedules, cfg));
+    }
+    {
+      SCOPED_TRACE("successive run() calls after reset()");
+      ensemble.reset();
+      const TraceReducer reducer = run_in_calls();
+      ASSERT_NO_FATAL_FAILURE(
+          expect_faulted_lanes_exact(ensemble, reducer, block, schedules, cfg));
     }
   }
 }
