@@ -26,7 +26,9 @@
 //        from cmp_* + select so -0.0/NaN selection matches std::min /
 //        std::max / std::clamp exactly;
 //      - round_ties_away composes trunc/cmp/copysign with the same
-//        operation sequence as roclk::round_ties_away (common/math.hpp).
+//        operation sequence as roclk::round_ties_away (common/math.hpp);
+//      - gather(base, idx) reads base[idx[i]] into lane i: the only load
+//        whose address varies per lane (the CDN ring look-back).
 //
 //  * CacheAlignedAllocator / aligned_vector — lane arrays aligned to (and
 //    padded to a multiple of) the cache line, so vector loads never split
@@ -240,6 +242,19 @@ struct ScalarTraits {
     }
     return r;
   }
+  static I isub(I a, I b) {
+    I r;
+    for (std::size_t i = 0; i < N; ++i) {
+      r.v[i] = static_cast<std::int64_t>(static_cast<std::uint64_t>(a.v[i]) -
+                                         static_cast<std::uint64_t>(b.v[i]));
+    }
+    return r;
+  }
+  static I iand(I a, I b) {
+    I r;
+    for (std::size_t i = 0; i < N; ++i) r.v[i] = a.v[i] & b.v[i];
+    return r;
+  }
   static I ineg(I a) {
     I r;
     for (std::size_t i = 0; i < N; ++i) {
@@ -288,6 +303,12 @@ struct ScalarTraits {
   static D to_double_exact(I a) {
     D r;
     for (std::size_t i = 0; i < N; ++i) r.v[i] = static_cast<double>(a.v[i]);
+    return r;
+  }
+  /// base[idx[i]] in lane i: one plain indexed load per lane.
+  static D gather(const double* base, I idx) {
+    D r;
+    for (std::size_t i = 0; i < N; ++i) r.v[i] = base[idx.v[i]];
     return r;
   }
 };
@@ -347,6 +368,8 @@ struct Avx2Traits {
   }
   static I ibroadcast(std::int64_t x) { return _mm256_set1_epi64x(x); }
   static I iadd(I a, I b) { return _mm256_add_epi64(a, b); }
+  static I isub(I a, I b) { return _mm256_sub_epi64(a, b); }
+  static I iand(I a, I b) { return _mm256_and_si256(a, b); }
   static I ineg(I a) { return _mm256_sub_epi64(_mm256_setzero_si256(), a); }
   static I ishift_signed(I a, int sh) {
     if (sh >= 0) return _mm256_slli_epi64(a, sh);
@@ -381,6 +404,9 @@ struct Avx2Traits {
     const D magic = broadcast(0x1.8p52);
     const I biased = _mm256_add_epi64(x, _mm256_castpd_si256(magic));
     return sub(_mm256_castsi256_pd(biased), magic);
+  }
+  static D gather(const double* base, I idx) {
+    return _mm256_i64gather_pd(base, idx, sizeof(double));
   }
 };
 
@@ -433,6 +459,8 @@ struct NeonTraits {
   static void istore(std::int64_t* p, I a) { vst1q_s64(p, a); }
   static I ibroadcast(std::int64_t x) { return vdupq_n_s64(x); }
   static I iadd(I a, I b) { return vaddq_s64(a, b); }
+  static I isub(I a, I b) { return vsubq_s64(a, b); }
+  static I iand(I a, I b) { return vandq_s64(a, b); }
   static I ineg(I a) { return vnegq_s64(a); }
   static I ishift_signed(I a, int sh) {
     // NEON's signed shift takes a signed count: negative = arithmetic
@@ -446,6 +474,11 @@ struct NeonTraits {
   static D dselect(M m, D a, D b) { return vbslq_f64(m, a, b); }
   static I to_int_exact(D x) { return vcvtq_s64_f64(x); }
   static D to_double_exact(I x) { return vcvtq_f64_s64(x); }
+  /// NEON has no gather: two lane loads.
+  static D gather(const double* base, I idx) {
+    return vcombine_f64(vld1_f64(base + vgetq_lane_s64(idx, 0)),
+                        vld1_f64(base + vgetq_lane_s64(idx, 1)));
+  }
 };
 
 #endif  // __ARM_NEON && __aarch64__

@@ -18,8 +18,8 @@
 //    the lane values the vector computed;
 //  * one per-chunk kernel, templated over the SIMD backend
 //    (src/core/ensemble_simd_kernel.hpp), runs every chunk: vector groups
-//    of lanes, with the fault-armed groups and the tail on its width-1
-//    instantiation.
+//    of lanes, with the tail, and fault-armed groups on their fault
+//    cycles, on its width-1 instantiation.
 //
 // Per-cycle results stream into a StreamingReducer instead of a trace, so
 // a 1k-lane study allocates O(W) accumulator state, not O(W * cycles)
@@ -168,11 +168,24 @@ class EnsembleSimulator {
   /// fault-free), replayed against each lane's absolute cycle counter just
   /// like LoopSimulator::attach_faults.  Lane w of a faulted ensemble run
   /// stays bit-for-bit identical to a scalar LoopSimulator running the
-  /// same schedule.  The fault sites are compiled into the width-1 body
-  /// that runs the armed lanes only, so fault-free lanes are untouched.
+  /// same schedule.  A vector group holding an armed lane (one whose
+  /// schedule has events) stays on vectors, with only the isolation test
+  /// added for its armed lanes, except on its fault cycles.  Per armed
+  /// lane those are the first cycle after reset(), every cycle with an
+  /// event active, and the first cycle after each run of active cycles
+  /// (which retires the events); once a lane is isolated, every cycle.
+  /// Fault cycles run lane by lane on the width-1 body, where the fault
+  /// sites are compiled in for the armed lanes only, so fault-free lanes
+  /// are untouched.
   void attach_faults(std::vector<fault::FaultSchedule> schedules);
   void clear_faults();
   [[nodiscard]] bool has_faults() const { return faults_active_; }
+
+  /// Vector-group cycles run lane by lane on the width-1 body because of
+  /// faults (attach_faults) since the last reset(), summed over chunks.
+  /// Tail lanes, which always run at width 1, are not counted.  Zero for a
+  /// fault-free ensemble.
+  [[nodiscard]] std::uint64_t fault_group_cycles() const;
 
   /// True when `lane` has been isolated (non-physical faulted signal; the
   /// lane froze at its last good cycle).  Cleared by reset().
@@ -210,17 +223,21 @@ class EnsembleSimulator {
     simd::aligned_vector<double> min_len_d;
     simd::aligned_vector<double> max_len_d;
 
-    // Interleaved CDN ring: slot s of lane w at ring[s * width + w].
-    // slots is a power of two covering the largest per-lane history;
-    // per-lane history/initial values keep the boundary conditions (and
-    // the d-clamp) bit-identical to each lane's own QuantizedTimeCdn.
+    // Interleaved CDN ring: slot s of lane w at ring[(s << row_shift) + w].
+    // slots is a power of two covering the largest per-lane history, and
+    // the row stride 2^row_shift the power of two at or above the width,
+    // so the kernel's gathered look-back index is a mask and a shift, in
+    // bounds for every lane.  Per-lane history/initial values keep the
+    // boundary conditions (and the d-clamp) bit-identical to each lane's
+    // own QuantizedTimeCdn.
     simd::aligned_vector<double> ring;
     std::size_t ring_slots{0};
     std::size_t slot_mask{0};
+    int row_shift{0};
     std::uint64_t pushes{0};
     simd::aligned_vector<double> cdn_delay;
     simd::aligned_vector<double> cdn_history_d;  // history - 2, as double
-    simd::aligned_vector<std::uint64_t> cdn_history;
+    simd::aligned_vector<std::int64_t> cdn_history;
     simd::aligned_vector<double> cdn_initial;
 
     // Devirtualized IIR bank: state W[n-i] interleaved [tap * width + w].
@@ -247,12 +264,17 @@ class EnsembleSimulator {
     // Fault replay state (populated only by attach_faults).  An isolated
     // lane is skipped by the kernel, so its staging entries keep repeating
     // the last good cycle — the exact analogue of LoopSimulator's frozen
-    // record.  Bit w of `armed` marks lane w's schedule as having events:
-    // only the vector groups holding such a lane leave the vector path, so
-    // arming faults on a few lanes keeps every other group vectorized.
+    // record.  Bit w of `armed` marks lane w's schedule as having events.
+    // next_consult[w] is the first cycle on which lane w's injector can
+    // report a fault (0 after reset: consult on the first cycle).  A group
+    // holding armed lanes leaves the vector path only on cycles where one
+    // of them is isolated or due a consult, and groups without armed
+    // lanes never do.
     std::vector<fault::FaultInjector> injectors;
     simd::aligned_vector<std::uint8_t> isolated;
+    simd::aligned_vector<std::uint64_t> next_consult;
     std::uint64_t armed{0};
+    std::uint64_t fault_group_cycles{0};  // see fault_group_cycles()
   };
   static_assert(kChunkLanes <= 64, "Chunk::armed holds one bit per lane");
 

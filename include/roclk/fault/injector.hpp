@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "roclk/fault/fault.hpp"
@@ -42,8 +43,20 @@ class FaultInjector {
   void reset();
 
   /// Faults for cycle `cycle`.  Cycles must be non-decreasing between
-  /// resets (the simulators call once per step).
+  /// resets; a caller may skip cycles, and the next call catches up.
   [[nodiscard]] CycleFaults begin_cycle(std::uint64_t cycle);
+
+  /// next_start_cycle() once every event has started.
+  static constexpr std::uint64_t kNoPendingEvent =
+      std::numeric_limits<std::uint64_t>::max();
+
+  /// Start cycle of the earliest event begin_cycle has not started yet,
+  /// or kNoPendingEvent.  After a begin_cycle that reported no fault,
+  /// no cycle before this one can report a fault.
+  [[nodiscard]] std::uint64_t next_start_cycle() const {
+    return next_ < schedule_.size() ? schedule_.events()[next_].start_cycle
+                                    : kNoPendingEvent;
+  }
 
   [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
 

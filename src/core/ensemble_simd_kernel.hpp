@@ -8,9 +8,12 @@
 //    bank on lane vectors, or virtual ControlBlocks stepped one lane at a
 //    time over the extracted lane values;
 //  * the fault schedules: a vector group holding a lane whose schedule has
-//    events runs lane by lane through the width-1 body, with the fault
-//    sites compiled in for the armed lanes; the chunk's other groups stay
-//    on vectors;
+//    events (an armed lane) stays on vectors, with step_impl's isolation
+//    test compiled in for its armed lanes, on every cycle where none of
+//    them is isolated or due a fault consult.  On those fault cycles it
+//    runs lane by lane through the width-1 body, with every fault site
+//    compiled in for the armed lanes.  Groups without armed lanes never
+//    leave the vector body;
 //  * the config magnitudes: a config outside the exact-conversion domain
 //    (see kSimdMaxMagnitude in ensemble_simulator.cpp) runs the
 //    ScalarTraits instantiation, whose conversions are plain casts.
@@ -29,19 +32,27 @@
 //  * double->int64 casts use each backend's exact conversion, valid for
 //    the guarded magnitude domain (< 2^51); ScalarTraits uses plain casts,
 //    exact at any magnitude (llround_ties_away is the same cast).  The CDN
-//    look-back's per-lane ring indexing and the virtual controllers run
-//    scalar on extracted lane values — the same values the vector
-//    computed, so the same results.
-//  * Lane widths not divisible by the vector width, and fault-armed
-//    groups, run the SAME templated cycle body instantiated at width 1
-//    (ScalarTraits<1>) — one source of truth for every lane.
+//    look-back computes its distance m and ring index as lane vectors and
+//    reads the ring with a gather: the same m, the same slot and the same
+//    boundary rule as QuantizedTimeCdn, so the same value.  Only the
+//    virtual controllers run scalar, on extracted lane values.
+//  * Lane widths not divisible by the vector width, and groups on a fault
+//    cycle, run the SAME templated cycle body instantiated at width 1
+//    (ScalarTraits<1>) — one source of truth for every lane.  A quiet
+//    cycle needs no fault site but the isolation test: no event is
+//    active, so begin_cycle would report nothing, and skipped cycles are
+//    caught up in schedule order by the next begin_cycle.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "roclk/cdn/cdn.hpp"
@@ -60,6 +71,14 @@ enum class ControlKind {
   kOpenLoop,  // free-running RO or fixed clock: the lane's open-loop period
   kIirBank,   // the devirtualized integer IIR bank, on lane vectors
   kVirtual,   // one ControlBlock per lane, stepped on extracted lane values
+};
+
+/// Which of step_impl's fault sites a cycle body compiles in.
+enum class FaultSites {
+  kNone,       // a group without armed lanes
+  kIsolation,  // a group with armed lanes on a quiet cycle: the isolation
+               // test, on its armed lanes
+  kAll,        // one armed lane (width 1): every site
 };
 
 /// Devirtualized IIR bank parameters for the vector kernel (mirrors
@@ -110,12 +129,14 @@ struct SimdChunkArgs {
   const double* min_len_d{nullptr};
   const double* max_len_d{nullptr};
 
-  // Interleaved CDN ring.
+  // Interleaved CDN ring: slot s of lane w at ring[(s << row_shift) + w].
+  // The row stride 2^row_shift is a power of two >= cw.
   double* ring{nullptr};
   std::size_t slot_mask{0};
+  int row_shift{0};
   const double* cdn_delay{nullptr};
   const double* cdn_history_d{nullptr};
-  const std::uint64_t* cdn_history{nullptr};
+  const std::int64_t* cdn_history{nullptr};
   const double* cdn_initial{nullptr};
   std::uint64_t* pushes{nullptr};  // in/out: absolute push counter
 
@@ -148,10 +169,17 @@ struct SimdChunkArgs {
   // Fault replay, set on a fault-armed ensemble only.  Bit w of `armed`
   // marks lane w's schedule as having events; `isolated` is the chunk's
   // isolation mask, written by armed lanes and handed to the reducer as
-  // LaneSlice::isolated (nullptr on a fault-free run).
+  // LaneSlice::isolated (nullptr on a fault-free run).  next_consult[w]
+  // is the first cycle on which armed lane w's injector can report a
+  // fault: the cycle after one that reported a fault, else the start of
+  // its next event.
   fault::FaultInjector* injectors{nullptr};
   std::uint64_t armed{0};
   std::uint8_t* isolated{nullptr};
+  std::uint64_t* next_consult{nullptr};
+
+  // In/out: vector-group cycles run lane by lane because of faults.
+  std::uint64_t* fault_group_cycles{nullptr};
 };
 
 /// Backend entry points.  Each is defined in its ensemble_kernel_*.cpp TU;
@@ -207,35 +235,48 @@ inline double command_to_lro(const SimdChunkArgs& a, std::size_t lane,
   return std::clamp(commanded, a.min_len_d[lane], a.max_len_d[lane]);
 }
 
+/// Lane j's offset (gather index) and bit (mask) within a vector group.
+inline constexpr std::int64_t kLaneOffset[] = {0, 1, 2, 3};
+inline constexpr std::int64_t kLaneBit[] = {1, 2, 4, 8};
+
 /// One simulated cycle for the V::kWidth lanes starting at chunk offset w:
-/// LoopSimulator::step_impl statement by statement.  kFaults (width 1
-/// only) compiles in step_impl's fault sites, in its order: isolation
-/// skip, begin_cycle, sensor overrides, ro_offset, ring push, cdn_drop,
-/// isolation check, droop.
+/// LoopSimulator::step_impl statement by statement.  kSites selects the
+/// fault sites compiled in (see FaultSites); kAll (width 1 only) has all
+/// of step_impl's, in its order: isolation skip, begin_cycle, sensor
+/// overrides, ro_offset, ring push, cdn_drop, isolation check, droop.
 template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
-          ControlKind kControl, bool kFaults>
+          ControlKind kControl, FaultSites kSites>
 inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
                              const double* e_ro_row, const double* e_tdc_row,
                              const double* mu_row, std::uint64_t pos,
                              std::int64_t* const* rows) {
   using D = typename V::D;
-  using I [[maybe_unused]] = typename V::I;
+  using I = typename V::I;
   constexpr std::size_t W = V::kWidth;
-  static_assert(!kFaults || W == 1, "fault sites run on single lanes");
+  constexpr unsigned kAllLanes = (1u << W) - 1u;
+  static_assert(kSites != FaultSites::kAll || W == 1,
+                "every fault site runs on single lanes");
+  static_assert(W <= std::size(kLaneOffset), "lane tables too short");
 
   // An isolated lane is frozen: it is skipped, so its staging entries keep
-  // the last good cycle, exactly like LoopSimulator's frozen record.
+  // the last good cycle, exactly like LoopSimulator's frozen record.  Its
+  // injector is consulted only on cycles that can report a fault, which
+  // next_consult tracks (see SimdChunkArgs).
   [[maybe_unused]] fault::CycleFaults faults;
-  if constexpr (kFaults) {
+  if constexpr (kSites == FaultSites::kAll) {
     if (a.isolated[w] != 0) return;
-    faults = a.injectors[w].begin_cycle(pos);
+    if (pos >= a.next_consult[w]) {
+      faults = a.injectors[w].begin_cycle(pos);
+      a.next_consult[w] =
+          faults.any ? pos + 1 : a.injectors[w].next_start_cycle();
+    }
   }
 
   // TDC (one-cycle latency): tau = quantize(prev_t_dlv - e_local + mism),
   // clamped to [0, max_reading].
   const D prev_t_dlv = V::load(a.prev_t_dlv + w);
   const D zero = V::broadcast(0.0);
-  if (V::mask_bits(V::cmp_lt(zero, prev_t_dlv)) != (1u << W) - 1u) {
+  if (V::mask_bits(V::cmp_lt(zero, prev_t_dlv)) != kAllLanes) {
     for (std::size_t j = 0; j < W; ++j) {
       ROCLK_CHECK(a.prev_t_dlv[w + j] > 0.0,
                   "delivered period must be positive, got "
@@ -259,7 +300,7 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   // Violation is judged on the TRUE reading, before any sensor fault.
   const D setpoint = V::load(a.setpoint + w);
   const unsigned viol_bits = V::mask_bits(V::cmp_lt(tau, setpoint));
-  if constexpr (kFaults) {
+  if constexpr (kSites == FaultSites::kAll) {
     if (faults.any) {
       // Sensor-mux faults (precedence resolved by the injector); a faulted
       // reading still passes through the chain's saturation.
@@ -316,7 +357,7 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
     const unsigned in_window =
         V::imask_bits(V::icmp_lt(y, V::ibroadcast(kWindow))) &
         V::imask_bits(V::icmp_lt(V::ibroadcast(-kWindow), y));
-    if (in_window == (1u << W) - 1u) {
+    if (in_window == kAllLanes) {
       if (a.quantize_lro) {
         const I length =
             iclamp<V>(y, V::iload(a.min_len + w), V::iload(a.max_len + w));
@@ -356,7 +397,7 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   const D e_at_ro =
       a.fixed_clock ? zero : V::load(a.prev_e_ro + w);
   D t_gen_raw = V::add(V::load(a.prev_lro + w), e_at_ro);
-  if constexpr (kFaults) {
+  if constexpr (kSites == FaultSites::kAll) {
     if (faults.any && faults.ro_offset != 0.0) {
       t_gen_raw = V::add(t_gen_raw, V::broadcast(faults.ro_offset));
     }
@@ -365,81 +406,113 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   const D t_gen = V::select(V::cmp_lt(one, t_gen_raw), t_gen_raw, one);
 
   // CDN push into the interleaved ring (lane-contiguous: vector store).
-  V::store(a.ring + (pos & a.slot_mask) * a.cw + w, t_gen);
+  V::store(a.ring + ((pos & a.slot_mask) << a.row_shift) + w, t_gen);
 
-  // d = std::min(cdn_delay / t_gen, history_d): b < a ? b : a.
+  // d = std::min(cdn_delay / t_gen, history_d): b < a ? b : a.  With
+  // cdn_delay finite and >= 0 and t_gen >= 1, d lies in [0, history - 2].
   const D quotient = V::div(V::load(a.cdn_delay + w), t_gen);
   const D history_d = V::load(a.cdn_history_d + w);
   const D d =
       V::select(V::cmp_lt(history_d, quotient), history_d, quotient);
 
   // Quantised look-back, with QuantizedTimeCdn::look_back's boundary rule:
-  // beyond the lane's history window, or before the simulation started,
-  // the clock ran at the initial (equilibrium) period.  The ring slot
-  // varies per lane, so this step runs scalar over the extracted lane
-  // values of d — the same doubles the vector computed.
-  double d_lanes[W];
-  V::store(d_lanes, d);
-  double t_dlv_lanes[W];
-  for (std::size_t j = 0; j < W; ++j) {
-    const std::size_t lane = w + j;
-    const double dj = d_lanes[j];
-    const auto look_back = [&](std::uint64_t m) -> double {
-      if (m >= a.cdn_history[lane] || m > pos) return a.cdn_initial[lane];
-      return a.ring[((pos - m) & a.slot_mask) * a.cw + lane];
-    };
-    double t_dlv;
-    if constexpr (CdnQ == cdn::DelayQuantization::kRound) {
-      t_dlv =
-          look_back(static_cast<std::uint64_t>(llround_ties_away(dj)));
-    } else if constexpr (CdnQ == cdn::DelayQuantization::kFloor) {
-      t_dlv = look_back(static_cast<std::uint64_t>(std::floor(dj)));
-    } else {
-      const auto m0 = static_cast<std::uint64_t>(std::floor(dj));
-      const double frac = dj - std::floor(dj);
-      const double v0 = look_back(m0);
-      if (frac == 0.0) {
-        t_dlv = v0;
-      } else {
-        const double v1 = look_back(m0 + 1);
-        t_dlv = v0 * (1.0 - frac) + v1 * frac;
-      }
-    }
-    t_dlv_lanes[j] = t_dlv;
+  // beyond the lane's history window (m >= history), or before the
+  // simulation started (m > pos), the clock ran at the initial
+  // (equilibrium) period.  Each lane reads its own slot, so the ring read
+  // is a gather.  Its index is in bounds for every lane, those the select
+  // discards included: the mask bounds the slot, and the row stride is a
+  // power of two >= the chunk width.
+  const I pos_v = V::ibroadcast(static_cast<std::int64_t>(pos));
+  const I slot_mask = V::ibroadcast(static_cast<std::int64_t>(a.slot_mask));
+  const I history = V::iload(a.cdn_history + w);
+  const D initial = V::load(a.cdn_initial + w);
+  const auto look_back = [&](I m) {
+    const I slot = V::iand(V::isub(pos_v, m), slot_mask);
+    const I index =
+        V::iadd(V::ishift_signed(slot, a.row_shift), V::iload(kLaneOffset));
+    const D held = V::gather(a.ring + w, index);
+    return V::dselect(V::icmp_lt(pos_v, m), initial,
+                      V::dselect(V::icmp_lt(m, history), held, initial));
+  };
+  D t_dlv;
+  if constexpr (CdnQ == cdn::DelayQuantization::kRound) {
+    t_dlv = look_back(V::to_int_exact(V::round_ties_away(d)));
+  } else if constexpr (CdnQ == cdn::DelayQuantization::kFloor) {
+    t_dlv = look_back(V::to_int_exact(V::floor(d)));
+  } else {
+    const D floor_d = V::floor(d);
+    const I m0 = V::to_int_exact(floor_d);
+    const D frac = V::sub(d, floor_d);
+    const D v0 = look_back(m0);
+    const D v1 = look_back(V::iadd(m0, V::ibroadcast(1)));
+    const D mixed = V::add(V::mul(v0, V::sub(one, frac)), V::mul(v1, frac));
+    // frac == 0 reads v0 alone; frac lies in [0, 1), so that is
+    // !(0 < frac).
+    t_dlv = V::select(V::cmp_lt(zero, frac), mixed, v0);
   }
-  if constexpr (kFaults) {
+  if constexpr (kSites == FaultSites::kAll) {
     // A delivery drop swallows the leaf edge: a doubled period this cycle,
     // with the tree's pipeline unaffected.
-    if (faults.any && faults.cdn_drop) t_dlv_lanes[0] *= 2.0;
-    // Lane isolation: a non-physical signal freezes the lane BEFORE
-    // anything is staged or latched, so it can never reach a reducer.
-    const double t = lane_value<V>(tau);
-    if (!std::isfinite(t) || !std::isfinite(t_dlv_lanes[0]) ||
-        t_dlv_lanes[0] <= 0.0) {
-      a.isolated[w] = 1;
-      return;
+    if (faults.any && faults.cdn_drop) {
+      t_dlv = V::mul(t_dlv, V::broadcast(2.0));
     }
   }
-  const D t_dlv = V::load(t_dlv_lanes);
+
+  // Lane isolation (armed lanes only): a non-physical signal freezes the
+  // lane BEFORE anything is staged or latched, so it can never reach a
+  // reducer.  step_impl isolates on !isfinite(tau) || !isfinite(t_dlv) ||
+  // t_dlv <= 0, so a lane is kept when -inf < tau < inf and
+  // 0 < t_dlv < inf (a NaN fails every compare).  frozen_mask has the
+  // backend's int-compare mask type, which dselect takes.
+  using IntMask = decltype(V::icmp_eq(std::declval<I>(), std::declval<I>()));
+  [[maybe_unused]] unsigned frozen = 0;
+  [[maybe_unused]] IntMask frozen_mask{};
+  if constexpr (kSites != FaultSites::kNone) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const D inf = V::broadcast(kInf);
+    const unsigned kept = V::mask_bits(V::cmp_lt(V::broadcast(-kInf), tau)) &
+                          V::mask_bits(V::cmp_lt(tau, inf)) &
+                          V::mask_bits(V::cmp_lt(zero, t_dlv)) &
+                          V::mask_bits(V::cmp_lt(t_dlv, inf));
+    frozen = static_cast<unsigned>((a.armed >> w) & kAllLanes) & ~kept;
+    if (frozen != 0) {
+      for (unsigned bits = frozen; bits != 0; bits &= bits - 1) {
+        a.isolated[w + static_cast<std::size_t>(std::countr_zero(bits))] = 1;
+      }
+      if (frozen == kAllLanes) return;
+      const I bit = V::iload(kLaneBit);
+      frozen_mask = V::icmp_eq(
+          V::iand(V::ibroadcast(static_cast<std::int64_t>(frozen)), bit), bit);
+    }
+  }
+  // A lane frozen this cycle keeps every staged and latched value.
+  const auto latch = [&](double* p, D v) {
+    if constexpr (kSites == FaultSites::kIsolation) {
+      if (frozen != 0) v = V::dselect(frozen_mask, V::load(p + w), v);
+    }
+    V::store(p + w, v);
+  };
 
   // Stage the cycle's results and advance the z^-1 registers.  The TDC
   // only ever reads e_tdc - mu, so one register holds the difference.
-  V::store(a.out_tau + w, tau);
-  V::store(a.out_delta + w, delta);
+  latch(a.out_tau, tau);
+  latch(a.out_delta, delta);
   if (a.full_slice) {
-    V::store(a.out_lro + w, lro_now);
-    V::store(a.out_t_gen + w, t_gen);
+    latch(a.out_lro, lro_now);
+    latch(a.out_t_gen, t_gen);
   }
-  V::store(a.out_t_dlv + w, t_dlv);
+  latch(a.out_t_dlv, t_dlv);
   for (std::size_t j = 0; j < W; ++j) {
-    a.out_violation[w + j] = static_cast<std::uint8_t>((viol_bits >> j) & 1u);
+    if (((frozen >> j) & 1u) == 0) {
+      a.out_violation[w + j] =
+          static_cast<std::uint8_t>((viol_bits >> j) & 1u);
+    }
   }
-  V::store(a.prev_lro + w, lro_now);
-  V::store(a.prev_t_dlv + w, t_dlv);
-  V::store(a.prev_e_ro + w, V::load(e_ro_row + w));
-  V::store(a.prev_e_local + w,
-           V::sub(V::load(e_tdc_row + w), V::load(mu_row + w)));
-  if constexpr (kFaults) {
+  latch(a.prev_lro, lro_now);
+  latch(a.prev_t_dlv, t_dlv);
+  latch(a.prev_e_ro, V::load(e_ro_row + w));
+  latch(a.prev_e_local, V::sub(V::load(e_tdc_row + w), V::load(mu_row + w)));
+  if constexpr (kSites == FaultSites::kAll) {
     // A supply droop slows the whole die: both the RO and the TDC chain
     // see the extra stages next cycle, in step_impl's operand order
     // (`prev_e_tdc_ += droop`, then the TDC subtracts mu).
@@ -452,7 +525,7 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
 
 /// Full chunk run at one (TdcQ, CdnQ, controller) combination: vector
 /// groups of T::kWidth lanes, plus the width-1 body for the tail and for
-/// every group that holds a fault-armed lane.
+/// every group on a fault cycle.
 template <class T, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
           ControlKind kControl>
 void run_chunk_simd_typed(const SimdChunkArgs& a) {
@@ -486,26 +559,42 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
   slice.isolated = a.isolated;
 
   std::uint64_t pos = *a.pushes;
+  std::uint64_t fault_group_cycles = 0;
   for (std::size_t k = 0; k < a.cycles; ++k) {
     const double* e_ro_row = a.e_ro + k * a.stride + a.column;
     const double* e_tdc_row = a.e_tdc + k * a.stride + a.column;
     const double* mu_row = a.mu + k * a.stride + a.column;
-    // One lane on the width-1 body, with the fault sites compiled in when
+    // One lane on the width-1 body, with every fault site compiled in when
     // its schedule has events.
     const auto lane_cycle = [&](std::size_t lane) {
       if (((a.armed >> lane) & 1u) != 0) {
-        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, true>(
+        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, FaultSites::kAll>(
             a, lane, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
       } else {
-        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, false>(
+        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, FaultSites::kNone>(
             a, lane, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
       }
     };
+    // A fault cycle for a group: one of its armed lanes is isolated or
+    // due a consult of its injector.
+    const auto fault_cycle = [&](std::uint64_t group, std::size_t w) {
+      for (; group != 0; group &= group - 1) {
+        const std::size_t lane =
+            w + static_cast<std::size_t>(std::countr_zero(group));
+        if (pos >= a.next_consult[lane] || a.isolated[lane] != 0) return true;
+      }
+      return false;
+    };
     for (std::size_t w = 0; w < vector_end; w += W) {
-      if (((a.armed >> w) & kGroupBits) == 0) {
-        simd_cycle_lanes<T, TdcQ, CdnQ, kControl, false>(
+      const std::uint64_t group = (a.armed >> w) & kGroupBits;
+      if (group == 0) {
+        simd_cycle_lanes<T, TdcQ, CdnQ, kControl, FaultSites::kNone>(
+            a, w, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+      } else if (!fault_cycle(group, w)) {
+        simd_cycle_lanes<T, TdcQ, CdnQ, kControl, FaultSites::kIsolation>(
             a, w, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
       } else {
+        ++fault_group_cycles;
         for (std::size_t lane = w; lane < w + W; ++lane) lane_cycle(lane);
       }
     }
@@ -519,6 +608,7 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
     a.reducer->accumulate(slice);
   }
   *a.pushes = pos;
+  *a.fault_group_cycles += fault_group_cycles;
   if constexpr (kControl == ControlKind::kIirBank) {
     *a.iir.head = static_cast<std::size_t>(rows[0] - a.iir.bank) / cw;
   }

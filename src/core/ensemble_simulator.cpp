@@ -212,7 +212,7 @@ EnsembleSimulator::EnsembleSimulator(
       chunk.max_len_d[w] = static_cast<double>(config.max_length);
       const std::size_t history = detail::cdn_history_for(config);
       chunk.cdn_delay[w] = config.cdn_delay_stages;
-      chunk.cdn_history[w] = history;
+      chunk.cdn_history[w] = static_cast<std::int64_t>(history);
       chunk.cdn_history_d[w] = static_cast<double>(history - 2);
       max_history = std::max(max_history, history);
     }
@@ -224,7 +224,11 @@ EnsembleSimulator::EnsembleSimulator(
                  "interleaved CDN ring slots must be a power of two, got "
                      << chunk.ring_slots);
     chunk.slot_mask = chunk.ring_slots - 1;
-    chunk.ring.assign(chunk.ring_slots * cw, 0.0);
+    // The kernel's ring index is (slot << row_shift) + lane: with a
+    // power-of-two row stride >= cw it stays inside the ring for every
+    // masked slot and every lane.
+    chunk.row_shift = std::countr_zero(std::bit_ceil(cw));
+    chunk.ring.assign(chunk.ring_slots << chunk.row_shift, 0.0);
     if (iir_bank_active_) {
       chunk.iir_state.assign(iir_tap_gains_.size() * cw, 0);
       chunk.iir_prev_input.assign(cw, 0);
@@ -232,6 +236,8 @@ EnsembleSimulator::EnsembleSimulator(
     chunks_.push_back(std::move(chunk));
   }
 
+  // The CDN look-back distance m lies in [0, history - 2], so a bounded
+  // history keeps its conversion exact too.
   simd_domain_ok_ =
       static_cast<double>(tdc_.config().max_reading) <= kSimdMaxMagnitude;
   for (const LoopConfig& config : configs_) {
@@ -241,6 +247,8 @@ EnsembleSimulator::EnsembleSimulator(
         std::abs(static_cast<double>(config.min_length)) <=
             kSimdMaxMagnitude &&
         std::abs(static_cast<double>(config.max_length)) <=
+            kSimdMaxMagnitude &&
+        static_cast<double>(detail::cdn_history_for(config)) <=
             kSimdMaxMagnitude;
   }
 
@@ -277,7 +285,7 @@ void EnsembleSimulator::reset() {
       chunk.prev_e_local[w] = 0.0;
       chunk.cdn_initial[w] = equilibrium;
       for (std::size_t s = 0; s < chunk.ring_slots; ++s) {
-        chunk.ring[s * cw + w] = equilibrium;
+        chunk.ring[(s << chunk.row_shift) + w] = equilibrium;
       }
       if (iir_bank_active_) {
         // IirControlHardware::reset: W = round(initial_output * k_exp) in
@@ -294,6 +302,9 @@ void EnsembleSimulator::reset() {
     for (fault::FaultInjector& injector : chunk.injectors) injector.reset();
     std::fill(chunk.isolated.begin(), chunk.isolated.end(),
               std::uint8_t{0});
+    std::fill(chunk.next_consult.begin(), chunk.next_consult.end(),
+              std::uint64_t{0});
+    chunk.fault_group_cycles = 0;
   }
   for (std::size_t lane = 0; lane < controllers_.size(); ++lane) {
     controllers_[lane]->reset(detail::equilibrium_for(configs_[lane]));
@@ -316,6 +327,7 @@ void EnsembleSimulator::attach_faults(
       chunk.injectors.emplace_back(schedule);
     }
     chunk.isolated.assign(chunk.width, 0);
+    chunk.next_consult.assign(chunk.width, 0);
   }
 }
 
@@ -324,8 +336,15 @@ void EnsembleSimulator::clear_faults() {
   for (Chunk& chunk : chunks_) {
     chunk.injectors.clear();
     chunk.isolated.clear();
+    chunk.next_consult.clear();
     chunk.armed = 0;
   }
+}
+
+std::uint64_t EnsembleSimulator::fault_group_cycles() const {
+  std::uint64_t cycles = 0;
+  for (const Chunk& chunk : chunks_) cycles += chunk.fault_group_cycles;
+  return cycles;
 }
 
 bool EnsembleSimulator::isolated(std::size_t lane) const {
@@ -371,6 +390,7 @@ void EnsembleSimulator::run_one_chunk(Chunk& chunk,
   args.max_len_d = chunk.max_len_d.data();
   args.ring = chunk.ring.data();
   args.slot_mask = chunk.slot_mask;
+  args.row_shift = chunk.row_shift;
   args.cdn_delay = chunk.cdn_delay.data();
   args.cdn_history_d = chunk.cdn_history_d.data();
   args.cdn_history = chunk.cdn_history.data();
@@ -421,7 +441,9 @@ void EnsembleSimulator::run_one_chunk(Chunk& chunk,
     args.injectors = chunk.injectors.data();
     args.armed = chunk.armed;
     args.isolated = chunk.isolated.data();
+    args.next_consult = chunk.next_consult.data();
   }
+  args.fault_group_cycles = &chunk.fault_group_cycles;
 
   if (!simd_domain_ok_) backend = simd::Backend::kScalar;
   switch (backend) {

@@ -23,6 +23,11 @@ Status LoopSimulator::validate(const LoopConfig& config, bool has_controller) {
        << config.cdn_delay_stages;
     return Status::invalid_argument(os.str());
   }
+  if (!std::isfinite(config.cdn_delay_stages)) {
+    std::ostringstream os;
+    os << "CDN delay must be finite, got t_clk=" << config.cdn_delay_stages;
+    return Status::invalid_argument(os.str());
+  }
   if (config.min_length < 1 || config.max_length < config.min_length) {
     std::ostringstream os;
     os << "invalid l_RO range [" << config.min_length << ", "

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -193,6 +194,62 @@ TEST(ScalarPack, SignedShiftAndMasksMatchScalar) {
   const unsigned below =
       V::imask_bits(V::icmp_lt(V::iload(values), V::iload(limit)));
   EXPECT_EQ(below, 0b0111u);  // lanes 0..2 are < 10, lane 3 is not
+}
+
+TEST(ScalarPack, IntSubAndMatchScalar) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t a[4] = {5, -7, 0, kMin};
+  const std::int64_t b[4] = {9, -7, 1, 1};
+  std::int64_t out[4];
+  V::istore(out, V::isub(V::iload(a), V::iload(b)));
+  EXPECT_EQ(out[0], -4);
+  EXPECT_EQ(out[1], 0);
+  EXPECT_EQ(out[2], -1);
+  // Two's-complement wraparound, like the vector subtracts.
+  EXPECT_EQ(out[3], std::numeric_limits<std::int64_t>::max());
+
+  const std::int64_t mask[4] = {7, 7, 7, 7};
+  V::istore(out, V::iand(V::iload(a), V::iload(mask)));
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], a[i] & 7) << i;
+}
+
+TEST(ScalarPack, GatherReadsEachLanesRingSlot) {
+  // The ensemble kernel's look-back: lane j of a group reads ring slot
+  // (pos - m_j) & slot_mask of its own column, at
+  // ((slot << row_shift) + j) from the group's first column.
+  constexpr std::int64_t kSlots = 8;
+  constexpr int kRowShift = 2;  // a 4-lane row
+  std::vector<double> ring(kSlots << kRowShift);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    ring[i] = 100.0 + static_cast<double>(i);
+  }
+  // m doubles as the lane offsets {0, 1, 2, 3}.
+  const std::int64_t lane[4] = {0, 1, 2, 3};
+  const auto look_back = [&](std::int64_t pos, const std::int64_t* m) {
+    const V::I slot = V::iand(V::isub(V::ibroadcast(pos), V::iload(m)),
+                              V::ibroadcast(kSlots - 1));
+    const V::I index = V::iadd(V::ishift_signed(slot, kRowShift),
+                               V::iload(lane));
+    std::vector<double> out(4);
+    V::store(out.data(), V::gather(ring.data(), index));
+    return out;
+  };
+
+  // In window: pos 5 looks back 0..3 cycles, slots 5, 4, 3, 2.
+  EXPECT_EQ(look_back(5, lane),
+            (std::vector<double>{100.0 + 20, 100.0 + 17, 100.0 + 14,
+                                 100.0 + 11}));
+  // Wrap at slot_mask: pos 9 is slot 1, so 0..3 back are slots 1, 0, 7, 6.
+  EXPECT_EQ(look_back(9, lane),
+            (std::vector<double>{100.0 + 4, 100.0 + 1, 100.0 + 30,
+                                 100.0 + 27}));
+  // Before the run started (m > pos): pos - m is negative, the mask still
+  // lands on slots 7, 4, 3 and 2, and the kernel's select discards the
+  // values.
+  const std::int64_t early[4] = {2, 5, 6, 7};
+  EXPECT_EQ(look_back(1, early),
+            (std::vector<double>{100.0 + 28, 100.0 + 17, 100.0 + 14,
+                                 100.0 + 11}));
 }
 
 }  // namespace

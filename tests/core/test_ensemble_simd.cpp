@@ -513,5 +513,92 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
   }
 }
 
+/// Consumes nothing: the route counters are the only output under test.
+class DiscardReducer final : public StreamingReducer {
+ public:
+  void accumulate(const LaneSlice& /*slice*/) override {}
+  [[nodiscard]] bool wants_full_slice() const override { return false; }
+};
+
+/// Cycles in [0, cycles) on which the kernel consults a lane's injector,
+/// from a fresh reset(): the first cycle, each cycle with an event active,
+/// each first quiet cycle after those (its begin_cycle retires the
+/// events) and each later event start.
+std::uint64_t consult_cycles(const fault::FaultSchedule& schedule,
+                             std::uint64_t cycles) {
+  std::uint64_t count = 0;
+  std::uint64_t next = 0;
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    if (c < next) continue;
+    ++count;
+    bool active = false;
+    for (const fault::FaultEvent& event : schedule.events()) {
+      active = active || event.active_at(c);
+    }
+    next = std::numeric_limits<std::uint64_t>::max();
+    if (active) {
+      next = c + 1;
+      continue;
+    }
+    for (const fault::FaultEvent& event : schedule.events()) {
+      if (event.start_cycle > c) {
+        next = event.start_cycle;  // events are sorted by start
+        break;
+      }
+    }
+  }
+  return count;
+}
+
+TEST(EnsembleSimd, FaultGroupCyclesFollowTheConsultRule) {
+  // Random schedules on every 8th lane of 64: each armed vector group
+  // holds exactly one armed lane on AVX2 and the scalar pack (4 lanes)
+  // and on NEON (2 lanes), so a group leaves the vector body exactly on
+  // its armed lane's consult cycles.
+  constexpr std::size_t kLanes = 64;
+  constexpr std::size_t kArmedEvery = 8;
+  constexpr std::uint64_t kRunCycles = 20'000;
+  const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
+                                     cdn::DelayQuantization::kRound, true);
+  fault::RandomFaultSpec spec;
+  spec.horizon_cycles = kRunCycles;
+  std::vector<fault::FaultSchedule> schedules(kLanes);
+  std::uint64_t expected = 0;
+  for (std::size_t w = 0; w < kLanes; w += kArmedEvery) {
+    schedules[w] = fault::FaultSchedule::random(7700 + w, spec);
+    expected += consult_cycles(schedules[w], kRunCycles);
+  }
+  // Every run of one group pays for a width-1 cycle per consult, not per
+  // cycle: well under 2 % of the 8 armed groups' 160,000 group-cycles.
+  const std::uint64_t armed_group_cycles = kRunCycles * kLanes / kArmedEvery;
+  ASSERT_LT(expected * 50, armed_group_cycles);
+
+  const signal::SineWaveform wave{10.0, 1600.0};
+  std::vector<double> mus(kLanes);
+  for (std::size_t w = 0; w < kLanes; ++w) {
+    mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
+  }
+  const control::IirControlHardware prototype{control::paper_iir_config()};
+  for (const simd::Backend backend : backends_under_test()) {
+    SCOPED_TRACE(simd::to_string(backend));
+    BackendOverrideGuard forced{backend};
+    DiscardReducer reducer;
+
+    auto faulted = EnsembleSimulator::uniform(cfg, &prototype, kLanes);
+    faulted.attach_faults(schedules);
+    faulted.run_homogeneous(wave, mus, kSetpoint, kRunCycles, reducer,
+                            nullptr);
+    ASSERT_EQ(faulted.isolated_count(), 0u);
+    EXPECT_EQ(faulted.fault_group_cycles(), expected);
+    faulted.reset();
+    EXPECT_EQ(faulted.fault_group_cycles(), 0u);
+
+    auto clean = EnsembleSimulator::uniform(cfg, &prototype, kLanes);
+    clean.run_homogeneous(wave, mus, kSetpoint, kRunCycles / 10, reducer,
+                          nullptr);
+    EXPECT_EQ(clean.fault_group_cycles(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace roclk::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "roclk/control/iir_control.hpp"
@@ -32,6 +33,13 @@ TEST(LoopSimulator, ValidateRejectsBadConfigs) {
   LoopConfig neg;
   neg.cdn_delay_stages = -1.0;
   EXPECT_FALSE(LoopSimulator::validate(neg, true).is_ok());
+  // The CDN look-back distance must stay in [0, history - 2].
+  for (const double delay : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    LoopConfig unbounded;
+    unbounded.cdn_delay_stages = delay;
+    EXPECT_FALSE(LoopSimulator::validate(unbounded, true).is_ok()) << delay;
+  }
 
   LoopConfig range;
   range.min_length = 100;

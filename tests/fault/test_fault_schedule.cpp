@@ -133,5 +133,39 @@ TEST(FaultInjector, ResolvesPrecedenceAndSumsAdditiveKinds) {
   EXPECT_DOUBLE_EQ(injector.begin_cycle(2).tau_glitch, 5.0);
 }
 
+TEST(FaultInjector, NextStartCycleLetsACallerSkipQuietCycles) {
+  FaultSchedule schedule;
+  schedule.add({FaultKind::kTdcGlitch, 10, 3, 2.0})
+      .add({FaultKind::kRoStageFailure, 11, FaultEvent::kPermanent, 1.0})
+      .add({FaultKind::kVoltageDroop, 40, 1, 0.5});
+  FaultInjector injector{schedule};
+  EXPECT_EQ(injector.next_start_cycle(), 10u);
+  EXPECT_FALSE(injector.begin_cycle(0).any);
+  EXPECT_EQ(injector.next_start_cycle(), 10u);
+
+  // Skipping cycles 1..11 catches up in schedule order: both early events
+  // have started, the glitch is still in its window.
+  CycleFaults f = injector.begin_cycle(12);
+  EXPECT_DOUBLE_EQ(f.tau_glitch, 2.0);
+  EXPECT_DOUBLE_EQ(f.ro_offset, 1.0);
+  EXPECT_EQ(injector.next_start_cycle(), 40u);
+
+  // A skip past the glitch's window retires it; the permanent event stays.
+  f = injector.begin_cycle(30);
+  EXPECT_DOUBLE_EQ(f.tau_glitch, 0.0);
+  EXPECT_DOUBLE_EQ(f.ro_offset, 1.0);
+  // Skipping a whole window retires its event unseen, which is why a
+  // caller that skips must call again on next_start_cycle().
+  f = injector.begin_cycle(41);
+  EXPECT_DOUBLE_EQ(f.droop, 0.0);
+  EXPECT_TRUE(f.any);
+  EXPECT_EQ(injector.next_start_cycle(), FaultInjector::kNoPendingEvent);
+
+  injector.reset();
+  EXPECT_EQ(injector.next_start_cycle(), 10u);
+  EXPECT_EQ(FaultInjector{FaultSchedule{}}.next_start_cycle(),
+            FaultInjector::kNoPendingEvent);
+}
+
 }  // namespace
 }  // namespace roclk::fault
