@@ -86,9 +86,10 @@ class MetricsReducer final : public core::StreamingReducer {
 /// The homogeneous Monte-Carlo fast path: equivalent to
 /// sample_homogeneous_ensemble + evaluate_ensemble over `cycles` cycles
 /// sampled at `dt`, but one EnsembleSimulator::run_homogeneous call: each
-/// 32-lane chunk is one pool task that samples its own lanes one tile of
-/// at most 64 KiB at a time and runs it, so a long study never
-/// materialises cycles * lanes * 3 doubles at once.  Per-lane results are
+/// 32-lane chunk is one pool task that samples the waveform into a
+/// 512-cycle (4 KiB) tile, which the kernel broadcasts to the chunk's
+/// lanes beside their own mu, so a long study never materialises
+/// cycles * lanes * 3 doubles at once.  Per-lane results are
 /// bit-identical to the whole-block path — and therefore to per-lane
 /// run_batch + evaluate_run.
 [[nodiscard]] std::vector<RunMetrics> evaluate_homogeneous_mc(

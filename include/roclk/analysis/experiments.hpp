@@ -199,9 +199,9 @@ struct WorkedExample {
 /// The memo-free core of measure_system_ensemble: every lane runs through
 /// one EnsembleSimulator with a streaming MetricsReducer, on `pool`
 /// (nullptr = strictly sequential), and SweepMemo is never touched.  Each
-/// 32-lane chunk samples its inputs in tiles of at most 64 KiB
-/// (EnsembleSimulator::run_homogeneous), so a call's memory does not grow
-/// with `cycles`.  Lane i is bitwise identical to simulate_system at lane
+/// 32-lane chunk samples the waveform into 512-cycle (4 KiB) tiles of its
+/// own, broadcast to its lanes (EnsembleSimulator::run_homogeneous), so a
+/// call's memory does not grow with `cycles`.  Lane i is bitwise identical to simulate_system at lane
 /// i's operating point, whichever other lanes run beside it.
 [[nodiscard]] std::vector<RunMetrics> simulate_system_ensemble(
     SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,

@@ -8,27 +8,37 @@
 //
 //  * Backend — which lane-kernel implementation runs: kScalar (portable
 //    fixed-width pack, always available), kAvx2 (x86, 4 doubles/vector),
-//    kNeon (aarch64, 2 doubles/vector).  active_backend() resolves, in
-//    order: the programmatic override (set_backend_override), the
-//    ROCLK_SIMD environment variable (scalar | avx2 | neon | native), and
-//    runtime CPU detection of the best compiled-in backend.  Requesting a
-//    backend that is not compiled in or not supported by this CPU falls
-//    back to kScalar with a one-time stderr warning — never a crash.
+//    kAvx512 (x86 AVX-512F + DQ, 8 doubles/vector), kNeon (aarch64,
+//    2 doubles/vector).  active_backend() resolves, in order: the
+//    programmatic override (set_backend_override), the ROCLK_SIMD
+//    environment variable (scalar | avx2 | avx512 | neon | native, any
+//    case), and runtime CPU detection of the widest compiled-in backend
+//    (avx512, then avx2, then neon, else scalar).  Requesting a backend
+//    that is not compiled in or not supported by this CPU falls back to
+//    kScalar with a one-time stderr warning — never a crash.
 //
-//  * Traits (ScalarTraits<N> / Avx2Traits / NeonTraits) — a uniform
-//    vector-of-doubles + vector-of-int64 operation set the generic kernel
-//    template is instantiated over.  Every operation is defined to match
-//    the scalar reference EXACTLY, bit for bit, on the kernel's domain
-//    (finite inputs; integral magnitudes below 2^51 for the int<->double
-//    conversions — see to_int_exact):
+//  * Traits (ScalarTraits<N> / Avx2Traits / Avx512Traits / NeonTraits) — a
+//    uniform vector-of-doubles + vector-of-int64 operation set the generic
+//    kernel template is instantiated over.  Every operation is defined to
+//    match the scalar reference EXACTLY, bit for bit, on the kernel's
+//    domain (finite inputs; integral magnitudes below 2^51 for the
+//    int<->double conversions — see to_int_exact):
 //      - add/sub/mul/div are lane-wise IEEE-754 ops, identical to scalar;
 //      - min/max/clamp are NOT provided as fused ops: kernels compose them
 //        from cmp_* + select so -0.0/NaN selection matches std::min /
 //        std::max / std::clamp exactly;
 //      - round_ties_away composes trunc/cmp/copysign with the same
 //        operation sequence as roclk::round_ties_away (common/math.hpp);
+//      - to_int_exact/to_double_exact: the scalar pack casts; AVX2's
+//        magic-constant round trip is exact inside the window only;
+//        AVX-512's and NEON's native converts match static_cast wherever
+//        the cast is defined.  The kernel guards the window for every
+//        backend alike;
 //      - gather(base, idx) reads base[idx[i]] into lane i: the only load
 //        whose address varies per lane (the CDN ring look-back).
+//    A mask type M is whatever the backend's compares return (a lane
+//    vector on AVX2/NEON/the scalar pack, a __mmask8 on AVX-512); the
+//    kernels only hand it back to select/iselect/dselect/*mask_bits.
 //
 //  * CacheAlignedAllocator / aligned_vector — lane arrays aligned to (and
 //    padded to a multiple of) the cache line, so vector loads never split
@@ -98,7 +108,7 @@ using aligned_vector = std::vector<T, CacheAlignedAllocator<T>>;
 
 // -------------------------------------------------- backend dispatch
 
-enum class Backend { kScalar, kAvx2, kNeon };
+enum class Backend { kScalar, kAvx2, kAvx512, kNeon };
 
 [[nodiscard]] constexpr const char* to_string(Backend backend) {
   switch (backend) {
@@ -106,13 +116,16 @@ enum class Backend { kScalar, kAvx2, kNeon };
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kAvx512:
+      return "avx512";
     case Backend::kNeon:
       return "neon";
   }
   return "?";
 }
 
-/// Parses a backend name ("scalar" / "avx2" / "neon", case-insensitive).
+/// Parses a backend name ("scalar" / "avx2" / "avx512" / "neon",
+/// case-insensitive).
 /// "native" and "auto" mean "use the detected best" and parse to nullopt,
 /// as does any unknown string (the caller distinguishes via the bool).
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view name);
@@ -123,7 +136,8 @@ enum class Backend { kScalar, kAvx2, kNeon };
 /// True when this CPU can execute the named backend (kScalar: always).
 [[nodiscard]] bool backend_cpu_supported(Backend backend);
 
-/// Best backend that is both compiled in and supported by this CPU.
+/// Widest backend that is both compiled in and supported by this CPU: the
+/// first usable one of avx512, avx2 and neon, else scalar.
 [[nodiscard]] Backend native_backend();
 
 /// Backend the lane kernels will dispatch to: programmatic override if
@@ -411,6 +425,95 @@ struct Avx2Traits {
 };
 
 #endif  // __AVX2__
+
+// ---------------------------------------------------- AVX-512 backend
+
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+
+/// 8 double lanes / 8 int64 lanes per vector; every compare returns a
+/// __mmask8.  AVX-512F/DQ has natively what AVX2 emulates: the 64-bit
+/// arithmetic shift, int64<->double converts (which match static_cast
+/// wherever the cast is defined), rounding by immediate mode and masked
+/// blends.  As on AVX2, no FMA is emitted.  GCC 12's unmasked shift,
+/// gather and roundscale pass an undefined vector through and trip
+/// -W(maybe-)uninitialized; their zero-masked forms with every lane
+/// selected are the same instructions and results.
+struct Avx512Traits {
+  static constexpr std::size_t kWidth = 8;
+
+  using D = __m512d;
+  using I = __m512i;
+  using M = __mmask8;
+
+  static constexpr M kAllLanes = 0xFF;
+
+  static D load(const double* p) { return _mm512_loadu_pd(p); }
+  static void store(double* p, D a) { _mm512_storeu_pd(p, a); }
+  static D broadcast(double x) { return _mm512_set1_pd(x); }
+  static D add(D a, D b) { return _mm512_add_pd(a, b); }
+  static D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+  static D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+  static D div(D a, D b) { return _mm512_div_pd(a, b); }
+  static D floor(D a) {
+    return _mm512_maskz_roundscale_pd(kAllLanes, a,
+                                      _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  }
+  static D trunc(D a) {
+    return _mm512_maskz_roundscale_pd(kAllLanes, a,
+                                      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
+  static D copysign(D mag, D sgn) {
+    const D sign_bit = _mm512_set1_pd(-0.0);
+    return _mm512_or_pd(_mm512_andnot_pd(sign_bit, mag),
+                        _mm512_and_pd(sign_bit, sgn));
+  }
+  /// Avx2Traits::round_ties_away op for op: the compares pick a
+  /// zero-masked 1.0 where AVX2 ands its compare mask with 1.0.
+  static D round_ties_away(D x) {
+    const D t = trunc(x);
+    const D diff = sub(x, t);
+    const D one = broadcast(1.0);
+    const D up = _mm512_maskz_mov_pd(
+        _mm512_cmp_pd_mask(diff, broadcast(0.5), _CMP_GE_OQ), one);
+    const D down = _mm512_maskz_mov_pd(
+        _mm512_cmp_pd_mask(diff, broadcast(-0.5), _CMP_LE_OQ), one);
+    return copysign(sub(add(t, up), down), x);
+  }
+  static M cmp_lt(D a, D b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
+  static unsigned mask_bits(M m) { return m; }
+  static D select(M m, D a, D b) { return _mm512_mask_blend_pd(m, b, a); }
+
+  static I iload(const std::int64_t* p) { return _mm512_loadu_si512(p); }
+  static void istore(std::int64_t* p, I a) { _mm512_storeu_si512(p, a); }
+  static I ibroadcast(std::int64_t x) { return _mm512_set1_epi64(x); }
+  static I iadd(I a, I b) { return _mm512_add_epi64(a, b); }
+  static I isub(I a, I b) { return _mm512_sub_epi64(a, b); }
+  static I iand(I a, I b) { return _mm512_and_si512(a, b); }
+  static I ineg(I a) { return _mm512_sub_epi64(_mm512_setzero_si512(), a); }
+  /// vpsllq / vpsraq: a count of 64 or more clears / sign-fills the lane,
+  /// where the scalar shift_signed is undefined.
+  static I ishift_signed(I a, int sh) {
+    if (sh >= 0) {
+      return _mm512_maskz_sll_epi64(kAllLanes, a, _mm_cvtsi32_si128(sh));
+    }
+    return _mm512_maskz_sra_epi64(kAllLanes, a, _mm_cvtsi32_si128(-sh));
+  }
+  static M icmp_lt(I a, I b) { return _mm512_cmplt_epi64_mask(a, b); }
+  static M icmp_eq(I a, I b) { return _mm512_cmpeq_epi64_mask(a, b); }
+  static I iselect(M m, I a, I b) { return _mm512_mask_blend_epi64(m, b, a); }
+  static unsigned imask_bits(M m) { return m; }
+  static D dselect(M m, D a, D b) { return _mm512_mask_blend_pd(m, b, a); }
+  /// vcvttpd2qq truncates like static_cast<std::int64_t>.
+  static I to_int_exact(D x) { return _mm512_cvttpd_epi64(x); }
+  /// vcvtqq2pd rounds to nearest like static_cast<double>.
+  static D to_double_exact(I x) { return _mm512_cvtepi64_pd(x); }
+  static D gather(const double* base, I idx) {
+    return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), kAllLanes, idx, base,
+                                    sizeof(double));
+  }
+};
+
+#endif  // __AVX512F__ && __AVX512DQ__
 
 // ------------------------------------------------------- NEON backend
 

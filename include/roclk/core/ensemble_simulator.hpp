@@ -19,7 +19,10 @@
 //  * one per-chunk kernel, templated over the SIMD backend
 //    (src/core/ensemble_simd_kernel.hpp), runs every chunk: vector groups
 //    of lanes, with the tail, and fault-armed groups on their fault
-//    cycles, on its width-1 instantiation.
+//    cycles, on its width-1 instantiation.  It reads a caller-sampled
+//    block (run) or, for the homogeneous Monte-Carlo (run_homogeneous),
+//    one waveform sample per cycle broadcast to every lane plus each
+//    lane's constant mu.
 //
 // Per-cycle results stream into a StreamingReducer instead of a trace, so
 // a 1k-lane study allocates O(W) accumulator state, not O(W * cycles)
@@ -49,6 +52,10 @@
 #include "roclk/signal/waveform.hpp"
 
 namespace roclk::core {
+
+namespace detail {
+struct SimdChunkArgs;  // the per-chunk kernel's arguments
+}  // namespace detail
 
 /// One simulated cycle's results for a contiguous range of lanes.  The
 /// arrays are indexed [0, width) and belong to lanes
@@ -153,9 +160,11 @@ class EnsembleSimulator {
   /// call) on both e_ro and e_tdc, plus its own static mismatch
   /// static_mu_stages[w] — bitwise the same as running
   /// sample_homogeneous_ensemble's block through run().  Each chunk is one
-  /// pool task for the whole call: it samples only its own lanes, one
-  /// tile of at most 64 KiB at a time, and runs the kernel on that tile,
-  /// so its state stays on one core and sampling runs on every thread.
+  /// pool task for the whole call: it samples the waveform into a
+  /// 512-cycle (4 KiB) tile of its own, and the kernel broadcasts each
+  /// sample to the chunk's lanes and reads their mu straight from
+  /// `static_mu_stages`, so the chunk's state stays on one core, sampling
+  /// runs on every thread, and memory does not grow with `cycles`.
   /// waveform.at() is therefore called concurrently (every waveform in
   /// roclk::signal is stateless).  The loop state continues from the
   /// previous call, as in run().
@@ -196,9 +205,9 @@ class EnsembleSimulator {
  private:
   // Lanes are processed in chunks of kChunkLanes: the chunk's interleaved
   // CDN ring plus its delay registers fit in L1, and chunks are the unit
-  // of thread parallelism and of kernel calls.  32 lanes = 8 AVX2 vectors
-  // per per-cycle array pass — wide enough to amortize the per-cycle
-  // reducer call, small enough that the ring stays L1-resident.
+  // of thread parallelism and of kernel calls.  32 lanes = 4 AVX-512 or
+  // 8 AVX2 vectors per per-cycle array pass — wide enough to amortize the
+  // per-cycle reducer call, small enough that the ring stays L1-resident.
   static constexpr std::size_t kChunkLanes = 32;
 
   // All lane arrays use simd::aligned_vector: every array starts on its
@@ -285,13 +294,12 @@ class EnsembleSimulator {
   void for_each_chunk(ThreadPool* pool,
                       const std::function<void(Chunk&)>& task);
 
-  /// Runs `chunk` over `block`, whose column `column` holds the chunk's
-  /// lane 0 and whose first cycle is cycle `first_cycle` of the run call,
-  /// through the per-chunk kernel (ensemble_simd_kernel.hpp) on
-  /// `backend`, or on the scalar pack when a config lies outside the
-  /// vector backends' exact-conversion domain.
-  void run_one_chunk(Chunk& chunk, const EnsembleInputBlock& block,
-                     std::size_t column, std::size_t first_cycle,
+  /// Runs `chunk` through the per-chunk kernel (ensemble_simd_kernel.hpp)
+  /// on `backend`, or on the scalar pack when a config lies outside the
+  /// vector backends' exact-conversion domain.  `args` arrives holding the
+  /// inputs (block or homogeneous form), the cycle count and the first
+  /// cycle's index within the run call; this fills in the rest.
+  void run_one_chunk(Chunk& chunk, detail::SimdChunkArgs args,
                      StreamingReducer& reducer, simd::Backend backend);
 
   std::vector<LoopConfig> configs_;

@@ -115,18 +115,4 @@ struct SimulationInputs {
     const signal::Waveform& waveform, std::span<const double> static_mu_stages,
     std::size_t n, double dt);
 
-/// Tile-refill variant of sample_homogeneous_ensemble: (re)fills `block`
-/// with cycles [start_cycle, start_cycle + n) of the same signals, reusing
-/// its storage when the shape matches.  EnsembleSimulator::run_homogeneous
-/// calls it per chunk task on that chunk's mu sub-span, so each chunk
-/// streams through its own cache-resident tile (sample a tile, run it,
-/// resample) instead of materialising cycles * width * 3 doubles at once;
-/// sample k of the tile equals sample start_cycle + k of the whole-run
-/// block exactly.
-void sample_homogeneous_into(EnsembleInputBlock& block,
-                             const signal::Waveform& waveform,
-                             std::span<const double> static_mu_stages,
-                             std::size_t n, double dt,
-                             std::size_t start_cycle);
-
 }  // namespace roclk::core

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace roclk::simd {
 
@@ -15,6 +16,14 @@ namespace {
 /// atomic lock-free; reads happen on every EnsembleSimulator::run call.
 constexpr int kUnset = -1;
 std::atomic<int> g_override{kUnset};
+
+std::string lowercase(std::string_view text) {
+  std::string lower{text};
+  for (char& c : lower) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return lower;
+}
 
 void warn_once(const std::string& message) {
   static std::once_flag flag;
@@ -31,15 +40,13 @@ int env_request() {
     // deterministic-output contract holds for every ROCLK_SIMD value.
     const char* raw = std::getenv("ROCLK_SIMD");  // roclk-lint: allow(env-source)
     if (raw == nullptr || raw[0] == '\0') return 0;
-    std::string name{raw};
-    for (char& c : name) c = static_cast<char>(std::tolower(
-        static_cast<unsigned char>(c)));
+    const std::string name = lowercase(raw);
     if (name == "native" || name == "auto") return 0;
     const auto parsed = parse_backend(name);
     if (!parsed.has_value()) {
       warn_once("ROCLK_SIMD=" + std::string{raw} +
-                " is not a backend (scalar | avx2 | neon | native); using "
-                "the native backend");
+                " is not a backend (scalar | avx2 | avx512 | neon | native); "
+                "using the native backend");
       return 0;
     }
     return 1 + static_cast<int>(*parsed);
@@ -68,9 +75,11 @@ Backend usable_or_scalar(Backend requested, const char* origin) {
 }  // namespace
 
 std::optional<Backend> parse_backend(std::string_view name) {
-  if (name == "scalar") return Backend::kScalar;
-  if (name == "avx2") return Backend::kAvx2;
-  if (name == "neon") return Backend::kNeon;
+  const std::string lower = lowercase(name);
+  for (const Backend backend : {Backend::kScalar, Backend::kAvx2,
+                                Backend::kAvx512, Backend::kNeon}) {
+    if (lower == to_string(backend)) return backend;
+  }
   return std::nullopt;
 }
 
@@ -80,6 +89,12 @@ bool backend_compiled(Backend backend) {
       return true;
     case Backend::kAvx2:
 #ifdef ROCLK_SIMD_HAVE_AVX2
+      return true;
+#else
+      return false;
+#endif
+    case Backend::kAvx512:
+#ifdef ROCLK_SIMD_HAVE_AVX512
       return true;
 #else
       return false;
@@ -104,6 +119,14 @@ bool backend_cpu_supported(Backend backend) {
 #else
       return false;
 #endif
+    case Backend::kAvx512:
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+      // libgcc reports AVX-512 only when the OS also saves the ZMM state.
+      return __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512dq") != 0;
+#else
+      return false;
+#endif
     case Backend::kNeon:
 #if defined(__aarch64__)
       return true;  // AdvSIMD is architecturally mandatory on AArch64
@@ -116,7 +139,8 @@ bool backend_cpu_supported(Backend backend) {
 
 Backend native_backend() {
   static const Backend native = [] {
-    for (Backend candidate : {Backend::kAvx2, Backend::kNeon}) {
+    for (Backend candidate :
+         {Backend::kAvx512, Backend::kAvx2, Backend::kNeon}) {
       if (backend_compiled(candidate) && backend_cpu_supported(candidate)) {
         return candidate;
       }

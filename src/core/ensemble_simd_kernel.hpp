@@ -1,9 +1,14 @@
 // The per-chunk ensemble kernel, templated over a SIMD backend.
 //
 // This internal header is instantiated once per compiled backend
-// (ensemble_kernel_{scalar,avx2,neon}.cpp) and is EnsembleSimulator's only
-// per-chunk kernel.  One templated cycle body covers every ensemble; the
-// route is chosen from what the ensemble holds, never from an option:
+// (ensemble_kernel_{scalar,avx2,avx512,neon}.cpp) and is EnsembleSimulator's
+// only per-chunk kernel.  One templated cycle body covers every ensemble,
+// at every vector width (8 lanes on AVX-512, 4 on AVX2 and the scalar
+// pack, 2 on NEON, 1 for tails and fault cycles).  It reads its inputs in
+// one of two forms: a lane-interleaved block (per-lane e_ro, e_tdc and mu
+// every cycle), or the homogeneous form of run_homogeneous (one waveform
+// sample per cycle, broadcast to every lane, plus a constant mu per lane).
+// The route is chosen from what the ensemble holds, never from an option:
 //  * the controller kind (ControlKind): open loop, the devirtualized IIR
 //    bank on lane vectors, or virtual ControlBlocks stepped one lane at a
 //    time over the extracted lane values;
@@ -28,10 +33,14 @@
 //    so -0.0 and equal-value selections match bitwise.  No FMA contraction
 //    is ever emitted (plain intrinsics; -ffp-contract=off project-wide).
 //  * Integer IIR-bank steps are exact by definition; the AVX2 arithmetic
-//    right shift is rebuilt from logical shift + sign fill.
+//    right shift is rebuilt from logical shift + sign fill (AVX-512 and
+//    NEON have it natively).
 //  * double->int64 casts use each backend's exact conversion, valid for
 //    the guarded magnitude domain (< 2^51); ScalarTraits uses plain casts,
-//    exact at any magnitude (llround_ties_away is the same cast).  The CDN
+//    exact at any magnitude (llround_ties_away is the same cast), and the
+//    AVX-512 and NEON converts match them wherever they are defined.  The
+//    homogeneous form broadcasts the very double the block form would hold
+//    in every lane's e_ro and e_tdc, and loads the same mu.  The CDN
 //    look-back computes its distance m and ring index as lane vectors and
 //    reads the ring with a gather: the same m, the same slot and the same
 //    boundary rule as QuantizedTimeCdn, so the same value.  Only the
@@ -106,16 +115,19 @@ struct SimdChunkArgs {
   std::size_t cycles{0};       // cycles to run
   std::size_t first_cycle{0};  // LaneSlice::cycle of the first cycle run
 
-  // Input addressing: sample k of chunk lane w sits at
-  // [k * stride + column + w].  A whole-ensemble block has column = first
-  // and stride = its width; a chunk's own tile has column 0, stride cw.
+  // Inputs, in one of two forms.  Block form (wave == nullptr): sample k
+  // of chunk lane w sits at [k * stride + column + w] of the cycle-major,
+  // lane-interleaved e_ro / e_tdc / mu arrays; a whole-ensemble block has
+  // column = first and stride = its width.  Homogeneous form: every lane
+  // sees wave[k] on both e_ro and e_tdc in cycle k, and chunk lane w its
+  // constant lane_mu[w].
   std::size_t column{0};
   std::size_t stride{0};
-
-  // Input base pointers (cycle-major, lane-interleaved).
   const double* e_ro{nullptr};
   const double* e_tdc{nullptr};
   const double* mu{nullptr};
+  const double* wave{nullptr};
+  const double* lane_mu{nullptr};
 
   // z^-1 delay registers and per-lane constants.
   double* prev_lro{nullptr};
@@ -183,14 +195,25 @@ struct SimdChunkArgs {
 };
 
 /// Backend entry points.  Each is defined in its ensemble_kernel_*.cpp TU;
-/// the avx2/neon ones exist only when the matching ROCLK_SIMD_HAVE_* macro
-/// is set (EnsembleSimulator never dispatches to an uncompiled backend).
+/// the avx2/avx512/neon ones exist only when the matching
+/// ROCLK_SIMD_HAVE_* macro is set (EnsembleSimulator never dispatches to
+/// an uncompiled backend).
 void run_chunk_simd_scalar(const SimdChunkArgs& args);
 void run_chunk_simd_avx2(const SimdChunkArgs& args);
+void run_chunk_simd_avx512(const SimdChunkArgs& args);
 void run_chunk_simd_neon(const SimdChunkArgs& args);
 
 // ----------------------------------------------------------------------
 // Generic implementation.
+//
+// It has internal linkage, so each backend TU keeps private copies of the
+// templates it instantiates, compiled with that TU's ISA flags.  With
+// external linkage, an instantiation every TU shares (the width-1 body
+// above all) would be merged by the linker into one copy, possibly the
+// AVX-512 TU's, whose floor and trunc are vrndscalesd: the scalar and
+// AVX2 backends would then fault on a CPU without AVX-512.
+
+namespace {
 
 /// PowerOfTwoGain::apply on a lane vector: shift, then optional negate.
 template <class T>
@@ -235,9 +258,21 @@ inline double command_to_lro(const SimdChunkArgs& a, std::size_t lane,
   return std::clamp(commanded, a.min_len_d[lane], a.max_len_d[lane]);
 }
 
-/// Lane j's offset (gather index) and bit (mask) within a vector group.
-inline constexpr std::int64_t kLaneOffset[] = {0, 1, 2, 3};
-inline constexpr std::int64_t kLaneBit[] = {1, 2, 4, 8};
+/// Lane j's offset (gather index) and bit (mask) within a vector group,
+/// for groups of up to 8 lanes (AVX-512).
+inline constexpr std::int64_t kLaneOffset[] = {0, 1, 2, 3, 4, 5, 6, 7};
+inline constexpr std::int64_t kLaneBit[] = {1, 2, 4, 8, 16, 32, 64, 128};
+
+/// One cycle's inputs as the cycle body reads them.  Block form: e_ro,
+/// e_tdc and mu point at the cycle's row, chunk lane 0 first.  Homogeneous
+/// form: e_ro and e_tdc are null, every lane sees `wave`, and mu points at
+/// the chunk's per-lane constants.
+struct CycleInputs {
+  const double* e_ro{nullptr};
+  const double* e_tdc{nullptr};
+  const double* mu{nullptr};
+  double wave{0.0};
+};
 
 /// One simulated cycle for the V::kWidth lanes starting at chunk offset w:
 /// LoopSimulator::step_impl statement by statement.  kSites selects the
@@ -247,8 +282,7 @@ inline constexpr std::int64_t kLaneBit[] = {1, 2, 4, 8};
 template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
           ControlKind kControl, FaultSites kSites>
 inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
-                             const double* e_ro_row, const double* e_tdc_row,
-                             const double* mu_row, std::uint64_t pos,
+                             const CycleInputs& in, std::uint64_t pos,
                              std::int64_t* const* rows) {
   using D = typename V::D;
   using I = typename V::I;
@@ -510,15 +544,24 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   }
   latch(a.prev_lro, lro_now);
   latch(a.prev_t_dlv, t_dlv);
-  latch(a.prev_e_ro, V::load(e_ro_row + w));
-  latch(a.prev_e_local, V::sub(V::load(e_tdc_row + w), V::load(mu_row + w)));
+  const D mu = V::load(in.mu + w);
+  if (in.e_ro == nullptr) {
+    const D e = V::broadcast(in.wave);
+    latch(a.prev_e_ro, e);
+    latch(a.prev_e_local, V::sub(e, mu));
+  } else {
+    latch(a.prev_e_ro, V::load(in.e_ro + w));
+    latch(a.prev_e_local, V::sub(V::load(in.e_tdc + w), mu));
+  }
   if constexpr (kSites == FaultSites::kAll) {
     // A supply droop slows the whole die: both the RO and the TDC chain
     // see the extra stages next cycle, in step_impl's operand order
     // (`prev_e_tdc_ += droop`, then the TDC subtracts mu).
     if (faults.any && faults.droop != 0.0) {
-      a.prev_e_ro[w] = e_ro_row[w] + faults.droop;
-      a.prev_e_local[w] = (e_tdc_row[w] + faults.droop) - mu_row[w];
+      const double e_ro = in.e_ro == nullptr ? in.wave : in.e_ro[w];
+      const double e_tdc = in.e_tdc == nullptr ? in.wave : in.e_tdc[w];
+      a.prev_e_ro[w] = e_ro + faults.droop;
+      a.prev_e_local[w] = (e_tdc + faults.droop) - in.mu[w];
     }
   }
 }
@@ -561,18 +604,25 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
   std::uint64_t pos = *a.pushes;
   std::uint64_t fault_group_cycles = 0;
   for (std::size_t k = 0; k < a.cycles; ++k) {
-    const double* e_ro_row = a.e_ro + k * a.stride + a.column;
-    const double* e_tdc_row = a.e_tdc + k * a.stride + a.column;
-    const double* mu_row = a.mu + k * a.stride + a.column;
+    CycleInputs in;
+    if (a.wave != nullptr) {
+      in.mu = a.lane_mu;
+      in.wave = a.wave[k];
+    } else {
+      const std::size_t row = k * a.stride + a.column;
+      in.e_ro = a.e_ro + row;
+      in.e_tdc = a.e_tdc + row;
+      in.mu = a.mu + row;
+    }
     // One lane on the width-1 body, with every fault site compiled in when
     // its schedule has events.
     const auto lane_cycle = [&](std::size_t lane) {
       if (((a.armed >> lane) & 1u) != 0) {
         simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, FaultSites::kAll>(
-            a, lane, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+            a, lane, in, pos, rows.data());
       } else {
         simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, FaultSites::kNone>(
-            a, lane, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+            a, lane, in, pos, rows.data());
       }
     };
     // A fault cycle for a group: one of its armed lanes is isolated or
@@ -589,10 +639,10 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
       const std::uint64_t group = (a.armed >> w) & kGroupBits;
       if (group == 0) {
         simd_cycle_lanes<T, TdcQ, CdnQ, kControl, FaultSites::kNone>(
-            a, w, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+            a, w, in, pos, rows.data());
       } else if (!fault_cycle(group, w)) {
         simd_cycle_lanes<T, TdcQ, CdnQ, kControl, FaultSites::kIsolation>(
-            a, w, e_ro_row, e_tdc_row, mu_row, pos, rows.data());
+            a, w, in, pos, rows.data());
       } else {
         ++fault_group_cycles;
         for (std::size_t lane = w; lane < w + W; ++lane) lane_cycle(lane);
@@ -661,5 +711,7 @@ void run_chunk_simd_impl(const SimdChunkArgs& a) {
       break;
   }
 }
+
+}  // namespace
 
 }  // namespace roclk::core::detail

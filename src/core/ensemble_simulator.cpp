@@ -1,6 +1,7 @@
 #include "roclk/core/ensemble_simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -20,15 +21,11 @@ namespace {
 /// Configs beyond this run the scalar pack, whose conversions are casts.
 constexpr double kSimdMaxMagnitude = 0x1p49;
 
-/// Bytes of input samples per lane and cycle (e_ro, e_tdc and mu).
-constexpr std::size_t kSampleBytes = 3 * sizeof(double);
-/// Budget of one sampled input tile of run_homogeneous.  A chunk task
-/// holds one such tile while it runs, so at most (pool size + 1) are live.
-/// Each of its three arrays stays far below glibc's 128 KiB mmap
-/// threshold, so refilling a tile is served from the allocator's free
-/// lists and never maps memory.  A full 32-lane chunk refills every 85
-/// cycles, a single lane every 2,730.
-constexpr std::size_t kTileBytes = 64 * std::size_t{1024};
+/// Cycles per waveform tile of run_homogeneous: 4 KiB of samples, one per
+/// cycle, shared by every lane of a chunk.  A chunk task holds its tile on
+/// its stack while it runs, so a call's memory does not grow with its
+/// cycles.
+constexpr std::size_t kWaveTileCycles = 512;
 
 }  // namespace
 
@@ -363,21 +360,11 @@ std::size_t EnsembleSimulator::isolated_count() const {
 }
 
 void EnsembleSimulator::run_one_chunk(Chunk& chunk,
-                                      const EnsembleInputBlock& block,
-                                      std::size_t column,
-                                      std::size_t first_cycle,
+                                      detail::SimdChunkArgs args,
                                       StreamingReducer& reducer,
                                       simd::Backend backend) {
-  detail::SimdChunkArgs args;
   args.first = chunk.first;
   args.cw = chunk.width;
-  args.cycles = block.cycles;
-  args.first_cycle = first_cycle;
-  args.column = column;
-  args.stride = block.width;
-  args.e_ro = block.e_ro.data();
-  args.e_tdc = block.e_tdc.data();
-  args.mu = block.mu.data();
   args.prev_lro = chunk.prev_lro.data();
   args.prev_t_dlv = chunk.prev_t_dlv.data();
   args.prev_e_ro = chunk.prev_e_ro.data();
@@ -454,6 +441,13 @@ void EnsembleSimulator::run_one_chunk(Chunk& chunk,
 #else
       break;
 #endif
+    case simd::Backend::kAvx512:
+#ifdef ROCLK_SIMD_HAVE_AVX512
+      detail::run_chunk_simd_avx512(args);
+      return;
+#else
+      break;
+#endif
     case simd::Backend::kNeon:
 #ifdef ROCLK_SIMD_HAVE_NEON
       detail::run_chunk_simd_neon(args);
@@ -489,7 +483,14 @@ void EnsembleSimulator::run(const EnsembleInputBlock& block,
   // Resolved once per run: every chunk of one call uses one backend.
   const simd::Backend backend = simd::active_backend();
   for_each_chunk(pool, [&](Chunk& chunk) {
-    run_one_chunk(chunk, block, chunk.first, 0, reducer, backend);
+    detail::SimdChunkArgs args;
+    args.cycles = block.cycles;
+    args.column = chunk.first;
+    args.stride = block.width;
+    args.e_ro = block.e_ro.data();
+    args.e_tdc = block.e_tdc.data();
+    args.mu = block.mu.data();
+    run_one_chunk(chunk, args, reducer, backend);
   });
 }
 
@@ -504,17 +505,20 @@ void EnsembleSimulator::run_homogeneous(
   if (cycles == 0) return;
   const simd::Backend backend = simd::active_backend();
   for_each_chunk(pool, [&](Chunk& chunk) {
-    // Tile values equal the whole-run block's, whatever the tile length:
-    // sample k of a tile is the waveform at (start + k) * dt.
-    const std::size_t tile_length = kTileBytes / (kSampleBytes * chunk.width);
-    const std::span<const double> lane_mus =
-        static_mu_stages.subspan(chunk.first, chunk.width);
-    EnsembleInputBlock tile;
-    for (std::size_t start = 0; start < cycles; start += tile_length) {
-      const std::size_t n = std::min(tile_length, cycles - start);
-      sample_homogeneous_into(tile, waveform, lane_mus, n, dt, start);
-      run_one_chunk(chunk, tile, /*column=*/0, /*first_cycle=*/start,
-                    reducer, backend);
+    // Sample k of a tile is the waveform at (start + k) * dt: the value
+    // sample_homogeneous_ensemble's block holds in every lane's e_ro and
+    // e_tdc at cycle start + k, whatever the tile length.
+    std::array<double, kWaveTileCycles> wave{};
+    detail::SimdChunkArgs args;
+    args.wave = wave.data();
+    args.lane_mu = static_mu_stages.data() + chunk.first;
+    for (std::size_t start = 0; start < cycles; start += kWaveTileCycles) {
+      args.cycles = std::min(kWaveTileCycles, cycles - start);
+      args.first_cycle = start;
+      for (std::size_t k = 0; k < args.cycles; ++k) {
+        wave[k] = waveform.at(static_cast<double>(start + k) * dt);
+      }
+      run_one_chunk(chunk, args, reducer, backend);
     }
   });
 }

@@ -161,20 +161,10 @@ EnsembleInputBlock sample_ensemble(std::span<const SimulationInputs> lanes,
 EnsembleInputBlock sample_homogeneous_ensemble(
     const signal::Waveform& waveform,
     std::span<const double> static_mu_stages, std::size_t n, double dt) {
-  EnsembleInputBlock block;
-  sample_homogeneous_into(block, waveform, static_mu_stages, n, dt,
-                          /*start_cycle=*/0);
-  return block;
-}
-
-void sample_homogeneous_into(EnsembleInputBlock& block,
-                             const signal::Waveform& waveform,
-                             std::span<const double> static_mu_stages,
-                             std::size_t n, double dt,
-                             std::size_t start_cycle) {
   ROCLK_CHECK(dt > 0.0, "sample period must be positive");
   ROCLK_CHECK(!static_mu_stages.empty(), "no lanes");
   const std::size_t width = static_mu_stages.size();
+  EnsembleInputBlock block;
   block.dt = dt;
   block.width = width;
   block.cycles = n;
@@ -185,13 +175,13 @@ void sample_homogeneous_into(EnsembleInputBlock& block,
   double* const e_tdc = block.e_tdc.data();
   double* const mu = block.mu.data();
   for (std::size_t k = 0; k < n; ++k) {
-    const double e =
-        waveform.at(static_cast<double>(start_cycle + k) * dt);
+    const double e = waveform.at(static_cast<double>(k) * dt);
     const std::size_t row = k * width;
     std::fill_n(e_ro + row, width, e);
     std::fill_n(e_tdc + row, width, e);
     std::copy(static_mu_stages.begin(), static_mu_stages.end(), mu + row);
   }
+  return block;
 }
 
 }  // namespace roclk::core

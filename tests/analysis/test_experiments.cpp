@@ -100,9 +100,10 @@ TEST(Experiments, SimulateSystemMatchesScalarRunBatchBitForBit) {
 }
 
 TEST(Experiments, SimulateSystemEnsembleIsTileInvariant) {
-  // simulate_system_ensemble samples its inputs in tiles of about
-  // 64 KiB: 170 cycles at 16 lanes, 2730 at one lane.  Runs spanning many
-  // tiles (and a partial last one) must equal the scalar reference.
+  // simulate_system_ensemble samples its waveform in tiles of 512 cycles
+  // at any lane count.  Runs spanning several tiles (3 for the 16-lane
+  // grid, 12 for the one-lane corner, each with a partial last one) must
+  // equal the scalar reference.
   const double c = 64.0;
   const double amplitude = 0.2 * c;
   const double te = 40.0 * c;

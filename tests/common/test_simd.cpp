@@ -72,11 +72,20 @@ TEST(CacheAlignedAllocator, RebindsAndComparesEqual) {
 TEST(SimdBackend, ParseBackendRecognisesNamesOnly) {
   EXPECT_EQ(parse_backend("scalar"), Backend::kScalar);
   EXPECT_EQ(parse_backend("avx2"), Backend::kAvx2);
+  EXPECT_EQ(parse_backend("avx512"), Backend::kAvx512);
   EXPECT_EQ(parse_backend("neon"), Backend::kNeon);
+  // Names match in any case.
+  EXPECT_EQ(parse_backend("SCALAR"), Backend::kScalar);
+  EXPECT_EQ(parse_backend("AVX2"), Backend::kAvx2);
+  EXPECT_EQ(parse_backend("Avx512"), Backend::kAvx512);
+  EXPECT_EQ(parse_backend("nEoN"), Backend::kNeon);
   EXPECT_EQ(parse_backend("native"), std::nullopt);
+  EXPECT_EQ(parse_backend("NATIVE"), std::nullopt);
   EXPECT_EQ(parse_backend("auto"), std::nullopt);
   EXPECT_EQ(parse_backend(""), std::nullopt);
   EXPECT_EQ(parse_backend("sse9"), std::nullopt);
+  EXPECT_EQ(parse_backend("avx"), std::nullopt);
+  EXPECT_EQ(parse_backend("avx5120"), std::nullopt);
 }
 
 TEST(SimdBackend, ScalarIsAlwaysUsableAndNamed) {
@@ -84,6 +93,7 @@ TEST(SimdBackend, ScalarIsAlwaysUsableAndNamed) {
   EXPECT_TRUE(backend_cpu_supported(Backend::kScalar));
   EXPECT_STREQ(to_string(Backend::kScalar), "scalar");
   EXPECT_STREQ(to_string(Backend::kAvx2), "avx2");
+  EXPECT_STREQ(to_string(Backend::kAvx512), "avx512");
   EXPECT_STREQ(to_string(Backend::kNeon), "neon");
 }
 
@@ -91,6 +101,18 @@ TEST(SimdBackend, NativeBackendIsCompiledAndSupported) {
   const Backend native = native_backend();
   EXPECT_TRUE(backend_compiled(native));
   EXPECT_TRUE(backend_cpu_supported(native));
+}
+
+TEST(SimdBackend, NativeIsTheWidestUsableBackend) {
+  Backend widest = Backend::kScalar;
+  for (const Backend candidate :
+       {Backend::kAvx512, Backend::kAvx2, Backend::kNeon}) {
+    if (backend_compiled(candidate) && backend_cpu_supported(candidate)) {
+      widest = candidate;
+      break;
+    }
+  }
+  EXPECT_EQ(native_backend(), widest) << to_string(native_backend());
 }
 
 TEST(SimdBackend, OverrideOutranksEnvAndNative) {
@@ -114,7 +136,8 @@ TEST(SimdBackend, OverrideOutranksEnvAndNative) {
 }
 
 TEST(SimdBackend, UnusableOverrideDegradesToScalar) {
-  for (const Backend candidate : {Backend::kAvx2, Backend::kNeon}) {
+  for (const Backend candidate :
+       {Backend::kAvx2, Backend::kAvx512, Backend::kNeon}) {
     if (backend_compiled(candidate) && backend_cpu_supported(candidate)) {
       continue;  // genuinely usable here; nothing to degrade
     }

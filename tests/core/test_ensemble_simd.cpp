@@ -6,7 +6,8 @@
 //
 // The ensemble engine promises each lane's streamed trace is identical to
 // run_batch on that lane's config and inputs — on the forced portable
-// scalar pack AND the native vector backend (AVX2/NEON where available).
+// scalar pack AND every vector backend this binary and CPU can run
+// (AVX2, AVX-512, NEON).
 // These tests are the gate behind that promise; the perf runner only
 // times configurations this suite proves equivalent.
 #include <gtest/gtest.h>
@@ -49,13 +50,19 @@ struct BackendOverrideGuard {
   BackendOverrideGuard& operator=(const BackendOverrideGuard&) = delete;
 };
 
-/// Both backends every test must be exact on.  When the native backend is
-/// the scalar pack (no vector unit compiled/available) the list collapses
-/// to one entry — the tests still cover the portable pack + tail split.
+/// Every backend each test must be exact on: the scalar pack plus every
+/// vector backend compiled in and supported by this CPU, so an AVX-512
+/// host still tests AVX2.  Without a usable vector backend the list
+/// collapses to one entry — the tests still cover the portable pack + tail
+/// split.
 std::vector<simd::Backend> backends_under_test() {
   std::vector<simd::Backend> backends{simd::Backend::kScalar};
-  if (simd::native_backend() != simd::Backend::kScalar) {
-    backends.push_back(simd::native_backend());
+  for (const simd::Backend backend :
+       {simd::Backend::kAvx2, simd::Backend::kAvx512, simd::Backend::kNeon}) {
+    if (simd::backend_compiled(backend) &&
+        simd::backend_cpu_supported(backend)) {
+      backends.push_back(backend);
+    }
   }
   return backends;
 }
@@ -145,10 +152,11 @@ void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
 }
 
 // Widths chosen around the vector geometry: 1 (pure tail), 3 and 5 are
-// vector_width -/+ 1 for both AVX2 (4) and NEON (2), 13 is prime (vector
-// groups + odd tail), 33 crosses the 32-lane chunk boundary so a second
-// chunk with a 1-lane tail runs too.
-const std::size_t kWidths[] = {1, 3, 5, 13, 33};
+// vector_width -/+ 1 for AVX2 (4) and odd for NEON (2), 7 and 9 are
+// vector_width -/+ 1 for AVX-512 (8), 13 is prime (vector groups + odd
+// tail), 33 crosses the 32-lane chunk boundary so a second chunk with a
+// 1-lane tail runs too.
+const std::size_t kWidths[] = {1, 3, 5, 7, 9, 13, 33};
 
 TEST(EnsembleSimd, OddWidthsBitExactOnEveryBackend) {
   const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
@@ -249,9 +257,10 @@ TEST(EnsembleSimd, ClearFaultsRestoresVectorPathExactly) {
   }
 }
 
-// Widths for the route tests: a pure tail lane, one vector group plus a
-// tail, and two chunks.
-const std::size_t kRouteWidths[] = {1, 5, 33};
+// Widths for the route tests: a pure tail lane; 5, one vector group plus a
+// tail on AVX2 and the scalar pack but a pure tail on AVX-512; 13, vector
+// groups plus a tail on every backend; and two chunks.
+const std::size_t kRouteWidths[] = {1, 5, 13, 33};
 
 /// Per-lane fault schedules: seeded random events on lanes 0 and 9 of
 /// every 16, the isolating double droop of 1e308 on mid-vector lane 2, and
@@ -378,12 +387,12 @@ TEST(EnsembleSimd, OutOfDomainConfigBitExactOnEveryBackend) {
 }
 
 // Fault windows against every boundary the fault route carries state
-// across: run() calls, run_homogeneous's sampling tiles and reset().
+// across: run() calls, run_homogeneous's waveform tiles and reset().
 // 33 lanes are a full chunk plus a 1-lane second chunk; run_homogeneous
-// samples the full chunk in tiles of 85 cycles (64 KiB over 3 doubles x
-// 32 lanes), so its tiles start at cycles 85, 170, 255 and 340.
+// samples the waveform in tiles of 512 cycles for every chunk, so its
+// tiles start at cycles 512 and 1024.
 constexpr std::size_t kWindowWidth = 33;
-constexpr std::size_t kWindowCycles = 400;
+constexpr std::size_t kWindowCycles = 1100;
 const std::size_t kRunSplits[] = {0, 100, 257, kWindowCycles};
 
 /// Hand-placed schedules on lanes 0, 8, 9, 16, 24 and 32; every other
@@ -392,20 +401,21 @@ std::vector<fault::FaultSchedule> window_schedules() {
   using fault::FaultEvent;
   using fault::FaultKind;
   std::vector<fault::FaultSchedule> schedules(kWindowWidth);
-  // An event on cycle 0, and a window across the first tile boundary.
+  // An event on cycle 0, and windows across the tile boundaries at 512
+  // and 1024.
   schedules[0]
       .add({FaultKind::kTdcGlitch, 0, 1, 5.0})
-      .add({FaultKind::kRoStageFailure, 83, 5, 3.0});
+      .add({FaultKind::kRoStageFailure, 510, 5, 3.0})
+      .add({FaultKind::kCdnDeliveryDrop, 1022, 4, 0.0});
   // Overlapping windows on one lane, and a window on a second lane of
-  // its vector group (lanes 8-11 on AVX2 and the scalar pack, 8-9 on
-  // NEON) that overlaps both.
+  // its vector group (lanes 8-15 on AVX-512, 8-11 on AVX2 and the scalar
+  // pack, 8-9 on NEON) that overlaps both.
   schedules[8]
       .add({FaultKind::kTdcStuckAt, 150, 20, 40.0})
       .add({FaultKind::kTdcGlitch, 160, 30, -6.0});
   schedules[9].add({FaultKind::kVoltageDroop, 165, 10, 4.0});
-  // A window straddling the run() boundary at cycle 100, one across the
-  // tile boundary at 255 and the run() boundary at 257, then an event
-  // that never ends.
+  // Windows straddling the run() boundaries at cycles 100 and 257, then
+  // an event that never ends.
   schedules[16]
       .add({FaultKind::kRoStageFailure, 98, 4, -2.0})
       .add({FaultKind::kCdnDeliveryDrop, 255, 4, 0.0})
@@ -457,8 +467,8 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
                                      cdn::DelayQuantization::kRound, true);
   const auto schedules = window_schedules();
   // run() inputs: an infinite e_ro sample on armed lane 8 at cycle 310,
-  // long after its windows, isolates it on cycle 311 while lanes 9-11 of
-  // its group run on.
+  // long after its windows, isolates it on cycle 311 while the other
+  // lanes of its group run on.
   auto block = sample_ensemble(varied_inputs(kWindowWidth), kWindowCycles,
                                kSetpoint);
   block.e_ro[310 * kWindowWidth + 8] = std::numeric_limits<double>::infinity();
@@ -552,9 +562,9 @@ std::uint64_t consult_cycles(const fault::FaultSchedule& schedule,
 
 TEST(EnsembleSimd, FaultGroupCyclesFollowTheConsultRule) {
   // Random schedules on every 8th lane of 64: each armed vector group
-  // holds exactly one armed lane on AVX2 and the scalar pack (4 lanes)
-  // and on NEON (2 lanes), so a group leaves the vector body exactly on
-  // its armed lane's consult cycles.
+  // holds exactly one armed lane on AVX-512 (8 lanes), on AVX2 and the
+  // scalar pack (4 lanes) and on NEON (2 lanes), so a group leaves the
+  // vector body exactly on its armed lane's consult cycles.
   constexpr std::size_t kLanes = 64;
   constexpr std::size_t kArmedEvery = 8;
   constexpr std::uint64_t kRunCycles = 20'000;

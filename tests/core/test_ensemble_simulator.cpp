@@ -282,10 +282,10 @@ TEST(EnsembleSimulator, SuccessiveRunsContinueLikeRunBatch) {
 }
 
 TEST(EnsembleSimulator, RunHomogeneousMatchesWholeBlockRun) {
-  // 70 lanes: two 32-lane chunks (85-cycle tiles) and a 6-lane tail
-  // (455-cycle tiles), each sampling its own lanes at column 0.  Every
-  // streamed value must equal a run over the whole sampled block, both
-  // sequentially and on a pool.
+  // 70 lanes: two 32-lane chunks and a 6-lane chunk, each sampling the
+  // waveform into its own 512-cycle tiles (two over 1000 cycles) and
+  // reading its own lanes' mu.  Every streamed value must equal a run over
+  // the whole sampled block, both sequentially and on a pool.
   const std::size_t lanes = 70;
   const std::size_t cycles = 1000;
   const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
@@ -470,7 +470,7 @@ class ChunkScheduleReducer final : public StreamingReducer {
 TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
   // run_homogeneous makes each chunk one pool task for the whole call: its
   // slices all come from one thread, and its cycle index runs 0..999 once
-  // across the dozen 85-cycle tiles it samples.  A fork/join per tile
+  // across the two 512-cycle tiles it samples.  A fork/join per tile
   // would hand chunks between threads and restart the index per tile.
   const std::size_t lanes = 128;
   const std::size_t chunks = lanes / ChunkScheduleReducer::kChunkLanes;
