@@ -1,24 +1,24 @@
 // Streaming RunMetrics reduction for ensemble runs.
 //
-// MetricsReducer folds EnsembleSimulator's per-cycle lane slices straight
-// into the four figures of merit of evaluate_run — required safety margin,
-// mean delivered period, violation count, tau ripple — without ever
-// materialising a per-lane SimulationTrace.  A W-lane Monte-Carlo
-// therefore allocates O(W) accumulator state instead of O(W * cycles)
-// trace memory.
+// MetricsReducer hands EnsembleSimulator's kernel its core::LaneAccumulators,
+// and the kernel folds each cycle straight into the figures of merit of
+// evaluate_run — required safety margin, mean delivered period, violation
+// count, tau ripple — while the cycle's values are still in vector
+// registers.  No per-lane SimulationTrace and no per-cycle slice exist,
+// so a W-lane Monte-Carlo allocates O(W) accumulator state instead of
+// O(W * cycles) trace memory.
 //
-// The accumulators use the *same* definitions, in the *same* fold order,
-// as SimulationTrace + evaluate_run: the margin folds delta[n] = c -
-// tau[n], which the kernel computes with the identical subtraction; the
-// period mean performs RunningStats::add's Welford update (without the m2
-// term the metrics never read); the tau ripple keeps the running extrema.
-// The resulting RunMetrics are therefore bit-for-bit equal to running each
-// lane through run_batch + evaluate_run.
-// tests/core/test_ensemble_simulator enforces this.
+// The fold uses the *same* definitions, in the *same* order, as
+// SimulationTrace + evaluate_run: the margin folds delta[n] = c - tau[n],
+// which the kernel computes with the identical subtraction; the period
+// mean performs RunningStats::add's Welford update (without the m2 term
+// the metrics never read); the tau ripple keeps the running extrema.  The
+// resulting RunMetrics are therefore bit-for-bit equal to running each
+// lane through run_batch + evaluate_run.  tests/core/test_ensemble_simd
+// enforces this on every backend and route.
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -28,10 +28,10 @@
 
 namespace roclk::analysis {
 
-/// Streaming per-lane RunMetrics accumulator.  `skip` drops the initial
-/// transient, counted per lane (like evaluate_run's skip).  Thread-safe
-/// under pooled EnsembleSimulator runs: each lane's state is touched only
-/// by the chunk that owns the lane.
+/// Streaming per-lane RunMetrics.  `skip` drops the initial transient,
+/// counted per lane (like evaluate_run's skip).  Thread-safe under pooled
+/// EnsembleSimulator runs: each lane's accumulators are written only by
+/// the chunk that owns the lane.
 class MetricsReducer final : public core::StreamingReducer {
  public:
   /// One shared fixed-clock reference period for every lane.
@@ -39,34 +39,30 @@ class MetricsReducer final : public core::StreamingReducer {
   /// Per-lane fixed-clock reference periods.
   MetricsReducer(std::vector<double> fixed_periods, std::size_t skip);
 
+  /// A contract check only: the kernel folds into accumulators() and never
+  /// hands this reducer a slice, so a call throws.
   void accumulate(const core::LaneSlice& slice) override;
-  /// The metrics never read l_RO or T_gen, so the kernel may skip staging
-  /// them.
-  [[nodiscard]] bool wants_full_slice() const override { return false; }
+  [[nodiscard]] core::LaneAccumulators* accumulators() override {
+    return &acc_;
+  }
 
-  [[nodiscard]] std::size_t lanes() const { return accumulators_.size(); }
+  [[nodiscard]] std::size_t lanes() const { return acc_.lanes(); }
+  /// Cycles the lane has run, the skipped and isolated ones included.
   [[nodiscard]] std::size_t cycles_seen(std::size_t lane) const;
 
   /// Finished-run metrics for one lane; requires that more than `skip`
-  /// cycles have been accumulated (same precondition as evaluate_run).
+  /// cycles have been seen (same precondition as evaluate_run).  A lane
+  /// isolated before it folded a single cycle (EnsembleSimulator::
+  /// isolated(), during the transient) has no figures: its safety margin,
+  /// mean period, relative adaptive period and tau ripple are NaN and its
+  /// violations 0, never values that read as a good lane.
   [[nodiscard]] RunMetrics metrics(std::size_t lane) const;
   /// metrics() for every lane.
   [[nodiscard]] std::vector<RunMetrics> all() const;
 
  private:
-  struct LaneAccumulator {
-    double worst_margin{0.0};  // max(0, max(c - tau)), folded from delta
-    double period_mean{0.0};   // Welford mean of t_dlv after skip
-    std::size_t period_n{0};
-    double tau_min{std::numeric_limits<double>::infinity()};
-    double tau_max{-std::numeric_limits<double>::infinity()};
-    std::size_t violations{0};
-    std::size_t seen{0};       // cycles observed, including skipped ones
-  };
-
-  std::vector<LaneAccumulator> accumulators_;
+  core::LaneAccumulators acc_;
   std::vector<double> fixed_periods_;
-  std::size_t skip_;
 };
 
 /// Convenience wrapper: reset the ensemble, run `block`, return one

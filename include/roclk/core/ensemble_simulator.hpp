@@ -24,14 +24,19 @@
 //    one waveform sample per cycle broadcast to every lane plus each
 //    lane's constant mu.
 //
-// Per-cycle results stream into a StreamingReducer instead of a trace, so
-// a 1k-lane study allocates O(W) accumulator state, not O(W * cycles)
-// trace memory.
+// Per-cycle results go to a StreamingReducer instead of a trace, so a
+// 1k-lane study allocates O(W) accumulator state, not O(W * cycles) trace
+// memory.  A reducer either takes a LaneSlice per cycle per chunk
+// (TraceReducer), or hands the kernel LaneAccumulators, into which each
+// cycle's figures of merit are folded while they are still in vector
+// registers, with no staging and no call per cycle (MetricsReducer).
 //
-// Equivalence guarantee (enforced by tests/core/test_ensemble_simulator):
-// lane w of run() performs exactly the arithmetic, in exactly the order,
-// of a scalar LoopSimulator::run_batch over the same per-lane inputs —
-// every tau/delta/lro/t_gen/t_dlv it streams is bit-for-bit identical.
+// Equivalence guarantee (enforced by tests/core/test_ensemble_simulator
+// and test_ensemble_simd): lane w of run() performs exactly the
+// arithmetic, in exactly the order, of a scalar LoopSimulator::run_batch
+// over the same per-lane inputs — every tau/delta/lro/t_gen/t_dlv it
+// streams is bit-for-bit identical, and its folded accumulators hold
+// what evaluate_run computes from that trace.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +62,9 @@ namespace detail {
 struct SimdChunkArgs;  // the per-chunk kernel's arguments
 }  // namespace detail
 
-/// One simulated cycle's results for a contiguous range of lanes.  The
-/// arrays are indexed [0, width) and belong to lanes
-/// [first_lane, first_lane + width).
+/// One simulated cycle's results for a contiguous range of lanes, as a
+/// reducer without accumulators receives them.  The arrays are indexed
+/// [0, width) and belong to lanes [first_lane, first_lane + width).
 struct LaneSlice {
   std::size_t first_lane{0};
   std::size_t width{0};
@@ -76,20 +81,53 @@ struct LaneSlice {
   const std::uint8_t* isolated{nullptr};
 };
 
-/// Streaming consumer of ensemble results.  accumulate() is called once
-/// per cycle per lane chunk, with cycles strictly increasing within a
-/// chunk.  When a run call has a pool, each chunk runs as one pool task
-/// for the whole call, so chunks covering disjoint lane ranges may call
-/// accumulate() concurrently — implementations must only touch per-lane
-/// state (as MetricsReducer and TraceReducer do).
+/// Per-lane figures of merit that the ensemble kernel folds each cycle
+/// into, indexed by ensemble lane: the reducer hook that replaces a
+/// per-cycle LaneSlice (see StreamingReducer::accumulators()).  A lane's
+/// cycles are counted in `seen`; on every cycle from `skip` on that the
+/// lane runs un-isolated, the kernel folds, with RunningStats::add's and
+/// evaluate_run's operations in their order:
+///   worst_delta = max(worst_delta, delta)       (from 0)
+///   count += 1; mean += (t_dlv - mean) / count   (Welford mean of t_dlv)
+///   tau_min = min(tau_min, tau); tau_max = max(tau_max, tau)
+///   violations += tau < setpoint                 (on the true reading)
+/// tau and delta are the values a slice would hold, after any sensor
+/// fault; the violation is judged before it.  An isolated lane folds
+/// nothing more but keeps counting `seen`.  count and violations are
+/// doubles so the fold stays on lane vectors; they are exact below 2^53.
+/// Each array starts on its own cache line and a chunk covers 32 lanes,
+/// so chunks running on different threads never share a line.
+struct LaneAccumulators {
+  LaneAccumulators(std::size_t lanes, std::size_t skip);
+
+  [[nodiscard]] std::size_t lanes() const { return seen.size(); }
+
+  simd::aligned_vector<double> worst_delta;
+  simd::aligned_vector<double> mean;
+  simd::aligned_vector<double> count;  // folded cycles
+  simd::aligned_vector<double> tau_min;
+  simd::aligned_vector<double> tau_max;
+  simd::aligned_vector<double> violations;
+  simd::aligned_vector<std::size_t> seen;  // cycles run, skipped included
+  std::size_t skip{0};                     // cycles seen before the fold
+};
+
+/// Streaming consumer of ensemble results.  A reducer whose accumulators()
+/// is null gets accumulate() once per cycle per lane chunk, with the full
+/// slice and cycles strictly increasing within a chunk.  One that returns
+/// accumulators gets no call at all: the kernel folds into them (see
+/// LaneAccumulators).  When a run call has a pool, each chunk runs as one
+/// pool task for the whole call, so chunks covering disjoint lane ranges
+/// may call accumulate() or fold concurrently — implementations must only
+/// touch per-lane state (as TraceReducer does).
 class StreamingReducer {
  public:
   virtual ~StreamingReducer() = default;
   virtual void accumulate(const LaneSlice& slice) = 0;
-  /// Reducers that never read slice.lro / slice.t_gen may return false;
-  /// the kernel then skips staging those two arrays and their slice
-  /// pointers may reference stale values.  Defaults to the full slice.
-  [[nodiscard]] virtual bool wants_full_slice() const { return true; }
+  /// The accumulators the kernel folds into instead of calling
+  /// accumulate(), or nullptr (the default) for a slice per cycle.  Every
+  /// lane of a chunk must have seen the same number of cycles.
+  [[nodiscard]] virtual LaneAccumulators* accumulators() { return nullptr; }
 };
 
 /// Reducer that materializes one full SimulationTrace per lane — the
@@ -141,10 +179,11 @@ class EnsembleSimulator {
   /// True when every lane runs the devirtualized integer-IIR bank.
   [[nodiscard]] bool uses_iir_fast_path() const { return iir_bank_active_; }
 
-  /// Runs block.cycles cycles on every lane, streaming per-cycle lane
-  /// slices into `reducer`.  block.width must equal width().  `parallel`
-  /// distributes lane chunks over ThreadPool::shared(); per-lane results
-  /// are schedule-independent.  Like run_batch, successive calls continue
+  /// Runs block.cycles cycles on every lane, streaming per-cycle results
+  /// into `reducer` (slices, or the fold into its accumulators).
+  /// block.width must equal width().  `parallel` distributes lane chunks
+  /// over ThreadPool::shared(); per-lane results are
+  /// schedule-independent.  Like run_batch, successive calls continue
   /// from the current loop state; call reset() to start a fresh run.
   void run(const EnsembleInputBlock& block, StreamingReducer& reducer,
            bool parallel = false);
@@ -207,7 +246,8 @@ class EnsembleSimulator {
   // CDN ring plus its delay registers fit in L1, and chunks are the unit
   // of thread parallelism and of kernel calls.  32 lanes = 4 AVX-512 or
   // 8 AVX2 vectors per per-cycle array pass — wide enough to amortize the
-  // per-cycle reducer call, small enough that the ring stays L1-resident.
+  // per-cycle work outside the lane groups (a slice reducer's call among
+  // it), small enough that the ring stays L1-resident.
   static constexpr std::size_t kChunkLanes = 32;
 
   // All lane arrays use simd::aligned_vector: every array starts on its
@@ -258,7 +298,8 @@ class EnsembleSimulator {
     simd::aligned_vector<std::int64_t> iir_prev_input;
     std::size_t iir_head{0};
 
-    // Per-cycle output staging handed to the reducer.
+    // Per-cycle output staging handed to a reducer that takes slices;
+    // untouched when the reducer hands out accumulators.
     simd::aligned_vector<double> tau;
     simd::aligned_vector<double> delta;
     simd::aligned_vector<double> lro;
@@ -273,9 +314,10 @@ class EnsembleSimulator {
     // Fault replay state (populated only by attach_faults).  An isolated
     // lane is skipped by the kernel, so its staging entries keep repeating
     // the last good cycle — the exact analogue of LoopSimulator's frozen
-    // record.  Bit w of `armed` marks lane w's schedule as having events.
-    // next_consult[w] is the first cycle on which lane w's injector can
-    // report a fault (0 after reset: consult on the first cycle).  A group
+    // record — and it folds nothing more into accumulators.  Bit w of
+    // `armed` marks lane w's schedule as having events.  next_consult[w]
+    // is the first cycle on which lane w's injector can report a fault (0
+    // after reset: consult on the first cycle).  A group
     // holding armed lanes leaves the vector path only on cycles where one
     // of them is isolated or due a consult, and groups without armed
     // lanes never do.

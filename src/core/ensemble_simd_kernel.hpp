@@ -51,6 +51,13 @@
 //    cycle needs no fault site but the isolation test: no event is
 //    active, so begin_cycle would report nothing, and skipped cycles are
 //    caught up in schedule order by the next begin_cycle.
+//  * A reducer with LaneAccumulators gets the figures of merit folded in
+//    the cycle body, on the lane vectors, instead of a staged slice: each
+//    fold step is RunningStats::add's or evaluate_run's operation (a
+//    std::min/std::max as cmp+select in its selection order, the Welford
+//    mean with the count as an exact double), so a lane's accumulators
+//    hold what evaluate_run computes from its trace.  The fold is a
+//    runtime test of the hook, not a template axis.
 #pragma once
 
 #include <algorithm>
@@ -106,6 +113,20 @@ struct SimdIirArgs {
   std::int64_t aw_max{0};
 };
 
+/// A reducer's LaneAccumulators as one chunk sees them: each array from
+/// the chunk's first lane on.  `mean == nullptr` means the reducer takes
+/// slices instead.
+struct SimdFoldArgs {
+  double* worst_delta{nullptr};
+  double* mean{nullptr};
+  double* count{nullptr};
+  double* tau_min{nullptr};
+  double* tau_max{nullptr};
+  double* violations{nullptr};
+  std::size_t* seen{nullptr};
+  std::size_t skip{0};
+};
+
 /// Raw-pointer view of one chunk plus the ensemble-level constants the
 /// kernel needs; assembled by EnsembleSimulator::run_one_chunk.
 struct SimdChunkArgs {
@@ -152,7 +173,7 @@ struct SimdChunkArgs {
   const double* cdn_initial{nullptr};
   std::uint64_t* pushes{nullptr};  // in/out: absolute push counter
 
-  // Per-cycle staging handed to the reducer.
+  // Per-cycle staging handed to a reducer that takes slices.
   double* out_tau{nullptr};
   double* out_delta{nullptr};
   double* out_lro{nullptr};
@@ -174,9 +195,10 @@ struct SimdChunkArgs {
   SimdIirArgs iir;
   const std::unique_ptr<control::ControlBlock>* controllers{nullptr};
 
-  // Streaming sink.
+  // Streaming sink: slices to `reducer`, or the fold into its
+  // accumulators when `fold.mean` is set.
   StreamingReducer* reducer{nullptr};
-  bool full_slice{true};
+  SimdFoldArgs fold;
 
   // Fault replay, set on a fault-armed ensemble only.  Bit w of `armed`
   // marks lane w's schedule as having events; `isolated` is the chunk's
@@ -266,12 +288,14 @@ inline constexpr std::int64_t kLaneBit[] = {1, 2, 4, 8, 16, 32, 64, 128};
 /// One cycle's inputs as the cycle body reads them.  Block form: e_ro,
 /// e_tdc and mu point at the cycle's row, chunk lane 0 first.  Homogeneous
 /// form: e_ro and e_tdc are null, every lane sees `wave`, and mu points at
-/// the chunk's per-lane constants.
+/// the chunk's per-lane constants.  `fold` is set on the cycles a reducer
+/// with accumulators folds (its lanes have seen `skip` cycles).
 struct CycleInputs {
   const double* e_ro{nullptr};
   const double* e_tdc{nullptr};
   const double* mu{nullptr};
   double wave{0.0};
+  bool fold{false};
 };
 
 /// One simulated cycle for the V::kWidth lanes starting at chunk offset w:
@@ -293,9 +317,9 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   static_assert(W <= std::size(kLaneOffset), "lane tables too short");
 
   // An isolated lane is frozen: it is skipped, so its staging entries keep
-  // the last good cycle, exactly like LoopSimulator's frozen record.  Its
-  // injector is consulted only on cycles that can report a fault, which
-  // next_consult tracks (see SimdChunkArgs).
+  // the last good cycle, exactly like LoopSimulator's frozen record, and
+  // it folds nothing.  Its injector is consulted only on cycles that can
+  // report a fault, which next_consult tracks (see SimdChunkArgs).
   [[maybe_unused]] fault::CycleFaults faults;
   if constexpr (kSites == FaultSites::kAll) {
     if (a.isolated[w] != 0) return;
@@ -333,7 +357,7 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
 
   // Violation is judged on the TRUE reading, before any sensor fault.
   const D setpoint = V::load(a.setpoint + w);
-  const unsigned viol_bits = V::mask_bits(V::cmp_lt(tau, setpoint));
+  const auto violated = V::cmp_lt(tau, setpoint);
   if constexpr (kSites == FaultSites::kAll) {
     if (faults.any) {
       // Sensor-mux faults (precedence resolved by the injector); a faulted
@@ -493,11 +517,12 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   }
 
   // Lane isolation (armed lanes only): a non-physical signal freezes the
-  // lane BEFORE anything is staged or latched, so it can never reach a
-  // reducer.  step_impl isolates on !isfinite(tau) || !isfinite(t_dlv) ||
-  // t_dlv <= 0, so a lane is kept when -inf < tau < inf and
-  // 0 < t_dlv < inf (a NaN fails every compare).  frozen_mask has the
-  // backend's int-compare mask type, which dselect takes.
+  // lane BEFORE anything is staged, folded or latched, so it can never
+  // reach a reducer.  step_impl isolates on !isfinite(tau) ||
+  // !isfinite(t_dlv) || t_dlv <= 0, so a lane is kept when
+  // -inf < tau < inf and 0 < t_dlv < inf (a NaN fails every compare).
+  // frozen_mask has the backend's int-compare mask type, which dselect
+  // takes.
   using IntMask = decltype(V::icmp_eq(std::declval<I>(), std::declval<I>()));
   [[maybe_unused]] unsigned frozen = 0;
   [[maybe_unused]] IntMask frozen_mask{};
@@ -519,7 +544,7 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
           V::iand(V::ibroadcast(static_cast<std::int64_t>(frozen)), bit), bit);
     }
   }
-  // A lane frozen this cycle keeps every staged and latched value.
+  // A lane frozen this cycle keeps every staged, folded and latched value.
   const auto latch = [&](double* p, D v) {
     if constexpr (kSites == FaultSites::kIsolation) {
       if (frozen != 0) v = V::dselect(frozen_mask, V::load(p + w), v);
@@ -527,21 +552,42 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
     V::store(p + w, v);
   };
 
-  // Stage the cycle's results and advance the z^-1 registers.  The TDC
-  // only ever reads e_tdc - mu, so one register holds the difference.
-  latch(a.out_tau, tau);
-  latch(a.out_delta, delta);
-  if (a.full_slice) {
+  if (a.fold.mean == nullptr) {
+    // Stage the cycle's results for a reducer that takes slices.
+    latch(a.out_tau, tau);
+    latch(a.out_delta, delta);
     latch(a.out_lro, lro_now);
     latch(a.out_t_gen, t_gen);
-  }
-  latch(a.out_t_dlv, t_dlv);
-  for (std::size_t j = 0; j < W; ++j) {
-    if (((frozen >> j) & 1u) == 0) {
-      a.out_violation[w + j] =
-          static_cast<std::uint8_t>((viol_bits >> j) & 1u);
+    latch(a.out_t_dlv, t_dlv);
+    const unsigned viol_bits = V::mask_bits(violated);
+    for (std::size_t j = 0; j < W; ++j) {
+      if (((frozen >> j) & 1u) == 0) {
+        a.out_violation[w + j] =
+            static_cast<std::uint8_t>((viol_bits >> j) & 1u);
+      }
     }
+  } else if (in.fold) {
+    // Fold the figures of merit, op for op as evaluate_run over the
+    // trace: required_safety_margin's std::max(worst, delta),
+    // RunningStats::add's ++n and mean += (t_dlv - mean) / n, and its
+    // std::min / std::max of tau.
+    const SimdFoldArgs& f = a.fold;
+    const D worst = V::load(f.worst_delta + w);
+    latch(f.worst_delta, V::select(V::cmp_lt(worst, delta), delta, worst));
+    const D count = V::add(V::load(f.count + w), one);
+    latch(f.count, count);
+    const D mean = V::load(f.mean + w);
+    latch(f.mean, V::add(mean, V::div(V::sub(t_dlv, mean), count)));
+    const D tau_min = V::load(f.tau_min + w);
+    latch(f.tau_min, V::select(V::cmp_lt(tau, tau_min), tau, tau_min));
+    const D tau_max = V::load(f.tau_max + w);
+    latch(f.tau_max, V::select(V::cmp_lt(tau_max, tau), tau, tau_max));
+    latch(f.violations, V::add(V::load(f.violations + w),
+                               V::select(violated, one, zero)));
   }
+
+  // Advance the z^-1 registers.  The TDC only ever reads e_tdc - mu, so
+  // one register holds the difference.
   latch(a.prev_lro, lro_now);
   latch(a.prev_t_dlv, t_dlv);
   const D mu = V::load(in.mu + w);
@@ -590,6 +636,12 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
     }
   }
 
+  // A reducer with accumulators folds from its lanes' cycle `skip` on.
+  // Every lane of a chunk runs every cycle, so their cycles-seen count is
+  // one number, advanced once per call.
+  const bool folding = a.fold.mean != nullptr;
+  const std::size_t seen = folding ? a.fold.seen[0] : 0;
+
   LaneSlice slice;
   slice.first_lane = a.first;
   slice.width = cw;
@@ -605,6 +657,7 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
   std::uint64_t fault_group_cycles = 0;
   for (std::size_t k = 0; k < a.cycles; ++k) {
     CycleInputs in;
+    in.fold = folding && seen + k >= a.fold.skip;
     if (a.wave != nullptr) {
       in.mu = a.lane_mu;
       in.wave = a.wave[k];
@@ -654,8 +707,13 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
     }
     ++pos;
 
-    slice.cycle = a.first_cycle + k;
-    a.reducer->accumulate(slice);
+    if (!folding) {
+      slice.cycle = a.first_cycle + k;
+      a.reducer->accumulate(slice);
+    }
+  }
+  if (folding) {
+    for (std::size_t w = 0; w < cw; ++w) a.fold.seen[w] = seen + a.cycles;
   }
   *a.pushes = pos;
   *a.fault_group_cycles += fault_group_cycles;

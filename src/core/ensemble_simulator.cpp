@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "ensemble_simd_kernel.hpp"
 #include "roclk/common/math.hpp"
@@ -28,6 +29,18 @@ constexpr double kSimdMaxMagnitude = 0x1p49;
 constexpr std::size_t kWaveTileCycles = 512;
 
 }  // namespace
+
+// --------------------------------------------------- LaneAccumulators
+
+LaneAccumulators::LaneAccumulators(std::size_t lanes, std::size_t skip)
+    : worst_delta(lanes, 0.0),
+      mean(lanes, 0.0),
+      count(lanes, 0.0),
+      tau_min(lanes, std::numeric_limits<double>::infinity()),
+      tau_max(lanes, -std::numeric_limits<double>::infinity()),
+      violations(lanes, 0.0),
+      seen(lanes, 0),
+      skip{skip} {}
 
 // ------------------------------------------------------- TraceReducer
 
@@ -423,7 +436,24 @@ void EnsembleSimulator::run_one_chunk(Chunk& chunk,
     args.controllers = controllers_.data() + chunk.first;
   }
   args.reducer = &reducer;
-  args.full_slice = reducer.wants_full_slice();
+  if (LaneAccumulators* acc = reducer.accumulators()) {
+    ROCLK_CHECK(chunk.first + chunk.width <= acc->lanes(),
+                "accumulators hold " << acc->lanes() << " lanes, the chunk "
+                                     << "ends at lane "
+                                     << chunk.first + chunk.width);
+    std::size_t* const seen = acc->seen.data() + chunk.first;
+    ROCLK_CHECK(std::all_of(seen, seen + chunk.width,
+                            [&](std::size_t n) { return n == seen[0]; }),
+                "the lanes of a chunk have seen different cycle counts");
+    args.fold.worst_delta = acc->worst_delta.data() + chunk.first;
+    args.fold.mean = acc->mean.data() + chunk.first;
+    args.fold.count = acc->count.data() + chunk.first;
+    args.fold.tau_min = acc->tau_min.data() + chunk.first;
+    args.fold.tau_max = acc->tau_max.data() + chunk.first;
+    args.fold.violations = acc->violations.data() + chunk.first;
+    args.fold.seen = seen;
+    args.fold.skip = acc->skip;
+  }
   if (faults_active_) {
     args.injectors = chunk.injectors.data();
     args.armed = chunk.armed;

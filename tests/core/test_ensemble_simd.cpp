@@ -5,13 +5,16 @@
 // out-of-domain configs.
 //
 // The ensemble engine promises each lane's streamed trace is identical to
-// run_batch on that lane's config and inputs — on the forced portable
-// scalar pack AND every vector backend this binary and CPU can run
-// (AVX2, AVX-512, NEON).
+// run_batch on that lane's config and inputs, and each lane's folded
+// MetricsReducer figures identical to evaluate_run over that trace — on
+// the forced portable scalar pack AND every vector backend this binary
+// and CPU can run (AVX2, AVX-512, NEON).
 // These tests are the gate behind that promise; the perf runner only
 // times configurations this suite proves equivalent.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -22,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "roclk/analysis/ensemble_metrics.hpp"
+#include "roclk/analysis/metrics.hpp"
 #include "roclk/common/simd.hpp"
 #include "roclk/control/iir_control.hpp"
 #include "roclk/control/teatime.hpp"
@@ -38,6 +43,10 @@ namespace simd = roclk::simd;
 
 constexpr double kSetpoint = 64.0;
 constexpr std::size_t kCycles = 600;
+// MetricsReducer's transient skip and fixed-clock reference period.  The
+// skip lies inside the second run() call of the fault-window test.
+constexpr std::size_t kSkip = 150;
+constexpr double kFixedPeriod = 1.2 * kSetpoint;
 
 /// Scoped backend override; restores env/native resolution even when an
 /// ASSERT unwinds mid-test.
@@ -121,33 +130,68 @@ void expect_same_trace(const SimulationTrace& reference,
       << "lane " << w;
 }
 
+/// The bit pattern of a double: equal patterns are equal results, NaN and
+/// signed zero included.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Checks lane `w`'s folded metrics against evaluate_run over its scalar
+/// reference trace, bitwise.
+void expect_same_metrics(const SimulationTrace& reference,
+                         const analysis::RunMetrics& lane, std::size_t w) {
+  const analysis::RunMetrics want =
+      analysis::evaluate_run(reference, kSetpoint, kFixedPeriod, kSkip);
+  ASSERT_EQ(bits(want.safety_margin), bits(lane.safety_margin))
+      << "lane " << w;
+  ASSERT_EQ(bits(want.mean_period), bits(lane.mean_period)) << "lane " << w;
+  ASSERT_EQ(bits(want.relative_adaptive_period),
+            bits(lane.relative_adaptive_period))
+      << "lane " << w;
+  ASSERT_EQ(want.violations, lane.violations) << "lane " << w;
+  ASSERT_EQ(bits(want.tau_ripple), bits(lane.tau_ripple)) << "lane " << w;
+}
+
 /// Runs a `width`-lane ensemble of `cfg` on `backend`, one controller per
 /// lane from `make_controller`, and checks every lane's streamed trace
-/// bitwise against a fresh scalar run_batch.
+/// bitwise against a fresh scalar run_batch.  A second, identical
+/// ensemble runs the same block into a MetricsReducer: every lane the
+/// reference does not isolate must fold evaluate_run's figures of that
+/// trace, bitwise.
 void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
                       simd::Backend backend,
                       const std::vector<fault::FaultSchedule>* faults =
                           nullptr,
                       const ControllerFactory& make_controller = paper_iir) {
   BackendOverrideGuard forced{backend};
-  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
-  if (make_controller) {
-    for (std::size_t w = 0; w < width; ++w) {
-      controllers.push_back(make_controller(w));
+  const auto make_ensemble = [&] {
+    std::vector<std::unique_ptr<control::ControlBlock>> controllers;
+    if (make_controller) {
+      for (std::size_t w = 0; w < width; ++w) {
+        controllers.push_back(make_controller(w));
+      }
     }
-  }
-  EnsembleSimulator ensemble{std::vector<LoopConfig>(width, cfg),
-                             std::move(controllers)};
-  if (faults != nullptr) ensemble.attach_faults(*faults);
+    EnsembleSimulator ensemble{std::vector<LoopConfig>(width, cfg),
+                               std::move(controllers)};
+    if (faults != nullptr) ensemble.attach_faults(*faults);
+    return ensemble;
+  };
   const auto block = sample_ensemble(varied_inputs(width), kCycles, kSetpoint);
+  EnsembleSimulator ensemble = make_ensemble();
   TraceReducer reducer{width, kCycles};
   ensemble.run(block, reducer);
+  EnsembleSimulator metered = make_ensemble();
+  analysis::MetricsReducer metrics{width, kFixedPeriod, kSkip};
+  metered.run(block, metrics);
   for (std::size_t w = 0; w < width; ++w) {
     LoopSimulator scalar{cfg,
                          make_controller ? make_controller(w) : nullptr};
     if (faults != nullptr) scalar.attach_faults((*faults)[w]);
-    ASSERT_NO_FATAL_FAILURE(expect_same_trace(
-        scalar.run_batch(block.lane(w)), reducer.trace(w), w));
+    const SimulationTrace reference = scalar.run_batch(block.lane(w));
+    ASSERT_NO_FATAL_FAILURE(expect_same_trace(reference, reducer.trace(w), w));
+    ASSERT_EQ(scalar.isolated(), metered.isolated(w)) << "lane " << w;
+    if (!scalar.isolated()) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_metrics(reference, metrics.metrics(w), w));
+    }
   }
 }
 
@@ -447,18 +491,25 @@ EnsembleInputBlock cycle_range(const EnsembleInputBlock& block,
 }
 
 /// Every lane of `ensemble`'s run into `reducer` against run_batch on the
-/// same lane of `block` with the same schedule, isolation verdict included.
+/// same lane of `block` with the same schedule, isolation verdict
+/// included; and every lane the reference does not isolate of `metered`'s
+/// identical run into `metrics` against evaluate_run over that trace.
 void expect_faulted_lanes_exact(
     const EnsembleSimulator& ensemble, const TraceReducer& reducer,
+    const EnsembleSimulator& metered, const analysis::MetricsReducer& metrics,
     const EnsembleInputBlock& block,
     const std::vector<fault::FaultSchedule>& schedules, const LoopConfig& cfg) {
   for (std::size_t w = 0; w < block.width; ++w) {
     LoopSimulator scalar{cfg, paper_iir(w)};
     scalar.attach_faults(schedules[w]);
-    ASSERT_NO_FATAL_FAILURE(
-        expect_same_trace(scalar.run_batch(block.lane(w)), reducer.trace(w),
-                          w));
+    const SimulationTrace reference = scalar.run_batch(block.lane(w));
+    ASSERT_NO_FATAL_FAILURE(expect_same_trace(reference, reducer.trace(w), w));
     ASSERT_EQ(scalar.isolated(), ensemble.isolated(w)) << "lane " << w;
+    ASSERT_EQ(scalar.isolated(), metered.isolated(w)) << "lane " << w;
+    if (!scalar.isolated()) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_metrics(reference, metrics.metrics(w), w));
+    }
   }
 }
 
@@ -485,40 +536,129 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
     SCOPED_TRACE(simd::to_string(backend));
     BackendOverrideGuard forced{backend};
     const control::IirControlHardware prototype{control::paper_iir_config()};
+    // `ensemble` runs into a TraceReducer and `metered`, the same way,
+    // into a MetricsReducer whose skip (150) falls inside the second run()
+    // call, so its cycles-seen count is carried across calls and, in
+    // run_homogeneous, across wave tiles.
     auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, kWindowWidth);
+    auto metered = EnsembleSimulator::uniform(cfg, &prototype, kWindowWidth);
     ensemble.attach_faults(schedules);
-    const auto run_in_calls = [&] {
-      TraceReducer reducer{kWindowWidth, kWindowCycles};
+    metered.attach_faults(schedules);
+    const auto run_in_calls = [&](EnsembleSimulator& target,
+                                  StreamingReducer& reducer) {
       for (std::size_t i = 0; i + 1 < std::size(kRunSplits); ++i) {
-        ensemble.run(cycle_range(block, kRunSplits[i], kRunSplits[i + 1]),
-                     reducer);
+        target.run(cycle_range(block, kRunSplits[i], kRunSplits[i + 1]),
+                   reducer);
       }
-      return reducer;
     };
 
     {
       SCOPED_TRACE("successive run() calls");
-      const TraceReducer reducer = run_in_calls();
+      TraceReducer reducer{kWindowWidth, kWindowCycles};
+      analysis::MetricsReducer metrics{kWindowWidth, kFixedPeriod, kSkip};
+      run_in_calls(ensemble, reducer);
+      run_in_calls(metered, metrics);
       ASSERT_TRUE(ensemble.isolated(8));
       ASSERT_TRUE(ensemble.isolated(24));
-      ASSERT_NO_FATAL_FAILURE(
-          expect_faulted_lanes_exact(ensemble, reducer, block, schedules, cfg));
+      ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
+          ensemble, reducer, metered, metrics, block, schedules, cfg));
     }
     {
       SCOPED_TRACE("run_homogeneous after reset()");
       ensemble.reset();
+      metered.reset();
       TraceReducer reducer{kWindowWidth, kWindowCycles};
+      analysis::MetricsReducer metrics{kWindowWidth, kFixedPeriod, kSkip};
       ensemble.run_homogeneous(wave, mus, kSetpoint, kWindowCycles, reducer,
                                nullptr);
+      metered.run_homogeneous(wave, mus, kSetpoint, kWindowCycles, metrics,
+                              nullptr);
       ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
-          ensemble, reducer, homogeneous, schedules, cfg));
+          ensemble, reducer, metered, metrics, homogeneous, schedules, cfg));
     }
     {
       SCOPED_TRACE("successive run() calls after reset()");
       ensemble.reset();
-      const TraceReducer reducer = run_in_calls();
+      metered.reset();
+      TraceReducer reducer{kWindowWidth, kWindowCycles};
+      analysis::MetricsReducer metrics{kWindowWidth, kFixedPeriod, kSkip};
+      run_in_calls(ensemble, reducer);
+      run_in_calls(metered, metrics);
+      ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
+          ensemble, reducer, metered, metrics, block, schedules, cfg));
+    }
+  }
+}
+
+/// The cycles `lane` runs under `schedule` before it is isolated: a
+/// LoopSimulator stepped until isolated(), the isolating cycle excluded.
+std::size_t cycles_before_isolation(const LoopConfig& cfg,
+                                    const fault::FaultSchedule& schedule,
+                                    const InputBlock& lane) {
+  LoopSimulator scalar{cfg, paper_iir(0)};
+  scalar.attach_faults(schedule);
+  for (std::size_t k = 0; k < lane.size(); ++k) {
+    (void)scalar.step(lane.e_ro[k], lane.e_tdc[k], lane.mu[k]);
+    if (scalar.isolated()) return k;
+  }
+  return lane.size();
+}
+
+TEST(EnsembleSimd, IsolatedLaneFoldsItsCyclesBeforeIsolation) {
+  // 40 lanes: a full chunk and an 8-lane one.  Lane 34, mid-vector in the
+  // second chunk (McScheduling's faulted Monte-Carlo pattern), isolates
+  // after the skip on a fault cycle, in the width-1 body.  Armed lane 13,
+  // the only armed lane of its vector group on every backend, isolates
+  // after the skip on a quiet cycle, in the vector body, where the fold
+  // masks it out.  Lane 20 isolates during the transient.
+  constexpr std::size_t kLanes = 40;
+  constexpr std::size_t kRunCycles = 1000;
+  const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
+                                     cdn::DelayQuantization::kRound, true);
+  std::vector<fault::FaultSchedule> schedules(kLanes);
+  schedules[34]
+      .add({fault::FaultKind::kVoltageDroop, 400, 4, 1e308})
+      .add({fault::FaultKind::kVoltageDroop, 400, 4, 1e308});
+  schedules[20]
+      .add({fault::FaultKind::kVoltageDroop, 60, 4, 1e308})
+      .add({fault::FaultKind::kVoltageDroop, 60, 4, 1e308});
+  schedules[13].add({fault::FaultKind::kTdcGlitch, 50, 1, 5.0});
+  auto block = sample_ensemble(varied_inputs(kLanes), kRunCycles, kSetpoint);
+  block.e_ro[700 * kLanes + 13] = std::numeric_limits<double>::infinity();
+
+  for (const simd::Backend backend : backends_under_test()) {
+    SCOPED_TRACE(simd::to_string(backend));
+    BackendOverrideGuard forced{backend};
+    const control::IirControlHardware prototype{control::paper_iir_config()};
+    auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, kLanes);
+    ensemble.attach_faults(schedules);
+    const std::vector<analysis::RunMetrics> metrics =
+        analysis::evaluate_ensemble(ensemble, block, {kFixedPeriod}, kSkip);
+    ASSERT_EQ(ensemble.isolated_count(), 3u);
+
+    for (std::size_t w = 0; w < kLanes; ++w) {
+      SCOPED_TRACE("lane " + std::to_string(w));
+      InputBlock lane = block.lane(w);
+      const std::size_t good = cycles_before_isolation(cfg, schedules[w], lane);
+      ASSERT_EQ(good < kRunCycles, ensemble.isolated(w));
+      if (w == 20) {
+        // No cycle folded: no figure, rather than a perfect-looking one.
+        ASSERT_LT(good, kSkip);
+        EXPECT_TRUE(std::isnan(metrics[w].safety_margin));
+        EXPECT_TRUE(std::isnan(metrics[w].mean_period));
+        EXPECT_TRUE(std::isnan(metrics[w].relative_adaptive_period));
+        EXPECT_TRUE(std::isnan(metrics[w].tau_ripple));
+        EXPECT_EQ(metrics[w].violations, 0u);
+        continue;
+      }
+      ASSERT_GT(good, kSkip);
+      lane.e_ro.resize(good);
+      lane.e_tdc.resize(good);
+      lane.mu.resize(good);
+      LoopSimulator scalar{cfg, paper_iir(w)};
+      scalar.attach_faults(schedules[w]);
       ASSERT_NO_FATAL_FAILURE(
-          expect_faulted_lanes_exact(ensemble, reducer, block, schedules, cfg));
+          expect_same_metrics(scalar.run_batch(lane), metrics[w], w));
     }
   }
 }
@@ -527,7 +667,6 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
 class DiscardReducer final : public StreamingReducer {
  public:
   void accumulate(const LaneSlice& /*slice*/) override {}
-  [[nodiscard]] bool wants_full_slice() const override { return false; }
 };
 
 /// Cycles in [0, cycles) on which the kernel consults a lane's injector,

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "roclk/common/thread_pool.hpp"
 #include "roclk/control/iir_control.hpp"
 #include "roclk/control/teatime.hpp"
+#include "roclk/fault/fault.hpp"
 #include "roclk/signal/waveform.hpp"
 
 namespace roclk::core {
@@ -446,6 +450,38 @@ TEST(EnsembleMetrics, HomogeneousMcRejectsBadLanePreconditions) {
                std::logic_error);
 }
 
+TEST(EnsembleMetrics, EnsembleRejectsBadSkipBeforeRunning) {
+  // A skip that leaves no cycle is rejected up front, with
+  // evaluate_homogeneous_mc's message, before the ensemble is reset or
+  // run: armed lane 0, isolated by an infinite sample in an earlier run,
+  // stays isolated (a reset and a run of the clean block would clear it).
+  const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
+  const control::IirControlHardware prototype;
+  auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, 3);
+  std::vector<fault::FaultSchedule> schedules(3);
+  schedules[0].add({fault::FaultKind::kTdcGlitch, 5, 1, 2.0});
+  ensemble.attach_faults(schedules);
+  const auto block = sample_ensemble(varied_inputs(3), 100, kSetpoint);
+  auto poisoned = block;
+  poisoned.e_ro[20 * 3] = std::numeric_limits<double>::infinity();
+  TraceReducer reducer{3, 100};
+  ensemble.run(poisoned, reducer);
+  ASSERT_TRUE(ensemble.isolated(0));
+
+  for (const std::size_t skip : {std::size_t{100}, std::size_t{250}}) {
+    try {
+      (void)analysis::evaluate_ensemble(ensemble, block, {76.8}, skip);
+      ADD_FAILURE() << "skip " << skip << " accepted";
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string{error.what()}.find(
+                    "must leave at least one of the 100 cycles"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_TRUE(ensemble.isolated(0)) << "skip " << skip;
+  }
+}
+
 /// Records the thread and the cycle index of every slice, per 32-lane
 /// chunk.  A chunk's record is written only by the thread running that
 /// chunk, as the StreamingReducer contract allows.
@@ -461,7 +497,6 @@ class ChunkScheduleReducer final : public StreamingReducer {
     threads[chunk].push_back(std::this_thread::get_id());
     cycles[chunk].push_back(slice.cycle);
   }
-  [[nodiscard]] bool wants_full_slice() const override { return false; }
 
   std::vector<std::vector<std::thread::id>> threads;
   std::vector<std::vector<std::size_t>> cycles;

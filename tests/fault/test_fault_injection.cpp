@@ -8,7 +8,9 @@
 //  * lane w of a faulted ensemble run equals a scalar LoopSimulator
 //    running the same schedule, sample for sample;
 //  * a lane whose faulted dynamics go non-physical is isolated — frozen at
-//    its last good record — and never poisons MetricsReducer with NaN.
+//    its last good record — and never poisons MetricsReducer with its
+//    non-physical values; isolated during the transient, it reports NaN
+//    figures rather than a perfect-looking lane.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -241,8 +243,16 @@ TEST(FaultInjection, IsolatedLaneIsReportedAndSkippedByMetrics) {
     EXPECT_TRUE(std::isfinite(metrics.safety_margin)) << "lane " << w;
   }
   // The isolated lane saw every cycle but contributed no samples after its
-  // isolation point; whatever it did contribute is finite.
+  // isolation point.  It isolated during the 50-cycle transient, so it
+  // folded no cycle at all: its figures are NaN and its violations 0,
+  // never the zero margin and zero period of a lane that looks perfect.
   EXPECT_EQ(reducer.cycles_seen(2), 200u);
+  const analysis::RunMetrics isolated = reducer.metrics(2);
+  EXPECT_TRUE(std::isnan(isolated.safety_margin));
+  EXPECT_TRUE(std::isnan(isolated.mean_period));
+  EXPECT_TRUE(std::isnan(isolated.relative_adaptive_period));
+  EXPECT_TRUE(std::isnan(isolated.tau_ripple));
+  EXPECT_EQ(isolated.violations, 0u);
 
   // reset() clears the isolation flags with the rest of the lane state.
   ensemble.reset();
