@@ -276,11 +276,16 @@ struct ScalarTraits {
     }
     return r;
   }
-  /// shift_signed (common/math.hpp) lane-wise: left for sh >= 0, arithmetic
-  /// right for sh < 0.
-  static I ishift_signed(I a, int sh) {
+  /// shift_signed (common/math.hpp) lane-wise, by a per-lane count in
+  /// [0, 63]: ishl shifts left, isra arithmetic right.
+  static I ishl(I a, I count) {
     I r;
-    for (std::size_t i = 0; i < N; ++i) r.v[i] = shift_signed(a.v[i], sh);
+    for (std::size_t i = 0; i < N; ++i) r.v[i] = a.v[i] << count.v[i];
+    return r;
+  }
+  static I isra(I a, I count) {
+    I r;
+    for (std::size_t i = 0; i < N; ++i) r.v[i] = a.v[i] >> count.v[i];
     return r;
   }
   static M icmp_lt(I a, I b) {
@@ -385,16 +390,15 @@ struct Avx2Traits {
   static I isub(I a, I b) { return _mm256_sub_epi64(a, b); }
   static I iand(I a, I b) { return _mm256_and_si256(a, b); }
   static I ineg(I a) { return _mm256_sub_epi64(_mm256_setzero_si256(), a); }
-  static I ishift_signed(I a, int sh) {
-    if (sh >= 0) return _mm256_slli_epi64(a, sh);
-    const int right = -sh;
-    // AVX2 has no 64-bit arithmetic right shift; rebuild it from the
-    // logical shift plus a sign fill (right is in [1, 63] here: the gain
-    // exponents are far smaller, and shift_signed shares the limit).
+  static I ishl(I a, I count) { return _mm256_sllv_epi64(a, count); }
+  /// AVX2 has no 64-bit arithmetic right shift; it is rebuilt from the
+  /// logical shift plus a sign fill shifted left by 64 - count, which
+  /// vpsllvq turns into 0 for a count of 0.
+  static I isra(I a, I count) {
     const I sign = _mm256_cmpgt_epi64(_mm256_setzero_si256(), a);
-    if (right >= 64) return sign;
-    return _mm256_or_si256(_mm256_srli_epi64(a, right),
-                           _mm256_slli_epi64(sign, 64 - right));
+    const I fill = _mm256_sub_epi64(_mm256_set1_epi64x(64), count);
+    return _mm256_or_si256(_mm256_srlv_epi64(a, count),
+                           _mm256_sllv_epi64(sign, fill));
   }
   static I icmp_lt(I a, I b) { return _mm256_cmpgt_epi64(b, a); }
   static I icmp_eq(I a, I b) { return _mm256_cmpeq_epi64(a, b); }
@@ -490,13 +494,13 @@ struct Avx512Traits {
   static I isub(I a, I b) { return _mm512_sub_epi64(a, b); }
   static I iand(I a, I b) { return _mm512_and_si512(a, b); }
   static I ineg(I a) { return _mm512_sub_epi64(_mm512_setzero_si512(), a); }
-  /// vpsllq / vpsraq: a count of 64 or more clears / sign-fills the lane,
-  /// where the scalar shift_signed is undefined.
-  static I ishift_signed(I a, int sh) {
-    if (sh >= 0) {
-      return _mm512_maskz_sll_epi64(kAllLanes, a, _mm_cvtsi32_si128(sh));
-    }
-    return _mm512_maskz_sra_epi64(kAllLanes, a, _mm_cvtsi32_si128(-sh));
+  /// vpsllvq / vpsravq: a count of 64 or more clears / sign-fills the
+  /// lane, where the scalar shift_signed is undefined.
+  static I ishl(I a, I count) {
+    return _mm512_maskz_sllv_epi64(kAllLanes, a, count);
+  }
+  static I isra(I a, I count) {
+    return _mm512_maskz_srav_epi64(kAllLanes, a, count);
   }
   static M icmp_lt(I a, I b) { return _mm512_cmplt_epi64_mask(a, b); }
   static M icmp_eq(I a, I b) { return _mm512_cmpeq_epi64_mask(a, b); }
@@ -565,11 +569,10 @@ struct NeonTraits {
   static I isub(I a, I b) { return vsubq_s64(a, b); }
   static I iand(I a, I b) { return vandq_s64(a, b); }
   static I ineg(I a) { return vnegq_s64(a); }
-  static I ishift_signed(I a, int sh) {
-    // NEON's signed shift takes a signed count: negative = arithmetic
-    // right, exactly shift_signed's contract.
-    return vshlq_s64(a, vdupq_n_s64(sh));
-  }
+  /// NEON's signed shift takes a signed count: negative = arithmetic
+  /// right, exactly shift_signed's contract.
+  static I ishl(I a, I count) { return vshlq_s64(a, count); }
+  static I isra(I a, I count) { return vshlq_s64(a, vnegq_s64(count)); }
   static M icmp_lt(I a, I b) { return vcltq_s64(a, b); }
   static M icmp_eq(I a, I b) { return vceqq_s64(a, b); }
   static I iselect(M m, I a, I b) { return vbslq_s64(m, a, b); }

@@ -4,12 +4,14 @@
 // multi-domain partitionings) run many *independent* instances of the
 // Fig. 4 loop.  LoopSimulator executes one instance per call and
 // materializes a full SimulationTrace even when the caller only wants four
-// RunMetrics numbers.  EnsembleSimulator instead runs W lanes in
-// structure-of-arrays lockstep:
+// RunMetrics numbers.  EnsembleSimulator instead runs W lanes as
+// structure-of-arrays lane vectors:
 //
-//  * the z^-1 delay registers (prev_lro / prev_t_dlv / prev_e_*) are lane
-//    vectors, so the per-cycle inner loop over lanes is branch-light and
-//    exposes W independent dependency chains to the core;
+//  * a kernel call runs its chunk lane group by lane group (one vector of
+//    lanes), each group's z^-1 registers (prev_lro / prev_t_dlv /
+//    prev_e_*), IIR input and fold accumulators held in registers for all
+//    of the call's cycles, so a cycle issues the Fig. 4 arithmetic and
+//    little else;
 //  * the CDN rings are interleaved per lane chunk ([slot][lane], power of
 //    two slots, mask indexing) and stay L1-resident;
 //  * the IIR control hardware is devirtualized once per ensemble into a
@@ -26,7 +28,7 @@
 //
 // Per-cycle results go to a StreamingReducer instead of a trace, so a
 // 1k-lane study allocates O(W) accumulator state, not O(W * cycles) trace
-// memory.  A reducer either takes a LaneSlice per cycle per chunk
+// memory.  A reducer either takes a LaneSlice per lane group per cycle
 // (TraceReducer), or hands the kernel LaneAccumulators, into which each
 // cycle's figures of merit are folded while they are still in vector
 // registers, with no staging and no call per cycle (MetricsReducer).
@@ -40,12 +42,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "roclk/common/fixed_point.hpp"
 #include "roclk/common/simd.hpp"
 #include "roclk/common/status.hpp"
 #include "roclk/common/thread_pool.hpp"
@@ -60,9 +60,19 @@ namespace roclk::core {
 
 namespace detail {
 struct SimdChunkArgs;  // the per-chunk kernel's arguments
+
+/// One feedback tap of the devirtualized IIR bank as the kernel applies
+/// it: where its state row lies from the bank's ring base (its age in the
+/// newest-first tap order, times the bank's row stride) and the magnitude
+/// of its power-of-two gain's exponent, a shift count.
+struct IirTapShift {
+  std::int32_t offset{0};
+  std::int32_t shift{0};
+};
 }  // namespace detail
 
-/// One simulated cycle's results for a contiguous range of lanes, as a
+/// One simulated cycle's results for one lane group (a contiguous range of
+/// lanes the kernel runs as one vector, or a single tail lane), as a
 /// reducer without accumulators receives them.  The arrays are indexed
 /// [0, width) and belong to lanes [first_lane, first_lane + width).
 struct LaneSlice {
@@ -113,13 +123,16 @@ struct LaneAccumulators {
 };
 
 /// Streaming consumer of ensemble results.  A reducer whose accumulators()
-/// is null gets accumulate() once per cycle per lane chunk, with the full
-/// slice and cycles strictly increasing within a chunk.  One that returns
-/// accumulators gets no call at all: the kernel folds into them (see
-/// LaneAccumulators).  When a run call has a pool, each chunk runs as one
-/// pool task for the whole call, so chunks covering disjoint lane ranges
-/// may call accumulate() or fold concurrently — implementations must only
-/// touch per-lane state (as TraceReducer does).
+/// is null gets accumulate() once per cycle per lane group: a chunk runs
+/// its groups one after another, each through all of the call's cycles,
+/// so each group's slices arrive with cycles 0..n-1 in order, the groups
+/// of a chunk cover its lanes once, and slices of different groups do
+/// not interleave by cycle.  One that returns accumulators gets no call
+/// at all: the kernel folds into them (see LaneAccumulators).  When a run
+/// call has a pool, each chunk runs as one pool task for the whole call,
+/// so chunks covering disjoint lane ranges may call accumulate() or fold
+/// concurrently — implementations must only touch per-lane state (as
+/// TraceReducer does).
 class StreamingReducer {
  public:
   virtual ~StreamingReducer() = default;
@@ -245,9 +258,7 @@ class EnsembleSimulator {
   // Lanes are processed in chunks of kChunkLanes: the chunk's interleaved
   // CDN ring plus its delay registers fit in L1, and chunks are the unit
   // of thread parallelism and of kernel calls.  32 lanes = 4 AVX-512 or
-  // 8 AVX2 vectors per per-cycle array pass — wide enough to amortize the
-  // per-cycle work outside the lane groups (a slice reducer's call among
-  // it), small enough that the ring stays L1-resident.
+  // 8 AVX2 lane groups, each run through the call's cycles in turn.
   static constexpr std::size_t kChunkLanes = 32;
 
   // All lane arrays use simd::aligned_vector: every array starts on its
@@ -289,17 +300,20 @@ class EnsembleSimulator {
     simd::aligned_vector<std::int64_t> cdn_history;
     simd::aligned_vector<double> cdn_initial;
 
-    // Devirtualized IIR bank: state W[n-i] interleaved [tap * width + w].
-    // The tap rows form a ring rotated once per cycle (iir_head is the
-    // physical row holding the newest state), so advancing the shift
-    // register is one pointer rotation per chunk instead of a per-lane
-    // register move.
+    // Devirtualized IIR bank: 2 * taps rows, lane w of row r at
+    // iir_state[r * iir_row_stride_ + w] (one stride for every chunk, so
+    // one tap table serves them all).  The rows form a ring whose base
+    // moves back one row per cycle, so advancing the shift register moves
+    // no lane values; each state is written to row r and its twin r + taps,
+    // so at base b (iir_head) the state W[n-1-i] is row b + i, contiguous
+    // and never wrapped.
     simd::aligned_vector<std::int64_t> iir_state;
     simd::aligned_vector<std::int64_t> iir_prev_input;
     std::size_t iir_head{0};
 
-    // Per-cycle output staging handed to a reducer that takes slices;
-    // untouched when the reducer hands out accumulators.
+    // Per-cycle output staging handed to a reducer that takes slices (each
+    // group's slice points at its lanes); untouched when the reducer hands
+    // out accumulators.
     simd::aligned_vector<double> tau;
     simd::aligned_vector<double> delta;
     simd::aligned_vector<double> lro;
@@ -332,9 +346,11 @@ class EnsembleSimulator {
   /// The one scheduling decision of both run entry points: task(chunk)
   /// for every chunk, sequentially when `pool` is null, has at most one
   /// worker, or the ensemble has a single chunk; otherwise one
-  /// parallel_for over the chunks.
-  void for_each_chunk(ThreadPool* pool,
-                      const std::function<void(Chunk&)>& task);
+  /// parallel_for over the chunks.  A template (defined in the .cpp, its
+  /// only user), so a sequential call wraps the task in nothing that
+  /// allocates.
+  template <class Task>
+  void for_each_chunk(ThreadPool* pool, const Task& task);
 
   /// Runs `chunk` through the per-chunk kernel (ensemble_simd_kernel.hpp)
   /// on `backend`, or on the scalar pack when a config lies outside the
@@ -352,11 +368,20 @@ class EnsembleSimulator {
   cdn::DelayQuantization cdn_quantization_;
 
   // IIR fast path (all controllers are IirControlHardware with one shared
-  // config): the power-of-two gains, devirtualized once per ensemble.
+  // config): the power-of-two gains, devirtualized once per ensemble into
+  // shift counts, with each tap's row offset in the bank.  The taps are
+  // ordered into four runs (left shifts added, left shifts subtracted,
+  // right shifts added, right shifts subtracted), which end at the three
+  // iir_*_end indices and iir_tap_shifts_.size().  The bank's row stride
+  // is the first (widest) chunk's width.
   bool iir_bank_active_{false};
-  std::vector<PowerOfTwoGain> iir_tap_gains_;
-  PowerOfTwoGain iir_k_exp_gain_;
-  PowerOfTwoGain iir_k_star_gain_;
+  std::vector<detail::IirTapShift> iir_tap_shifts_;
+  std::size_t iir_row_stride_{0};
+  std::size_t iir_left_add_end_{0};
+  std::size_t iir_left_sub_end_{0};
+  std::size_t iir_right_add_end_{0};
+  int iir_k_exp_shift_{0};
+  int iir_k_star_exponent_{0};
   double iir_k_exp_{1.0};
   bool iir_aw_enabled_{false};
   std::int64_t iir_aw_min_{0};

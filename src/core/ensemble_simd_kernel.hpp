@@ -8,6 +8,18 @@
 // one of two forms: a lane-interleaved block (per-lane e_ro, e_tdc and mu
 // every cycle), or the homogeneous form of run_homogeneous (one waveform
 // sample per cycle, broadcast to every lane, plus a constant mu per lane).
+//
+// A call runs its chunk group by group: a lane group's loop state (the
+// z^-1 registers, the IIR bank's previous input and a folding reducer's
+// accumulators) is loaded into registers once, carried through all of the
+// call's cycles, and stored once.  The cycle body maps (per-call
+// constants, the group's per-lane constants, its state, the cycle's
+// inputs) to the group's next state; per cycle only the CDN ring, the IIR
+// tap rows and the cycle's input touch memory.  Groups are independent
+// (disjoint ring columns and bank columns), so running one group's cycles
+// before the next group's gives every lane the same operations in the
+// same order as cycle-major lockstep.
+//
 // The route is chosen from what the ensemble holds, never from an option:
 //  * the controller kind (ControlKind): open loop, the devirtualized IIR
 //    bank on lane vectors, or virtual ControlBlocks stepped one lane at a
@@ -16,9 +28,9 @@
 //    events (an armed lane) stays on vectors, with step_impl's isolation
 //    test compiled in for its armed lanes, on every cycle where none of
 //    them is isolated or due a fault consult.  On those fault cycles it
-//    runs lane by lane through the width-1 body, with every fault site
-//    compiled in for the armed lanes.  Groups without armed lanes never
-//    leave the vector body;
+//    spills its state and runs lane by lane through the width-1 body, with
+//    every fault site compiled in for the armed lanes, then reloads.
+//    Groups without armed lanes never leave the vector body;
 //  * the config magnitudes: a config outside the exact-conversion domain
 //    (see kSimdMaxMagnitude in ensemble_simulator.cpp) runs the
 //    ScalarTraits instantiation, whose conversions are plain casts.
@@ -32,9 +44,10 @@
 //    cmp+select in the exact std::min/std::max/std::clamp selection order,
 //    so -0.0 and equal-value selections match bitwise.  No FMA contraction
 //    is ever emitted (plain intrinsics; -ffp-contract=off project-wide).
-//  * Integer IIR-bank steps are exact by definition; the AVX2 arithmetic
-//    right shift is rebuilt from logical shift + sign fill (AVX-512 and
-//    NEON have it natively).
+//  * Integer IIR-bank steps are exact by definition.  The feedback sum is
+//    taken in an order grouped by shift direction and sign (a negative tap
+//    subtracts), which two's-complement addition does not see; every gain
+//    is a variable shift by a count computed once per call.
 //  * double->int64 casts use each backend's exact conversion, valid for
 //    the guarded magnitude domain (< 2^51); ScalarTraits uses plain casts,
 //    exact at any magnitude (llround_ties_away is the same cast), and the
@@ -56,8 +69,7 @@
 //    fold step is RunningStats::add's or evaluate_run's operation (a
 //    std::min/std::max as cmp+select in its selection order, the Welford
 //    mean with the count as an exact double), so a lane's accumulators
-//    hold what evaluate_run computes from its trace.  The fold is a
-//    runtime test of the hook, not a template axis.
+//    hold what evaluate_run computes from its trace.
 #pragma once
 
 #include <algorithm>
@@ -69,11 +81,10 @@
 #include <limits>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "roclk/cdn/cdn.hpp"
 #include "roclk/common/check.hpp"
-#include "roclk/common/fixed_point.hpp"
+#include "roclk/common/math.hpp"
 #include "roclk/common/simd.hpp"
 #include "roclk/control/control_block.hpp"
 #include "roclk/core/ensemble_simulator.hpp"
@@ -100,13 +111,22 @@ enum class FaultSites {
 /// Devirtualized IIR bank parameters for the vector kernel (mirrors
 /// EnsembleSimulator's cached IirControlHardware configuration).
 struct SimdIirArgs {
-  const PowerOfTwoGain* tap_gains{nullptr};
+  // Feedback taps in four runs: left shifts added, left shifts subtracted,
+  // right shifts added, right shifts subtracted; the runs end at
+  // left_add_end, left_sub_end, right_add_end and taps.
+  const IirTapShift* tap_shifts{nullptr};
+  std::size_t left_add_end{0};
+  std::size_t left_sub_end{0};
+  std::size_t right_add_end{0};
   std::size_t taps{0};
-  PowerOfTwoGain k_exp_gain;
-  PowerOfTwoGain k_star_gain;
+  std::size_t row_stride{0};  // lanes per bank row, >= cw
+  int k_exp_shift{0};      // log2 k_exp, >= 0 (k_exp >= 1)
+  int k_star_exponent{0};  // log2 k*, either sign (k* > 0)
   std::int64_t* prev_input{nullptr};
-  std::int64_t* bank{nullptr};  // [tap * cw + w]
-  std::size_t* head{nullptr};   // in/out: physical row holding W[n-1]
+  // 2 * taps rows, [row * row_stride + w]; rows r and r + taps are twins,
+  // so at ring base b the state W[n-1-i] is row b + i.
+  std::int64_t* bank{nullptr};
+  std::size_t* head{nullptr};  // in/out: the ring base
   bool integral_input{false};
   bool aw_enabled{false};
   std::int64_t aw_min{0};
@@ -237,13 +257,6 @@ void run_chunk_simd_neon(const SimdChunkArgs& args);
 
 namespace {
 
-/// PowerOfTwoGain::apply on a lane vector: shift, then optional negate.
-template <class T>
-inline typename T::I apply_gain(typename T::I x, const PowerOfTwoGain& gain) {
-  const typename T::I shifted = T::ishift_signed(x, gain.exponent());
-  return gain.negative() ? T::ineg(shifted) : shifted;
-}
-
 /// std::clamp(v, lo, hi) composed from cmp + select in std::clamp's exact
 /// selection order: v < lo ? lo : (hi < v ? hi : v).
 template <class T>
@@ -271,8 +284,9 @@ inline double lane_value(typename V::D v) {
 
 /// step_impl's l_RO from a scalar controller command: rounded and clamped
 /// to the lane's length range, or clamped unrounded.
-inline double command_to_lro(const SimdChunkArgs& a, std::size_t lane,
-                             double commanded) {
+[[gnu::always_inline]] inline double command_to_lro(const SimdChunkArgs& a,
+                                                   std::size_t lane,
+                                                   double commanded) {
   if (a.quantize_lro) {
     return static_cast<double>(std::clamp(llround_ties_away(commanded),
                                           a.min_len[lane], a.max_len[lane]));
@@ -280,34 +294,160 @@ inline double command_to_lro(const SimdChunkArgs& a, std::size_t lane,
   return std::clamp(commanded, a.min_len_d[lane], a.max_len_d[lane]);
 }
 
+/// The check step_impl makes through Tdc::measure_additive, reported for
+/// the first offending lane of a group.
+[[gnu::cold, gnu::noinline]] inline void fail_nonpositive_period(
+    const double* prev_t_dlv, std::size_t width, std::size_t first_lane) {
+  for (std::size_t j = 0; j < width; ++j) {
+    ROCLK_CHECK(prev_t_dlv[j] > 0.0,
+                "delivered period must be positive, got "
+                    << prev_t_dlv[j] << " stages (lane " << first_lane + j
+                    << ")");
+  }
+}
+
 /// Lane j's offset (gather index) and bit (mask) within a vector group,
 /// for groups of up to 8 lanes (AVX-512).
 inline constexpr std::int64_t kLaneOffset[] = {0, 1, 2, 3, 4, 5, 6, 7};
 inline constexpr std::int64_t kLaneBit[] = {1, 2, 4, 8, 16, 32, 64, 128};
 
-/// One cycle's inputs as the cycle body reads them.  Block form: e_ro,
-/// e_tdc and mu point at the cycle's row, chunk lane 0 first.  Homogeneous
-/// form: e_ro and e_tdc are null, every lane sees `wave`, and mu points at
-/// the chunk's per-lane constants.  `fold` is set on the cycles a reducer
-/// with accumulators folds (its lanes have seen `skip` cycles).
+/// A lane group's per-lane constants, loaded once per kernel call.  `mu`
+/// is the homogeneous form's static mismatch (the block form reads mu per
+/// cycle).
+template <class V>
+struct LaneConsts {
+  typename V::D setpoint;
+  typename V::D open_loop;
+  typename V::I min_len;
+  typename V::I max_len;
+  typename V::D cdn_delay;
+  typename V::D history_d;
+  typename V::I history;
+  typename V::D initial;
+  typename V::D mu;
+};
+
+template <class V>
+[[gnu::always_inline]] inline LaneConsts<V> load_consts(const SimdChunkArgs& a,
+                                                       std::size_t w) {
+  LaneConsts<V> g;
+  g.setpoint = V::load(a.setpoint + w);
+  g.open_loop = V::load(a.open_loop + w);
+  g.min_len = V::iload(a.min_len + w);
+  g.max_len = V::iload(a.max_len + w);
+  g.cdn_delay = V::load(a.cdn_delay + w);
+  g.history_d = V::load(a.cdn_history_d + w);
+  g.history = V::iload(a.cdn_history + w);
+  g.initial = V::load(a.cdn_initial + w);
+  g.mu = a.wave != nullptr ? V::load(a.lane_mu + w) : V::broadcast(0.0);
+  return g;
+}
+
+/// A lane group's loop state: the z^-1 registers, the IIR bank's previous
+/// input and a folding reducer's accumulators.  It lives in registers for
+/// a whole kernel call; memory holds it only between calls and around the
+/// group's fault cycles.
+template <class V>
+struct LaneState {
+  typename V::D prev_lro;
+  typename V::D prev_t_dlv;
+  typename V::D prev_e_ro;
+  typename V::D prev_e_local;  // previous e_tdc - mu
+  typename V::I prev_input;    // the IIR bank's x[n-1]
+  typename V::D worst_delta;
+  typename V::D mean;
+  typename V::D count;
+  typename V::D tau_min;
+  typename V::D tau_max;
+  typename V::D violations;
+};
+
+template <class V, ControlKind kControl>
+[[gnu::always_inline]] inline LaneState<V> load_state(const SimdChunkArgs& a,
+                                                     std::size_t w) {
+  LaneState<V> s;
+  s.prev_lro = V::load(a.prev_lro + w);
+  s.prev_t_dlv = V::load(a.prev_t_dlv + w);
+  s.prev_e_ro = V::load(a.prev_e_ro + w);
+  s.prev_e_local = V::load(a.prev_e_local + w);
+  s.prev_input = kControl == ControlKind::kIirBank
+                     ? V::iload(a.iir.prev_input + w)
+                     : V::ibroadcast(0);
+  const SimdFoldArgs& f = a.fold;
+  const bool folding = f.mean != nullptr;
+  const typename V::D zero = V::broadcast(0.0);
+  s.worst_delta = folding ? V::load(f.worst_delta + w) : zero;
+  s.mean = folding ? V::load(f.mean + w) : zero;
+  s.count = folding ? V::load(f.count + w) : zero;
+  s.tau_min = folding ? V::load(f.tau_min + w) : zero;
+  s.tau_max = folding ? V::load(f.tau_max + w) : zero;
+  s.violations = folding ? V::load(f.violations + w) : zero;
+  return s;
+}
+
+template <class V, ControlKind kControl>
+[[gnu::always_inline]] inline void store_state(const SimdChunkArgs& a,
+                                              std::size_t w,
+                                              const LaneState<V>& s) {
+  V::store(a.prev_lro + w, s.prev_lro);
+  V::store(a.prev_t_dlv + w, s.prev_t_dlv);
+  V::store(a.prev_e_ro + w, s.prev_e_ro);
+  V::store(a.prev_e_local + w, s.prev_e_local);
+  if constexpr (kControl == ControlKind::kIirBank) {
+    V::istore(a.iir.prev_input + w, s.prev_input);
+  }
+  const SimdFoldArgs& f = a.fold;
+  if (f.mean != nullptr) {
+    V::store(f.worst_delta + w, s.worst_delta);
+    V::store(f.mean + w, s.mean);
+    V::store(f.count + w, s.count);
+    V::store(f.tau_min + w, s.tau_min);
+    V::store(f.tau_max + w, s.tau_max);
+    V::store(f.violations + w, s.violations);
+  }
+}
+
+/// The IIR bank's ring base one row back, as a lane offset: the row the
+/// cycle's new state goes to (twinned taps rows further on), and the next
+/// cycle's base.
+[[gnu::always_inline]] inline std::size_t next_tap_row(const SimdChunkArgs& a,
+                                                       std::size_t tap_row) {
+  const std::size_t stride = a.iir.row_stride;
+  return tap_row == 0 ? (a.iir.taps - 1) * stride : tap_row - stride;
+}
+
+/// One cycle's inputs and sink as the cycle body reads them.  Block form:
+/// e_ro, e_tdc and mu point at the cycle's row, chunk lane 0 first.
+/// Homogeneous form: they are null, every lane sees `wave`, and mu is the
+/// group's constant.  `stage` is set for a reducer that takes slices;
+/// otherwise `fold` on the cycles a reducer with accumulators folds (its
+/// lanes have seen `skip` cycles).
 struct CycleInputs {
   const double* e_ro{nullptr};
   const double* e_tdc{nullptr};
   const double* mu{nullptr};
   double wave{0.0};
+  bool stage{false};
   bool fold{false};
 };
 
 /// One simulated cycle for the V::kWidth lanes starting at chunk offset w:
-/// LoopSimulator::step_impl statement by statement.  kSites selects the
-/// fault sites compiled in (see FaultSites); kAll (width 1 only) has all
-/// of step_impl's, in its order: isolation skip, begin_cycle, sensor
-/// overrides, ro_offset, ring push, cdn_drop, isolation check, droop.
+/// LoopSimulator::step_impl statement by statement, on the group's state
+/// `s`.  `a` is the caller's local copy of the call's arguments (so
+/// nothing is reloaded after a store), `tap_row` the IIR bank's ring base
+/// this cycle, as an offset in lanes (the base row times the row stride).
+/// kSites
+/// selects the fault sites compiled in (see FaultSites); kAll (width 1
+/// only) has all of step_impl's, in its order:
+/// isolation skip, begin_cycle, sensor overrides, ro_offset, ring push,
+/// cdn_drop, isolation check, droop.  Returns the lanes the isolation test
+/// froze this cycle (bit j = lane w + j).
 template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
           ControlKind kControl, FaultSites kSites>
-inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
-                             const CycleInputs& in, std::uint64_t pos,
-                             std::int64_t* const* rows) {
+[[gnu::always_inline]] inline unsigned simd_cycle_lanes(
+    const SimdChunkArgs& a, std::size_t w, const LaneConsts<V>& g,
+    LaneState<V>& s, const CycleInputs& in, std::uint64_t pos,
+    std::size_t tap_row) {
   using D = typename V::D;
   using I = typename V::I;
   constexpr std::size_t W = V::kWidth;
@@ -316,13 +456,14 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
                 "every fault site runs on single lanes");
   static_assert(W <= std::size(kLaneOffset), "lane tables too short");
 
-  // An isolated lane is frozen: it is skipped, so its staging entries keep
-  // the last good cycle, exactly like LoopSimulator's frozen record, and
-  // it folds nothing.  Its injector is consulted only on cycles that can
-  // report a fault, which next_consult tracks (see SimdChunkArgs).
+  // An isolated lane is frozen: it is skipped, so its state and staging
+  // entries keep the last good cycle, exactly like LoopSimulator's frozen
+  // record, and it folds nothing.  Its injector is consulted only on
+  // cycles that can report a fault, which next_consult tracks (see
+  // SimdChunkArgs).
   [[maybe_unused]] fault::CycleFaults faults;
   if constexpr (kSites == FaultSites::kAll) {
-    if (a.isolated[w] != 0) return;
+    if (a.isolated[w] != 0) return 0;
     if (pos >= a.next_consult[w]) {
       faults = a.injectors[w].begin_cycle(pos);
       a.next_consult[w] =
@@ -332,19 +473,15 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
 
   // TDC (one-cycle latency): tau = quantize(prev_t_dlv - e_local + mism),
   // clamped to [0, max_reading].
-  const D prev_t_dlv = V::load(a.prev_t_dlv + w);
   const D zero = V::broadcast(0.0);
-  if (V::mask_bits(V::cmp_lt(zero, prev_t_dlv)) != kAllLanes) {
-    for (std::size_t j = 0; j < W; ++j) {
-      ROCLK_CHECK(a.prev_t_dlv[w + j] > 0.0,
-                  "delivered period must be positive, got "
-                      << a.prev_t_dlv[w + j] << " stages (lane "
-                      << a.first + w + j << ")");
-    }
+  const D one = V::broadcast(1.0);
+  if (V::mask_bits(V::cmp_lt(zero, s.prev_t_dlv)) != kAllLanes) {
+    double lanes[W];
+    V::store(lanes, s.prev_t_dlv);
+    fail_nonpositive_period(lanes, W, a.first + w);
   }
-  const D e_local = V::load(a.prev_e_local + w);
-  const D raw =
-      V::add(V::sub(prev_t_dlv, e_local), V::broadcast(a.tdc_mismatch));
+  const D raw = V::add(V::sub(s.prev_t_dlv, s.prev_e_local),
+                       V::broadcast(a.tdc_mismatch));
   D tau;
   if constexpr (TdcQ == sensor::Quantization::kFloor) {
     tau = V::floor(raw);
@@ -356,8 +493,7 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   tau = dclamp<V>(tau, zero, V::broadcast(a.tdc_max));
 
   // Violation is judged on the TRUE reading, before any sensor fault.
-  const D setpoint = V::load(a.setpoint + w);
-  const auto violated = V::cmp_lt(tau, setpoint);
+  const auto violated = V::cmp_lt(tau, g.setpoint);
   if constexpr (kSites == FaultSites::kAll) {
     if (faults.any) {
       // Sensor-mux faults (precedence resolved by the injector); a faulted
@@ -373,29 +509,51 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
       tau = V::broadcast(t);
     }
   }
-  const D delta = V::sub(setpoint, tau);
+  const D delta = V::sub(g.setpoint, tau);
 
   // Controller / generator.
   D lro_now;
   if constexpr (kControl == ControlKind::kIirBank) {
     // IirControlHardware::step on a lane-vector: feedback taps, shift-scaled
-    // state update, anti-windup back-write — all exact integer arithmetic.
+    // state update, anti-windup back-write — all exact integer arithmetic,
+    // every gain one variable shift by a per-call count.
     const SimdIirArgs& iir = a.iir;
+    std::int64_t* const ring = iir.bank + w;
+    const std::int64_t* const newest = ring + tap_row;
+    const IirTapShift* const taps = iir.tap_shifts;
+    const auto shifted = [&](const IirTapShift* t, auto shift) {
+      return shift(V::iload(newest + t->offset), V::ibroadcast(t->shift));
+    };
+    const auto left = [](I x, I count) { return V::ishl(x, count); };
+    const auto right = [](I x, I count) { return V::isra(x, count); };
     I feedback = V::ibroadcast(0);
-    for (std::size_t i = 0; i < iir.taps; ++i) {
-      feedback =
-          V::iadd(feedback, apply_gain<V>(V::iload(rows[i] + w),
-                                          iir.tap_gains[i]));
+    const IirTapShift* t = taps;
+    for (; t != taps + iir.left_add_end; ++t) {
+      feedback = V::iadd(feedback, shifted(t, left));
     }
-    const I acc = V::iadd(apply_gain<V>(V::iload(iir.prev_input + w),
-                                        iir.k_exp_gain),
-                          feedback);
-    const I state = apply_gain<V>(acc, iir.k_star_gain);
-    const I next_input =
-        iir.integral_input ? V::to_int_exact(delta)
-                           : V::to_int_exact(V::round_ties_away(delta));
-    V::istore(iir.prev_input + w, next_input);
-    const I y = V::ishift_signed(state, -iir.k_exp_gain.exponent());
+    for (; t != taps + iir.left_sub_end; ++t) {
+      feedback = V::isub(feedback, shifted(t, left));
+    }
+    for (; t != taps + iir.right_add_end; ++t) {
+      feedback = V::iadd(feedback, shifted(t, right));
+    }
+    for (; t != taps + iir.taps; ++t) {
+      feedback = V::isub(feedback, shifted(t, right));
+    }
+    const I k_exp = V::ibroadcast(iir.k_exp_shift);
+    const I acc = V::iadd(V::ishl(s.prev_input, k_exp), feedback);
+    const I state =
+        V::isra(V::ishl(acc, V::ibroadcast(std::max(iir.k_star_exponent, 0))),
+                V::ibroadcast(std::max(-iir.k_star_exponent, 0)));
+    // delta is integral whenever the set-points are and the TDC quantizes
+    // (iir.integral_input), so rounding it is the identity — except on a
+    // fault cycle, whose sensor override can carry a real value.
+    if (iir.integral_input && kSites != FaultSites::kAll) {
+      s.prev_input = V::to_int_exact(delta);
+    } else {
+      s.prev_input = V::to_int_exact(V::round_ties_away(delta));
+    }
+    const I y = V::isra(state, k_exp);
     I new_row = state;
     if (iir.aw_enabled) {
       const I bounded = iclamp<V>(y, V::ibroadcast(iir.aw_min),
@@ -403,27 +561,25 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
       // Scalar: `if (bounded != y) row = k_exp.apply(bounded)`; y itself
       // stays unbounded (the l_RO clamp below is the output limiter).
       new_row = V::iselect(V::icmp_eq(bounded, y), state,
-                           apply_gain<V>(bounded, iir.k_exp_gain));
+                           V::ishl(bounded, k_exp));
     }
-    V::istore(rows[iir.taps - 1] + w, new_row);
-    // Quantize: the scalar path computes commanded = double(y), then rounds
-    // it back.  Inside the exact conversion window |y| < 2^51 that round
-    // trip is the identity, so the vector path keeps y; a diverged loop can
-    // push y outside the window, where double(y) rounds — those (rare)
-    // vectors replay the scalar round trip lane by lane, bit for bit.
+    // The new state is the newest at the next cycle's base, one row back,
+    // and its twin.
+    const std::size_t next_row = next_tap_row(a, tap_row);
+    V::istore(ring + next_row, new_row);
+    V::istore(ring + next_row + iir.taps * iir.row_stride, new_row);
+    // The scalar path computes commanded = double(y), then rounds and
+    // clamps it to the length range (quantize_lro) or clamps it unrounded.
+    // Inside the exact conversion window |y| < 2^51 double(y) is exact, so
+    // both are double(clamp(y, min, max)); a diverged loop can push y
+    // outside the window, where double(y) rounds — those (rare) vectors
+    // replay the scalar round trip lane by lane, bit for bit.
     constexpr std::int64_t kWindow = std::int64_t{1} << 51;
     const unsigned in_window =
         V::imask_bits(V::icmp_lt(y, V::ibroadcast(kWindow))) &
         V::imask_bits(V::icmp_lt(V::ibroadcast(-kWindow), y));
     if (in_window == kAllLanes) {
-      if (a.quantize_lro) {
-        const I length =
-            iclamp<V>(y, V::iload(a.min_len + w), V::iload(a.max_len + w));
-        lro_now = V::to_double_exact(length);
-      } else {
-        lro_now = dclamp<V>(V::to_double_exact(y), V::load(a.min_len_d + w),
-                            V::load(a.max_len_d + w));
-      }
+      lro_now = V::to_double_exact(iclamp<V>(y, g.min_len, g.max_len));
     } else {
       std::int64_t y_lanes[W];
       V::istore(y_lanes, y);
@@ -445,22 +601,23 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
     }
     lro_now = V::load(lro_lanes);
   } else {
-    lro_now = V::load(a.open_loop + w);
+    lro_now = g.open_loop;
   }
 
   // RO (one-cycle latency): t_gen = max(1.0, prev_lro + e_at_ro), with
   // std::max's exact selection order (1.0 < raw ? raw : 1.0).  A fixed
-  // clock ignores on-die variation; an active stage failure steps the
-  // l_RO -> period mapping.
-  const D e_at_ro =
-      a.fixed_clock ? zero : V::load(a.prev_e_ro + w);
-  D t_gen_raw = V::add(V::load(a.prev_lro + w), e_at_ro);
+  // clock (an open-loop mode) ignores on-die variation; an active stage
+  // failure steps the l_RO -> period mapping.
+  D e_at_ro = s.prev_e_ro;
+  if constexpr (kControl == ControlKind::kOpenLoop) {
+    if (a.fixed_clock) e_at_ro = zero;
+  }
+  D t_gen_raw = V::add(s.prev_lro, e_at_ro);
   if constexpr (kSites == FaultSites::kAll) {
     if (faults.any && faults.ro_offset != 0.0) {
       t_gen_raw = V::add(t_gen_raw, V::broadcast(faults.ro_offset));
     }
   }
-  const D one = V::broadcast(1.0);
   const D t_gen = V::select(V::cmp_lt(one, t_gen_raw), t_gen_raw, one);
 
   // CDN push into the interleaved ring (lane-contiguous: vector store).
@@ -468,10 +625,9 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
 
   // d = std::min(cdn_delay / t_gen, history_d): b < a ? b : a.  With
   // cdn_delay finite and >= 0 and t_gen >= 1, d lies in [0, history - 2].
-  const D quotient = V::div(V::load(a.cdn_delay + w), t_gen);
-  const D history_d = V::load(a.cdn_history_d + w);
+  const D quotient = V::div(g.cdn_delay, t_gen);
   const D d =
-      V::select(V::cmp_lt(history_d, quotient), history_d, quotient);
+      V::select(V::cmp_lt(g.history_d, quotient), g.history_d, quotient);
 
   // Quantised look-back, with QuantizedTimeCdn::look_back's boundary rule:
   // beyond the lane's history window (m >= history), or before the
@@ -482,15 +638,14 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
   // power of two >= the chunk width.
   const I pos_v = V::ibroadcast(static_cast<std::int64_t>(pos));
   const I slot_mask = V::ibroadcast(static_cast<std::int64_t>(a.slot_mask));
-  const I history = V::iload(a.cdn_history + w);
-  const D initial = V::load(a.cdn_initial + w);
+  const I row_shift = V::ibroadcast(a.row_shift);
   const auto look_back = [&](I m) {
     const I slot = V::iand(V::isub(pos_v, m), slot_mask);
     const I index =
-        V::iadd(V::ishift_signed(slot, a.row_shift), V::iload(kLaneOffset));
+        V::iadd(V::ishl(slot, row_shift), V::iload(kLaneOffset));
     const D held = V::gather(a.ring + w, index);
-    return V::dselect(V::icmp_lt(pos_v, m), initial,
-                      V::dselect(V::icmp_lt(m, history), held, initial));
+    return V::dselect(V::icmp_lt(pos_v, m), g.initial,
+                      V::dselect(V::icmp_lt(m, g.history), held, g.initial));
   };
   D t_dlv;
   if constexpr (CdnQ == cdn::DelayQuantization::kRound) {
@@ -538,27 +693,33 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
       for (unsigned bits = frozen; bits != 0; bits &= bits - 1) {
         a.isolated[w + static_cast<std::size_t>(std::countr_zero(bits))] = 1;
       }
-      if (frozen == kAllLanes) return;
+      if (frozen == kAllLanes) return frozen;
       const I bit = V::iload(kLaneBit);
       frozen_mask = V::icmp_eq(
           V::iand(V::ibroadcast(static_cast<std::int64_t>(frozen)), bit), bit);
     }
   }
   // A lane frozen this cycle keeps every staged, folded and latched value.
-  const auto latch = [&](double* p, D v) {
+  const auto latch = [&](D held, D v) {
+    if constexpr (kSites == FaultSites::kIsolation) {
+      if (frozen != 0) return V::dselect(frozen_mask, held, v);
+    }
+    return v;
+  };
+  const auto stage = [&](double* p, D v) {
     if constexpr (kSites == FaultSites::kIsolation) {
       if (frozen != 0) v = V::dselect(frozen_mask, V::load(p + w), v);
     }
     V::store(p + w, v);
   };
 
-  if (a.fold.mean == nullptr) {
+  if (in.stage) {
     // Stage the cycle's results for a reducer that takes slices.
-    latch(a.out_tau, tau);
-    latch(a.out_delta, delta);
-    latch(a.out_lro, lro_now);
-    latch(a.out_t_gen, t_gen);
-    latch(a.out_t_dlv, t_dlv);
+    stage(a.out_tau, tau);
+    stage(a.out_delta, delta);
+    stage(a.out_lro, lro_now);
+    stage(a.out_t_gen, t_gen);
+    stage(a.out_t_dlv, t_dlv);
     const unsigned viol_bits = V::mask_bits(violated);
     for (std::size_t j = 0; j < W; ++j) {
       if (((frozen >> j) & 1u) == 0) {
@@ -571,50 +732,187 @@ inline void simd_cycle_lanes(const SimdChunkArgs& a, std::size_t w,
     // trace: required_safety_margin's std::max(worst, delta),
     // RunningStats::add's ++n and mean += (t_dlv - mean) / n, and its
     // std::min / std::max of tau.
-    const SimdFoldArgs& f = a.fold;
-    const D worst = V::load(f.worst_delta + w);
-    latch(f.worst_delta, V::select(V::cmp_lt(worst, delta), delta, worst));
-    const D count = V::add(V::load(f.count + w), one);
-    latch(f.count, count);
-    const D mean = V::load(f.mean + w);
-    latch(f.mean, V::add(mean, V::div(V::sub(t_dlv, mean), count)));
-    const D tau_min = V::load(f.tau_min + w);
-    latch(f.tau_min, V::select(V::cmp_lt(tau, tau_min), tau, tau_min));
-    const D tau_max = V::load(f.tau_max + w);
-    latch(f.tau_max, V::select(V::cmp_lt(tau_max, tau), tau, tau_max));
-    latch(f.violations, V::add(V::load(f.violations + w),
-                               V::select(violated, one, zero)));
+    const D count = V::add(s.count, one);
+    s.worst_delta = latch(
+        s.worst_delta,
+        V::select(V::cmp_lt(s.worst_delta, delta), delta, s.worst_delta));
+    s.mean = latch(s.mean,
+                   V::add(s.mean, V::div(V::sub(t_dlv, s.mean), count)));
+    s.count = latch(s.count, count);
+    s.tau_min = latch(s.tau_min,
+                      V::select(V::cmp_lt(tau, s.tau_min), tau, s.tau_min));
+    s.tau_max = latch(s.tau_max,
+                      V::select(V::cmp_lt(s.tau_max, tau), tau, s.tau_max));
+    s.violations = latch(s.violations,
+                         V::add(s.violations, V::select(violated, one, zero)));
   }
 
   // Advance the z^-1 registers.  The TDC only ever reads e_tdc - mu, so
   // one register holds the difference.
-  latch(a.prev_lro, lro_now);
-  latch(a.prev_t_dlv, t_dlv);
-  const D mu = V::load(in.mu + w);
+  s.prev_lro = latch(s.prev_lro, lro_now);
+  s.prev_t_dlv = latch(s.prev_t_dlv, t_dlv);
   if (in.e_ro == nullptr) {
     const D e = V::broadcast(in.wave);
-    latch(a.prev_e_ro, e);
-    latch(a.prev_e_local, V::sub(e, mu));
+    s.prev_e_ro = latch(s.prev_e_ro, e);
+    s.prev_e_local = latch(s.prev_e_local, V::sub(e, g.mu));
   } else {
-    latch(a.prev_e_ro, V::load(in.e_ro + w));
-    latch(a.prev_e_local, V::sub(V::load(in.e_tdc + w), mu));
+    s.prev_e_ro = latch(s.prev_e_ro, V::load(in.e_ro + w));
+    s.prev_e_local = latch(
+        s.prev_e_local, V::sub(V::load(in.e_tdc + w), V::load(in.mu + w)));
   }
   if constexpr (kSites == FaultSites::kAll) {
     // A supply droop slows the whole die: both the RO and the TDC chain
     // see the extra stages next cycle, in step_impl's operand order
     // (`prev_e_tdc_ += droop`, then the TDC subtracts mu).
     if (faults.any && faults.droop != 0.0) {
-      const double e_ro = in.e_ro == nullptr ? in.wave : in.e_ro[w];
-      const double e_tdc = in.e_tdc == nullptr ? in.wave : in.e_tdc[w];
-      a.prev_e_ro[w] = e_ro + faults.droop;
-      a.prev_e_local[w] = (e_tdc + faults.droop) - in.mu[w];
+      const bool homogeneous = in.e_ro == nullptr;
+      const double e_ro = homogeneous ? in.wave : in.e_ro[w];
+      const double e_tdc = homogeneous ? in.wave : in.e_tdc[w];
+      const double mu = homogeneous ? lane_value<V>(g.mu) : in.mu[w];
+      s.prev_e_ro = V::broadcast(e_ro + faults.droop);
+      s.prev_e_local = V::broadcast((e_tdc + faults.droop) - mu);
     }
   }
+  return frozen;
+}
+
+/// Cycle k's inputs: the wave sample, or the block row.
+[[gnu::always_inline]] inline CycleInputs cycle_inputs(const SimdChunkArgs& a,
+                                                       std::size_t k,
+                                                       bool stage, bool fold) {
+  CycleInputs in;
+  in.stage = stage;
+  in.fold = fold;
+  if (a.wave != nullptr) {
+    in.wave = a.wave[k];
+  } else {
+    const std::size_t row = k * a.stride + a.column;
+    in.e_ro = a.e_ro + row;
+    in.e_tdc = a.e_tdc + row;
+    in.mu = a.mu + row;
+  }
+  return in;
+}
+
+/// The first cycle on which the vector group at w, whose armed lanes are
+/// the bits of `group`, has a fault cycle: one of its armed lanes is
+/// isolated (every cycle from now) or due a consult of its injector.
+[[gnu::always_inline]] inline std::uint64_t next_fault_cycle(
+    const SimdChunkArgs& a, std::uint64_t group, std::size_t w) {
+  std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
+  for (; group != 0; group &= group - 1) {
+    const std::size_t lane =
+        w + static_cast<std::size_t>(std::countr_zero(group));
+    if (a.isolated[lane] != 0) return 0;
+    next = std::min(next, a.next_consult[lane]);
+  }
+  return next;
+}
+
+/// Cycles [k_begin, k_end) of the call for the V::kWidth lanes at chunk
+/// offset w, on state held in registers: loaded once, stored once.  kSites
+/// is kNone (no armed lane), kIsolation (a vector group holding armed
+/// lanes) or kAll (one armed lane).  A vector group with armed lanes runs
+/// each of its fault cycles as one cycle of each of its lanes through this
+/// function at width 1, from the state it spills, and reloads it after.
+/// With `emit` set, a reducer that takes slices gets one per cycle for
+/// these lanes.
+template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
+          ControlKind kControl, FaultSites kSites>
+void run_group(const SimdChunkArgs& a, std::size_t w, std::size_t k_begin,
+               std::size_t k_end, bool emit,
+               std::uint64_t& fault_group_cycles) {
+  using S1 = simd::ScalarTraits<1>;
+  constexpr std::size_t W = V::kWidth;
+  // A local copy of the arguments: the cycle body's stores (the ring, the
+  // tap rows, staging) may alias any memory, but not this.
+  const SimdChunkArgs c = a;
+  const LaneConsts<V> g = load_consts<V>(c, w);
+  LaneState<V> s = load_state<V, kControl>(c, w);
+
+  // A reducer with accumulators folds from its lanes' cycle `skip` on.
+  // Every lane of a chunk runs every cycle, so their cycles-seen count is
+  // one number, advanced once per call.
+  const bool stage = c.fold.mean == nullptr;
+  std::size_t fold_from = k_end;
+  if (!stage) {
+    const std::size_t seen = c.fold.seen[0];
+    fold_from = seen >= c.fold.skip
+                    ? k_begin
+                    : std::clamp(c.fold.skip - seen, k_begin, k_end);
+  }
+  LaneSlice slice;
+  slice.first_lane = c.first + w;
+  slice.width = W;
+  slice.tau = c.out_tau + w;
+  slice.delta = c.out_delta + w;
+  slice.lro = c.out_lro + w;
+  slice.t_gen = c.out_t_gen + w;
+  slice.t_dlv = c.out_t_dlv + w;
+  slice.violation = c.out_violation + w;
+  slice.isolated = c.isolated != nullptr ? c.isolated + w : nullptr;
+
+  // The IIR bank's ring base moves back one row per cycle, so the row the
+  // step overwrites (the oldest state) holds the newest one next cycle.
+  std::size_t tap_row = 0;
+  if constexpr (kControl == ControlKind::kIirBank) {
+    const std::size_t taps = c.iir.taps;
+    tap_row = (*c.iir.head + taps - k_begin % taps) % taps * c.iir.row_stride;
+  }
+
+  [[maybe_unused]] const std::uint64_t group =
+      (c.armed >> w) & ((std::uint64_t{1} << W) - 1);
+  [[maybe_unused]] std::uint64_t quiet_until =
+      kSites == FaultSites::kIsolation ? next_fault_cycle(c, group, w) : 0;
+
+  // The cycles in two spans, before the fold starts and from it on:
+  // `fold` is constant over a span, so no cycle compares k with
+  // fold_from, and the compiler keeps one copy of the loop.
+  const std::size_t span_end[] = {fold_from, k_end};
+  std::uint64_t pos = *c.pushes + k_begin;
+  std::size_t k = k_begin;
+  for (const std::size_t end : span_end) {
+    const bool fold = !stage && k >= fold_from;
+    for (; k < end; ++k, ++pos) {
+      const CycleInputs in = cycle_inputs(c, k, stage, fold);
+      if constexpr (kSites == FaultSites::kIsolation) {
+        if (pos >= quiet_until) {
+          store_state<V, kControl>(c, w, s);
+          ++fault_group_cycles;
+          for (std::size_t lane = w; lane < w + W; ++lane) {
+            if (((c.armed >> lane) & 1u) != 0) {
+              run_group<S1, TdcQ, CdnQ, kControl, FaultSites::kAll>(
+                  a, lane, k, k + 1, false, fault_group_cycles);
+            } else {
+              run_group<S1, TdcQ, CdnQ, kControl, FaultSites::kNone>(
+                  a, lane, k, k + 1, false, fault_group_cycles);
+            }
+          }
+          s = load_state<V, kControl>(c, w);
+          quiet_until = next_fault_cycle(c, group, w);
+        } else if (simd_cycle_lanes<V, TdcQ, CdnQ, kControl, kSites>(
+                       c, w, g, s, in, pos, tap_row) != 0) {
+          quiet_until = 0;  // an isolated lane: every cycle a fault cycle
+        }
+      } else {
+        simd_cycle_lanes<V, TdcQ, CdnQ, kControl, kSites>(c, w, g, s, in,
+                                                          pos, tap_row);
+      }
+      if (stage && emit) {
+        slice.cycle = c.first_cycle + k;
+        c.reducer->accumulate(slice);
+      }
+      if constexpr (kControl == ControlKind::kIirBank) {
+        tap_row = next_tap_row(c, tap_row);
+      }
+    }
+  }
+  store_state<V, kControl>(c, w, s);
 }
 
 /// Full chunk run at one (TdcQ, CdnQ, controller) combination: vector
-/// groups of T::kWidth lanes, plus the width-1 body for the tail and for
-/// every group on a fault cycle.
+/// groups of T::kWidth lanes, then each tail lane as a group of its own,
+/// each running all of the call's cycles before the next starts.
 template <class T, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
           ControlKind kControl>
 void run_chunk_simd_typed(const SimdChunkArgs& a) {
@@ -624,101 +922,35 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
   const std::size_t cw = a.cw;
   const std::size_t vector_end = cw - cw % W;
 
-  // Newest-first tap-row pointer ring: a step reads the feedback taps and
-  // overwrites the oldest row in place with the new state; rotating the
-  // ring once per cycle makes that row rows[0], so the shift register
-  // advances without per-lane register moves.
-  std::vector<std::int64_t*> rows;
-  if constexpr (kControl == ControlKind::kIirBank) {
-    rows.resize(a.iir.taps);
-    for (std::size_t i = 0; i < a.iir.taps; ++i) {
-      rows[i] = a.iir.bank + ((*a.iir.head + i) % a.iir.taps) * cw;
-    }
-  }
-
-  // A reducer with accumulators folds from its lanes' cycle `skip` on.
-  // Every lane of a chunk runs every cycle, so their cycles-seen count is
-  // one number, advanced once per call.
-  const bool folding = a.fold.mean != nullptr;
-  const std::size_t seen = folding ? a.fold.seen[0] : 0;
-
-  LaneSlice slice;
-  slice.first_lane = a.first;
-  slice.width = cw;
-  slice.tau = a.out_tau;
-  slice.delta = a.out_delta;
-  slice.lro = a.out_lro;
-  slice.t_gen = a.out_t_gen;
-  slice.t_dlv = a.out_t_dlv;
-  slice.violation = a.out_violation;
-  slice.isolated = a.isolated;
-
-  std::uint64_t pos = *a.pushes;
   std::uint64_t fault_group_cycles = 0;
-  for (std::size_t k = 0; k < a.cycles; ++k) {
-    CycleInputs in;
-    in.fold = folding && seen + k >= a.fold.skip;
-    if (a.wave != nullptr) {
-      in.mu = a.lane_mu;
-      in.wave = a.wave[k];
+  for (std::size_t w = 0; w < vector_end; w += W) {
+    if (((a.armed >> w) & kGroupBits) == 0) {
+      run_group<T, TdcQ, CdnQ, kControl, FaultSites::kNone>(
+          a, w, 0, a.cycles, true, fault_group_cycles);
     } else {
-      const std::size_t row = k * a.stride + a.column;
-      in.e_ro = a.e_ro + row;
-      in.e_tdc = a.e_tdc + row;
-      in.mu = a.mu + row;
+      run_group<T, TdcQ, CdnQ, kControl, FaultSites::kIsolation>(
+          a, w, 0, a.cycles, true, fault_group_cycles);
     }
-    // One lane on the width-1 body, with every fault site compiled in when
-    // its schedule has events.
-    const auto lane_cycle = [&](std::size_t lane) {
-      if (((a.armed >> lane) & 1u) != 0) {
-        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, FaultSites::kAll>(
-            a, lane, in, pos, rows.data());
-      } else {
-        simd_cycle_lanes<S1, TdcQ, CdnQ, kControl, FaultSites::kNone>(
-            a, lane, in, pos, rows.data());
-      }
-    };
-    // A fault cycle for a group: one of its armed lanes is isolated or
-    // due a consult of its injector.
-    const auto fault_cycle = [&](std::uint64_t group, std::size_t w) {
-      for (; group != 0; group &= group - 1) {
-        const std::size_t lane =
-            w + static_cast<std::size_t>(std::countr_zero(group));
-        if (pos >= a.next_consult[lane] || a.isolated[lane] != 0) return true;
-      }
-      return false;
-    };
-    for (std::size_t w = 0; w < vector_end; w += W) {
-      const std::uint64_t group = (a.armed >> w) & kGroupBits;
-      if (group == 0) {
-        simd_cycle_lanes<T, TdcQ, CdnQ, kControl, FaultSites::kNone>(
-            a, w, in, pos, rows.data());
-      } else if (!fault_cycle(group, w)) {
-        simd_cycle_lanes<T, TdcQ, CdnQ, kControl, FaultSites::kIsolation>(
-            a, w, in, pos, rows.data());
-      } else {
-        ++fault_group_cycles;
-        for (std::size_t lane = w; lane < w + W; ++lane) lane_cycle(lane);
-      }
+  }
+  for (std::size_t w = vector_end; w < cw; ++w) {
+    if (((a.armed >> w) & 1u) != 0) {
+      run_group<S1, TdcQ, CdnQ, kControl, FaultSites::kAll>(
+          a, w, 0, a.cycles, true, fault_group_cycles);
+    } else {
+      run_group<S1, TdcQ, CdnQ, kControl, FaultSites::kNone>(
+          a, w, 0, a.cycles, true, fault_group_cycles);
     }
-    for (std::size_t w = vector_end; w < cw; ++w) lane_cycle(w);
-    if constexpr (kControl == ControlKind::kIirBank) {
-      std::rotate(rows.begin(), rows.end() - 1, rows.end());
-    }
-    ++pos;
+  }
 
-    if (!folding) {
-      slice.cycle = a.first_cycle + k;
-      a.reducer->accumulate(slice);
-    }
+  if (a.fold.mean != nullptr) {
+    const std::size_t seen = a.fold.seen[0] + a.cycles;
+    for (std::size_t w = 0; w < cw; ++w) a.fold.seen[w] = seen;
   }
-  if (folding) {
-    for (std::size_t w = 0; w < cw; ++w) a.fold.seen[w] = seen + a.cycles;
-  }
-  *a.pushes = pos;
+  *a.pushes += a.cycles;
   *a.fault_group_cycles += fault_group_cycles;
   if constexpr (kControl == ControlKind::kIirBank) {
-    *a.iir.head = static_cast<std::size_t>(rows[0] - a.iir.bank) / cw;
+    const std::size_t taps = a.iir.taps;
+    *a.iir.head = (*a.iir.head + taps - a.cycles % taps) % taps;
   }
 }
 

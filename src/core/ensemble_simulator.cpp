@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "ensemble_simd_kernel.hpp"
+#include "roclk/common/fixed_point.hpp"
 #include "roclk/common/math.hpp"
 #include "roclk/common/thread_pool.hpp"
 #include "roclk/control/iir_control.hpp"
@@ -161,12 +162,38 @@ EnsembleSimulator::EnsembleSimulator(
       }
     }
     if (iir_bank_active_) {
-      iir_k_exp_gain_ = PowerOfTwoGain::from_value(reference->k_exp).value();
-      iir_k_star_gain_ = PowerOfTwoGain::from_value(reference->k_star).value();
-      iir_tap_gains_.reserve(reference->taps.size());
-      for (double k : reference->taps) {
-        iir_tap_gains_.push_back(PowerOfTwoGain::from_value(k).value());
-      }
+      // validate_iir_config holds k_exp >= 1 and k* = 1 / sum(taps) > 0,
+      // so k_exp is a left shift and k* a shift either way, both unsigned.
+      const PowerOfTwoGain k_exp =
+          PowerOfTwoGain::from_value(reference->k_exp).value();
+      const PowerOfTwoGain k_star =
+          PowerOfTwoGain::from_value(reference->k_star).value();
+      ROCLK_CHECK(k_exp.exponent() >= 0 && !k_exp.negative() &&
+                      !k_star.negative(),
+                  "IIR bank needs k_exp >= 1 and k* > 0");
+      iir_k_exp_shift_ = k_exp.exponent();
+      iir_k_star_exponent_ = k_star.exponent();
+      // The taps, ordered into the kernel's four runs.
+      const std::vector<double>& taps = reference->taps;
+      iir_row_stride_ = std::min(kChunkLanes, configs_.size());
+      iir_tap_shifts_.reserve(taps.size());
+      const auto append_run = [&](bool left, bool negative) {
+        for (std::size_t i = 0; i < taps.size(); ++i) {
+          const PowerOfTwoGain gain =
+              PowerOfTwoGain::from_value(taps[i]).value();
+          const int e = gain.exponent();
+          if ((e >= 0) == left && gain.negative() == negative) {
+            iir_tap_shifts_.push_back(
+                {static_cast<std::int32_t>(i * iir_row_stride_),
+                 left ? e : -e});
+          }
+        }
+        return iir_tap_shifts_.size();
+      };
+      iir_left_add_end_ = append_run(true, false);
+      iir_left_sub_end_ = append_run(true, true);
+      iir_right_add_end_ = append_run(false, false);
+      (void)append_run(false, true);
       iir_k_exp_ = reference->k_exp;
       if (reference->anti_windup.has_value()) {
         // Mirror of IirControlHardware's pre-resolved anti-windup clamp.
@@ -240,7 +267,8 @@ EnsembleSimulator::EnsembleSimulator(
     chunk.row_shift = std::countr_zero(std::bit_ceil(cw));
     chunk.ring.assign(chunk.ring_slots << chunk.row_shift, 0.0);
     if (iir_bank_active_) {
-      chunk.iir_state.assign(iir_tap_gains_.size() * cw, 0);
+      chunk.iir_state.assign(2 * iir_tap_shifts_.size() * iir_row_stride_,
+                             0);
       chunk.iir_prev_input.assign(cw, 0);
     }
     chunks_.push_back(std::move(chunk));
@@ -302,8 +330,8 @@ void EnsembleSimulator::reset() {
         // every tap register, previous input cleared.
         const auto w0 = static_cast<std::int64_t>(
             llround_ties_away(equilibrium * iir_k_exp_));
-        for (std::size_t i = 0; i < iir_tap_gains_.size(); ++i) {
-          chunk.iir_state[i * cw + w] = w0;
+        for (std::size_t row = 0; row < 2 * iir_tap_shifts_.size(); ++row) {
+          chunk.iir_state[row * iir_row_stride_ + w] = w0;
         }
         chunk.iir_prev_input[w] = 0;
       }
@@ -412,21 +440,26 @@ void EnsembleSimulator::run_one_chunk(Chunk& chunk,
     args.control = detail::ControlKind::kOpenLoop;
   } else if (iir_bank_active_) {
     args.control = detail::ControlKind::kIirBank;
-    args.iir.tap_gains = iir_tap_gains_.data();
-    args.iir.taps = iir_tap_gains_.size();
-    args.iir.k_exp_gain = iir_k_exp_gain_;
-    args.iir.k_star_gain = iir_k_star_gain_;
+    args.iir.tap_shifts = iir_tap_shifts_.data();
+    args.iir.left_add_end = iir_left_add_end_;
+    args.iir.left_sub_end = iir_left_sub_end_;
+    args.iir.right_add_end = iir_right_add_end_;
+    args.iir.taps = iir_tap_shifts_.size();
+    args.iir.row_stride = iir_row_stride_;
+    args.iir.k_exp_shift = iir_k_exp_shift_;
+    args.iir.k_star_exponent = iir_k_star_exponent_;
     args.iir.prev_input = chunk.iir_prev_input.data();
     args.iir.bank = chunk.iir_state.data();
     args.iir.head = &chunk.iir_head;
     // delta = setpoint - tau is exactly integral when the set-points are
     // integers and the TDC floors or rounds (tau and the clamp bounds are
-    // then integral), so the bank input needs no rounding.  Fault
-    // injection voids the deduction: a stuck or glitched reading carries
-    // an arbitrary real magnitude past the quantizer, so a fault-armed
-    // ensemble keeps the ties-away rounding of the scalar controller.
+    // then integral), so the bank input needs no rounding.  A fault cycle
+    // voids the deduction: a stuck or glitched reading carries an
+    // arbitrary real magnitude past the quantizer, so the kernel's
+    // every-site body keeps the ties-away rounding of the scalar
+    // controller.
     args.iir.integral_input =
-        chunk.integral_setpoints && !faults_active_ &&
+        chunk.integral_setpoints &&
         tdc_.config().quantization != sensor::Quantization::kNone;
     args.iir.aw_enabled = iir_aw_enabled_;
     args.iir.aw_min = iir_aw_min_;
@@ -491,6 +524,16 @@ void EnsembleSimulator::run_one_chunk(Chunk& chunk,
   detail::run_chunk_simd_scalar(args);
 }
 
+template <class Task>
+void EnsembleSimulator::for_each_chunk(ThreadPool* pool, const Task& task) {
+  if (pool == nullptr || pool->size() <= 1 || chunks_.size() <= 1) {
+    for (Chunk& chunk : chunks_) task(chunk);
+    return;
+  }
+  parallel_for(*pool, chunks_.size(),
+               [&](std::size_t i) { task(chunks_[i]); });
+}
+
 void EnsembleSimulator::run(const EnsembleInputBlock& block,
                             StreamingReducer& reducer, bool parallel) {
   run(block, reducer, parallel ? &ThreadPool::shared() : nullptr);
@@ -551,16 +594,6 @@ void EnsembleSimulator::run_homogeneous(
       run_one_chunk(chunk, args, reducer, backend);
     }
   });
-}
-
-void EnsembleSimulator::for_each_chunk(
-    ThreadPool* pool, const std::function<void(Chunk&)>& task) {
-  if (pool == nullptr || pool->size() <= 1 || chunks_.size() <= 1) {
-    for (Chunk& chunk : chunks_) task(chunk);
-    return;
-  }
-  parallel_for(*pool, chunks_.size(),
-               [&](std::size_t i) { task(chunks_[i]); });
 }
 
 }  // namespace roclk::core

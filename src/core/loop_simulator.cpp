@@ -229,9 +229,11 @@ StepRecord LoopSimulator::step_impl(double e_ro, double e_tdc, double mu,
     prev_e_tdc_ += faults.droop;
   }
 
-  if (injector_) {
+  if (injector_ && !injector_->schedule().empty()) {
     // Lane isolation: faulted dynamics must degrade, never poison.  A
-    // non-physical signal freezes the loop at the last good record.
+    // non-physical signal freezes the loop at the last good record.  An
+    // empty schedule leaves the loop fault-free, isolation included, as
+    // it leaves an ensemble lane.
     if (!std::isfinite(record.tau) || !std::isfinite(record.t_dlv) ||
         record.t_dlv <= 0.0) {
       isolated_ = true;

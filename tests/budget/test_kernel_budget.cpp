@@ -1,0 +1,138 @@
+// Allocation budgets of the ensemble kernel and a served corner: exact
+// counts that do not depend on the host, held as ceilings (ROADMAP item
+// 8).  The binary links tests/support/counting_new.cpp, which counts every
+// global operator new; each test runs the call once to warm it (first-use
+// statics, the backend choice) and then counts a second call.  The
+// backend is whatever ROCLK_SIMD resolves to, so CI runs the label once
+// natively and once with the scalar pack forced.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "../support/counting_new.hpp"
+#include "roclk/analysis/ensemble_metrics.hpp"
+#include "roclk/analysis/experiments.hpp"
+#include "roclk/control/iir_control.hpp"
+#include "roclk/core/ensemble_simulator.hpp"
+#include "roclk/core/inputs.hpp"
+#include "roclk/fault/fault.hpp"
+#include "roclk/signal/waveform.hpp"
+
+namespace roclk {
+namespace {
+
+constexpr double kSetpoint = 64.0;
+// Crosses run_homogeneous's 512-cycle waveform tiles twice.
+constexpr std::size_t kCycles = 1100;
+constexpr std::size_t kSkip = 100;
+constexpr std::size_t kWidths[] = {1, 9, 1024};
+
+/// Allocations made by fn().
+template <class Fn>
+std::uint64_t allocations_of(const Fn& fn) {
+  const std::uint64_t before = testing::allocations();
+  fn();
+  return testing::allocations() - before;
+}
+
+core::EnsembleSimulator iir_ensemble(std::size_t width, bool faulted) {
+  core::LoopConfig config;
+  config.setpoint_c = kSetpoint;
+  config.cdn_delay_stages = kSetpoint;
+  config.mode = core::GeneratorMode::kControlledRo;
+  const control::IirControlHardware prototype{control::paper_iir_config()};
+  auto ensemble = core::EnsembleSimulator::uniform(config, &prototype, width);
+  if (faulted) {
+    // Random events on every 8th lane, as in a fault campaign.
+    fault::RandomFaultSpec spec;
+    spec.horizon_cycles = 2 * kCycles;
+    std::vector<fault::FaultSchedule> schedules(width);
+    for (std::size_t w = 0; w < width; w += 8) {
+      schedules[w] = fault::FaultSchedule::random(500 + w, spec);
+    }
+    ensemble.attach_faults(schedules);
+  }
+  return ensemble;
+}
+
+std::vector<double> lane_mus(std::size_t width) {
+  std::vector<double> mus(width);
+  for (std::size_t w = 0; w < width; ++w) {
+    mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
+  }
+  return mus;
+}
+
+/// Takes slices and keeps nothing: the slice path's own cost.
+class DiscardReducer final : public core::StreamingReducer {
+ public:
+  void accumulate(const core::LaneSlice& /*slice*/) override {}
+};
+
+TEST(KernelBudget, SequentialRunAllocatesNothing) {
+  for (const bool faulted : {false, true}) {
+    for (const std::size_t width : kWidths) {
+      SCOPED_TRACE(std::string{faulted ? "faulted" : "clean"} + " width " +
+                   std::to_string(width));
+      auto ensemble = iir_ensemble(width, faulted);
+      std::vector<core::SimulationInputs> inputs;
+      for (std::size_t w = 0; w < width; ++w) {
+        inputs.push_back(core::SimulationInputs::harmonic(
+            10.0, 1600.0, -6.0 + 1.7 * static_cast<double>(w % 8)));
+      }
+      const auto block = core::sample_ensemble(inputs, kCycles, kSetpoint);
+      analysis::MetricsReducer metrics{width, 76.8, kSkip};
+      DiscardReducer discard;
+      ensemble.run(block, metrics, nullptr);
+      EXPECT_EQ(allocations_of([&] { ensemble.run(block, metrics, nullptr); }),
+                0u);
+      EXPECT_EQ(allocations_of([&] { ensemble.run(block, discard, nullptr); }),
+                0u);
+    }
+  }
+}
+
+TEST(KernelBudget, SequentialRunHomogeneousAllocatesNothing) {
+  const signal::SineWaveform wave{12.8, 3200.0};
+  for (const bool faulted : {false, true}) {
+    for (const std::size_t width : kWidths) {
+      SCOPED_TRACE(std::string{faulted ? "faulted" : "clean"} + " width " +
+                   std::to_string(width));
+      auto ensemble = iir_ensemble(width, faulted);
+      const std::vector<double> mus = lane_mus(width);
+      analysis::MetricsReducer metrics{width, 76.8, kSkip};
+      DiscardReducer discard;
+      const auto run = [&](core::StreamingReducer& reducer) {
+        ensemble.run_homogeneous(wave, mus, kSetpoint, kCycles, reducer,
+                                 nullptr);
+      };
+      run(metrics);
+      EXPECT_EQ(allocations_of([&] { run(metrics); }), 0u);
+      EXPECT_EQ(allocations_of([&] { run(discard); }), 0u);
+    }
+  }
+}
+
+TEST(KernelBudget, SimulateSystemCornerStaysUnderItsCeiling) {
+  // One served corner: a one-lane ensemble built, run through
+  // run_homogeneous into a MetricsReducer, and evaluated.  The ceiling is
+  // the count on the reference toolchain (GCC 12, libstdc++): building the
+  // ensemble, its controller and reducer; the kernel call adds nothing.
+  // Lower it with any change that lowers the count.
+  constexpr std::uint64_t kCeiling = 63;
+  const auto corner = [] {
+    (void)analysis::simulate_system(analysis::SystemKind::kIir, kSetpoint,
+                                    kSetpoint, 12.8, 3200.0, 1.5, 76.8, 5000,
+                                    1000);
+  };
+  corner();
+  const std::uint64_t count = allocations_of(corner);
+  EXPECT_LE(count, kCeiling);
+  RecordProperty("allocations", std::to_string(count));
+}
+
+}  // namespace
+}  // namespace roclk

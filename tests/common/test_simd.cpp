@@ -205,13 +205,22 @@ TEST(ScalarPack, IntConversionsExactInsideWindow) {
 }
 
 TEST(ScalarPack, SignedShiftAndMasksMatchScalar) {
-  // shift_signed: left for sh >= 0, arithmetic right for sh < 0.
+  // shift_signed by a per-lane count: ishl left, isra arithmetic right.
   const std::int64_t values[4] = {-9, 9, -1, (std::int64_t{1} << 40) + 5};
   std::int64_t out[4];
-  V::istore(out, V::ishift_signed(V::iload(values), -3));
+  V::istore(out, V::isra(V::iload(values), V::ibroadcast(3)));
   for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], values[i] >> 3) << i;
-  V::istore(out, V::ishift_signed(V::iload(values), 2));
+  V::istore(out, V::ishl(V::iload(values), V::ibroadcast(2)));
   for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], values[i] << 2) << i;
+  const std::int64_t counts[4] = {0, 1, 5, 40};
+  V::istore(out, V::isra(V::iload(values), V::iload(counts)));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(out[i], values[i] >> counts[i]) << i;
+  }
+  V::istore(out, V::ishl(V::iload(values), V::iload(counts)));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(out[i], values[i] << counts[i]) << i;
+  }
 
   const std::int64_t limit[4] = {10, 10, 10, 10};
   const unsigned below =
@@ -251,7 +260,7 @@ TEST(ScalarPack, GatherReadsEachLanesRingSlot) {
   const auto look_back = [&](std::int64_t pos, const std::int64_t* m) {
     const V::I slot = V::iand(V::isub(V::ibroadcast(pos), V::iload(m)),
                               V::ibroadcast(kSlots - 1));
-    const V::I index = V::iadd(V::ishift_signed(slot, kRowShift),
+    const V::I index = V::iadd(V::ishl(slot, V::ibroadcast(kRowShift)),
                                V::iload(lane));
     std::vector<double> out(4);
     V::store(out.data(), V::gather(ring.data(), index));

@@ -150,18 +150,18 @@ void expect_same_metrics(const SimulationTrace& reference,
   ASSERT_EQ(bits(want.tau_ripple), bits(lane.tau_ripple)) << "lane " << w;
 }
 
-/// Runs a `width`-lane ensemble of `cfg` on `backend`, one controller per
-/// lane from `make_controller`, and checks every lane's streamed trace
-/// bitwise against a fresh scalar run_batch.  A second, identical
-/// ensemble runs the same block into a MetricsReducer: every lane the
-/// reference does not isolate must fold evaluate_run's figures of that
-/// trace, bitwise.
-void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
-                      simd::Backend backend,
-                      const std::vector<fault::FaultSchedule>* faults =
-                          nullptr,
-                      const ControllerFactory& make_controller = paper_iir) {
+/// Runs an ensemble of `cfg` on `backend` over `block`, one lane per
+/// block lane and one controller per lane from `make_controller`, and
+/// checks every lane's streamed trace bitwise against a fresh scalar
+/// run_batch.  A second, identical ensemble runs the same block into a
+/// MetricsReducer: every lane the reference does not isolate must fold
+/// evaluate_run's figures of that trace, bitwise.
+void expect_bit_exact_on(const EnsembleInputBlock& block,
+                         const LoopConfig& cfg, simd::Backend backend,
+                         const std::vector<fault::FaultSchedule>* faults,
+                         const ControllerFactory& make_controller) {
   BackendOverrideGuard forced{backend};
+  const std::size_t width = block.width;
   const auto make_ensemble = [&] {
     std::vector<std::unique_ptr<control::ControlBlock>> controllers;
     if (make_controller) {
@@ -174,7 +174,6 @@ void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
     if (faults != nullptr) ensemble.attach_faults(*faults);
     return ensemble;
   };
-  const auto block = sample_ensemble(varied_inputs(width), kCycles, kSetpoint);
   EnsembleSimulator ensemble = make_ensemble();
   TraceReducer reducer{width, kCycles};
   ensemble.run(block, reducer);
@@ -193,6 +192,17 @@ void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
           expect_same_metrics(reference, metrics.metrics(w), w));
     }
   }
+}
+
+/// expect_bit_exact_on over a `width`-lane block of varied harmonics.
+void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
+                      simd::Backend backend,
+                      const std::vector<fault::FaultSchedule>* faults =
+                          nullptr,
+                      const ControllerFactory& make_controller = paper_iir) {
+  expect_bit_exact_on(
+      sample_ensemble(varied_inputs(width), kCycles, kSetpoint), cfg,
+      backend, faults, make_controller);
 }
 
 // Widths chosen around the vector geometry: 1 (pure tail), 3 and 5 are
@@ -659,6 +669,203 @@ TEST(EnsembleSimd, IsolatedLaneFoldsItsCyclesBeforeIsolation) {
       scalar.attach_faults(schedules[w]);
       ASSERT_NO_FATAL_FAILURE(
           expect_same_metrics(scalar.run_batch(lane), metrics[w], w));
+    }
+  }
+}
+
+TEST(EnsembleSimd, UnarmedLaneWithNonFiniteInputRunsOnExactly) {
+  // An empty schedule leaves its lane fault-free, isolation test included,
+  // in LoopSimulator and in the ensemble alike.  Lanes 1 and 8 of a
+  // 9-lane ensemble whose lane 0 is armed see an infinite e_ro sample on
+  // cycle 20 and run on, bitwise as their references with their empty
+  // schedules attached.  Lane 1 shares its vector group with armed lane 0
+  // on every backend; lane 8 is a tail lane on every backend.
+  constexpr std::size_t kWidth = 9;
+  const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
+                                     cdn::DelayQuantization::kRound, true);
+  std::vector<fault::FaultSchedule> schedules(kWidth);
+  schedules[0].add({fault::FaultKind::kTdcGlitch, 50, 1, 5.0});
+  auto block = sample_ensemble(varied_inputs(kWidth), kCycles, kSetpoint);
+  for (const std::size_t lane : {std::size_t{1}, std::size_t{8}}) {
+    block.e_ro[20 * kWidth + lane] = std::numeric_limits<double>::infinity();
+  }
+  for (const simd::Backend backend : backends_under_test()) {
+    SCOPED_TRACE(simd::to_string(backend));
+    expect_bit_exact_on(block, cfg, backend, &schedules, paper_iir);
+    BackendOverrideGuard forced{backend};
+    const control::IirControlHardware prototype{control::paper_iir_config()};
+    auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, kWidth);
+    ensemble.attach_faults(schedules);
+    TraceReducer reducer{kWidth, kCycles};
+    ensemble.run(block, reducer);
+    EXPECT_EQ(ensemble.isolated_count(), 0u);
+    // The infinite sample reached both lanes' traces.
+    for (const std::size_t lane : {std::size_t{1}, std::size_t{8}}) {
+      EXPECT_TRUE(std::isinf(reducer.trace(lane).generated_period()[21]))
+          << "lane " << lane;
+    }
+  }
+}
+
+/// A waveform read from a table by sample index: at(k * dt) is
+/// values[first + k] exactly, because dt is a power of two, so a run split
+/// over two run_homogeneous calls (each counting k from 0) can see the
+/// very inputs of one call.
+class TableWave final : public signal::Waveform {
+ public:
+  TableWave(const std::vector<double>& values, double dt, std::size_t first)
+      : values_{&values}, dt_{dt}, first_{first} {}
+  [[nodiscard]] double at(double t) const override {
+    return (*values_)[first_ + static_cast<std::size_t>(t / dt_)];
+  }
+  [[nodiscard]] std::unique_ptr<signal::Waveform> clone() const override {
+    return std::make_unique<TableWave>(*this);
+  }
+
+ private:
+  const std::vector<double>* values_;
+  double dt_;
+  std::size_t first_;
+};
+
+/// Every lane of `split`'s and `whole`'s runs (traces into `split_trace`
+/// and `whole_trace`, metrics into `split_metrics` and `whole_metrics`)
+/// against run_batch on the same lane of `block` and against each other,
+/// bitwise, isolation verdicts included.
+void expect_splits_exact(const EnsembleSimulator& split,
+                         const TraceReducer& split_trace,
+                         const analysis::MetricsReducer& split_metrics,
+                         const EnsembleSimulator& whole,
+                         const TraceReducer& whole_trace,
+                         const analysis::MetricsReducer& whole_metrics,
+                         const EnsembleInputBlock& block,
+                         const std::vector<fault::FaultSchedule>& schedules,
+                         const LoopConfig& cfg) {
+  for (std::size_t w = 0; w < block.width; ++w) {
+    LoopSimulator scalar{cfg, paper_iir(w)};
+    scalar.attach_faults(schedules[w]);
+    const SimulationTrace reference = scalar.run_batch(block.lane(w));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_trace(reference, split_trace.trace(w), w));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_trace(reference, whole_trace.trace(w), w));
+    ASSERT_EQ(scalar.isolated(), split.isolated(w)) << "lane " << w;
+    ASSERT_EQ(scalar.isolated(), whole.isolated(w)) << "lane " << w;
+    if (!scalar.isolated()) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_metrics(reference, split_metrics.metrics(w), w));
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_metrics(reference, whole_metrics.metrics(w), w));
+    }
+  }
+}
+
+TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
+  // A kernel call loads each lane group's state into registers and stores
+  // it at the end, so every call boundary is a state round trip.  run()
+  // over 600 cycles in calls of 1 + 255 + 344 cycles, and run_homogeneous
+  // over 511, 512, 513 and 1025 cycles (around its 512-cycle waveform
+  // tiles) in calls of 257 cycles and the rest, must match one call and
+  // run_batch bitwise: widths 1, 9 and 33, with and without armed lanes,
+  // into a TraceReducer and a MetricsReducer, on every backend.
+  const LoopConfig cfg = make_config(sensor::Quantization::kNearest,
+                                     cdn::DelayQuantization::kRound, true);
+  const std::size_t kRunCalls[] = {1, 255, 344};
+  const std::size_t kHomogeneousCycles[] = {511, 512, 513, 1025};
+  constexpr std::size_t kFirstCall = 257;
+  const std::vector<double> wave =
+      signal::SineWaveform{10.0, 1600.0}.sample(1025, kSetpoint);
+
+  for (const simd::Backend backend : backends_under_test()) {
+    BackendOverrideGuard forced{backend};
+    for (const std::size_t width : {std::size_t{1}, std::size_t{9},
+                                    std::size_t{33}}) {
+      for (const bool armed : {false, true}) {
+        SCOPED_TRACE(std::string{simd::to_string(backend)} + " width " +
+                     std::to_string(width) + (armed ? " armed" : " clean"));
+        std::vector<fault::FaultSchedule> schedules(width);
+        if (armed) {
+          fault::RandomFaultSpec spec;
+          spec.horizon_cycles = 1025;
+          for (std::size_t w = 0; w < width; w += 8) {
+            schedules[w] = fault::FaultSchedule::random(9100 + w, spec);
+          }
+        }
+        const control::IirControlHardware prototype{
+            control::paper_iir_config()};
+        const auto make = [&] {
+          auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, width);
+          if (armed) ensemble.attach_faults(schedules);
+          return ensemble;
+        };
+        std::vector<double> mus(width);
+        for (std::size_t w = 0; w < width; ++w) {
+          mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
+        }
+
+        {
+          SCOPED_TRACE("run() in calls of 1 + 255 + 344 cycles");
+          const auto block =
+              sample_ensemble(varied_inputs(width), kCycles, kSetpoint);
+          auto split = make();
+          auto split_metered = make();
+          auto whole = make();
+          auto whole_metered = make();
+          TraceReducer split_trace{width, kCycles};
+          TraceReducer whole_trace{width, kCycles};
+          analysis::MetricsReducer split_metrics{width, kFixedPeriod, kSkip};
+          analysis::MetricsReducer whole_metrics{width, kFixedPeriod, kSkip};
+          std::size_t begin = 0;
+          for (const std::size_t n : kRunCalls) {
+            const auto part = cycle_range(block, begin, begin + n);
+            split.run(part, split_trace);
+            split_metered.run(part, split_metrics);
+            begin += n;
+          }
+          ASSERT_EQ(begin, kCycles);
+          whole.run(block, whole_trace);
+          whole_metered.run(block, whole_metrics);
+          ASSERT_NO_FATAL_FAILURE(expect_splits_exact(
+              split, split_trace, split_metrics, whole, whole_trace,
+              whole_metrics, block, schedules, cfg));
+          ASSERT_EQ(split_metered.fault_group_cycles(),
+                    whole_metered.fault_group_cycles());
+        }
+        for (const std::size_t cycles : kHomogeneousCycles) {
+          SCOPED_TRACE("run_homogeneous over " + std::to_string(cycles) +
+                       " cycles in calls of 257 and the rest");
+          const auto block = sample_homogeneous_ensemble(
+              TableWave{wave, kSetpoint, 0}, mus, cycles, kSetpoint);
+          auto split = make();
+          auto split_metered = make();
+          auto whole = make();
+          auto whole_metered = make();
+          TraceReducer split_trace{width, cycles};
+          TraceReducer whole_trace{width, cycles};
+          analysis::MetricsReducer split_metrics{width, kFixedPeriod, kSkip};
+          analysis::MetricsReducer whole_metrics{width, kFixedPeriod, kSkip};
+          const TableWave first{wave, kSetpoint, 0};
+          const TableWave rest{wave, kSetpoint, kFirstCall};
+          for (auto* target : {&split, &split_metered}) {
+            StreamingReducer& reducer =
+                target == &split ? static_cast<StreamingReducer&>(split_trace)
+                                 : split_metrics;
+            target->run_homogeneous(first, mus, kSetpoint, kFirstCall,
+                                    reducer, nullptr);
+            target->run_homogeneous(rest, mus, kSetpoint,
+                                    cycles - kFirstCall, reducer, nullptr);
+          }
+          whole.run_homogeneous(first, mus, kSetpoint, cycles, whole_trace,
+                                nullptr);
+          whole_metered.run_homogeneous(first, mus, kSetpoint, cycles,
+                                        whole_metrics, nullptr);
+          ASSERT_NO_FATAL_FAILURE(expect_splits_exact(
+              split, split_trace, split_metrics, whole, whole_trace,
+              whole_metrics, block, schedules, cfg));
+          ASSERT_EQ(split_metered.fault_group_cycles(),
+                    whole_metered.fault_group_cycles());
+        }
+      }
     }
   }
 }

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "roclk/analysis/ensemble_metrics.hpp"
@@ -482,31 +484,36 @@ TEST(EnsembleMetrics, EnsembleRejectsBadSkipBeforeRunning) {
   }
 }
 
-/// Records the thread and the cycle index of every slice, per 32-lane
-/// chunk.  A chunk's record is written only by the thread running that
-/// chunk, as the StreamingReducer contract allows.
+/// Records the thread, the lane range and the cycle index of every slice,
+/// per 32-lane chunk.  A chunk's record is written only by the thread
+/// running that chunk, as the StreamingReducer contract allows.
 class ChunkScheduleReducer final : public StreamingReducer {
  public:
   static constexpr std::size_t kChunkLanes = 32;
 
   explicit ChunkScheduleReducer(std::size_t chunks)
-      : threads(chunks), cycles(chunks) {}
+      : threads(chunks), groups(chunks) {}
 
   void accumulate(const LaneSlice& slice) override {
     const std::size_t chunk = slice.first_lane / kChunkLanes;
     threads[chunk].push_back(std::this_thread::get_id());
-    cycles[chunk].push_back(slice.cycle);
+    groups[chunk][{slice.first_lane, slice.width}].push_back(slice.cycle);
   }
 
   std::vector<std::vector<std::thread::id>> threads;
-  std::vector<std::vector<std::size_t>> cycles;
+  /// Per chunk: the cycle indices of each lane group (first lane, width).
+  std::vector<std::map<std::pair<std::size_t, std::size_t>,
+                       std::vector<std::size_t>>>
+      groups;
 };
 
 TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
   // run_homogeneous makes each chunk one pool task for the whole call: its
-  // slices all come from one thread, and its cycle index runs 0..999 once
-  // across the two 512-cycle tiles it samples.  A fork/join per tile
-  // would hand chunks between threads and restart the index per tile.
+  // slices all come from one thread.  The chunk runs lane group by lane
+  // group, each group's cycles 0..999 exactly once and in order across
+  // the two 512-cycle tiles it samples, and its groups cover the chunk's
+  // lanes exactly once.  A fork/join per tile would hand chunks between
+  // threads and restart the index per tile.
   const std::size_t lanes = 128;
   const std::size_t chunks = lanes / ChunkScheduleReducer::kChunkLanes;
   const std::size_t cycles = 1000;
@@ -528,10 +535,16 @@ TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
   for (std::size_t c = 0; c < chunks; ++c) {
     SCOPED_TRACE(c);
     const auto& threads = reducer.threads[c];
-    ASSERT_EQ(threads.size(), cycles);
+    ASSERT_FALSE(threads.empty());
     EXPECT_EQ(std::count(threads.begin(), threads.end(), threads.front()),
-              static_cast<std::ptrdiff_t>(cycles));
-    EXPECT_EQ(reducer.cycles[c], every_cycle);
+              static_cast<std::ptrdiff_t>(threads.size()));
+    std::size_t next_lane = c * ChunkScheduleReducer::kChunkLanes;
+    for (const auto& [range, group_cycles] : reducer.groups[c]) {
+      EXPECT_EQ(range.first, next_lane);
+      EXPECT_EQ(group_cycles, every_cycle) << "group at lane " << range.first;
+      next_lane = range.first + range.second;
+    }
+    EXPECT_EQ(next_lane, (c + 1) * ChunkScheduleReducer::kChunkLanes);
   }
 }
 
