@@ -16,9 +16,8 @@
 // degrading to the safe maximum period.
 //
 // Usage: run from the repository root; writes
-// bench_results/fault_sweep.csv.  --smoke shrinks the grid for CI.
+// bench_results/fault_sweep.csv.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@ using roclk::fault::FaultSchedule;
 constexpr double kSetpoint = 64.0;
 constexpr double kTclk = 128.0;
 constexpr std::uint64_t kFaultStart = 300;
+constexpr std::size_t kCycles = 2400;
 
 struct Scenario {
   FaultKind kind;
@@ -46,26 +46,17 @@ struct Scenario {
   std::uint64_t duration;
 };
 
-std::vector<Scenario> build_grid(bool smoke) {
+std::vector<Scenario> build_grid() {
   std::vector<Scenario> grid;
-  const std::vector<double> stuck = smoke ? std::vector<double>{200.0}
-                                          : std::vector<double>{0.0, 32.0,
-                                                                128.0, 200.0};
-  const std::vector<double> glitch =
-      smoke ? std::vector<double>{-48.0} : std::vector<double>{-48.0, -16.0,
-                                                               16.0, 48.0};
-  const std::vector<double> droop =
-      smoke ? std::vector<double>{8.0} : std::vector<double>{2.0, 8.0, 16.0};
-  const std::vector<std::uint64_t> durations =
-      smoke ? std::vector<std::uint64_t>{40}
-            : std::vector<std::uint64_t>{10, 40, 120};
-  for (const std::uint64_t d : durations) {
-    for (const double m : stuck) grid.push_back({FaultKind::kTdcStuckAt, m, d});
-    for (const double m : glitch) {
+  for (const std::uint64_t d : {10, 40, 120}) {
+    for (const double m : {0.0, 32.0, 128.0, 200.0}) {
+      grid.push_back({FaultKind::kTdcStuckAt, m, d});
+    }
+    for (const double m : {-48.0, -16.0, 16.0, 48.0}) {
       grid.push_back({FaultKind::kTdcGlitch, m, d});
     }
     grid.push_back({FaultKind::kTdcDroppedSample, 0.0, d});
-    for (const double m : droop) {
+    for (const double m : {2.0, 8.0, 16.0}) {
       grid.push_back({FaultKind::kVoltageDroop, m, d});
     }
     grid.push_back({FaultKind::kRoStageFailure, 6.0, d});
@@ -89,18 +80,13 @@ std::string fmt(double v) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+int main() {
   roclk::bench::print_header(
       "R1 — fault-injection sweep",
       "Hardened (guard+watchdog+anti-windup) vs unguarded IIR loop across "
       "the fault taxonomy; true timing errors and time-to-relock.");
 
-  const auto grid = build_grid(smoke);
-  const std::size_t cycles = smoke ? 1200 : 2400;
+  const auto grid = build_grid();
 
   roclk::TextTable table{{"kind", "magnitude", "duration", "base_err",
                           "hard_err", "relock", "latency", "reconverged"}};
@@ -113,9 +99,9 @@ int main(int argc, char** argv) {
     schedule.add({s.kind, kFaultStart, s.duration, s.magnitude});
     const auto guarded = run_one(
         roclk::core::make_hardened_iir_system(kSetpoint, kTclk), schedule,
-        cycles);
+        kCycles);
     const auto baseline = run_one(
-        roclk::core::make_iir_system(kSetpoint, kTclk), schedule, cycles);
+        roclk::core::make_iir_system(kSetpoint, kTclk), schedule, kCycles);
     const HardeningVerdict verdict =
         roclk::analysis::compare_hardening(guarded, baseline, schedule);
     const FaultRecoveryMetrics& g = verdict.guarded;
@@ -154,7 +140,7 @@ int main(int argc, char** argv) {
       "stuck-HIGH error storms are fully silenced by graceful degradation");
   std::printf("\n%zu/%zu scenarios no-worse, %zu/%zu recovered "
               "(%zu cycles each, fault at cycle %llu)\n",
-              no_worse, grid.size(), recovered, grid.size(), cycles,
+              no_worse, grid.size(), recovered, grid.size(), kCycles,
               static_cast<unsigned long long>(kFaultStart));
   return roclk::bench::shape_exit_code();
 }

@@ -21,8 +21,8 @@ class Client {
   Client() = default;
   explicit Client(FdStream stream)
       : stream_{std::make_unique<FdByteStream>(std::move(stream))} {}
-  /// Speaks through any ByteStream — tests and the soak bench hand in a
-  /// FaultyStream to exercise client recovery deterministically.
+  /// Speaks through any ByteStream — tests hand in a FaultyStream to
+  /// exercise client recovery deterministically.
   explicit Client(std::unique_ptr<ByteStream> stream)
       : stream_{std::move(stream)} {}
 

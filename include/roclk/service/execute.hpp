@@ -2,7 +2,7 @@
 //
 // This is the service's only bridge into the simulation library; the
 // server wraps it with caching, coalescing, and admission control, and
-// the soak bench calls it directly to price a cache miss.  Value layout
+// perfbench calls it directly to price a cache miss.  Value layout
 // per query kind (also documented in docs/service.md):
 //
 //   kCornerMargin  [safety_margin, mean_period, relative_adaptive_period,

@@ -121,9 +121,9 @@ class FaultyStream final : public ByteStream {
   std::uint32_t pending_eintr_{0};  // remaining storm for the current op
 };
 
-/// Convenience: wraps an owned fd stream end in a FaultyStream — the
-/// soak bench and tests compose `faulty(std::move(end), key, cfg)` with
-/// Client's ByteStream constructor.
+/// Convenience: wraps an owned fd stream end in a FaultyStream — tests
+/// compose `make_faulty_stream(std::move(end), key, cfg)` with Client's
+/// ByteStream constructor.
 [[nodiscard]] std::unique_ptr<FaultyStream> make_faulty_stream(
     FdStream stream, StreamKey key, TransportFaultConfig config);
 

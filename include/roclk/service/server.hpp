@@ -3,7 +3,7 @@
 //
 // SweepService::handle() is the whole service in one blocking,
 // thread-safe call — the daemon (tools/roclk_sweepd) wraps it in frame
-// transport, the soak bench and tests drive it in-process.  The request
+// transport, perfbench and tests drive it in-process.  The request
 // path:
 //
 //   normalize  -> kInvalidRequest on a malformed scenario

@@ -134,8 +134,8 @@ struct FrameReadOutcome {
                                const std::vector<std::uint64_t>& words);
 
 /// Creates a connected pair of local stream sockets (socketpair) — the
-/// in-process loopback tests and the soak bench use it to exercise the
-/// exact bytes the daemon ships.
+/// in-process loopback tests and perfbench's serve workloads use it to
+/// exercise the exact bytes the daemon ships.
 [[nodiscard]] Status make_stream_pair(FdStream& a, FdStream& b);
 
 /// Listening Unix-domain socket bound to `path` (unlinked first, and

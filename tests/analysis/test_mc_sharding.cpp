@@ -74,7 +74,8 @@ TEST(McSchedulingTest, KeyedMapIsPoolInvariant) {
 }
 
 // The headline gate: the yield Monte-Carlo's per-chip samples must be
-// bitwise equal at 1 thread and hardware_concurrency() threads.
+// bitwise equal sequentially and on pools of 1, 2, 3 (a shard count that
+// divides nothing), 8 and hardware_concurrency() workers.
 TEST(McSchedulingTest, YieldSamplingIsBitwiseThreadInvariant) {
   analysis::YieldConfig config;
   config.chips = 120;
@@ -84,15 +85,15 @@ TEST(McSchedulingTest, YieldSamplingIsBitwiseThreadInvariant) {
   const auto sequential = analysis::sample_worst_paths(config, nullptr);
   ASSERT_EQ(sequential.size(), config.chips);
 
-  ThreadPool one{1};
-  const auto one_thread = analysis::sample_worst_paths(config, &one);
-  ThreadPool many{full_width()};
-  const auto many_threads = analysis::sample_worst_paths(config, &many);
-
   // EXPECT_EQ on the vectors compares every double bit-meaningfully (no
   // tolerance): scheduling must not change a single sample.
-  EXPECT_EQ(one_thread, sequential);
-  EXPECT_EQ(many_threads, sequential);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{8},
+                                    full_width()}) {
+    ThreadPool pool{workers};
+    EXPECT_EQ(analysis::sample_worst_paths(config, &pool), sequential)
+        << workers << " workers";
+  }
 
   // And the shared pool (whatever its size) agrees too.
   EXPECT_EQ(analysis::sample_worst_paths(config, &ThreadPool::shared()),

@@ -24,19 +24,13 @@
 namespace roclk {
 namespace {
 
+using testing::allocations_of;
+
 constexpr double kSetpoint = 64.0;
 // Crosses run_homogeneous's 512-cycle waveform tiles twice.
 constexpr std::size_t kCycles = 1100;
 constexpr std::size_t kSkip = 100;
 constexpr std::size_t kWidths[] = {1, 9, 1024};
-
-/// Allocations made by fn().
-template <class Fn>
-std::uint64_t allocations_of(const Fn& fn) {
-  const std::uint64_t before = testing::allocations();
-  fn();
-  return testing::allocations() - before;
-}
 
 core::EnsembleSimulator iir_ensemble(std::size_t width, bool faulted) {
   core::LoopConfig config;

@@ -9,8 +9,8 @@
 // MetricsReducer figures identical to evaluate_run over that trace — on
 // the forced portable scalar pack AND every vector backend this binary
 // and CPU can run (AVX2, AVX-512, NEON).
-// These tests are the gate behind that promise; the perf runner only
-// times configurations this suite proves equivalent.
+// These tests are the gate behind that promise; perfbench's mc_campaign
+// only times configurations this suite proves equivalent.
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -247,6 +249,92 @@ TEST(ResilientClient, BackoffBudgetBoundsTheRetryLoop) {
   EXPECT_EQ(reply.value().status, ResponseStatus::kShuttingDown);
   EXPECT_EQ(client.stats().attempts, 2u);  // first try + one 100ms retry
   EXPECT_EQ(slept, (std::vector<std::uint32_t>{100}));
+}
+
+/// Query `r` of soak client `client`: 3 of 4 hit a corner shared by every
+/// client, the 4th is a corner only this client asks for.
+Request soak_request(std::size_t client, std::size_t r) {
+  Request request = corner_request();
+  request.corner.te_over_c = 25.0;
+  request.corner.tclk_over_c =
+      r % 4 != 3 ? 1.0 + 0.05 * static_cast<double>(r % 4)
+                 : 3.0 + 0.01 * static_cast<double>(client * 1024 + r);
+  return request;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(ResilientClient, FaultInjectedSoakLosesNoQuery) {
+  // 8 concurrent clients, each dialing socketpair sessions into one
+  // service through a FaultyStream that interrupts, shortens and finally
+  // resets every connection.  Every fault schedule is keyed by (client,
+  // dial), nothing is shed (max_in_flight exceeds the client count) and
+  // backoff never sleeps, so the recovery counters are exact.
+  constexpr std::size_t kClients = 8;
+  constexpr std::size_t kQueries = 200;
+  SweepService service{{}};
+
+  std::vector<std::vector<Result<Response>>> replies(kClients);
+  std::vector<RetryStats> stats(kClients);
+  {
+    std::vector<std::thread> workers;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      workers.emplace_back([&service, &replies, &stats, c] {
+        // Declared first, so the client closes its last connection before
+        // the dialer joins the session threads.
+        LoopbackDialer dialer{service};
+        ResilientClientConfig config = no_sleep_config(nullptr);
+        config.retry.max_attempts = 8;
+        config.breaker.failure_threshold = 0;
+        config.jitter_key = StreamKey{20260809}.at(c);
+        config.connect = [&dialer, c] {
+          TransportFaultConfig faults;
+          faults.short_op_rate = 0.3;
+          faults.eintr_rate = 0.2;
+          faults.reset_after_bytes = 4096;
+          const auto dial = static_cast<std::uint64_t>(dialer.dials());
+          return dialer.dial(faults, StreamKey{0xFA17}.at(c).at(dial));
+        };
+        ResilientClient client{config};
+        for (std::size_t r = 0; r < kQueries; ++r) {
+          replies[c].push_back(client.query(soak_request(c, r)));
+        }
+        stats[c] = client.stats();
+      });
+    }
+    for (std::thread& t : workers) t.join();
+  }
+
+  SweepService reference{{}};
+  RetryStats total;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    for (std::size_t r = 0; r < kQueries; ++r) {
+      const Result<Response>& reply = replies[c][r];
+      ASSERT_TRUE(reply.is_ok()) << "query " << r << " lost";
+      ASSERT_EQ(reply.value().status, ResponseStatus::kOk) << "query " << r;
+      EXPECT_TRUE(bitwise_equal(reply.value().values,
+                                reference.handle(soak_request(c, r)).values))
+          << "query " << r;
+    }
+    EXPECT_GE(stats[c].reconnects, 1u);
+    total.attempts += stats[c].attempts;
+    total.retries += stats[c].retries;
+    total.reconnects += stats[c].reconnects;
+    total.transport_errors += stats[c].transport_errors;
+    total.retryable_statuses += stats[c].retryable_statuses;
+    total.backoff_ms_total += stats[c].backoff_ms_total;
+  }
+  EXPECT_EQ(total.attempts, 1688u);
+  EXPECT_EQ(total.retries, 88u);
+  EXPECT_EQ(total.reconnects, 88u);
+  EXPECT_EQ(total.transport_errors, 88u);
+  EXPECT_EQ(total.retryable_statuses, 0u);
+  EXPECT_EQ(total.backoff_ms_total, 822u);
 }
 
 TEST(ResilientClient, BreakerShedsQueriesLocallyAfterRepeatedFailures) {
