@@ -33,10 +33,6 @@ namespace roclk::analysis {
 /// (equivalently: 2|sin(pi t_clk/T)| < 1).
 [[nodiscard]] bool harmonic_ro_beneficial(double t_clk, double period);
 
-/// Largest CDN delay below `period` for which the RO is beneficial
-/// (the first boundary T/6).
-[[nodiscard]] double harmonic_benefit_limit(double period);
-
 /// Numerical worst case of eq. 1 over a full period of an arbitrary
 /// periodic waveform (grid search with `samples` points); validates eq. 2.
 [[nodiscard]] double numeric_worst_mismatch(const signal::Waveform& nu,

@@ -34,9 +34,7 @@ namespace roclk::analysis {
 /// the chunk that owns the lane.
 class MetricsReducer final : public core::StreamingReducer {
  public:
-  /// One shared fixed-clock reference period for every lane.
-  MetricsReducer(std::size_t lanes, double fixed_period, std::size_t skip);
-  /// Per-lane fixed-clock reference periods.
+  /// One fixed-clock reference period per lane.
   MetricsReducer(std::vector<double> fixed_periods, std::size_t skip);
 
   /// A contract check only: the kernel folds into accumulators() and never
@@ -65,19 +63,14 @@ class MetricsReducer final : public core::StreamingReducer {
   std::vector<double> fixed_periods_;
 };
 
-/// Convenience wrapper: reset the ensemble, run `block`, return one
-/// RunMetrics per lane.  `fixed_periods` must either hold one shared value
-/// or one per lane.
+/// Convenience wrapper: reset the ensemble, run `block` on `pool`
+/// (nullptr = strictly sequential), return one RunMetrics per lane.
+/// `fixed_periods` must either hold one shared value or one per lane.
+/// Per-lane results are bitwise identical for every choice of pool.
 [[nodiscard]] std::vector<RunMetrics> evaluate_ensemble(
     core::EnsembleSimulator& ensemble, const core::EnsembleInputBlock& block,
     std::vector<double> fixed_periods, std::size_t skip,
-    bool parallel = false);
-
-/// Same, on an explicit pool (nullptr = strictly sequential).  Per-lane
-/// results are bitwise identical for every choice of pool.
-[[nodiscard]] std::vector<RunMetrics> evaluate_ensemble(
-    core::EnsembleSimulator& ensemble, const core::EnsembleInputBlock& block,
-    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool);
+    ThreadPool* pool = nullptr);
 
 /// The homogeneous Monte-Carlo fast path: equivalent to
 /// sample_homogeneous_ensemble + evaluate_ensemble over `cycles` cycles
@@ -87,19 +80,13 @@ class MetricsReducer final : public core::StreamingReducer {
 /// lanes beside their own mu, so a long study never materialises
 /// cycles * lanes * 3 doubles at once.  Per-lane results are
 /// bit-identical to the whole-block path — and therefore to per-lane
-/// run_batch + evaluate_run.
+/// run_batch + evaluate_run — and for every choice of `pool` (nullptr =
+/// strictly sequential): the scheduling-invariance contract the MC gating
+/// tests enforce.
 [[nodiscard]] std::vector<RunMetrics> evaluate_homogeneous_mc(
     core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
     std::span<const double> static_mu_stages, std::size_t cycles, double dt,
     std::vector<double> fixed_periods, std::size_t skip,
-    bool parallel = false);
-
-/// Same, on an explicit pool (nullptr = strictly sequential).  Per-lane
-/// results are bitwise identical for every choice of pool — the
-/// scheduling-invariance contract the MC gating tests enforce.
-[[nodiscard]] std::vector<RunMetrics> evaluate_homogeneous_mc(
-    core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
-    std::span<const double> static_mu_stages, std::size_t cycles, double dt,
-    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool);
+    ThreadPool* pool = nullptr);
 
 }  // namespace roclk::analysis

@@ -1,16 +1,13 @@
 // Black-box estimation of loop properties from traces.
 //
 // A silicon bring-up engineer sees traces, not block diagrams: this module
-// recovers the loop's effective transport delay and its perturbation
-// attenuation *from measurements alone*, which both validates the model
-// (tests compare estimates against configured ground truth) and gives the
-// library a post-silicon characterisation story.
-//
-//  * effective delay: the free-running RO's residual under a perturbation
-//    nu(t) is nu(t) - nu(t - d_eff); cross-correlating the timing error
-//    against the perturbation recovers d_eff (= t_clk + RO/TDC registers).
-//  * attenuation: ratio of residual to injected tone amplitude at the
-//    perturbation frequency (Goertzel), the measured |H| of eq. 5.
+// recovers the loop's effective transport delay *from measurements
+// alone*, which both validates the model (tests compare estimates against
+// configured ground truth) and gives the library a post-silicon
+// characterisation story.  The free-running RO's residual under a
+// perturbation nu(t) is nu(t) - nu(t - d_eff); cross-correlating the
+// timing error against the perturbation recovers d_eff (= t_clk + RO/TDC
+// registers).  analysis/frequency_response measures eq. 5's |H|.
 #pragma once
 
 #include <cstddef>
@@ -48,12 +45,5 @@ struct LoopDelayEstimate {
 [[nodiscard]] Result<LoopDelayEstimate> estimate_loop_delay(
     std::span<const double> timing_error,
     std::span<const double> perturbation, std::ptrdiff_t max_delay = 64);
-
-/// Measured attenuation of the perturbation tone: residual amplitude at
-/// the tone frequency over injected amplitude.  `period_samples` is the
-/// tone period in cycles.
-[[nodiscard]] double measured_attenuation(std::span<const double> timing_error,
-                                          std::span<const double> perturbation,
-                                          double period_samples);
 
 }  // namespace roclk::analysis

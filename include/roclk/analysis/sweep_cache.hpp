@@ -75,7 +75,6 @@ class SweepMemo {
   void clear();
 
   void set_enabled(bool enabled);
-  [[nodiscard]] bool enabled() const;
 
  private:
   struct Impl;

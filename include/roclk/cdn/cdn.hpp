@@ -6,20 +6,15 @@
 // mechanism by which dynamic variations defeat adaptive clocking (paper
 // section II-A and Fig. 4).
 //
-// Three models, by fidelity:
-//  * FixedSampleCdn   — a constant M-sample delay line: the linear model of
-//                       eqs. 4-5, used for transfer-function equivalence.
-//  * QuantizedTimeCdn — the paper's simulation model: the delay in samples
-//                       is re-quantised every cycle, M[n] = t_clk/T_clk[n].
-//  * EdgeDelayCdn     — continuous time: every edge is delivered exactly
-//                       t_clk (stages) after generation; used by the
-//                       event-driven simulator where M is emergent.
+// QuantizedTimeCdn is the paper's simulation model: the delay in samples
+// is re-quantised every cycle, M[n] = t_clk/T_clk[n].  (The event-driven
+// core::EdgeSimulator delays edges by t_clk itself, so there M is
+// emergent.)
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "roclk/common/check.hpp"
@@ -43,22 +38,6 @@ class DiscreteCdn {
 
   /// Current delay in samples (diagnostic).
   [[nodiscard]] virtual std::size_t current_delay_samples() const = 0;
-};
-
-/// Constant integer sample delay M.
-class FixedSampleCdn final : public DiscreteCdn {
- public:
-  explicit FixedSampleCdn(std::size_t delay_samples);
-
-  double push(double generated_period) override;
-  void reset(double initial_period) override;
-  [[nodiscard]] std::size_t current_delay_samples() const override {
-    return delay_;
-  }
-
- private:
-  std::size_t delay_;
-  std::deque<double> pipeline_;
 };
 
 /// How the real-valued sample delay t_clk / T_clk[n] is mapped onto the
@@ -166,23 +145,6 @@ class QuantizedTimeCdn final : public DiscreteCdn {
   std::size_t count_{0};       // number of valid entries (capped at history)
   std::size_t last_m_{0};
   double initial_period_{0.0};
-};
-
-/// Continuous-time CDN: edges queued and released after exactly t_clk.
-class EdgeDelayCdn {
- public:
-  explicit EdgeDelayCdn(double delay_stages);
-
-  /// An edge generated at absolute time t (stages) arrives at the leaves
-  /// at t + t_clk.
-  [[nodiscard]] double deliver_time(double generation_time) const {
-    return generation_time + delay_stages_;
-  }
-
-  [[nodiscard]] double delay_stages() const { return delay_stages_; }
-
- private:
-  double delay_stages_;
 };
 
 }  // namespace roclk::cdn

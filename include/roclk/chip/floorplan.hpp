@@ -76,9 +76,6 @@ class Floorplan {
                                   const variation::VariationSource& source,
                                   double t) const;
 
-  /// Largest instantaneous path delay across the floorplan.
-  [[nodiscard]] double worst_path_delay(
-      const variation::VariationSource& source, double t) const;
   /// Index of the currently slowest path.
   [[nodiscard]] std::size_t worst_path_index(
       const variation::VariationSource& source, double t) const;

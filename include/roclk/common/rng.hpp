@@ -100,9 +100,6 @@ class Xoshiro256 {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-  /// Exponential with given rate lambda (> 0).
-  double exponential(double lambda);
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

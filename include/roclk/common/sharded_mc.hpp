@@ -6,7 +6,7 @@
 // [b, e) regenerates exactly its slice of the study from the key alone —
 // no draw-order coupling with any other shard.  Results are written into
 // per-item slots and merged in index order, so the outcome is bit-identical
-// at 1 thread, N threads, or across processes each running one shard.
+// at 1 thread or N threads.
 //
 // keyed_for(pool=nullptr) is the reference "single-stream" execution: the
 // same per-item work run strictly sequentially.  The scheduling-invariance
@@ -22,21 +22,6 @@
 #include "roclk/common/thread_pool.hpp"
 
 namespace roclk::mc {
-
-/// Contiguous slice of the item space owned by one shard.
-struct ShardRange {
-  std::size_t begin{0};
-  std::size_t end{0};
-  [[nodiscard]] std::size_t size() const { return end - begin; }
-  [[nodiscard]] bool operator==(const ShardRange&) const = default;
-};
-
-/// Splits [0, items) into at most `shards` contiguous ranges of
-/// near-equal size (never empty; fewer ranges than requested when items <
-/// shards).  The split depends only on (items, shards), so a distributed
-/// run can compute its own range without coordination.
-[[nodiscard]] std::vector<ShardRange> shard_ranges(std::size_t items,
-                                                   std::size_t shards);
 
 /// Runs fn(i, key.at(i)) for every i in [0, items).  `pool` == nullptr
 /// runs strictly sequentially (the single-stream reference order); a pool

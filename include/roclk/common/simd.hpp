@@ -149,7 +149,6 @@ enum class Backend { kScalar, kAvx2, kAvx512, kNeon };
 /// Programmatic override with highest precedence (tests, benches).
 /// nullopt restores env/native resolution.
 void set_backend_override(std::optional<Backend> backend);
-[[nodiscard]] std::optional<Backend> backend_override();
 
 // ------------------------------------------------ portable scalar pack
 //

@@ -13,7 +13,6 @@ namespace roclk {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
   void reset() { *this = RunningStats{}; }
 
   [[nodiscard]] std::size_t count() const { return n_; }
@@ -40,38 +39,9 @@ class RunningStats {
 
 /// Batch helpers over a span of samples.
 [[nodiscard]] double mean(std::span<const double> xs);
-[[nodiscard]] double variance(std::span<const double> xs);
-[[nodiscard]] double stddev(std::span<const double> xs);
 [[nodiscard]] double min_of(std::span<const double> xs);
 [[nodiscard]] double max_of(std::span<const double> xs);
 /// p in [0, 1]; linear interpolation between order statistics.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
-/// Root-mean-square of the samples.
-[[nodiscard]] double rms(std::span<const double> xs);
-/// Peak-to-peak amplitude (max - min).
-[[nodiscard]] double peak_to_peak(std::span<const double> xs);
-
-/// Fixed-width histogram for distribution inspection in reports.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] double bin_low(std::size_t bin) const;
-  [[nodiscard]] double bin_high(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_{0};
-  std::size_t underflow_{0};
-  std::size_t overflow_{0};
-};
 
 }  // namespace roclk

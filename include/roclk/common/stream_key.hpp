@@ -180,9 +180,6 @@ class CounterRng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-  /// Exponential with given rate lambda (> 0).
-  double exponential(double lambda);
-
  private:
   StreamKey key_;
   std::uint64_t counter_{0};

@@ -39,11 +39,8 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; fire-and-forget (use wait_idle to join logically).
+  /// Enqueue a task; fire-and-forget.
   void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void wait_idle();
 
   /// Joins the workers and rejects further submits.  Idempotent; the
   /// destructor calls it implicitly.
@@ -56,8 +53,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_{0};
   bool stop_{false};
 };
 

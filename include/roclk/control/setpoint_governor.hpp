@@ -52,8 +52,6 @@ class SetpointGovernor {
   [[nodiscard]] std::uint64_t total_errors() const { return total_errors_; }
   [[nodiscard]] const GovernorConfig& config() const { return config_; }
 
-  void reset();
-
  private:
   GovernorConfig config_;
   double setpoint_;

@@ -154,8 +154,6 @@ class TraceReducer final : public StreamingReducer {
 
   [[nodiscard]] std::size_t lanes() const { return traces_.size(); }
   [[nodiscard]] const SimulationTrace& trace(std::size_t lane) const;
-  /// Moves the traces out (the reducer is spent afterwards).
-  [[nodiscard]] std::vector<SimulationTrace> take();
 
  private:
   std::vector<SimulationTrace> traces_;
@@ -194,18 +192,14 @@ class EnsembleSimulator {
 
   /// Runs block.cycles cycles on every lane, streaming per-cycle results
   /// into `reducer` (slices, or the fold into its accumulators).
-  /// block.width must equal width().  `parallel` distributes lane chunks
-  /// over ThreadPool::shared(); per-lane results are
-  /// schedule-independent.  Like run_batch, successive calls continue
-  /// from the current loop state; call reset() to start a fresh run.
+  /// block.width must equal width().  `pool` distributes lane chunks over
+  /// its workers (nullptr = strictly sequential); per-lane results are
+  /// bitwise identical for every choice of pool, which the
+  /// scheduling-invariance gates hold.  Like run_batch, successive calls
+  /// continue from the current loop state; call reset() to start a fresh
+  /// run.
   void run(const EnsembleInputBlock& block, StreamingReducer& reducer,
-           bool parallel = false);
-
-  /// Same, on an explicit pool (nullptr = strictly sequential).  Used by
-  /// the thread-scaling benchmarks and the scheduling-invariance gates;
-  /// per-lane results are bitwise identical for every choice of pool.
-  void run(const EnsembleInputBlock& block, StreamingReducer& reducer,
-           ThreadPool* pool);
+           ThreadPool* pool = nullptr);
 
   /// The homogeneous Monte-Carlo run: `cycles` cycles in which every lane
   /// sees `waveform` sampled at t = k * dt (k counted from 0 in this
@@ -239,7 +233,6 @@ class EnsembleSimulator {
   /// sites are compiled in for the armed lanes only, so fault-free lanes
   /// are untouched.
   void attach_faults(std::vector<fault::FaultSchedule> schedules);
-  void clear_faults();
   [[nodiscard]] bool has_faults() const { return faults_active_; }
 
   /// Vector-group cycles run lane by lane on the width-1 body because of

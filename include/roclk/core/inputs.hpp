@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "roclk/common/thread_pool.hpp"
 #include "roclk/signal/waveform.hpp"
 #include "roclk/variation/variation.hpp"
 
@@ -55,10 +56,6 @@ struct EnsembleInputBlock {
   /// De-interleaves one lane back into a scalar InputBlock (tests, debug,
   /// feeding a single lane through LoopSimulator::run_batch).
   [[nodiscard]] InputBlock lane(std::size_t w) const;
-
-  /// Interleaves per-lane blocks (all the same length and dt).
-  [[nodiscard]] static EnsembleInputBlock from_blocks(
-      std::span<const InputBlock> blocks);
 };
 
 struct SimulationInputs {
@@ -98,12 +95,12 @@ struct SimulationInputs {
 };
 
 /// Samples one SimulationInputs per lane into an interleaved ensemble
-/// block in a single pass (cycle-major).  `parallel` distributes lane
-/// groups over ThreadPool::shared(); per-lane results are independent of
-/// the schedule.
+/// block in a single pass (cycle-major).  `pool` distributes lane groups
+/// over its workers (nullptr = strictly sequential); per-lane results are
+/// independent of the schedule.
 [[nodiscard]] EnsembleInputBlock sample_ensemble(
     std::span<const SimulationInputs> lanes, std::size_t n, double dt,
-    bool parallel = false);
+    ThreadPool* pool = nullptr);
 
 /// The Monte-Carlo fast path: every lane sees the same homogeneous
 /// waveform (e_ro == e_tdc, the paper's HoDV setup) plus its own static

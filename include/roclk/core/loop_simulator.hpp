@@ -116,7 +116,6 @@ class LoopSimulator {
   /// any previous schedule; the loop state is NOT reset, so a schedule can
   /// be armed mid-run.  The no-fault path is bit-for-bit unchanged.
   void attach_faults(const fault::FaultSchedule& schedule);
-  void clear_faults();
   [[nodiscard]] bool has_faults() const { return injector_.has_value(); }
 
   /// True once the loop has been isolated: a faulted cycle produced a
@@ -166,8 +165,8 @@ namespace detail {
 [[nodiscard]] double equilibrium_for(const LoopConfig& config);
 }  // namespace detail
 
-/// Convenience factories for the paper's four systems, preconfigured at
-/// set-point c and CDN delay t_clk (both in stages).
+/// The paper's IIR system, preconfigured at set-point c and CDN delay
+/// t_clk (both in stages).  analysis::make_system builds all four systems.
 [[nodiscard]] LoopSimulator make_iir_system(double setpoint_c,
                                             double cdn_delay_stages);
 /// The hardened counterpart of make_iir_system: the same IIR datapath with
@@ -176,15 +175,5 @@ namespace detail {
 /// with the set-point.
 [[nodiscard]] LoopSimulator make_hardened_iir_system(double setpoint_c,
                                                      double cdn_delay_stages);
-[[nodiscard]] LoopSimulator make_teatime_system(double setpoint_c,
-                                                double cdn_delay_stages);
-/// `safety_margin_stages` is the design-time margin added to l_RO.
-[[nodiscard]] LoopSimulator make_free_ro_system(double setpoint_c,
-                                                double cdn_delay_stages,
-                                                double safety_margin_stages =
-                                                    0.0);
-[[nodiscard]] LoopSimulator make_fixed_clock_system(
-    double setpoint_c, double cdn_delay_stages,
-    double safety_margin_stages = 0.0);
 
 }  // namespace roclk::core

@@ -145,9 +145,6 @@ class FaultSchedule {
   [[nodiscard]] bool empty() const { return events_.empty(); }
   [[nodiscard]] std::span<const FaultEvent> events() const { return events_; }
 
-  /// True when any event has duration kPermanent (active until reset).
-  [[nodiscard]] bool has_permanent_event() const;
-
   [[nodiscard]] bool operator==(const FaultSchedule& other) const = default;
 
  private:

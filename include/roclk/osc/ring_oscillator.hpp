@@ -89,17 +89,4 @@ class RingOscillator {
   bool saturated_{false};
 };
 
-/// Fixed (PLL-style) clock source: period chosen at design time, immune to
-/// control but *not* to physical reality — the paper's baseline simply has
-/// a constant generated period.
-class FixedClockSource {
- public:
-  explicit FixedClockSource(double period_stages);
-
-  [[nodiscard]] double period_stages() const { return period_stages_; }
-
- private:
-  double period_stages_;
-};
-
 }  // namespace roclk::osc

@@ -16,7 +16,6 @@
 #include "roclk/common/status.hpp"
 #include "roclk/common/table.hpp"
 #include "roclk/common/thread_pool.hpp"
-#include "roclk/common/units.hpp"
 
 // Discrete-time signal processing.
 #include "roclk/signal/filter.hpp"

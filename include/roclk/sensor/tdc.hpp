@@ -7,13 +7,11 @@
 // period is too short for the set-point c (a timing error is imminent);
 // tau > c wastes performance.
 //
-// Two measurement models mirror the ring-oscillator ones:
-//  * additive (paper eqs. 4-5): tau = T_delivered - e + mu, with e the
-//    homogeneous variation in stages and mu the RO<->TDC mismatch in
-//    stages (positive mu = TDC reads optimistically high);
-//  * physical: tau = T_delivered / ((1 + v_local)(1 + r)), with v_local
-//    the fractional variation at the sensor site and r the fractional
-//    stage mismatch (mu ~ -c * r to first order).
+// The measurement model is the paper's additive one (eqs. 4-5):
+// tau = T_delivered - e + mu, with e the homogeneous variation in stages
+// and mu the RO<->TDC mismatch in stages (positive mu = TDC reads
+// optimistically high).  The control loop consumes the worst (minimum)
+// reading of the domain's sensors each cycle.
 //
 // Readings are quantised to integers (floor: only fully crossed stages
 // count).  The one-cycle measurement latency (the TDC register z^-1 in the
@@ -23,13 +21,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "roclk/common/check.hpp"
 #include "roclk/common/math.hpp"
 #include "roclk/common/status.hpp"
-#include "roclk/variation/variation.hpp"
 
 namespace roclk::sensor {
 
@@ -40,12 +35,8 @@ enum class Quantization {
 };
 
 struct TdcConfig {
-  variation::DiePoint location{0.5, 0.5};
   /// Static mismatch in stages added to the reading (the paper's mu).
   double mismatch_stages{0.0};
-  /// Fractional stage-delay mismatch for the physical model (the paper's
-  /// mu expressed as a relative speed difference; mu ~ -c * r).
-  double relative_mismatch{0.0};
   Quantization quantization{Quantization::kFloor};
   /// Hardware chain length: readings saturate here.
   std::int64_t max_reading{4096};
@@ -67,16 +58,6 @@ class Tdc {
                 "delivered period must be positive, got "
                     << delivered_period << " stages");
     return quantize(delivered_period - e_local + config_.mismatch_stages);
-  }
-
-  /// Physical model. `v_local` is the fractional variation at the sensor.
-  [[nodiscard]] double measure_physical(double delivered_period,
-                                        double v_local) const;
-
-  /// Samples a variation source at the TDC's location.
-  [[nodiscard]] double local_variation(
-      const variation::VariationSource& source, double t) const {
-    return source.at(t, config_.location);
   }
 
  private:
@@ -105,42 +86,6 @@ class Tdc {
   }
 
   TdcConfig config_;
-};
-
-/// A set of TDCs disseminated over the clock domain.  The control loop
-/// consumes the *worst* (minimum) reading each cycle: the slowest region
-/// of the die dictates the clock (paper section III).
-class TdcArray {
- public:
-  TdcArray() = default;
-  explicit TdcArray(std::vector<Tdc> sensors);
-
-  TdcArray& add(Tdc tdc);
-  /// grid x grid sensors over the unit die, all with the given mismatch.
-  static TdcArray make_grid(std::size_t grid, double mismatch_stages = 0.0);
-
-  [[nodiscard]] std::size_t size() const { return sensors_.size(); }
-  [[nodiscard]] bool empty() const { return sensors_.empty(); }
-  [[nodiscard]] std::span<const Tdc> sensors() const { return sensors_; }
-
-  /// Worst (minimum) additive reading given a homogeneous variation value
-  /// common to all sensors.
-  [[nodiscard]] double worst_additive(double delivered_period,
-                                      double e_local) const;
-
-  /// Worst (minimum) physical reading under a full variation source at
-  /// time t: each sensor sees the variation at its own location.
-  [[nodiscard]] double worst_physical(
-      double delivered_period, const variation::VariationSource& source,
-      double t) const;
-
-  /// All physical readings (diagnostics).
-  [[nodiscard]] std::vector<double> readings_physical(
-      double delivered_period, const variation::VariationSource& source,
-      double t) const;
-
- private:
-  std::vector<Tdc> sensors_;
 };
 
 }  // namespace roclk::sensor

@@ -37,9 +37,6 @@ class ThermometerCode {
 
   /// True if the code is a clean thermometer (no bubbles).
   [[nodiscard]] bool is_clean() const;
-  /// Number of bits that disagree with the nearest clean thermometer of
-  /// the same ones-count.
-  [[nodiscard]] std::size_t bubble_count() const;
 
   /// Priority-encoder decode: index of the first 0 (fragile to bubbles).
   [[nodiscard]] std::size_t decode_priority() const;

@@ -57,8 +57,6 @@ class ResultCache {
   [[nodiscard]] std::vector<std::pair<std::uint64_t, const Response*>>
   snapshot_lru_to_mru() const;
 
-  void clear();
-
  private:
   struct Entry {
     Response response;

@@ -128,14 +128,10 @@ enum class DecodeError : std::uint32_t {
              : ResponseStatus::kMalformedFrame;
 }
 
-/// Validates and decodes a whole frame held in memory.  Transports use
-/// the incremental header/payload split (see transport.hpp) to avoid
-/// unbounded reads; this entry point backs tests and in-memory loopback.
-[[nodiscard]] DecodeError decode_frame(const std::uint64_t* words,
-                                       std::size_t count, Frame& frame);
-
-/// Header-only validation for incremental transports: checks words 0..2
-/// and extracts type + payload count without touching the payload.
+/// Header-only validation for the transport's incremental read
+/// (read_frame in transport.hpp, the one frame decoder): checks words 0..2
+/// and extracts type + payload count without touching the payload, so a
+/// hostile length never drives an unbounded read.
 [[nodiscard]] DecodeError validate_header(const std::uint64_t header[3],
                                           FrameType& type,
                                           std::uint64_t& payload_words);

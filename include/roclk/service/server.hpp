@@ -104,7 +104,6 @@ class SweepService {
   [[nodiscard]] bool shutting_down() const;
 
   [[nodiscard]] ServiceStats stats() const;
-  [[nodiscard]] const ServiceConfig& config() const;
 
  private:
   struct Impl;

@@ -120,17 +120,13 @@ struct FrameReadOutcome {
 /// (truncated), EOF before any byte reports kClosed.  Interrupted
 /// operations (EINTR storms included) are retried transparently.
 [[nodiscard]] FrameReadOutcome read_frame(ByteStream& stream);
-[[nodiscard]] FrameReadOutcome read_frame(int fd);
 
 /// Blocking write of one encoded frame; false on a short write or error.
 [[nodiscard]] bool write_frame(ByteStream& stream, const Frame& frame);
-[[nodiscard]] bool write_frame(int fd, const Frame& frame);
 
 /// Blocking write of raw words with no framing — the malformed-frame
 /// smoke path uses it to ship deliberately broken bytes.
 [[nodiscard]] bool write_words(ByteStream& stream,
-                               const std::vector<std::uint64_t>& words);
-[[nodiscard]] bool write_words(int fd,
                                const std::vector<std::uint64_t>& words);
 
 /// Creates a connected pair of local stream sockets (socketpair) — the

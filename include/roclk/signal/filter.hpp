@@ -6,8 +6,6 @@
 // IIR control block is validated.
 #pragma once
 
-#include <cstddef>
-#include <span>
 #include <vector>
 
 #include "roclk/common/status.hpp"
@@ -25,55 +23,10 @@ class LinearFilter {
   /// Processes one input sample, returns one output sample.
   double step(double x);
 
-  /// Processes a whole sequence.
-  [[nodiscard]] std::vector<double> process(std::span<const double> xs);
-
-  /// Clears the internal state (zero initial conditions).
-  void reset();
-
-  [[nodiscard]] const std::vector<double>& numerator() const { return b_; }
-  [[nodiscard]] const std::vector<double>& denominator() const { return a_; }
-
  private:
   std::vector<double> b_;  // normalized so a_[0] == 1
   std::vector<double> a_;
   std::vector<double> state_;  // DF2T delay registers
-};
-
-/// First-order exponential smoother y[n] = alpha x[n] + (1-alpha) y[n-1];
-/// used by runtime set-point governors in the examples.
-class ExponentialSmoother {
- public:
-  explicit ExponentialSmoother(double alpha);
-  double step(double x);
-  void reset(double initial = 0.0);
-  [[nodiscard]] double value() const { return y_; }
-
- private:
-  double alpha_;
-  double y_{0.0};
-  bool primed_{false};
-};
-
-/// Sliding-window minimum over the last `window` samples in O(1) amortized
-/// per step (monotonic deque).  Used to track the worst TDC reading over a
-/// time window, as the paper's set-point governor sketch requires.
-class SlidingMinimum {
- public:
-  explicit SlidingMinimum(std::size_t window);
-  double step(double x);
-  void reset();
-  [[nodiscard]] std::size_t window() const { return window_; }
-
- private:
-  struct Entry {
-    std::size_t index;
-    double value;
-  };
-  std::size_t window_;
-  std::size_t next_index_{0};
-  std::vector<Entry> deque_;  // indices increasing, values increasing
-  std::size_t head_{0};
 };
 
 }  // namespace roclk::signal

@@ -8,9 +8,6 @@
 
 #include <complex>
 #include <cstddef>
-#include <initializer_list>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace roclk::signal {
@@ -18,15 +15,12 @@ namespace roclk::signal {
 class Polynomial {
  public:
   Polynomial() : coeffs_{0.0} {}
-  Polynomial(std::initializer_list<double> coeffs);
   explicit Polynomial(std::vector<double> coeffs);
 
   /// The monomial z^-k (k >= 0).
   [[nodiscard]] static Polynomial delay(std::size_t k);
-  /// The constant polynomial c.
-  [[nodiscard]] static Polynomial constant(double c);
   /// One, i.e. z^0.
-  [[nodiscard]] static Polynomial one() { return constant(1.0); }
+  [[nodiscard]] static Polynomial one() { return delay(0); }
 
   /// Degree in z^-1 (index of last non-negligible coefficient).
   [[nodiscard]] std::size_t degree() const;
@@ -52,20 +46,9 @@ class Polynomial {
   Polynomial& trim(double tol = 1e-12);
 
   Polynomial operator+(const Polynomial& other) const;
-  Polynomial operator-(const Polynomial& other) const;
   Polynomial operator*(const Polynomial& other) const;
-  Polynomial operator*(double scale) const;
-  Polynomial operator-() const { return *this * -1.0; }
   /// Multiplication by z^-k (delay by k samples).
   [[nodiscard]] Polynomial delayed(std::size_t k) const;
-
-  bool operator==(const Polynomial& other) const;
-
-  /// Human-readable form like "1 - 0.5 z^-1 + 0.25 z^-3".
-  [[nodiscard]] std::string to_string() const;
-  friend std::ostream& operator<<(std::ostream& os, const Polynomial& p) {
-    return os << p.to_string();
-  }
 
  private:
   std::vector<double> coeffs_;  // coeffs_[k] multiplies z^-k

@@ -1,4 +1,5 @@
-// Frequency-domain helpers: DFT, Goertzel single-bin, spectrum summaries.
+// Frequency-domain helpers: Goertzel single-bin tone measurement, and the
+// direct DFT the tests check it against.
 //
 // Used by the analysis module to verify that an adaptive clock attenuates
 // the perturbation tone (the residual timing error spectrum at the HoDV
@@ -9,12 +10,7 @@
 #include <span>
 #include <vector>
 
-#include "roclk/common/status.hpp"
-
 namespace roclk::signal {
-
-/// Radix-2 in-place FFT; size must be a power of two.
-Result<std::vector<std::complex<double>>> fft(std::span<const double> xs);
 
 /// Full DFT via direct evaluation (any size; O(n^2), fine for traces).
 [[nodiscard]] std::vector<std::complex<double>> dft(std::span<const double> xs);
@@ -28,9 +24,5 @@ Result<std::vector<std::complex<double>>> fft(std::span<const double> xs);
 /// for a pure sinusoid away from DC/Nyquist).
 [[nodiscard]] double tone_amplitude(std::span<const double> xs,
                                     double frequency);
-
-/// Index of the largest-magnitude non-DC bin of the FFT of xs (size need
-/// not be a power of two; uses the direct DFT).
-[[nodiscard]] std::size_t dominant_bin(std::span<const double> xs);
 
 }  // namespace roclk::signal

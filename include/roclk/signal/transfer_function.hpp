@@ -1,9 +1,10 @@
 // Rational discrete-time transfer functions H(z) = N(z)/D(z) in z^-1.
 //
-// Provides the z-domain algebra of paper section III-A: closed-loop
-// assembly with the z^{-M-2} loop delay (eqs. 4-5), the final value theorem
-// used to derive the control constraints N(1) != 0, D(1) = 0 (eq. 8), pole
-// extraction and stability classification.
+// The z-domain algebra of paper section III-A: closed-loop assembly with
+// the z^{-M-2} loop delay (eqs. 4-5) and the final value theorem behind
+// the control constraints N(1) != 0, D(1) = 0 (eq. 8).  Tests use the
+// impulse response and the eq. 5 combined input as oracles for the
+// simulators.
 #pragma once
 
 #include <complex>
@@ -16,45 +17,15 @@
 
 namespace roclk::signal {
 
-enum class Stability {
-  kStable,              // all poles strictly inside the unit circle
-  kMarginallyStable,    // simple poles on the unit circle, rest inside
-  kUnstable,            // any pole outside (or repeated on) the unit circle
-};
-
-[[nodiscard]] constexpr const char* to_string(Stability s) {
-  switch (s) {
-    case Stability::kStable:
-      return "stable";
-    case Stability::kMarginallyStable:
-      return "marginally-stable";
-    case Stability::kUnstable:
-      return "unstable";
-  }
-  return "?";
-}
-
 class TransferFunction {
  public:
   /// D must not be identically zero.
   TransferFunction(Polynomial numerator, Polynomial denominator);
 
-  [[nodiscard]] static TransferFunction identity() {
-    return {Polynomial::one(), Polynomial::one()};
-  }
-  /// Pure delay z^-k.
-  [[nodiscard]] static TransferFunction delay(std::size_t k) {
-    return {Polynomial::delay(k), Polynomial::one()};
-  }
-
   [[nodiscard]] const Polynomial& numerator() const { return num_; }
   [[nodiscard]] const Polynomial& denominator() const { return den_; }
 
   [[nodiscard]] std::complex<double> evaluate(std::complex<double> z) const;
-
-  /// Frequency response at normalized angular frequency w (rad/sample):
-  /// H(e^{jw}).
-  [[nodiscard]] std::complex<double> frequency_response(double w) const;
 
   /// DC gain H(1); infinite if D(1) = 0 while N(1) != 0 (returned as
   /// nullopt).
@@ -66,31 +37,8 @@ class TransferFunction {
   /// this function only performs the limit algebraically.
   [[nodiscard]] std::optional<double> step_final_value() const;
 
-  /// Series, parallel and feedback composition.
-  [[nodiscard]] TransferFunction series(const TransferFunction& other) const;
-  [[nodiscard]] TransferFunction parallel(const TransferFunction& other) const;
-  /// Negative-feedback closed loop: H / (1 + H*G), G in the feedback path.
-  [[nodiscard]] TransferFunction feedback(const TransferFunction& loop) const;
-
-  /// Poles (roots of D in z) and zeros (roots of N in z).
-  [[nodiscard]] Result<std::vector<std::complex<double>>> poles() const;
-  [[nodiscard]] Result<std::vector<std::complex<double>>> zeros() const;
-
-  /// Stability classification from pole locations.  `unit_circle_tol`
-  /// decides how close to |z| = 1 counts as "on" the circle.
-  [[nodiscard]] Result<Stability> stability(double unit_circle_tol = 1e-7) const;
-
   /// First `n` samples of the impulse response (long division of N by D).
   [[nodiscard]] std::vector<double> impulse_response(std::size_t n) const;
-  /// First `n` samples of the unit-step response.
-  [[nodiscard]] std::vector<double> step_response(std::size_t n) const;
-
-  /// Removes common leading z^-1 factors from N and D (a shared pure delay
-  /// cancels in the ratio) and normalizes D's first nonzero coefficient
-  /// to 1.
-  TransferFunction& normalize();
-
-  [[nodiscard]] std::string to_string() const;
 
  private:
   Polynomial num_;

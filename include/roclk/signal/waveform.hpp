@@ -4,7 +4,7 @@
 // variations: a harmonic (sine) perturbation nu(t) = nu0 sin(2 pi t / T + phi)
 // and a single triangular event of duration T and amplitude nu0 (section
 // II-A).  Waveform models both, plus the auxiliary shapes the variation
-// library composes (steps, ramps, square waves, PRBS, band-limited noise).
+// library uses (square waves, sample-and-hold noise).
 //
 // Waveforms are functions of continuous time measured in *stages* so they
 // can be sampled both by the discrete-time loop simulator (once per clock
@@ -87,36 +87,6 @@ class TrianglePulseWaveform final : public Waveform {
   double duration_;
 };
 
-/// Heaviside step of given amplitude at `start`.
-class StepWaveform final : public Waveform {
- public:
-  StepWaveform(double amplitude, double start);
-  [[nodiscard]] double at(double t) const override;
-  [[nodiscard]] std::unique_ptr<Waveform> clone() const override {
-    return std::make_unique<StepWaveform>(*this);
-  }
-
- private:
-  double amplitude_;
-  double start_;
-};
-
-/// Linear ramp from 0 at `start` with the given slope, optionally clamped
-/// at `saturation` (used for aging models: monotonic slow drift).
-class RampWaveform final : public Waveform {
- public:
-  RampWaveform(double slope, double start, double saturation);
-  [[nodiscard]] double at(double t) const override;
-  [[nodiscard]] std::unique_ptr<Waveform> clone() const override {
-    return std::make_unique<RampWaveform>(*this);
-  }
-
- private:
-  double slope_;
-  double start_;
-  double saturation_;
-};
-
 /// Square wave (50% duty): models on/off workload power steps.
 class SquareWaveform final : public Waveform {
  public:
@@ -139,9 +109,6 @@ class HoldNoiseWaveform final : public Waveform {
   /// Hold-slot `s` draws from key.at(s) — a pure per-slot substream, so
   /// evaluation order is irrelevant.
   HoldNoiseWaveform(double stddev, double hold, StreamKey key);
-  /// Raw-seed convenience:
-  /// key = StreamKey{seed}.split("signal.hold_noise").
-  HoldNoiseWaveform(double stddev, double hold, std::uint64_t seed);
   [[nodiscard]] double at(double t) const override;
   [[nodiscard]] std::unique_ptr<Waveform> clone() const override {
     return std::make_unique<HoldNoiseWaveform>(*this);
@@ -151,28 +118,6 @@ class HoldNoiseWaveform final : public Waveform {
   double stddev_;
   double hold_;
   StreamKey key_;
-};
-
-/// Sum of component waveforms, each with a scale factor.
-class CompositeWaveform final : public Waveform {
- public:
-  CompositeWaveform() = default;
-  CompositeWaveform(const CompositeWaveform& other);
-  CompositeWaveform& operator=(const CompositeWaveform& other);
-  CompositeWaveform(CompositeWaveform&&) noexcept = default;
-  CompositeWaveform& operator=(CompositeWaveform&&) noexcept = default;
-
-  CompositeWaveform& add(std::unique_ptr<Waveform> w, double scale = 1.0);
-  [[nodiscard]] double at(double t) const override;
-  [[nodiscard]] std::unique_ptr<Waveform> clone() const override;
-  [[nodiscard]] std::size_t size() const { return parts_.size(); }
-
- private:
-  struct Part {
-    std::unique_ptr<Waveform> waveform;
-    double scale;
-  };
-  std::vector<Part> parts_;
 };
 
 }  // namespace roclk::signal

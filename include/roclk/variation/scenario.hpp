@@ -1,8 +1,7 @@
-// Scenario factories: the exact perturbation environments of the paper's
-// evaluation plus richer demo scenarios for the examples.
+// Scenario factory: the harmonic perturbation environment of the paper's
+// evaluation.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "roclk/variation/sources.hpp"
@@ -15,30 +14,5 @@ namespace roclk::variation {
 /// takes the *fractional* amplitude directly.
 [[nodiscard]] std::unique_ptr<VariationSource> make_harmonic_hodv(
     double fractional_amplitude, double period_stages, double phase = 0.0);
-
-/// Paper section II-A.2: single-event HoDV — triangular droop.
-[[nodiscard]] std::unique_ptr<VariationSource> make_single_event_hodv(
-    double fractional_amplitude, double start_stages, double duration_stages);
-
-/// A realistic "busy SoC" environment combining several Table I sources;
-/// used by examples and robustness tests.  All magnitudes are fractional.
-struct SocEnvironmentConfig {
-  double d2d_sigma{0.03};
-  double wid_sigma{0.02};
-  double rnd_sigma{0.005};
-  double vrm_amplitude{0.05};
-  double vrm_period{6400.0};       // stages
-  double ssn_sigma{0.01};
-  double ssn_hold{64.0};           // stages
-  double hotspot_peak{0.08};
-  double hotspot_onset{64000.0};   // stages
-  double hotspot_tau{128000.0};    // stages
-  double aging_saturation{0.04};
-  double aging_tau{1e7};           // stages
-  std::uint64_t seed{42};
-};
-
-[[nodiscard]] std::unique_ptr<VariationSource> make_soc_environment(
-    const SocEnvironmentConfig& config = {});
 
 }  // namespace roclk::variation

@@ -331,7 +331,6 @@ class CompositeVariation final : public VariationSource {
  public:
   CompositeVariation() = default;
   CompositeVariation(const CompositeVariation& other);
-  CompositeVariation& operator=(const CompositeVariation& other);
   CompositeVariation(CompositeVariation&&) noexcept = default;
   CompositeVariation& operator=(CompositeVariation&&) noexcept = default;
 
@@ -346,29 +345,6 @@ class CompositeVariation final : public VariationSource {
 
  private:
   std::vector<std::unique_ptr<VariationSource>> parts_;
-};
-
-/// Wraps any Waveform as a homogeneous dynamic source (used to inject the
-/// paper's exact perturbation shapes into the full-chip simulator).
-class WaveformVariation final : public VariationSource {
- public:
-  explicit WaveformVariation(std::unique_ptr<signal::Waveform> wave,
-                             std::string label = "waveform HoDV");
-  WaveformVariation(const WaveformVariation& other);
-
-  [[nodiscard]] double at(double t, DiePoint p) const override;
-  [[nodiscard]] TemporalClass temporal_class() const override {
-    return TemporalClass::kDynamic;
-  }
-  [[nodiscard]] SpatialClass spatial_class() const override {
-    return SpatialClass::kHomogeneous;
-  }
-  [[nodiscard]] std::string name() const override { return label_; }
-  [[nodiscard]] std::unique_ptr<VariationSource> clone() const override;
-
- private:
-  std::unique_ptr<signal::Waveform> wave_;
-  std::string label_;
 };
 
 }  // namespace roclk::variation

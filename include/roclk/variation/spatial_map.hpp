@@ -29,11 +29,6 @@ class SpatialMap {
   /// the same values.
   SpatialMap(StreamKey key, double stddev, int cells = 4, int octaves = 2);
 
-  /// Raw-seed convenience: derives the field's stream as
-  /// StreamKey{seed}.split("variation.spatial_map").
-  SpatialMap(std::uint64_t seed, double stddev, int cells = 4,
-             int octaves = 2);
-
   /// Field value at a die position (zero-mean, ~stddev spread).
   [[nodiscard]] double at(DiePoint p) const;
 

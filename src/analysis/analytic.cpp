@@ -33,8 +33,6 @@ bool harmonic_ro_beneficial(double t_clk, double period) {
   return harmonic_worst_mismatch(t_clk, period, 1.0) < 1.0;
 }
 
-double harmonic_benefit_limit(double period) { return period / 6.0; }
-
 double numeric_worst_mismatch(const signal::Waveform& nu, double period,
                               double t_clk, std::size_t samples) {
   ROCLK_CHECK(samples >= 2, "need at least two samples");

@@ -6,10 +6,6 @@
 
 namespace roclk::analysis {
 
-MetricsReducer::MetricsReducer(std::size_t lanes, double fixed_period,
-                               std::size_t skip)
-    : MetricsReducer{std::vector<double>(lanes, fixed_period), skip} {}
-
 MetricsReducer::MetricsReducer(std::vector<double> fixed_periods,
                                std::size_t skip)
     : acc_{fixed_periods.size(), skip},
@@ -70,13 +66,6 @@ std::vector<RunMetrics> MetricsReducer::all() const {
 
 std::vector<RunMetrics> evaluate_ensemble(
     core::EnsembleSimulator& ensemble, const core::EnsembleInputBlock& block,
-    std::vector<double> fixed_periods, std::size_t skip, bool parallel) {
-  return evaluate_ensemble(ensemble, block, std::move(fixed_periods), skip,
-                           parallel ? &ThreadPool::shared() : nullptr);
-}
-
-std::vector<RunMetrics> evaluate_ensemble(
-    core::EnsembleSimulator& ensemble, const core::EnsembleInputBlock& block,
     std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool) {
   const std::size_t lanes = ensemble.width();
   ROCLK_CHECK(skip < block.cycles, "transient skip "
@@ -92,15 +81,6 @@ std::vector<RunMetrics> evaluate_ensemble(
   ensemble.reset();
   ensemble.run(block, reducer, pool);
   return reducer.all();
-}
-
-std::vector<RunMetrics> evaluate_homogeneous_mc(
-    core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
-    std::span<const double> static_mu_stages, std::size_t cycles, double dt,
-    std::vector<double> fixed_periods, std::size_t skip, bool parallel) {
-  return evaluate_homogeneous_mc(ensemble, waveform, static_mu_stages,
-                                 cycles, dt, std::move(fixed_periods), skip,
-                                 parallel ? &ThreadPool::shared() : nullptr);
 }
 
 std::vector<RunMetrics> evaluate_homogeneous_mc(

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "roclk/common/stats.hpp"
-#include "roclk/signal/spectrum.hpp"
 
 namespace roclk::analysis {
 
@@ -73,18 +72,6 @@ Result<LoopDelayEstimate> estimate_loop_delay(
         "no coherent delayed copy found (is this a free-RO trace?)");
   }
   return estimate;
-}
-
-double measured_attenuation(std::span<const double> timing_error,
-                            std::span<const double> perturbation,
-                            double period_samples) {
-  ROCLK_CHECK(period_samples > 1.0, "period must exceed one sample");
-  const double injected =
-      signal::tone_amplitude(perturbation, 1.0 / period_samples);
-  ROCLK_CHECK(injected > 0.0, "no tone in the perturbation series");
-  const double residual =
-      signal::tone_amplitude(timing_error, 1.0 / period_samples);
-  return residual / injected;
 }
 
 }  // namespace roclk::analysis

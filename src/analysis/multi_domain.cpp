@@ -90,10 +90,10 @@ MultiDomainResult run_partitioning(const MultiDomainConfig& config,
   auto ensemble =
       core::EnsembleSimulator::uniform(loop, &prototype, result.domains);
   const auto block = core::sample_ensemble(
-      lane_inputs, config.cycles, config.setpoint_c, /*parallel=*/true);
+      lane_inputs, config.cycles, config.setpoint_c, &ThreadPool::shared());
   const std::vector<RunMetrics> metrics =
       evaluate_ensemble(ensemble, block, {fixed_period},
-                        config.transient_skip, /*parallel=*/true);
+                        config.transient_skip, &ThreadPool::shared());
   for (std::size_t d = 0; d < result.domains; ++d) {
     result.per_domain[d].metrics = metrics[d];
   }

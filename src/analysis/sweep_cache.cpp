@@ -93,9 +93,4 @@ void SweepMemo::set_enabled(bool enabled) {
   impl_->enabled = enabled;
 }
 
-bool SweepMemo::enabled() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->enabled;
-}
-
 }  // namespace roclk::analysis

@@ -8,27 +8,6 @@
 
 namespace roclk::cdn {
 
-FixedSampleCdn::FixedSampleCdn(std::size_t delay_samples)
-    : delay_{delay_samples} {
-  reset(0.0);
-}
-
-double FixedSampleCdn::push(double generated_period) {
-  ROCLK_DCHECK(std::isfinite(generated_period),
-               "generated period must be finite, got " << generated_period);
-  pipeline_.push_back(generated_period);
-  const double delivered = pipeline_.front();
-  pipeline_.pop_front();
-  return delivered;
-}
-
-void FixedSampleCdn::reset(double initial_period) {
-  pipeline_.assign(delay_ + 1, initial_period);
-  // Keep exactly `delay_` queued entries between push/pop: with delay 0 the
-  // pushed value is returned immediately.
-  pipeline_.pop_back();
-}
-
 QuantizedTimeCdn::QuantizedTimeCdn(double delay_stages, std::size_t history,
                                    DelayQuantization quantization,
                                    std::size_t ring_depth)
@@ -58,13 +37,6 @@ void QuantizedTimeCdn::reset(double initial_period) {
   count_ = 0;
   last_m_ = 0;
   initial_period_ = initial_period;
-}
-
-EdgeDelayCdn::EdgeDelayCdn(double delay_stages)
-    : delay_stages_{delay_stages} {
-  ROCLK_CHECK(delay_stages >= 0.0,
-              "CDN delay cannot be negative, got t_clk=" << delay_stages
-                                                         << " stages");
 }
 
 }  // namespace roclk::cdn

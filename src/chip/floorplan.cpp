@@ -72,16 +72,6 @@ double Floorplan::path_delay(const CriticalPath& path,
   return path.depth_stages * (1.0 + source.at(t, path.location));
 }
 
-double Floorplan::worst_path_delay(const variation::VariationSource& source,
-                                   double t) const {
-  ROCLK_CHECK(!paths_.empty(), "floorplan has no paths");
-  double worst = -std::numeric_limits<double>::infinity();
-  for (const auto& path : paths_) {
-    worst = std::max(worst, path_delay(path, source, t));
-  }
-  return worst;
-}
-
 std::size_t Floorplan::worst_path_index(
     const variation::VariationSource& source, double t) const {
   ROCLK_CHECK(!paths_.empty(), "floorplan has no paths");

@@ -26,10 +26,4 @@ double Xoshiro256::normal() {
   return u * factor;
 }
 
-double Xoshiro256::exponential(double lambda) {
-  ROCLK_CHECK(lambda > 0.0, "exponential rate must be positive");
-  // Inverse CDF on (0,1]; 1-uniform() avoids log(0).
-  return -std::log(1.0 - uniform()) / lambda;
-}
-
 }  // namespace roclk

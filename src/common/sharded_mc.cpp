@@ -1,29 +1,6 @@
 #include "roclk/common/sharded_mc.hpp"
 
-#include <algorithm>
-
-#include "roclk/common/status.hpp"
-
 namespace roclk::mc {
-
-std::vector<ShardRange> shard_ranges(std::size_t items, std::size_t shards) {
-  ROCLK_CHECK(shards >= 1, "need at least one shard");
-  std::vector<ShardRange> ranges;
-  if (items == 0) return ranges;
-  shards = std::min(shards, items);
-  ranges.reserve(shards);
-  // First (items % shards) shards carry one extra item; boundaries are a
-  // pure function of (items, shards).
-  const std::size_t base = items / shards;
-  const std::size_t extra = items % shards;
-  std::size_t begin = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t size = base + (s < extra ? 1 : 0);
-    ranges.push_back({begin, begin + size});
-    begin += size;
-  }
-  return ranges;
-}
 
 void keyed_for(std::size_t items, StreamKey key, ThreadPool* pool,
                const std::function<void(std::size_t, StreamKey)>& fn) {

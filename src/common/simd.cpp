@@ -168,10 +168,4 @@ void set_backend_override(std::optional<Backend> backend) {
                    std::memory_order_relaxed);
 }
 
-std::optional<Backend> backend_override() {
-  const int forced = g_override.load(std::memory_order_relaxed);
-  if (forced == kUnset) return std::nullopt;
-  return static_cast<Backend>(forced);
-}
-
 }  // namespace roclk::simd

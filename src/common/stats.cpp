@@ -16,24 +16,6 @@ void RunningStats::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel merge of Welford accumulators.
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double mean(std::span<const double> xs) {
@@ -41,14 +23,6 @@ double mean(std::span<const double> xs) {
   for (double x : xs) s.add(x);
   return s.mean();
 }
-
-double variance(std::span<const double> xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.variance();
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
 double min_of(std::span<const double> xs) {
   RunningStats s;
@@ -72,49 +46,6 @@ double percentile(std::span<const double> xs, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = idx - static_cast<double>(lo);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-double rms(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += x * x;
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double peak_to_peak(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return max_of(xs) - min_of(xs);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, counts_(bins, 0) {
-  ROCLK_CHECK(hi > lo, "histogram range must be non-empty");
-  ROCLK_CHECK(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::size_t>((x - lo_) / width);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;  // fp edge guard
-  ++counts_[bin];
-}
-
-double Histogram::bin_low(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_high(std::size_t bin) const {
-  return bin_low(bin + 1);
 }
 
 }  // namespace roclk

@@ -25,10 +25,4 @@ double CounterRng::normal() {
   return r * std::cos(theta);
 }
 
-double CounterRng::exponential(double lambda) {
-  ROCLK_CHECK(lambda > 0.0, "exponential rate must be positive");
-  // Inverse CDF on (0,1]; 1-uniform() avoids log(0).
-  return -std::log(1.0 - uniform()) / lambda;
-}
-
 }  // namespace roclk

@@ -31,14 +31,8 @@ void ThreadPool::submit(std::function<void()> task) {
     std::lock_guard lock(mutex_);
     ROCLK_CHECK(!stop_, "submit after shutdown");
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::shutdown() {
@@ -63,11 +57,6 @@ void ThreadPool::worker_loop() {
       tasks_.pop();
     }
     task();
-    {
-      std::lock_guard lock(mutex_);
-      --in_flight_;
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 

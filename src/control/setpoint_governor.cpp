@@ -60,13 +60,4 @@ double SetpointGovernor::observe(double tau) {
   return setpoint_;
 }
 
-void SetpointGovernor::reset() {
-  setpoint_ = config_.initial_setpoint;
-  cycles_in_window_ = 0;
-  errors_in_window_ = 0;
-  worst_tau_in_window_ = std::numeric_limits<double>::infinity();
-  epochs_ = 0;
-  total_errors_ = 0;
-}
-
 }  // namespace roclk::control

@@ -71,10 +71,6 @@ const SimulationTrace& TraceReducer::trace(std::size_t lane) const {
   return traces_.at(lane);
 }
 
-std::vector<SimulationTrace> TraceReducer::take() {
-  return std::move(traces_);
-}
-
 // -------------------------------------------------- EnsembleSimulator
 
 Status EnsembleSimulator::validate(std::span<const LoopConfig> lane_configs,
@@ -369,16 +365,6 @@ void EnsembleSimulator::attach_faults(
   }
 }
 
-void EnsembleSimulator::clear_faults() {
-  faults_active_ = false;
-  for (Chunk& chunk : chunks_) {
-    chunk.injectors.clear();
-    chunk.isolated.clear();
-    chunk.next_consult.clear();
-    chunk.armed = 0;
-  }
-}
-
 std::uint64_t EnsembleSimulator::fault_group_cycles() const {
   std::uint64_t cycles = 0;
   for (const Chunk& chunk : chunks_) cycles += chunk.fault_group_cycles;
@@ -532,11 +518,6 @@ void EnsembleSimulator::for_each_chunk(ThreadPool* pool, const Task& task) {
   }
   parallel_for(*pool, chunks_.size(),
                [&](std::size_t i) { task(chunks_[i]); });
-}
-
-void EnsembleSimulator::run(const EnsembleInputBlock& block,
-                            StreamingReducer& reducer, bool parallel) {
-  run(block, reducer, parallel ? &ThreadPool::shared() : nullptr);
 }
 
 void EnsembleSimulator::run(const EnsembleInputBlock& block,

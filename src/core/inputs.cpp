@@ -24,33 +24,6 @@ InputBlock EnsembleInputBlock::lane(std::size_t w) const {
   return block;
 }
 
-EnsembleInputBlock EnsembleInputBlock::from_blocks(
-    std::span<const InputBlock> blocks) {
-  ROCLK_CHECK(!blocks.empty(), "no lanes");
-  EnsembleInputBlock out;
-  out.width = blocks.size();
-  out.cycles = blocks.front().size();
-  out.dt = blocks.front().dt;
-  for (const InputBlock& b : blocks) {
-    ROCLK_CHECK(b.size() == out.cycles && b.e_tdc.size() == out.cycles &&
-                      b.mu.size() == out.cycles,
-                  "ragged lane blocks");
-    ROCLK_CHECK(b.dt == out.dt, "lanes sampled at different dt");
-  }
-  out.e_ro.resize(out.width * out.cycles);
-  out.e_tdc.resize(out.width * out.cycles);
-  out.mu.resize(out.width * out.cycles);
-  for (std::size_t w = 0; w < out.width; ++w) {
-    for (std::size_t k = 0; k < out.cycles; ++k) {
-      const std::size_t idx = k * out.width + w;
-      out.e_ro[idx] = blocks[w].e_ro[k];
-      out.e_tdc[idx] = blocks[w].e_tdc[k];
-      out.mu[idx] = blocks[w].mu[k];
-    }
-  }
-  return out;
-}
-
 SimulationInputs SimulationInputs::none() { return SimulationInputs{}; }
 
 SimulationInputs SimulationInputs::homogeneous(
@@ -121,7 +94,8 @@ InputBlock SimulationInputs::sample(std::size_t n, double dt) const {
 }
 
 EnsembleInputBlock sample_ensemble(std::span<const SimulationInputs> lanes,
-                                   std::size_t n, double dt, bool parallel) {
+                                   std::size_t n, double dt,
+                                   ThreadPool* pool) {
   ROCLK_CHECK(dt > 0.0, "sample period must be positive");
   ROCLK_CHECK(!lanes.empty(), "no lanes");
   EnsembleInputBlock block;
@@ -150,8 +124,8 @@ EnsembleInputBlock sample_ensemble(std::span<const SimulationInputs> lanes,
       }
     }
   };
-  if (parallel) {
-    parallel_for(tasks, fill_group);
+  if (pool != nullptr) {
+    parallel_for(*pool, tasks, fill_group);
   } else {
     for (std::size_t g = 0; g < tasks; ++g) fill_group(g);
   }

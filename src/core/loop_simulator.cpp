@@ -7,7 +7,6 @@
 #include "roclk/common/math.hpp"
 #include "roclk/control/hardened_control.hpp"
 #include "roclk/control/iir_control.hpp"
-#include "roclk/control/teatime.hpp"
 
 namespace roclk::core {
 
@@ -123,8 +122,6 @@ void LoopSimulator::set_setpoint(double setpoint_c) {
 void LoopSimulator::attach_faults(const fault::FaultSchedule& schedule) {
   injector_.emplace(schedule);
 }
-
-void LoopSimulator::clear_faults() { injector_.reset(); }
 
 void LoopSimulator::reset() {
   const double equilibrium = detail::equilibrium_for(config_);
@@ -327,36 +324,6 @@ LoopSimulator make_hardened_iir_system(double setpoint_c,
       static_cast<double>(config.min_length),
       static_cast<double>(config.max_length));
   return LoopSimulator{config, std::move(controller)};
-}
-
-LoopSimulator make_teatime_system(double setpoint_c, double cdn_delay_stages) {
-  LoopConfig config;
-  config.setpoint_c = setpoint_c;
-  config.cdn_delay_stages = cdn_delay_stages;
-  config.mode = GeneratorMode::kControlledRo;
-  return LoopSimulator{config,
-                       std::make_unique<control::TeaTimeControl>()};
-}
-
-LoopSimulator make_free_ro_system(double setpoint_c, double cdn_delay_stages,
-                                  double safety_margin_stages) {
-  LoopConfig config;
-  config.setpoint_c = setpoint_c;
-  config.cdn_delay_stages = cdn_delay_stages;
-  config.mode = GeneratorMode::kFreeRunningRo;
-  config.open_loop_period = setpoint_c + safety_margin_stages;
-  return LoopSimulator{config, nullptr};
-}
-
-LoopSimulator make_fixed_clock_system(double setpoint_c,
-                                      double cdn_delay_stages,
-                                      double safety_margin_stages) {
-  LoopConfig config;
-  config.setpoint_c = setpoint_c;
-  config.cdn_delay_stages = cdn_delay_stages;
-  config.mode = GeneratorMode::kFixedClock;
-  config.open_loop_period = setpoint_c + safety_margin_stages;
-  return LoopSimulator{config, nullptr};
 }
 
 }  // namespace roclk::core

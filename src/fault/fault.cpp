@@ -55,11 +55,6 @@ FaultSchedule& FaultSchedule::add(const FaultEvent& event) {
   return *this;
 }
 
-bool FaultSchedule::has_permanent_event() const {
-  return std::any_of(events_.begin(), events_.end(),
-                     [](const FaultEvent& e) { return e.permanent(); });
-}
-
 FaultSchedule FaultSchedule::random(std::uint64_t seed,
                                     const RandomFaultSpec& spec) {
   return random(StreamKey{seed}.split("fault.schedule"), spec);

@@ -30,11 +30,4 @@ RingOscillator::RingOscillator(RingOscillatorConfig config)
   ROCLK_CHECK_OK(validate(config_));
 }
 
-FixedClockSource::FixedClockSource(double period_stages)
-    : period_stages_{period_stages} {
-  ROCLK_CHECK(period_stages > 0.0,
-              "fixed period must be positive, got " << period_stages
-                                                    << " stages");
-}
-
 }  // namespace roclk::osc

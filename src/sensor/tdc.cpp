@@ -1,96 +1,16 @@
 #include "roclk/sensor/tdc.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <sstream>
-
 namespace roclk::sensor {
 
 Status Tdc::validate(const TdcConfig& config) {
   if (config.max_reading < 1) {
     return Status::invalid_argument("max_reading must be >= 1");
   }
-  if (config.relative_mismatch <= -1.0) {
-    return Status::invalid_argument(
-        "relative mismatch must keep stage delay positive");
-  }
   return Status::ok();
 }
 
 Tdc::Tdc(TdcConfig config) : config_{config} {
   ROCLK_CHECK_OK(validate(config_));
-}
-
-double Tdc::measure_physical(double delivered_period, double v_local) const {
-  ROCLK_CHECK(delivered_period > 0.0,
-              "delivered period must be positive, got " << delivered_period
-                                                        << " stages");
-  const double stage_scale =
-      (1.0 + v_local) * (1.0 + config_.relative_mismatch);
-  ROCLK_CHECK(stage_scale > 0.0,
-              "variation drove stage delay non-positive: v_local="
-                  << v_local << ", relative_mismatch="
-                  << config_.relative_mismatch << " give scale "
-                  << stage_scale);
-  return quantize(delivered_period / stage_scale);
-}
-
-TdcArray::TdcArray(std::vector<Tdc> sensors) : sensors_{std::move(sensors)} {}
-
-TdcArray& TdcArray::add(Tdc tdc) {
-  sensors_.push_back(std::move(tdc));
-  return *this;
-}
-
-TdcArray TdcArray::make_grid(std::size_t grid, double mismatch_stages) {
-  ROCLK_CHECK(grid >= 1, "grid must be at least 1x1, got " << grid);
-  TdcArray array;
-  for (std::size_t ix = 0; ix < grid; ++ix) {
-    for (std::size_t iy = 0; iy < grid; ++iy) {
-      TdcConfig cfg;
-      cfg.location = {
-          (static_cast<double>(ix) + 0.5) / static_cast<double>(grid),
-          (static_cast<double>(iy) + 0.5) / static_cast<double>(grid)};
-      cfg.mismatch_stages = mismatch_stages;
-      array.add(Tdc{cfg});
-    }
-  }
-  return array;
-}
-
-double TdcArray::worst_additive(double delivered_period,
-                                double e_local) const {
-  ROCLK_CHECK(!sensors_.empty(), "empty TDC array");
-  double worst = std::numeric_limits<double>::infinity();
-  for (const auto& tdc : sensors_) {
-    worst = std::min(worst, tdc.measure_additive(delivered_period, e_local));
-  }
-  return worst;
-}
-
-double TdcArray::worst_physical(double delivered_period,
-                                const variation::VariationSource& source,
-                                double t) const {
-  ROCLK_CHECK(!sensors_.empty(), "empty TDC array");
-  double worst = std::numeric_limits<double>::infinity();
-  for (const auto& tdc : sensors_) {
-    const double v = tdc.local_variation(source, t);
-    worst = std::min(worst, tdc.measure_physical(delivered_period, v));
-  }
-  return worst;
-}
-
-std::vector<double> TdcArray::readings_physical(
-    double delivered_period, const variation::VariationSource& source,
-    double t) const {
-  std::vector<double> out;
-  out.reserve(sensors_.size());
-  for (const auto& tdc : sensors_) {
-    out.push_back(
-        tdc.measure_physical(delivered_period, tdc.local_variation(source, t)));
-  }
-  return out;
 }
 
 }  // namespace roclk::sensor

@@ -28,16 +28,6 @@ bool ThermometerCode::is_clean() const {
   return true;
 }
 
-std::size_t ThermometerCode::bubble_count() const {
-  const std::size_t ones = decode_ones_count();
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < bits_.size(); ++i) {
-    const bool expected = i < ones;
-    if (bits_[i] != expected) ++mismatches;
-  }
-  return mismatches;
-}
-
 std::size_t ThermometerCode::decode_priority() const {
   for (std::size_t i = 0; i < bits_.size(); ++i) {
     if (!bits_[i]) return i;

@@ -45,9 +45,4 @@ ResultCache::snapshot_lru_to_mru() const {
   return out;
 }
 
-void ResultCache::clear() {
-  entries_.clear();
-  lru_.clear();
-}
-
 }  // namespace roclk::service

@@ -36,6 +36,9 @@ bool take_string(WireReader& in, std::string& s) {
 }  // namespace
 
 void encode_response(const Response& response, WireWriter& out) {
+  // status, flags, hash, message length and words, value count, values.
+  out.words.reserve(out.words.size() + 5 + (response.message.size() + 7) / 8 +
+                    response.values.size());
   out.put(static_cast<std::uint64_t>(response.status));
   out.put((response.from_cache ? 1ULL : 0ULL) |
           (response.coalesced ? 2ULL : 0ULL));
@@ -74,6 +77,7 @@ Result<Response> decode_response(WireReader& in) {
 
 std::vector<std::uint64_t> encode_frame(const Frame& frame) {
   WireWriter out;
+  out.words.reserve(3 + frame.payload.size() + 1);
   out.put(kFrameMagic);
   out.put((static_cast<std::uint64_t>(kProtocolVersion) << 32) |
           static_cast<std::uint64_t>(frame.type));
@@ -97,26 +101,6 @@ DecodeError validate_header(const std::uint64_t header[3], FrameType& type,
   if (header[2] > kMaxPayloadWords) return DecodeError::kOversized;
   type = static_cast<FrameType>(raw_type);
   payload_words = header[2];
-  return DecodeError::kOk;
-}
-
-DecodeError decode_frame(const std::uint64_t* words, std::size_t count,
-                         Frame& frame) {
-  if (count < 4) return DecodeError::kTruncated;
-  FrameType type{};
-  std::uint64_t payload_words = 0;
-  if (const DecodeError err = validate_header(words, type, payload_words);
-      err != DecodeError::kOk) {
-    return err;
-  }
-  if (count != 3 + payload_words + 1) return DecodeError::kTruncated;
-  std::uint64_t checksum = kWireSeed;
-  for (std::size_t i = 0; i < count - 1; ++i) {
-    checksum = wire_mix(checksum, words[i]);
-  }
-  if (checksum != words[count - 1]) return DecodeError::kBadChecksum;
-  frame.type = type;
-  frame.payload.assign(words + 3, words + 3 + payload_words);
   return DecodeError::kOk;
 }
 

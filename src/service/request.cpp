@@ -1,5 +1,6 @@
 #include "roclk/service/request.hpp"
 
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -192,7 +193,28 @@ Status normalize_yield(YieldQuery& y) {
   return Status::ok();
 }
 
-void put_corner(const CornerQuery& c, WireWriter& out) {
+/// Chains a WireWriter's checksum without keeping the words: the content
+/// hash needs no buffer.
+struct WireHasher {
+  std::uint64_t checksum{kWireSeed};
+
+  void put(std::uint64_t v) { checksum = wire_mix(checksum, v); }
+  void put_double(double v) { put(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/// Counts the words a sink would receive, so encode_request can size its
+/// buffer once.
+struct WordCount {
+  std::size_t words{0};
+
+  void put(std::uint64_t) { ++words; }
+  void put_double(double) { ++words; }
+};
+
+/// `Sink` is a WireWriter (encoding), a WireHasher (content hash) or a
+/// WordCount.
+template <typename Sink>
+void put_corner(const CornerQuery& c, Sink& out) {
   out.put(c.system);
   out.put_double(c.setpoint_c);
   out.put_double(c.tclk_over_c);
@@ -221,7 +243,8 @@ CornerQuery take_corner(WireReader& in) {
 }
 
 /// Scenario words only — the part the content hash covers.
-void put_scenario(const Request& request, WireWriter& out) {
+template <typename Sink>
+void put_scenario(const Request& request, Sink& out) {
   out.put(static_cast<std::uint64_t>(request.kind));
   switch (request.kind) {
     case QueryKind::kCornerMargin:
@@ -282,12 +305,15 @@ Result<Request> normalize(const Request& request) {
 }
 
 std::uint64_t content_hash(const Request& normalized) {
-  WireWriter scenario;
+  WireHasher scenario;
   put_scenario(normalized, scenario);
   return scenario.checksum;
 }
 
 void encode_request(const Request& request, WireWriter& out) {
+  WordCount scenario;
+  put_scenario(request, scenario);
+  out.words.reserve(out.words.size() + 1 + scenario.words);
   out.put(request.deadline_ms);
   put_scenario(request, out);
 }

@@ -245,6 +245,4 @@ ServiceStats SweepService::stats() const {
   return impl_->stats;
 }
 
-const ServiceConfig& SweepService::config() const { return impl_->config; }
-
 }  // namespace roclk::service

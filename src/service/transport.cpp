@@ -151,31 +151,16 @@ FrameReadOutcome read_frame(ByteStream& stream) {
   return outcome;
 }
 
-FrameReadOutcome read_frame(int fd) {
-  FdByteStream stream{fd};
-  return read_frame(stream);
-}
-
 bool write_frame(ByteStream& stream, const Frame& frame) {
   const std::vector<std::uint64_t> words = encode_frame(frame);
   return write_all(stream, words.data(),
                    words.size() * sizeof(std::uint64_t));
 }
 
-bool write_frame(int fd, const Frame& frame) {
-  FdByteStream stream{fd};
-  return write_frame(stream, frame);
-}
-
 bool write_words(ByteStream& stream,
                  const std::vector<std::uint64_t>& words) {
   return write_all(stream, words.data(),
                    words.size() * sizeof(std::uint64_t));
-}
-
-bool write_words(int fd, const std::vector<std::uint64_t>& words) {
-  FdByteStream stream{fd};
-  return write_words(stream, words);
 }
 
 Status make_stream_pair(FdStream& a, FdStream& b) {

@@ -1,7 +1,6 @@
 #include "roclk/signal/filter.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace roclk::signal {
 
@@ -37,66 +36,6 @@ double LinearFilter::step(double x) {
     state_[n - 1] = bi * x - ai * y;
   }
   return y;
-}
-
-std::vector<double> LinearFilter::process(std::span<const double> xs) {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back(step(x));
-  return out;
-}
-
-void LinearFilter::reset() {
-  std::fill(state_.begin(), state_.end(), 0.0);
-}
-
-ExponentialSmoother::ExponentialSmoother(double alpha) : alpha_{alpha} {
-  ROCLK_CHECK(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-}
-
-double ExponentialSmoother::step(double x) {
-  if (!primed_) {
-    y_ = x;
-    primed_ = true;
-  } else {
-    y_ += alpha_ * (x - y_);
-  }
-  return y_;
-}
-
-void ExponentialSmoother::reset(double initial) {
-  y_ = initial;
-  primed_ = false;
-}
-
-SlidingMinimum::SlidingMinimum(std::size_t window) : window_{window} {
-  ROCLK_CHECK(window > 0, "window must be positive");
-}
-
-double SlidingMinimum::step(double x) {
-  // Drop entries that can never be the minimum again.
-  while (deque_.size() > head_ && deque_.back().value >= x) {
-    deque_.pop_back();
-  }
-  deque_.push_back({next_index_, x});
-  ++next_index_;
-  // Expire entries that slid out of the window.
-  while (deque_[head_].index + window_ <= next_index_ - 1) {
-    ++head_;
-  }
-  // Compact occasionally so memory stays bounded.
-  if (head_ > 64 && head_ * 2 > deque_.size()) {
-    deque_.erase(deque_.begin(),
-                 deque_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  return deque_[head_].value;
-}
-
-void SlidingMinimum::reset() {
-  deque_.clear();
-  head_ = 0;
-  next_index_ = 0;
 }
 
 }  // namespace roclk::signal

@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "roclk/common/status.hpp"
 
 namespace roclk::signal {
-
-Polynomial::Polynomial(std::initializer_list<double> coeffs)
-    : coeffs_{coeffs} {
-  if (coeffs_.empty()) coeffs_ = {0.0};
-}
 
 Polynomial::Polynomial(std::vector<double> coeffs)
     : coeffs_{std::move(coeffs)} {
@@ -23,8 +17,6 @@ Polynomial Polynomial::delay(std::size_t k) {
   c[k] = 1.0;
   return Polynomial{std::move(c)};
 }
-
-Polynomial Polynomial::constant(double c) { return Polynomial{{c}}; }
 
 std::size_t Polynomial::degree() const {
   for (std::size_t i = coeffs_.size(); i-- > 0;) {
@@ -77,10 +69,6 @@ Polynomial Polynomial::operator+(const Polynomial& other) const {
   return Polynomial{std::move(out)};
 }
 
-Polynomial Polynomial::operator-(const Polynomial& other) const {
-  return *this + (other * -1.0);
-}
-
 Polynomial Polynomial::operator*(const Polynomial& other) const {
   std::vector<double> out(coeffs_.size() + other.coeffs_.size() - 1, 0.0);
   for (std::size_t i = 0; i < coeffs_.size(); ++i) {
@@ -92,43 +80,10 @@ Polynomial Polynomial::operator*(const Polynomial& other) const {
   return Polynomial{std::move(out)};
 }
 
-Polynomial Polynomial::operator*(double scale) const {
-  std::vector<double> out = coeffs_;
-  for (double& c : out) c *= scale;
-  return Polynomial{std::move(out)};
-}
-
 Polynomial Polynomial::delayed(std::size_t k) const {
   std::vector<double> out(coeffs_.size() + k, 0.0);
   std::copy(coeffs_.begin(), coeffs_.end(), out.begin() + static_cast<std::ptrdiff_t>(k));
   return Polynomial{std::move(out)};
-}
-
-bool Polynomial::operator==(const Polynomial& other) const {
-  const std::size_t n = std::max(coeffs_.size(), other.coeffs_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (coefficient(i) != other.coefficient(i)) return false;
-  }
-  return true;
-}
-
-std::string Polynomial::to_string() const {
-  std::ostringstream os;
-  bool first = true;
-  for (std::size_t i = 0; i <= degree(); ++i) {
-    const double c = coefficient(i);
-    if (c == 0.0 && degree() > 0) continue;
-    if (first) {
-      if (c < 0.0) os << "-";
-      first = false;
-    } else {
-      os << (c < 0.0 ? " - " : " + ");
-    }
-    os << std::fabs(c);
-    if (i > 0) os << " z^-" << i;
-  }
-  if (first) os << "0";
-  return os.str();
 }
 
 }  // namespace roclk::signal

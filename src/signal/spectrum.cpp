@@ -6,36 +6,6 @@
 
 namespace roclk::signal {
 
-Result<std::vector<std::complex<double>>> fft(std::span<const double> xs) {
-  const std::size_t n = xs.size();
-  if (n == 0 || (n & (n - 1)) != 0) {
-    return Status::invalid_argument("FFT size must be a power of two");
-  }
-  std::vector<std::complex<double>> a(xs.begin(), xs.end());
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = -kTwoPi / static_cast<double>(len);
-    const std::complex<double> wlen{std::cos(angle), std::sin(angle)};
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w{1.0, 0.0};
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const auto u = a[i + k];
-        const auto v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-  return a;
-}
-
 std::vector<std::complex<double>> dft(std::span<const double> xs) {
   const std::size_t n = xs.size();
   std::vector<std::complex<double>> out(n);
@@ -74,20 +44,6 @@ double tone_amplitude(std::span<const double> xs, double frequency) {
   if (xs.empty()) return 0.0;
   const auto x = goertzel(xs, frequency);
   return 2.0 * std::abs(x) / static_cast<double>(xs.size());
-}
-
-std::size_t dominant_bin(std::span<const double> xs) {
-  const auto spectrum = dft(xs);
-  std::size_t best = 0;
-  double best_mag = -1.0;
-  for (std::size_t k = 1; k < spectrum.size() / 2 + 1; ++k) {
-    const double mag = std::abs(spectrum[k]);
-    if (mag > best_mag) {
-      best_mag = mag;
-      best = k;
-    }
-  }
-  return best;
 }
 
 }  // namespace roclk::signal

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "roclk/common/math.hpp"
-#include "roclk/signal/roots.hpp"
 
 namespace roclk::signal {
 
@@ -26,10 +22,6 @@ std::complex<double> TransferFunction::evaluate(std::complex<double> z) const {
   return num_.evaluate(z) / den_.evaluate(z);
 }
 
-std::complex<double> TransferFunction::frequency_response(double w) const {
-  return evaluate(std::polar(1.0, w));
-}
-
 std::optional<double> TransferFunction::dc_gain() const {
   const double d1 = den_.at_one();
   if (std::fabs(d1) < 1e-12) return std::nullopt;
@@ -41,63 +33,10 @@ std::optional<double> TransferFunction::step_final_value() const {
   return dc_gain();
 }
 
-TransferFunction TransferFunction::series(const TransferFunction& other) const {
-  return {num_ * other.num_, den_ * other.den_};
-}
-
-TransferFunction TransferFunction::parallel(
-    const TransferFunction& other) const {
-  return {num_ * other.den_ + other.num_ * den_, den_ * other.den_};
-}
-
-TransferFunction TransferFunction::feedback(
-    const TransferFunction& loop) const {
-  // H / (1 + H G) = (N Dg) / (D Dg + N Ng)
-  return {num_ * loop.den_, den_ * loop.den_ + num_ * loop.num_};
-}
-
-Result<std::vector<std::complex<double>>> TransferFunction::poles() const {
-  Polynomial d = den_;
-  d.trim();
-  return find_roots(d.ascending_in_z());
-}
-
-Result<std::vector<std::complex<double>>> TransferFunction::zeros() const {
-  Polynomial n = num_;
-  n.trim();
-  if (n.degree() == 0 && n.coefficient(0) == 0.0) {
-    return std::vector<std::complex<double>>{};
-  }
-  return find_roots(n.ascending_in_z());
-}
-
-Result<Stability> TransferFunction::stability(double unit_circle_tol) const {
-  auto poles_result = poles();
-  if (!poles_result.is_ok()) return poles_result.status();
-  const auto& ps = poles_result.value();
-
-  bool marginal = false;
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const double mag = std::abs(ps[i]);
-    if (mag > 1.0 + unit_circle_tol) return Stability::kUnstable;
-    if (mag >= 1.0 - unit_circle_tol) {
-      // On the circle: unstable if repeated (another pole within tol).
-      for (std::size_t j = 0; j < ps.size(); ++j) {
-        if (i == j) continue;
-        if (std::abs(ps[i] - ps[j]) < 10 * unit_circle_tol) {
-          return Stability::kUnstable;
-        }
-      }
-      marginal = true;
-    }
-  }
-  return marginal ? Stability::kMarginallyStable : Stability::kStable;
-}
-
 std::vector<double> TransferFunction::impulse_response(std::size_t n) const {
   // Long division: y[k] = (num[k] - sum_{i>=1} den[i] y[k-i]) / den[0],
   // where den[0] is the first nonzero denominator coefficient (a shared
-  // leading delay shifts the response, handled by normalize() semantics).
+  // leading delay cancels in the ratio).
   Polynomial num = num_;
   Polynomial den = den_;
   // Strip the common leading delay.
@@ -116,52 +55,6 @@ std::vector<double> TransferFunction::impulse_response(std::size_t n) const {
     y[k] = acc / d0;
   }
   return y;
-}
-
-std::vector<double> TransferFunction::step_response(std::size_t n) const {
-  std::vector<double> h = impulse_response(n);
-  double acc = 0.0;
-  for (double& v : h) {
-    acc += v;
-    v = acc;
-  }
-  return h;
-}
-
-TransferFunction& TransferFunction::normalize() {
-  num_.trim();
-  den_.trim();
-  // Cancel a shared pure delay z^-k.
-  std::size_t lead_n = 0;
-  while (lead_n < num_.degree() && num_.coefficient(lead_n) == 0.0) ++lead_n;
-  std::size_t lead_d = 0;
-  while (lead_d < den_.degree() && den_.coefficient(lead_d) == 0.0) ++lead_d;
-  const std::size_t shared = std::min(lead_n, lead_d);
-  if (shared > 0) {
-    auto shift = [shared](const Polynomial& p) {
-      const auto& c = p.coefficients();
-      std::vector<double> out(c.begin() + static_cast<std::ptrdiff_t>(shared),
-                              c.end());
-      return Polynomial{std::move(out)};
-    };
-    num_ = shift(num_);
-    den_ = shift(den_);
-  }
-  // Scale so the first nonzero denominator coefficient is 1.
-  std::size_t lead = 0;
-  while (lead < den_.degree() && den_.coefficient(lead) == 0.0) ++lead;
-  const double d0 = den_.coefficient(lead);
-  if (d0 != 0.0 && d0 != 1.0) {
-    num_ = num_ * (1.0 / d0);
-    den_ = den_ * (1.0 / d0);
-  }
-  return *this;
-}
-
-std::string TransferFunction::to_string() const {
-  std::ostringstream os;
-  os << "(" << num_.to_string() << ") / (" << den_.to_string() << ")";
-  return os.str();
 }
 
 PaperClosedLoop make_paper_closed_loop(const Polynomial& controller_numerator,

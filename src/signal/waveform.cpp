@@ -37,23 +37,6 @@ double TrianglePulseWaveform::at(double t) const {
   return amplitude_ * (x < 0.5 ? 2.0 * x : 2.0 * (1.0 - x));
 }
 
-StepWaveform::StepWaveform(double amplitude, double start)
-    : amplitude_{amplitude}, start_{start} {}
-
-double StepWaveform::at(double t) const {
-  return t >= start_ ? amplitude_ : 0.0;
-}
-
-RampWaveform::RampWaveform(double slope, double start, double saturation)
-    : slope_{slope}, start_{start}, saturation_{saturation} {}
-
-double RampWaveform::at(double t) const {
-  if (t <= start_) return 0.0;
-  const double v = slope_ * (t - start_);
-  if (slope_ >= 0.0) return std::min(v, saturation_);
-  return std::max(v, saturation_);
-}
-
 SquareWaveform::SquareWaveform(double amplitude, double period, double phase)
     : amplitude_{amplitude}, period_{period}, phase_{phase} {
   ROCLK_CHECK(period > 0.0, "square period must be positive");
@@ -70,11 +53,6 @@ HoldNoiseWaveform::HoldNoiseWaveform(double stddev, double hold,
   ROCLK_CHECK(hold > 0.0, "hold interval must be positive");
 }
 
-HoldNoiseWaveform::HoldNoiseWaveform(double stddev, double hold,
-                                     std::uint64_t seed)
-    : HoldNoiseWaveform{stddev, hold,
-                        StreamKey{seed}.split("signal.hold_noise")} {}
-
 double HoldNoiseWaveform::at(double t) const {
   // Stateless: each hold slot owns the substream key.at(slot) so
   // evaluation order is irrelevant (the edge simulator samples at
@@ -82,38 +60,6 @@ double HoldNoiseWaveform::at(double t) const {
   const auto slot = static_cast<std::int64_t>(std::floor(t / hold_));
   CounterRng rng{key_.at(static_cast<std::uint64_t>(slot))};
   return rng.normal(0.0, stddev_);
-}
-
-CompositeWaveform::CompositeWaveform(const CompositeWaveform& other) {
-  parts_.reserve(other.parts_.size());
-  for (const auto& p : other.parts_) {
-    parts_.push_back({p.waveform->clone(), p.scale});
-  }
-}
-
-CompositeWaveform& CompositeWaveform::operator=(
-    const CompositeWaveform& other) {
-  if (this == &other) return *this;
-  CompositeWaveform copy{other};
-  parts_ = std::move(copy.parts_);
-  return *this;
-}
-
-CompositeWaveform& CompositeWaveform::add(std::unique_ptr<Waveform> w,
-                                          double scale) {
-  ROCLK_CHECK(w != nullptr, "null waveform");
-  parts_.push_back({std::move(w), scale});
-  return *this;
-}
-
-double CompositeWaveform::at(double t) const {
-  double acc = 0.0;
-  for (const auto& p : parts_) acc += p.scale * p.waveform->at(t);
-  return acc;
-}
-
-std::unique_ptr<Waveform> CompositeWaveform::clone() const {
-  return std::make_unique<CompositeWaveform>(*this);
 }
 
 }  // namespace roclk::signal

@@ -1,45 +1,11 @@
 #include "roclk/variation/scenario.hpp"
 
-#include "roclk/common/stream_key.hpp"
-
 namespace roclk::variation {
 
 std::unique_ptr<VariationSource> make_harmonic_hodv(
     double fractional_amplitude, double period_stages, double phase) {
   return std::make_unique<VrmRipple>(fractional_amplitude, period_stages,
                                      phase);
-}
-
-std::unique_ptr<VariationSource> make_single_event_hodv(
-    double fractional_amplitude, double start_stages,
-    double duration_stages) {
-  return std::make_unique<OffChipVoltageDrop>(fractional_amplitude,
-                                              start_stages, duration_stages);
-}
-
-std::unique_ptr<VariationSource> make_soc_environment(
-    const SocEnvironmentConfig& config) {
-  // Every mechanism owns a named child of the environment's stream key —
-  // the seeds cannot collide and adding a mechanism never shifts another
-  // mechanism's draws.
-  const StreamKey env = StreamKey{config.seed}.split("variation.soc_env");
-  auto composite = std::make_unique<CompositeVariation>();
-  composite->add(
-      std::make_unique<DieToDieProcess>(config.d2d_sigma, env.split("d2d")));
-  composite->add(std::make_unique<WithinDieProcess>(config.wid_sigma,
-                                                    env.split("wid")));
-  composite->add(std::make_unique<RandomDeviceProcess>(config.rnd_sigma,
-                                                       env.split("rnd")));
-  composite->add(std::make_unique<VrmRipple>(config.vrm_amplitude,
-                                             config.vrm_period));
-  composite->add(std::make_unique<SimultaneousSwitchingNoise>(
-      config.ssn_sigma, config.ssn_hold, env.split("ssn")));
-  composite->add(std::make_unique<TemperatureHotspot>(
-      config.hotspot_peak, DiePoint{0.7, 0.3}, 0.2, config.hotspot_onset,
-      config.hotspot_tau));
-  composite->add(std::make_unique<Aging>(
-      config.aging_saturation, config.aging_tau, env.split("aging")));
-  return composite;
 }
 
 }  // namespace roclk::variation

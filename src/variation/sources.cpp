@@ -258,14 +258,6 @@ CompositeVariation::CompositeVariation(const CompositeVariation& other) {
   for (const auto& p : other.parts_) parts_.push_back(p->clone());
 }
 
-CompositeVariation& CompositeVariation::operator=(
-    const CompositeVariation& other) {
-  if (this == &other) return *this;
-  CompositeVariation copy{other};
-  parts_ = std::move(copy.parts_);
-  return *this;
-}
-
 CompositeVariation& CompositeVariation::add(
     std::unique_ptr<VariationSource> source) {
   ROCLK_CHECK(source != nullptr, "null variation source");
@@ -310,25 +302,6 @@ std::string CompositeVariation::name() const {
 
 std::unique_ptr<VariationSource> CompositeVariation::clone() const {
   return std::make_unique<CompositeVariation>(*this);
-}
-
-// ----------------------------------------------------- WaveformVariation
-
-WaveformVariation::WaveformVariation(std::unique_ptr<signal::Waveform> wave,
-                                     std::string label)
-    : wave_{std::move(wave)}, label_{std::move(label)} {
-  ROCLK_CHECK(wave_ != nullptr, "null waveform");
-}
-
-WaveformVariation::WaveformVariation(const WaveformVariation& other)
-    : wave_{other.wave_->clone()}, label_{other.label_} {}
-
-double WaveformVariation::at(double t, DiePoint /*p*/) const {
-  return wave_->at(t);
-}
-
-std::unique_ptr<VariationSource> WaveformVariation::clone() const {
-  return std::make_unique<WaveformVariation>(*this);
 }
 
 }  // namespace roclk::variation

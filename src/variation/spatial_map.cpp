@@ -54,11 +54,6 @@ SpatialMap::SpatialMap(StreamKey key, double stddev, int cells, int octaves)
   }
 }
 
-SpatialMap::SpatialMap(std::uint64_t seed, double stddev, int cells,
-                       int octaves)
-    : SpatialMap{StreamKey{seed}.split("variation.spatial_map"), stddev,
-                 cells, octaves} {}
-
 double SpatialMap::octave_value(int octave, DiePoint p) const {
   const int cells = cells_ << octave;
   const double fx = p.x * cells;

@@ -38,8 +38,7 @@ TEST(Analytic, Equation3PiecewiseShape) {
 
 TEST(Analytic, BenefitBoundaryAtSixthOfPeriod) {
   const double period = 600.0;
-  EXPECT_DOUBLE_EQ(harmonic_benefit_limit(period), 100.0);
-  // Inside the first benefit window.
+  // Inside the first benefit window, which ends at T/6 = 100.
   EXPECT_TRUE(harmonic_ro_beneficial(99.0, period));
   // Outside: the RO *adds* mismatch (2|sin| > 1).
   EXPECT_FALSE(harmonic_ro_beneficial(101.0, period));

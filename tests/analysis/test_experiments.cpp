@@ -12,6 +12,10 @@
 namespace roclk::analysis {
 namespace {
 
+double peak_to_peak(const std::vector<double>& xs) {
+  return max_of(xs) - min_of(xs);
+}
+
 // Cheap parameters for unit-level checks; the benches use the defaults.
 ExperimentParams fast_params() {
   ExperimentParams p;

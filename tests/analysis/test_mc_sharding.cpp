@@ -32,30 +32,6 @@ std::size_t full_width() {
   return std::max<std::size_t>(2, std::thread::hardware_concurrency());
 }
 
-TEST(ShardRangesTest, PartitionIsExactContiguousAndBalanced) {
-  for (std::size_t items : {0u, 1u, 7u, 64u, 1000u}) {
-    for (std::size_t shards : {1u, 2u, 3u, 8u, 64u, 2000u}) {
-      const auto ranges = mc::shard_ranges(items, shards);
-      std::size_t covered = 0;
-      std::size_t next = 0;
-      std::size_t min_size = items + 1;
-      std::size_t max_size = 0;
-      for (const auto& r : ranges) {
-        EXPECT_EQ(r.begin, next) << items << "/" << shards;
-        EXPECT_GT(r.size(), 0u);
-        covered += r.size();
-        next = r.end;
-        min_size = std::min(min_size, r.size());
-        max_size = std::max(max_size, r.size());
-      }
-      EXPECT_EQ(covered, items);
-      EXPECT_LE(ranges.size(), std::min(shards, items) + (items == 0));
-      if (!ranges.empty()) EXPECT_LE(max_size - min_size, 1u);
-    }
-  }
-  EXPECT_TRUE(mc::shard_ranges(0, 4).empty());
-}
-
 TEST(McSchedulingTest, KeyedMapIsPoolInvariant) {
   const StreamKey key = StreamKey{404}.split("test.keyed_map");
   const std::size_t items = 257;  // deliberately not a multiple of anything

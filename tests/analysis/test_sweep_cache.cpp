@@ -52,7 +52,6 @@ TEST(SweepMemo, DisabledMemoAlwaysMisses) {
   SweepMemo memo;
   memo.store(key_of(0.0), RunMetrics{});
   memo.set_enabled(false);
-  EXPECT_FALSE(memo.enabled());
   RunMetrics out;
   EXPECT_FALSE(memo.lookup(key_of(0.0), out));
   memo.store(key_of(2.0), RunMetrics{});  // dropped while disabled

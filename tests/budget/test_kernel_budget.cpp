@@ -78,7 +78,7 @@ TEST(KernelBudget, SequentialRunAllocatesNothing) {
             10.0, 1600.0, -6.0 + 1.7 * static_cast<double>(w % 8)));
       }
       const auto block = core::sample_ensemble(inputs, kCycles, kSetpoint);
-      analysis::MetricsReducer metrics{width, 76.8, kSkip};
+      analysis::MetricsReducer metrics{std::vector<double>(width, 76.8), kSkip};
       DiscardReducer discard;
       ensemble.run(block, metrics, nullptr);
       EXPECT_EQ(allocations_of([&] { ensemble.run(block, metrics, nullptr); }),
@@ -97,7 +97,7 @@ TEST(KernelBudget, SequentialRunHomogeneousAllocatesNothing) {
                    std::to_string(width));
       auto ensemble = iir_ensemble(width, faulted);
       const std::vector<double> mus = lane_mus(width);
-      analysis::MetricsReducer metrics{width, 76.8, kSkip};
+      analysis::MetricsReducer metrics{std::vector<double>(width, 76.8), kSkip};
       DiscardReducer discard;
       const auto run = [&](core::StreamingReducer& reducer) {
         ensemble.run_homogeneous(wave, mus, kSetpoint, kCycles, reducer,

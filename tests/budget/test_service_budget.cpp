@@ -34,9 +34,9 @@ Request corner_request() {
 }
 
 TEST(ServiceBudget, HandleCacheHitStaysUnderItsCeiling) {
-  // A hit normalizes and hashes the request, then copies the stored
-  // answer out of the cache.
-  constexpr std::uint64_t kCeiling = 6;
+  // A hit normalizes and hashes the request without a buffer; its one
+  // allocation copies the stored answer out of the cache.
+  constexpr std::uint64_t kCeiling = 1;
   SweepService service{{}};
   const Request request = corner_request();
   ASSERT_TRUE(service.handle(request).ok());  // the miss fills the cache
@@ -51,9 +51,12 @@ TEST(ServiceBudget, HandleCacheHitStaysUnderItsCeiling) {
 TEST(ServiceBudget, HotRoundTripStaysUnderItsCeiling) {
   // Client::query on a cache hit, over a socketpair into
   // run_server_session: encode and decode at both ends plus handle().
+  // Each payload and frame writer is reserved to its word count, so a
+  // query makes 8: per direction a payload, its frame and the read_frame
+  // tail, plus the hit's copy of the answer and the decoded response.
   // The count covers both threads, and the session may still allocate
   // after it wrote the last reply, so the total can only read low.
-  constexpr std::uint64_t kPerQuery = 29;
+  constexpr std::uint64_t kPerQuery = 8;
   constexpr std::uint64_t kQueries = 1000;
   SweepService service{{}};
   FdStream client_end, server_end;

@@ -8,34 +8,6 @@
 namespace roclk::cdn {
 namespace {
 
-TEST(FixedSampleCdn, ZeroDelayPassesThrough) {
-  FixedSampleCdn cdn{0};
-  cdn.reset(64.0);
-  EXPECT_DOUBLE_EQ(cdn.push(70.0), 70.0);
-  EXPECT_DOUBLE_EQ(cdn.push(71.0), 71.0);
-}
-
-TEST(FixedSampleCdn, DelaysByExactlyM) {
-  FixedSampleCdn cdn{3};
-  cdn.reset(64.0);
-  EXPECT_DOUBLE_EQ(cdn.push(1.0), 64.0);
-  EXPECT_DOUBLE_EQ(cdn.push(2.0), 64.0);
-  EXPECT_DOUBLE_EQ(cdn.push(3.0), 64.0);
-  EXPECT_DOUBLE_EQ(cdn.push(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(cdn.push(5.0), 2.0);
-  EXPECT_EQ(cdn.current_delay_samples(), 3u);
-}
-
-TEST(FixedSampleCdn, ResetRefillsPipeline) {
-  FixedSampleCdn cdn{2};
-  cdn.reset(10.0);
-  cdn.push(1.0);
-  cdn.reset(20.0);
-  EXPECT_DOUBLE_EQ(cdn.push(99.0), 20.0);
-  EXPECT_DOUBLE_EQ(cdn.push(98.0), 20.0);
-  EXPECT_DOUBLE_EQ(cdn.push(97.0), 99.0);
-}
-
 TEST(QuantizedTimeCdn, MFollowsPeriodRatio) {
   QuantizedTimeCdn cdn{64.0};
   cdn.reset(64.0);
@@ -177,14 +149,6 @@ TEST(QuantizedTimeCdn, SubPeriodDelaysDistinguishableOnlyWithInterp) {
                    run(64.0, DelayQuantization::kRound));
   EXPECT_NE(run(48.0, DelayQuantization::kLinearInterp),
             run(64.0, DelayQuantization::kLinearInterp));
-}
-
-TEST(EdgeDelayCdn, ConstantTimeShift) {
-  EdgeDelayCdn cdn{100.0};
-  EXPECT_DOUBLE_EQ(cdn.deliver_time(0.0), 100.0);
-  EXPECT_DOUBLE_EQ(cdn.deliver_time(64.0), 164.0);
-  EXPECT_DOUBLE_EQ(cdn.delay_stages(), 100.0);
-  EXPECT_THROW(EdgeDelayCdn{-1.0}, std::logic_error);
 }
 
 // Property: a constant input stream must pass through any CDN unchanged

@@ -45,7 +45,7 @@ TEST(Floorplan, WorstPathUnderHeterogeneousVariation) {
   variation::TemperatureHotspot hotspot{0.2, {0.9, 0.9}, 0.15, 0.0, 1.0};
   // After the thermal transient the hot path dominates.
   EXPECT_EQ(fp.worst_path_index(hotspot, 100.0), 1u);
-  EXPECT_NEAR(fp.worst_path_delay(hotspot, 100.0), 120.0, 0.5);
+  EXPECT_NEAR(fp.path_delay(fp.paths()[1], hotspot, 100.0), 120.0, 0.5);
 }
 
 TEST(Floorplan, NearestSensorEuclidean) {
@@ -77,7 +77,7 @@ TEST(Floorplan, BlindSpotPositiveWhenPathHotterThanSensor) {
 TEST(Floorplan, EmptyPreconditionsThrow) {
   Floorplan fp;
   const auto v = variation::DieToDieProcess::with_offset(0.0);
-  EXPECT_THROW((void)fp.worst_path_delay(v, 0.0), std::logic_error);
+  EXPECT_THROW((void)fp.worst_path_index(v, 0.0), std::logic_error);
   EXPECT_THROW((void)fp.nearest_sensor({0.5, 0.5}), std::logic_error);
   EXPECT_THROW(fp.add_path({{0.5, 0.5}, -1.0, "bad"}), std::logic_error);
 }

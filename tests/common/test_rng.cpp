@@ -80,19 +80,6 @@ TEST(Rng, NormalScaled) {
   EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
 }
 
-TEST(Rng, ExponentialMeanIsInverseRate) {
-  Xoshiro256 rng{13};
-  RunningStats stats;
-  for (int i = 0; i < 100000; ++i) stats.add(rng.exponential(4.0));
-  EXPECT_NEAR(stats.mean(), 0.25, 0.01);
-  EXPECT_GE(stats.min(), 0.0);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveRate) {
-  Xoshiro256 rng{14};
-  EXPECT_THROW(rng.exponential(0.0), std::logic_error);
-}
-
 TEST(Rng, JumpDecorrelatesStreams) {
   Xoshiro256 a{42};
   Xoshiro256 b{42};

@@ -38,48 +38,11 @@ TEST(RunningStats, SampleVariance) {
   EXPECT_DOUBLE_EQ(s.sample_variance(), 2.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 100; ++i) {
-    const double x = 0.37 * i - 3.0;
-    whole.add(x);
-    (i < 40 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-10);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
 TEST(BatchStats, MeanVarMinMax) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_DOUBLE_EQ(variance(xs), 1.25);
   EXPECT_DOUBLE_EQ(min_of(xs), 1.0);
   EXPECT_DOUBLE_EQ(max_of(xs), 4.0);
-  EXPECT_DOUBLE_EQ(peak_to_peak(xs), 3.0);
-}
-
-TEST(BatchStats, Rms) {
-  const std::vector<double> xs{3.0, 4.0};
-  EXPECT_NEAR(rms(xs), std::sqrt(12.5), 1e-12);
-  EXPECT_DOUBLE_EQ(rms(std::vector<double>{}), 0.0);
 }
 
 TEST(BatchStats, PercentileInterpolates) {
@@ -97,25 +60,6 @@ TEST(BatchStats, PercentilePreconditions) {
   EXPECT_THROW((void)percentile(std::vector<double>{}, 0.5),
                std::logic_error);
   EXPECT_THROW((void)percentile(xs, 1.5), std::logic_error);
-}
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h{0.0, 10.0, 5};
-  for (double x : {0.5, 1.0, 3.3, 9.9, -1.0, 10.0, 5.0}) h.add(x);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_EQ(h.underflow(), 1u);  // -1.0
-  EXPECT_EQ(h.overflow(), 1u);   // 10.0 (right-open)
-  EXPECT_EQ(h.count(0), 2u);     // 0.5 and 1.0 in [0, 2)
-  EXPECT_EQ(h.count(1), 1u);     // 3.3
-  EXPECT_EQ(h.count(2), 1u);     // 5.0
-  EXPECT_EQ(h.count(4), 1u);     // 9.9
-  EXPECT_DOUBLE_EQ(h.bin_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW((Histogram{1.0, 1.0, 4}), std::logic_error);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::logic_error);
 }
 
 }  // namespace

@@ -203,18 +203,5 @@ TEST(CounterRngTest, SeekClearsTheNormalSpare) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(a.normal(), b.normal());
 }
 
-TEST(CounterRngTest, ExponentialIsPositiveWithMatchingMean) {
-  CounterRng rng{StreamKey{8}.split("exponential")};
-  const double lambda = 2.5;
-  double mean = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.exponential(lambda);
-    ASSERT_GE(v, 0.0);
-    mean += v;
-  }
-  EXPECT_NEAR(mean / n, 1.0 / lambda, 0.02);
-}
-
 }  // namespace
 }  // namespace roclk

@@ -16,14 +16,8 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   for (int i = 0; i < 100; ++i) {
     pool.submit([&counter] { counter.fetch_add(1); });
   }
-  pool.wait_idle();
+  pool.shutdown();  // the workers drain the queue before they exit
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnFreshPoolReturnsImmediately) {
-  ThreadPool pool{2};
-  pool.wait_idle();
-  SUCCEED();
 }
 
 TEST(ThreadPool, SizeMatchesRequest) {

@@ -102,16 +102,6 @@ TEST(Governor, ClampsToRange) {
   EXPECT_DOUBLE_EQ(floor_gov.setpoint(), 69.0);
 }
 
-TEST(Governor, ResetRestoresInitialState) {
-  SetpointGovernor gov{small_window()};
-  for (int i = 0; i < 8; ++i) gov.observe(10.0);
-  EXPECT_GT(gov.setpoint(), 70.0);
-  gov.reset();
-  EXPECT_DOUBLE_EQ(gov.setpoint(), 70.0);
-  EXPECT_EQ(gov.epochs(), 0u);
-  EXPECT_EQ(gov.total_errors(), 0u);
-}
-
 TEST(Governor, ConvergesToKneeUnderStaticConditions) {
   // Simulated plant: the loop pins tau at c (perfect tracking), the
   // pipeline needs 64.  Governor should descend to just above L + headroom.

@@ -178,7 +178,8 @@ void expect_bit_exact_on(const EnsembleInputBlock& block,
   TraceReducer reducer{width, kCycles};
   ensemble.run(block, reducer);
   EnsembleSimulator metered = make_ensemble();
-  analysis::MetricsReducer metrics{width, kFixedPeriod, kSkip};
+  analysis::MetricsReducer metrics{
+      std::vector<double>(width, kFixedPeriod), kSkip};
   metered.run(block, metrics);
   for (std::size_t w = 0; w < width; ++w) {
     LoopSimulator scalar{cfg,
@@ -281,34 +282,6 @@ TEST(EnsembleSimd, MidVectorIsolatedLaneFallsBackExactly) {
   ensemble.run(block, reducer);
   EXPECT_TRUE(ensemble.isolated(2));
   EXPECT_EQ(ensemble.isolated_count(), 1u);
-}
-
-TEST(EnsembleSimd, ClearFaultsRestoresVectorPathExactly) {
-  // After clear_faults every group is back on vectors and must still
-  // match run_batch from the reset state.
-  const LoopConfig cfg = make_config(sensor::Quantization::kFloor,
-                                     cdn::DelayQuantization::kRound, true);
-  const control::IirControlHardware prototype{control::paper_iir_config()};
-  auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, 5);
-  std::vector<fault::FaultSchedule> schedules(5);
-  schedules[1].add({fault::FaultKind::kTdcGlitch, 10, 1, 3.0});
-  ensemble.attach_faults(schedules);
-  ensemble.clear_faults();
-
-  BackendOverrideGuard forced{simd::native_backend()};
-  const auto block = sample_ensemble(varied_inputs(5), kCycles, kSetpoint);
-  TraceReducer reducer{5, kCycles};
-  ensemble.reset();
-  ensemble.run(block, reducer);
-  for (std::size_t w = 0; w < 5; ++w) {
-    LoopSimulator scalar{cfg, std::make_unique<control::IirControlHardware>(
-                                  control::paper_iir_config())};
-    const SimulationTrace reference = scalar.run_batch(block.lane(w));
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      ASSERT_EQ(reference.tau()[k], reducer.trace(w).tau()[k])
-          << "lane " << w << " cycle " << k;
-    }
-  }
 }
 
 // Widths for the route tests: a pure tail lane; 5, one vector group plus a
@@ -565,7 +538,8 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
     {
       SCOPED_TRACE("successive run() calls");
       TraceReducer reducer{kWindowWidth, kWindowCycles};
-      analysis::MetricsReducer metrics{kWindowWidth, kFixedPeriod, kSkip};
+      analysis::MetricsReducer metrics{
+          std::vector<double>(kWindowWidth, kFixedPeriod), kSkip};
       run_in_calls(ensemble, reducer);
       run_in_calls(metered, metrics);
       ASSERT_TRUE(ensemble.isolated(8));
@@ -578,7 +552,8 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
       ensemble.reset();
       metered.reset();
       TraceReducer reducer{kWindowWidth, kWindowCycles};
-      analysis::MetricsReducer metrics{kWindowWidth, kFixedPeriod, kSkip};
+      analysis::MetricsReducer metrics{
+          std::vector<double>(kWindowWidth, kFixedPeriod), kSkip};
       ensemble.run_homogeneous(wave, mus, kSetpoint, kWindowCycles, reducer,
                                nullptr);
       metered.run_homogeneous(wave, mus, kSetpoint, kWindowCycles, metrics,
@@ -591,7 +566,8 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
       ensemble.reset();
       metered.reset();
       TraceReducer reducer{kWindowWidth, kWindowCycles};
-      analysis::MetricsReducer metrics{kWindowWidth, kFixedPeriod, kSkip};
+      analysis::MetricsReducer metrics{
+          std::vector<double>(kWindowWidth, kFixedPeriod), kSkip};
       run_in_calls(ensemble, reducer);
       run_in_calls(metered, metrics);
       ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
@@ -813,8 +789,10 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
           auto whole_metered = make();
           TraceReducer split_trace{width, kCycles};
           TraceReducer whole_trace{width, kCycles};
-          analysis::MetricsReducer split_metrics{width, kFixedPeriod, kSkip};
-          analysis::MetricsReducer whole_metrics{width, kFixedPeriod, kSkip};
+          analysis::MetricsReducer split_metrics{
+              std::vector<double>(width, kFixedPeriod), kSkip};
+          analysis::MetricsReducer whole_metrics{
+              std::vector<double>(width, kFixedPeriod), kSkip};
           std::size_t begin = 0;
           for (const std::size_t n : kRunCalls) {
             const auto part = cycle_range(block, begin, begin + n);
@@ -842,8 +820,10 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
           auto whole_metered = make();
           TraceReducer split_trace{width, cycles};
           TraceReducer whole_trace{width, cycles};
-          analysis::MetricsReducer split_metrics{width, kFixedPeriod, kSkip};
-          analysis::MetricsReducer whole_metrics{width, kFixedPeriod, kSkip};
+          analysis::MetricsReducer split_metrics{
+              std::vector<double>(width, kFixedPeriod), kSkip};
+          analysis::MetricsReducer whole_metrics{
+              std::vector<double>(width, kFixedPeriod), kSkip};
           const TableWave first{wave, kSetpoint, 0};
           const TableWave rest{wave, kSetpoint, kFirstCall};
           for (auto* target : {&split, &split_metered}) {

@@ -58,10 +58,10 @@ void expect_lanes_match_scalar(
     EnsembleSimulator& ensemble, const EnsembleInputBlock& block,
     const std::function<std::unique_ptr<control::ControlBlock>(std::size_t)>&
         make_controller,
-    bool parallel = false) {
+    ThreadPool* pool = nullptr) {
   TraceReducer reducer{ensemble.width(), block.cycles};
   ensemble.reset();
-  ensemble.run(block, reducer, parallel);
+  ensemble.run(block, reducer, pool);
   for (std::size_t w = 0; w < ensemble.width(); ++w) {
     LoopSimulator scalar{ensemble.lane_config(w), make_controller(w)};
     const SimulationTrace reference = scalar.run_batch(block.lane(w));
@@ -105,8 +105,9 @@ TEST(EnsembleInputs, SampleEnsembleMatchesPerLaneSampling) {
 
 TEST(EnsembleInputs, ParallelSamplingMatchesSerial) {
   const auto lanes = varied_inputs(37);
-  const auto serial = sample_ensemble(lanes, 300, kSetpoint, false);
-  const auto parallel = sample_ensemble(lanes, 300, kSetpoint, true);
+  ThreadPool pool{4};
+  const auto serial = sample_ensemble(lanes, 300, kSetpoint);
+  const auto parallel = sample_ensemble(lanes, 300, kSetpoint, &pool);
   ASSERT_EQ(serial.e_ro, parallel.e_ro);
   ASSERT_EQ(serial.e_tdc, parallel.e_tdc);
   ASSERT_EQ(serial.mu, parallel.mu);
@@ -127,19 +128,6 @@ TEST(EnsembleInputs, HomogeneousBroadcastMatchesPerLaneSampling) {
     ASSERT_EQ(scalar.e_ro, lane.e_ro) << "lane " << w;
     ASSERT_EQ(scalar.e_tdc, lane.e_tdc) << "lane " << w;
     ASSERT_EQ(scalar.mu, lane.mu) << "lane " << w;
-  }
-}
-
-TEST(EnsembleInputs, FromBlocksRoundTripsThroughLane) {
-  const auto lanes = varied_inputs(5);
-  std::vector<InputBlock> blocks;
-  for (const auto& in : lanes) blocks.push_back(in.sample(100, kSetpoint));
-  const auto ensemble = EnsembleInputBlock::from_blocks(blocks);
-  for (std::size_t w = 0; w < lanes.size(); ++w) {
-    const InputBlock lane = ensemble.lane(w);
-    ASSERT_EQ(blocks[w].e_ro, lane.e_ro);
-    ASSERT_EQ(blocks[w].e_tdc, lane.e_tdc);
-    ASSERT_EQ(blocks[w].mu, lane.mu);
   }
 }
 
@@ -260,7 +248,7 @@ TEST(EnsembleSimulator, ParallelRunMatchesScalar) {
       [](std::size_t) {
         return std::make_unique<control::IirControlHardware>();
       },
-      /*parallel=*/true);
+      &ThreadPool::shared());
 }
 
 TEST(EnsembleSimulator, SuccessiveRunsContinueLikeRunBatch) {
@@ -364,7 +352,7 @@ TEST(EnsembleMetrics, MetricsReducerMatchesEvaluateRunBitForBit) {
 }
 
 TEST(EnsembleMetrics, ReducerRejectsSkipLongerThanRun) {
-  analysis::MetricsReducer reducer{2, 76.8, /*skip=*/100};
+  analysis::MetricsReducer reducer{std::vector<double>(2, 76.8), /*skip=*/100};
   EXPECT_THROW((void)reducer.metrics(0), std::logic_error);
 }
 

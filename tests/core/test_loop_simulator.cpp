@@ -6,12 +6,21 @@
 #include <limits>
 #include <memory>
 
+#include "roclk/analysis/experiments.hpp"
 #include "roclk/control/iir_control.hpp"
 #include "roclk/control/teatime.hpp"
 #include "roclk/variation/sources.hpp"
 
 namespace roclk::core {
 namespace {
+
+/// One of the paper's systems at c = t_clk = 64 stages, built the way the
+/// experiments build it (integer CDN delay, as in LoopConfig's default).
+LoopSimulator paper_system(analysis::SystemKind kind,
+                           double open_loop_margin = 0.0) {
+  return analysis::make_system(kind, 64.0, 64.0, open_loop_margin,
+                               cdn::DelayQuantization::kRound);
+}
 
 LoopConfig linear_config(double tclk = 64.0) {
   LoopConfig cfg;
@@ -158,7 +167,7 @@ TEST(LoopSimulator, MismatchStepShiftsPeriodOppositeWays) {
 TEST(LoopSimulator, FreeRoCancelsHomogeneousStepWithoutControl) {
   // The free-running RO is itself slowed by e, so after the CDN flushes,
   // its delivered period carries the correction automatically.
-  auto sim = make_free_ro_system(64.0, 64.0);
+  auto sim = paper_system(analysis::SystemKind::kFreeRo);
   SimulationInputs inputs;
   inputs.e_ro = [](double t) { return t >= 640.0 ? 6.0 : 0.0; };
   inputs.e_tdc = inputs.e_ro;
@@ -168,7 +177,7 @@ TEST(LoopSimulator, FreeRoCancelsHomogeneousStepWithoutControl) {
 }
 
 TEST(LoopSimulator, FixedClockCarriesPermanentError) {
-  auto sim = make_fixed_clock_system(64.0, 64.0);
+  auto sim = paper_system(analysis::SystemKind::kFixedClock);
   SimulationInputs inputs;
   inputs.e_ro = [](double t) { return t >= 640.0 ? 6.0 : 0.0; };
   inputs.e_tdc = inputs.e_ro;
@@ -179,8 +188,8 @@ TEST(LoopSimulator, FixedClockCarriesPermanentError) {
 }
 
 TEST(LoopSimulator, FreeRoWithDesignMarginAvoidsViolations) {
-  auto no_margin = make_free_ro_system(64.0, 64.0, 0.0);
-  auto with_margin = make_free_ro_system(64.0, 64.0, 8.0);
+  auto no_margin = paper_system(analysis::SystemKind::kFreeRo, 0.0);
+  auto with_margin = paper_system(analysis::SystemKind::kFreeRo, 8.0);
   const auto inputs = SimulationInputs::harmonic(6.0, 1600.0);
   EXPECT_GT(no_margin.run(inputs, 2000).violation_count(200), 0u);
   EXPECT_EQ(with_margin.run(inputs, 2000).violation_count(200), 0u);
@@ -204,7 +213,7 @@ TEST(LoopSimulator, RoLengthSaturationBoundsLro) {
 }
 
 TEST(LoopSimulator, ResetRestoresEquilibriumAfterDisturbance) {
-  auto sim = make_teatime_system(64.0, 64.0);
+  auto sim = paper_system(analysis::SystemKind::kTeaTime);
   const auto inputs = SimulationInputs::harmonic(12.8, 1600.0);
   (void)sim.run(inputs, 500);
   sim.reset();
@@ -217,7 +226,7 @@ TEST(LoopSimulator, TeaTimeLimitCycleBoundedByLoopDelay) {
   // Under a static mismatch TEAtime settles into a limit cycle whose
   // amplitude is set by the loop transport delay (M + 2 cycles of blind
   // stepping before the sign information returns).
-  auto sim = make_teatime_system(64.0, 64.0);  // M = 1 -> 3-cycle transport
+  auto sim = paper_system(analysis::SystemKind::kTeaTime);  // M = 1 -> 3-cycle transport
   SimulationInputs inputs;
   inputs.mu = [](double) { return 5.0; };
   const auto trace = sim.run(inputs, 2000);
@@ -282,16 +291,16 @@ TEST(LoopSimulatorBatch, MatchesRunBitForBitOnHarmonicInputs) {
   auto b_iir = make_iir_system(64.0, 64.0);
   expect_batch_matches_run(a_iir, b_iir, inputs, 3000);
 
-  auto a_tea = make_teatime_system(64.0, 64.0);
-  auto b_tea = make_teatime_system(64.0, 64.0);
+  auto a_tea = paper_system(analysis::SystemKind::kTeaTime);
+  auto b_tea = paper_system(analysis::SystemKind::kTeaTime);
   expect_batch_matches_run(a_tea, b_tea, inputs, 3000);
 
-  auto a_free = make_free_ro_system(64.0, 64.0, 12.8);
-  auto b_free = make_free_ro_system(64.0, 64.0, 12.8);
+  auto a_free = paper_system(analysis::SystemKind::kFreeRo, 12.8);
+  auto b_free = paper_system(analysis::SystemKind::kFreeRo, 12.8);
   expect_batch_matches_run(a_free, b_free, inputs, 3000);
 
-  auto a_fix = make_fixed_clock_system(64.0, 64.0, 12.8);
-  auto b_fix = make_fixed_clock_system(64.0, 64.0, 12.8);
+  auto a_fix = paper_system(analysis::SystemKind::kFixedClock, 12.8);
+  auto b_fix = paper_system(analysis::SystemKind::kFixedClock, 12.8);
   expect_batch_matches_run(a_fix, b_fix, inputs, 3000);
 }
 
@@ -329,12 +338,12 @@ TEST(LoopSimulatorBatch, MatchesRunBitForBitOnOpenLoopMargins) {
   // loop; sweep the design margin including the no-margin edge.
   const auto inputs = SimulationInputs::harmonic(12.8, 900.0, 1.5);
   for (double margin : {0.0, 6.4, 19.2}) {
-    auto a_free = make_free_ro_system(64.0, 64.0, margin);
-    auto b_free = make_free_ro_system(64.0, 64.0, margin);
+    auto a_free = paper_system(analysis::SystemKind::kFreeRo, margin);
+    auto b_free = paper_system(analysis::SystemKind::kFreeRo, margin);
     expect_batch_matches_run(a_free, b_free, inputs, 1500);
 
-    auto a_fix = make_fixed_clock_system(64.0, 64.0, margin);
-    auto b_fix = make_fixed_clock_system(64.0, 64.0, margin);
+    auto a_fix = paper_system(analysis::SystemKind::kFixedClock, margin);
+    auto b_fix = paper_system(analysis::SystemKind::kFixedClock, margin);
     expect_batch_matches_run(a_fix, b_fix, inputs, 1500);
   }
 }

@@ -59,9 +59,6 @@ TEST(FaultSchedule, AddKeepsEventsSortedByStart) {
   EXPECT_EQ(events[0].start_cycle, 10u);
   EXPECT_EQ(events[1].start_cycle, 20u);
   EXPECT_EQ(events[2].start_cycle, 30u);
-  EXPECT_FALSE(schedule.has_permanent_event());
-  schedule.add({FaultKind::kTdcStuckAt, 40, FaultEvent::kPermanent, 8.0});
-  EXPECT_TRUE(schedule.has_permanent_event());
 }
 
 TEST(FaultSchedule, RandomIsAPureFunctionOfSeedAndSpec) {

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "roclk/analysis/experiments.hpp"
 #include "roclk/core/loop_simulator.hpp"
 
 namespace roclk::core {
@@ -55,7 +56,9 @@ TEST(GoldenRegression, IirDeliveredPeriods) {
 }
 
 TEST(GoldenRegression, TeaTimeTauSequence) {
-  const auto trace = run_golden(make_teatime_system(64.0, 64.0));
+  const auto trace = run_golden(analysis::make_system(
+      analysis::SystemKind::kTeaTime, 64.0, 64.0, 0.0,
+      cdn::DelayQuantization::kRound));
   const std::vector<double> expected{56, 57, 58, 59, 60, 62, 65, 67, 70, 70,
                                      71, 71, 71, 71, 70, 69, 68, 66, 64, 62};
   EXPECT_EQ(window(trace.tau()), expected);

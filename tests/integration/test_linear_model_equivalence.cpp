@@ -44,26 +44,23 @@ std::vector<double> simulate_delta(LoopSimulator& sim,
 
 /// Predicts delta via eq. 5: delta = D/(D + N z^{-M-2}) applied to
 ///   p[n] = e[n-1] - e[n-M-2] - mu[n-1]
-/// (mu enters at the TDC with one cycle of latency in our simulator; for
-/// the paper's static-mu experiments the placement is equivalent).
+/// The homogeneous part is eq. 5's combined input (paper_combined_input
+/// with c = mu = 0); mu enters at the TDC with one cycle of latency in our
+/// simulator instead of through the CDN, which for the paper's static-mu
+/// experiments is equivalent.
 std::vector<double> predict_delta(std::size_t m, const std::vector<double>& e,
                                   const std::vector<double>& mu) {
   const auto [num, den] =
       control::iir_polynomials(control::paper_iir_config());
   const auto loop = signal::make_paper_closed_loop(num, den, m);
   signal::LinearFilter h_delta{loop.to_error};
-  auto at = [](const std::vector<double>& xs, std::ptrdiff_t i) {
-    return (i >= 0 && static_cast<std::size_t>(i) < xs.size())
-               ? xs[static_cast<std::size_t>(i)]
-               : 0.0;
-  };
+  const std::vector<double> none(e.size(), 0.0);
+  const std::vector<double> p_e =
+      signal::paper_combined_input(none, e, none, m);
   std::vector<double> out(e.size());
   for (std::size_t n = 0; n < e.size(); ++n) {
-    const auto i = static_cast<std::ptrdiff_t>(n);
-    const double p = at(e, i - 1) -
-                     at(e, i - static_cast<std::ptrdiff_t>(m) - 2) -
-                     at(mu, i - 1);
-    out[n] = h_delta.step(p);
+    const double mu_tdc = n >= 1 && n - 1 < mu.size() ? mu[n - 1] : 0.0;
+    out[n] = h_delta.step(p_e[n] - mu_tdc);
   }
   return out;
 }

@@ -92,12 +92,5 @@ TEST(RingOscillator, ActsAsPointSensorOfItsOwnLocation) {
   EXPECT_LT(far_ro.local_variation(hotspot, 100.0), 0.05);
 }
 
-TEST(FixedClockSource, HoldsPeriod) {
-  FixedClockSource fixed{76.8};
-  EXPECT_DOUBLE_EQ(fixed.period_stages(), 76.8);
-  EXPECT_THROW(FixedClockSource{0.0}, std::logic_error);
-  EXPECT_THROW(FixedClockSource{-5.0}, std::logic_error);
-}
-
 }  // namespace
 }  // namespace roclk::osc

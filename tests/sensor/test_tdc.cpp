@@ -64,90 +64,17 @@ TEST(Tdc, ReadingIsClampedUnderEveryQuantizationMode) {
   }
 }
 
-TEST(Tdc, PhysicalReadingDividesByLocalStageDelay) {
-  TdcConfig cfg;
-  cfg.quantization = Quantization::kNone;
-  Tdc tdc{cfg};
-  // 10% slower gates: fewer stages crossed.
-  EXPECT_NEAR(tdc.measure_physical(66.0, 0.1), 60.0, 1e-12);
-  EXPECT_NEAR(tdc.measure_physical(64.0, 0.0), 64.0, 1e-12);
-}
-
-TEST(Tdc, PhysicalMismatchActsAsSpeedScale) {
-  TdcConfig cfg;
-  cfg.quantization = Quantization::kNone;
-  cfg.relative_mismatch = -0.2;  // TDC stages 20% faster -> reads higher
-  Tdc tdc{cfg};
-  EXPECT_NEAR(tdc.measure_physical(64.0, 0.0), 80.0, 1e-12);
-}
-
 TEST(Tdc, ValidateRejectsBadConfigs) {
   TdcConfig bad;
   bad.max_reading = 0;
   EXPECT_FALSE(Tdc::validate(bad).is_ok());
-  TdcConfig impossible;
-  impossible.relative_mismatch = -1.0;
-  EXPECT_FALSE(Tdc::validate(impossible).is_ok());
   EXPECT_THROW(Tdc{bad}, std::logic_error);
 }
 
 TEST(Tdc, NonPositivePeriodRejected) {
   Tdc tdc;
   EXPECT_THROW((void)tdc.measure_additive(0.0, 0.0), std::logic_error);
-  EXPECT_THROW((void)tdc.measure_physical(-1.0, 0.0), std::logic_error);
 }
-
-TEST(TdcArray, GridPlacesSensorsWithMismatch) {
-  const auto array = TdcArray::make_grid(2, 1.5);
-  EXPECT_EQ(array.size(), 4u);
-  for (const auto& tdc : array.sensors()) {
-    EXPECT_DOUBLE_EQ(tdc.config().mismatch_stages, 1.5);
-  }
-}
-
-TEST(TdcArray, WorstAdditiveIsMinimum) {
-  TdcArray array;
-  TdcConfig a;
-  a.quantization = Quantization::kNone;
-  a.mismatch_stages = 0.0;
-  TdcConfig b = a;
-  b.mismatch_stages = -4.0;  // pessimistic sensor reads lower
-  array.add(Tdc{a}).add(Tdc{b});
-  EXPECT_DOUBLE_EQ(array.worst_additive(64.0, 0.0), 60.0);
-}
-
-TEST(TdcArray, WorstPhysicalFindsSlowestRegion) {
-  auto array = TdcArray::make_grid(3);
-  variation::TemperatureHotspot hotspot{0.2, {5.0 / 6.0, 5.0 / 6.0}, 0.1,
-                                        0.0, 1.0};
-  // Sensor on the hotspot reads fewest stages.
-  const double worst = array.worst_physical(64.0, hotspot, 100.0);
-  const auto all = array.readings_physical(64.0, hotspot, 100.0);
-  for (double r : all) EXPECT_GE(r, worst);
-  // The hotspot sensor reading ~ 64/1.2 = 53.33 -> floor 53.
-  EXPECT_NEAR(worst, 53.0, 1.0);
-}
-
-TEST(TdcArray, EmptyArrayRejected) {
-  TdcArray empty;
-  EXPECT_TRUE(empty.empty());
-  EXPECT_THROW((void)empty.worst_additive(64.0, 0.0), std::logic_error);
-}
-
-// Property: for any homogeneous variation level, worst_additive equals each
-// individual reading when all sensors are identical.
-class TdcHomogeneity : public ::testing::TestWithParam<double> {};
-
-TEST_P(TdcHomogeneity, IdenticalSensorsAgree) {
-  const double e = GetParam();
-  const auto array = TdcArray::make_grid(3);
-  const double worst = array.worst_additive(64.0, e);
-  Tdc single;
-  EXPECT_DOUBLE_EQ(worst, single.measure_additive(64.0, e));
-}
-
-INSTANTIATE_TEST_SUITE_P(Levels, TdcHomogeneity,
-                         ::testing::Values(-12.8, -5.0, 0.0, 3.3, 12.8));
 
 }  // namespace
 }  // namespace roclk::sensor

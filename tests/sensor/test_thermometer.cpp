@@ -10,7 +10,6 @@ namespace {
 TEST(ThermometerCode, IdealCodeIsClean) {
   const auto code = ThermometerCode::ideal(5, 8);
   EXPECT_TRUE(code.is_clean());
-  EXPECT_EQ(code.bubble_count(), 0u);
   EXPECT_EQ(code.decode_priority(), 5u);
   EXPECT_EQ(code.decode_ones_count(), 5u);
   EXPECT_TRUE(code.bit(4));
@@ -32,7 +31,6 @@ TEST(ThermometerCode, BubbleBreaksPriorityNotOnesCount) {
   EXPECT_FALSE(code.is_clean());
   EXPECT_EQ(code.decode_priority(), 2u);     // badly wrong
   EXPECT_EQ(code.decode_ones_count(), 4u);   // off by one only
-  EXPECT_EQ(code.bubble_count(), 2u);
 }
 
 TEST(ThermometerCode, BalancedBubblesCancelInOnesCount) {

@@ -58,14 +58,5 @@ TEST(ResultCache, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
-TEST(ResultCache, ClearDropsEntries) {
-  ResultCache cache{4};
-  cache.store(1, response_with(1.0));
-  cache.clear();
-  Response out;
-  EXPECT_FALSE(cache.lookup(1, out));
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
 }  // namespace
 }  // namespace roclk::service

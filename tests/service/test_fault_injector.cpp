@@ -147,7 +147,8 @@ TEST(FaultyStream, BitFlipsAreCaughtByFrameChecksums) {
   ASSERT_TRUE(write_frame(*faulty, frame));
   EXPECT_GT(faulty->stats().bit_flips, 0u);
 
-  const FrameReadOutcome outcome = read_frame(b.fd());
+  FdByteStream reader{b.fd()};
+  const FrameReadOutcome outcome = read_frame(reader);
   EXPECT_EQ(outcome.result, ReadFrameResult::kMalformed);
 }
 

@@ -3,10 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "roclk/service/transport.hpp"
 
 namespace roclk::service {
 namespace {
+
+/// Decodes `words` the way the daemon does: read_frame over a stream that
+/// ends after them.
+FrameReadOutcome read_words(const std::vector<std::uint64_t>& words) {
+  FdStream a;
+  FdStream b;
+  EXPECT_TRUE(make_stream_pair(a, b).is_ok());
+  FdByteStream writer{std::move(a)};
+  EXPECT_TRUE(write_words(writer, words));
+  writer.close();
+  FdByteStream reader{std::move(b)};
+  return read_frame(reader);
+}
+
+/// The structural error read_frame reports for `words`.
+DecodeError read_error(const std::vector<std::uint64_t>& words) {
+  const FrameReadOutcome outcome = read_words(words);
+  return outcome.result == ReadFrameResult::kFrame ? DecodeError::kOk
+                                                   : outcome.error;
+}
 
 Response sample_response() {
   Response response;
@@ -64,59 +87,51 @@ TEST(ProtocolFrame, RoundTripsThroughEncodeAndDecode) {
   Frame frame;
   frame.type = FrameType::kRequest;
   frame.payload = {1, 2, 3, 0xFFFFFFFFFFFFFFFFULL};
-  const std::vector<std::uint64_t> words = encode_frame(frame);
-  Frame decoded;
-  ASSERT_EQ(decode_frame(words.data(), words.size(), decoded),
-            DecodeError::kOk);
-  EXPECT_EQ(decoded.type, frame.type);
-  EXPECT_EQ(decoded.payload, frame.payload);
+  const FrameReadOutcome decoded = read_words(encode_frame(frame));
+  ASSERT_EQ(decoded.result, ReadFrameResult::kFrame);
+  EXPECT_EQ(decoded.frame.type, frame.type);
+  EXPECT_EQ(decoded.frame.payload, frame.payload);
 }
 
 TEST(ProtocolFrame, EmptyPayloadFramesAreValid) {
   for (const FrameType type : {FrameType::kPing, FrameType::kShutdown}) {
-    const std::vector<std::uint64_t> words = encode_frame({type, {}});
-    Frame decoded;
-    ASSERT_EQ(decode_frame(words.data(), words.size(), decoded),
-              DecodeError::kOk);
-    EXPECT_EQ(decoded.type, type);
-    EXPECT_TRUE(decoded.payload.empty());
+    const FrameReadOutcome decoded = read_words(encode_frame({type, {}}));
+    ASSERT_EQ(decoded.result, ReadFrameResult::kFrame);
+    EXPECT_EQ(decoded.frame.type, type);
+    EXPECT_TRUE(decoded.frame.payload.empty());
   }
 }
 
 TEST(ProtocolFrame, DetectsEveryStructuralFailure) {
   const std::vector<std::uint64_t> good =
       encode_frame({FrameType::kRequest, {7, 8, 9}});
-  Frame decoded;
 
   std::vector<std::uint64_t> bad_magic = good;
   bad_magic[0] = 0x1111111111111111ULL;
-  EXPECT_EQ(decode_frame(bad_magic.data(), bad_magic.size(), decoded),
-            DecodeError::kBadMagic);
+  EXPECT_EQ(read_error(bad_magic), DecodeError::kBadMagic);
 
   std::vector<std::uint64_t> bad_version = good;
   bad_version[1] = (std::uint64_t{99} << 32) |
                    static_cast<std::uint64_t>(FrameType::kRequest);
-  EXPECT_EQ(decode_frame(bad_version.data(), bad_version.size(), decoded),
-            DecodeError::kBadVersion);
+  EXPECT_EQ(read_error(bad_version), DecodeError::kBadVersion);
 
   std::vector<std::uint64_t> bad_type = good;
   bad_type[1] = (std::uint64_t{kProtocolVersion} << 32) | 200;
-  EXPECT_EQ(decode_frame(bad_type.data(), bad_type.size(), decoded),
-            DecodeError::kBadType);
+  EXPECT_EQ(read_error(bad_type), DecodeError::kBadType);
 
   std::vector<std::uint64_t> oversized = good;
   oversized[2] = kMaxPayloadWords + 1;
-  EXPECT_EQ(decode_frame(oversized.data(), oversized.size(), decoded),
-            DecodeError::kOversized);
+  EXPECT_EQ(read_error(oversized), DecodeError::kOversized);
 
-  EXPECT_EQ(decode_frame(good.data(), good.size() - 1, decoded),
+  // The stream ends inside the tail, then inside the header.
+  EXPECT_EQ(read_error({good.begin(), good.end() - 1}),
             DecodeError::kTruncated);
-  EXPECT_EQ(decode_frame(good.data(), 2, decoded), DecodeError::kTruncated);
+  EXPECT_EQ(read_error({good.begin(), good.begin() + 2}),
+            DecodeError::kTruncated);
 
   std::vector<std::uint64_t> corrupt = good;
   corrupt[3] ^= 1;  // flip a payload bit; checksum must catch it
-  EXPECT_EQ(decode_frame(corrupt.data(), corrupt.size(), decoded),
-            DecodeError::kBadChecksum);
+  EXPECT_EQ(read_error(corrupt), DecodeError::kBadChecksum);
 }
 
 TEST(ProtocolFrame, MapsDecodeErrorsToTypedStatuses) {

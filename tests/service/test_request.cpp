@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace roclk::service {
@@ -201,6 +202,37 @@ TEST(RequestNormalize, ValidatesYieldQueries) {
   Request bad_sigma = yield;
   bad_sigma.yield.d2d_sigma = -0.1;
   EXPECT_FALSE(normalize(bad_sigma).is_ok());
+}
+
+TEST(RequestNormalize, ContentHashIsPinned) {
+  // A CacheJournal v1 record holds only this hash, so a changed
+  // derivation would silently turn every journalled answer into a miss.
+  // Values recorded before the hash stopped filling a WireWriter.
+  Request grid;
+  grid.kind = QueryKind::kGridSweep;
+  grid.grid.axis = GridAxis::kTeOverC;
+  grid.grid.scale = GridScale::kLog;
+  grid.grid.lo = 10.0;
+  grid.grid.hi = 100.0;
+  grid.grid.points = 5;
+
+  Request yield;
+  yield.kind = QueryKind::kYieldCurve;
+  yield.yield.chips = 64;
+  yield.yield.seed = 7;
+
+  const std::pair<Request, std::uint64_t> pins[] = {
+      {small_corner(), 0x0570FBB3C5238C8AULL},
+      {grid, 0xF11AAA2D72B3B63DULL},
+      {yield, 0xE8F5A399F8A0102BULL},
+  };
+  for (const auto& [request, want] : pins) {
+    const Result<Request> norm = normalize(request);
+    ASSERT_TRUE(norm.is_ok());
+    EXPECT_EQ(content_hash(norm.value()), want)
+        << to_string(request.kind) << " 0x" << std::hex
+        << content_hash(norm.value());
+  }
 }
 
 TEST(RequestWire, RoundTripsEveryQueryKind) {

@@ -452,7 +452,7 @@ TEST(SweepService, MissesRunMemoFreeAndMatchTheMemoBackedPath) {
   // caches: no kind of miss may read or grow the process-wide SweepMemo.
   analysis::SweepMemo& memo = analysis::SweepMemo::global();
   memo.clear();
-  ASSERT_TRUE(memo.enabled());
+  memo.set_enabled(true);
 
   std::vector<Request> requests;
   requests.push_back(corner_request(1.25));

@@ -23,13 +23,15 @@ Request corner_request() {
 TEST(Transport, FramesRoundTripOverASocketPair) {
   FdStream a, b;
   ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+  FdByteStream writer{a.fd()};
+  FdByteStream reader{b.fd()};
 
   Frame frame;
   frame.type = FrameType::kRequest;
   frame.payload = {10, 20, 30};
-  ASSERT_TRUE(write_frame(a.fd(), frame));
+  ASSERT_TRUE(write_frame(writer, frame));
 
-  const FrameReadOutcome outcome = read_frame(b.fd());
+  const FrameReadOutcome outcome = read_frame(reader);
   ASSERT_EQ(outcome.result, ReadFrameResult::kFrame);
   EXPECT_EQ(outcome.frame.type, frame.type);
   EXPECT_EQ(outcome.frame.payload, frame.payload);
@@ -38,20 +40,23 @@ TEST(Transport, FramesRoundTripOverASocketPair) {
 TEST(Transport, CleanCloseReadsAsClosed) {
   FdStream a, b;
   ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+  FdByteStream reader{b.fd()};
   a.close();
-  EXPECT_EQ(read_frame(b.fd()).result, ReadFrameResult::kClosed);
+  EXPECT_EQ(read_frame(reader).result, ReadFrameResult::kClosed);
 }
 
 TEST(Transport, MidFrameCloseReadsAsTruncated) {
   FdStream a, b;
   ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+  FdByteStream writer{a.fd()};
+  FdByteStream reader{b.fd()};
   const std::vector<std::uint64_t> whole =
       encode_frame({FrameType::kPing, {}});
   // Ship only the header, then hang up mid-frame.
   const std::vector<std::uint64_t> header{whole.begin(), whole.begin() + 3};
-  ASSERT_TRUE(write_words(a.fd(), header));
+  ASSERT_TRUE(write_words(writer, header));
   a.close();
-  const FrameReadOutcome outcome = read_frame(b.fd());
+  const FrameReadOutcome outcome = read_frame(reader);
   EXPECT_EQ(outcome.result, ReadFrameResult::kMalformed);
   EXPECT_EQ(outcome.error, DecodeError::kTruncated);
 }
@@ -60,30 +65,36 @@ TEST(Transport, BadMagicVersionAndChecksumAreTyped) {
   {
     FdStream a, b;
     ASSERT_TRUE(make_stream_pair(a, b).is_ok());
-    ASSERT_TRUE(write_words(a.fd(), {1, 2, 3, 4}));
-    const FrameReadOutcome outcome = read_frame(b.fd());
+    FdByteStream writer{a.fd()};
+    FdByteStream reader{b.fd()};
+    ASSERT_TRUE(write_words(writer, {1, 2, 3, 4}));
+    const FrameReadOutcome outcome = read_frame(reader);
     EXPECT_EQ(outcome.result, ReadFrameResult::kMalformed);
     EXPECT_EQ(outcome.error, DecodeError::kBadMagic);
   }
   {
     FdStream a, b;
     ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+    FdByteStream writer{a.fd()};
+    FdByteStream reader{b.fd()};
     std::vector<std::uint64_t> words = encode_frame({FrameType::kPing, {}});
     words[1] = (std::uint64_t{9} << 32) |
                static_cast<std::uint64_t>(FrameType::kPing);
-    ASSERT_TRUE(write_words(a.fd(), words));
-    const FrameReadOutcome outcome = read_frame(b.fd());
+    ASSERT_TRUE(write_words(writer, words));
+    const FrameReadOutcome outcome = read_frame(reader);
     EXPECT_EQ(outcome.result, ReadFrameResult::kMalformed);
     EXPECT_EQ(outcome.error, DecodeError::kBadVersion);
   }
   {
     FdStream a, b;
     ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+    FdByteStream writer{a.fd()};
+    FdByteStream reader{b.fd()};
     std::vector<std::uint64_t> words =
         encode_frame({FrameType::kRequest, {5, 6}});
     words.back() ^= 1;
-    ASSERT_TRUE(write_words(a.fd(), words));
-    const FrameReadOutcome outcome = read_frame(b.fd());
+    ASSERT_TRUE(write_words(writer, words));
+    const FrameReadOutcome outcome = read_frame(reader);
     EXPECT_EQ(outcome.result, ReadFrameResult::kMalformed);
     EXPECT_EQ(outcome.error, DecodeError::kBadChecksum);
   }

@@ -37,93 +37,12 @@ TEST(LinearFilter, ZeroLeadingDenominatorRejected) {
   EXPECT_THROW((LinearFilter{{1.0}, {0.0, 1.0}}), std::logic_error);
 }
 
-TEST(LinearFilter, ResetClearsState) {
-  LinearFilter f{{1.0}, {1.0, -0.9}};
-  f.step(1.0);
-  f.step(0.0);
-  f.reset();
-  EXPECT_DOUBLE_EQ(f.step(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(f.step(1.0), 1.0);
-}
-
-TEST(LinearFilter, ProcessMatchesSteps) {
-  LinearFilter a{{0.3, 0.1}, {1.0, -0.4}};
-  LinearFilter b = a;
-  std::vector<double> xs{1.0, -2.0, 0.5, 0.0, 3.0};
-  const auto batch = a.process(xs);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], b.step(xs[i]));
-  }
-}
-
 TEST(LinearFilter, DcGainReachedOnStep) {
   // H(1) = 0.2 / (1 - 0.8) = 1.
   LinearFilter f{{0.2}, {1.0, -0.8}};
   double y = 0.0;
   for (int i = 0; i < 400; ++i) y = f.step(1.0);
   EXPECT_NEAR(y, 1.0, 1e-9);
-}
-
-TEST(ExponentialSmoother, PrimesOnFirstSample) {
-  ExponentialSmoother s{0.5};
-  EXPECT_DOUBLE_EQ(s.step(10.0), 10.0);
-  EXPECT_DOUBLE_EQ(s.step(0.0), 5.0);
-  EXPECT_DOUBLE_EQ(s.step(0.0), 2.5);
-}
-
-TEST(ExponentialSmoother, AlphaOneTracksInput) {
-  ExponentialSmoother s{1.0};
-  s.step(1.0);
-  EXPECT_DOUBLE_EQ(s.step(7.0), 7.0);
-}
-
-TEST(ExponentialSmoother, InvalidAlphaRejected) {
-  EXPECT_THROW(ExponentialSmoother{0.0}, std::logic_error);
-  EXPECT_THROW(ExponentialSmoother{1.5}, std::logic_error);
-}
-
-TEST(SlidingMinimum, TracksWindowMinimum) {
-  SlidingMinimum m{3};
-  EXPECT_DOUBLE_EQ(m.step(5.0), 5.0);
-  EXPECT_DOUBLE_EQ(m.step(3.0), 3.0);
-  EXPECT_DOUBLE_EQ(m.step(4.0), 3.0);
-  EXPECT_DOUBLE_EQ(m.step(6.0), 3.0);  // window {3,4,6}
-  EXPECT_DOUBLE_EQ(m.step(7.0), 4.0);  // window {4,6,7}
-  EXPECT_DOUBLE_EQ(m.step(8.0), 6.0);  // window {6,7,8}
-}
-
-TEST(SlidingMinimum, WindowOneIsIdentity) {
-  SlidingMinimum m{1};
-  EXPECT_DOUBLE_EQ(m.step(5.0), 5.0);
-  EXPECT_DOUBLE_EQ(m.step(9.0), 9.0);
-  EXPECT_DOUBLE_EQ(m.step(1.0), 1.0);
-}
-
-TEST(SlidingMinimum, LongStreamStaysCorrectAndBounded) {
-  // Compare against a brute-force window minimum over a pseudo-random
-  // stream; also exercises the internal compaction path.
-  const std::size_t window = 17;
-  SlidingMinimum m{window};
-  std::vector<double> xs;
-  std::uint64_t s = 99;
-  for (int i = 0; i < 5000; ++i) {
-    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-    xs.push_back(static_cast<double>(s % 1000));
-    const double got = m.step(xs.back());
-    double expect = xs.back();
-    const std::size_t begin = xs.size() > window ? xs.size() - window : 0;
-    for (std::size_t j = begin; j < xs.size(); ++j) {
-      expect = std::min(expect, xs[j]);
-    }
-    ASSERT_DOUBLE_EQ(got, expect) << "at step " << i;
-  }
-}
-
-TEST(SlidingMinimum, ResetStartsFresh) {
-  SlidingMinimum m{4};
-  m.step(1.0);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.step(9.0), 9.0);
 }
 
 }  // namespace

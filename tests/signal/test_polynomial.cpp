@@ -55,7 +55,8 @@ TEST(Polynomial, AdditionAndSubtraction) {
   EXPECT_DOUBLE_EQ(sum.coefficient(0), 1.5);
   EXPECT_DOUBLE_EQ(sum.coefficient(1), 2.0);
   EXPECT_DOUBLE_EQ(sum.coefficient(2), 3.0);
-  const auto diff = a - b;
+  // a - b is a + (-1) b.
+  const auto diff = a + b * Polynomial{{-1.0}};
   EXPECT_DOUBLE_EQ(diff.coefficient(2), -3.0);
 }
 
@@ -69,14 +70,6 @@ TEST(Polynomial, MultiplicationConvolves) {
   EXPECT_DOUBLE_EQ(prod.coefficient(2), -1.0);
 }
 
-TEST(Polynomial, ScalarMultiplyAndNegate) {
-  Polynomial p{{1.0, -2.0}};
-  const auto q = p * 3.0;
-  EXPECT_DOUBLE_EQ(q.coefficient(0), 3.0);
-  EXPECT_DOUBLE_EQ(q.coefficient(1), -6.0);
-  EXPECT_DOUBLE_EQ((-p).coefficient(1), 2.0);
-}
-
 TEST(Polynomial, DelayedShiftsCoefficients) {
   Polynomial p{{1.0, 2.0}};
   const auto d = p.delayed(2);
@@ -84,7 +77,7 @@ TEST(Polynomial, DelayedShiftsCoefficients) {
   EXPECT_DOUBLE_EQ(d.coefficient(2), 1.0);
   EXPECT_DOUBLE_EQ(d.coefficient(3), 2.0);
   // Multiplying by delay(2) is the same operation.
-  EXPECT_TRUE(d == p * Polynomial::delay(2));
+  EXPECT_EQ(d.coefficients(), (p * Polynomial::delay(2)).coefficients());
 }
 
 TEST(Polynomial, TrimRemovesSmallTrailing) {
@@ -100,22 +93,6 @@ TEST(Polynomial, AscendingInZReversalForRoots) {
   ASSERT_EQ(coeffs.size(), 2u);
   EXPECT_DOUBLE_EQ(coeffs[0], 1.0);
   EXPECT_DOUBLE_EQ(coeffs[1], -0.5);
-}
-
-TEST(Polynomial, EqualityIgnoresStorageLength) {
-  Polynomial a{{1.0, 2.0}};
-  Polynomial b{{1.0, 2.0, 0.0}};
-  EXPECT_TRUE(a == b);
-  Polynomial c{{1.0, 2.1}};
-  EXPECT_FALSE(a == c);
-}
-
-TEST(Polynomial, ToStringReadable) {
-  Polynomial p{{1.0, -0.5, 0.0, 0.25}};
-  const auto s = p.to_string();
-  EXPECT_NE(s.find("z^-1"), std::string::npos);
-  EXPECT_NE(s.find("z^-3"), std::string::npos);
-  EXPECT_EQ(s.find("z^-2"), std::string::npos);  // zero term omitted
 }
 
 }  // namespace

@@ -45,22 +45,6 @@ TEST(Waveform, TrianglePulseShape) {
   EXPECT_DOUBLE_EQ(tri.at(100.0), 0.0);
 }
 
-TEST(Waveform, StepAndRamp) {
-  StepWaveform st{3.0, 5.0};
-  EXPECT_DOUBLE_EQ(st.at(4.999), 0.0);
-  EXPECT_DOUBLE_EQ(st.at(5.0), 3.0);
-  EXPECT_DOUBLE_EQ(st.at(1e6), 3.0);
-
-  RampWaveform ramp{0.5, 10.0, 2.0};  // saturates at 2 after 4 time units
-  EXPECT_DOUBLE_EQ(ramp.at(10.0), 0.0);
-  EXPECT_NEAR(ramp.at(12.0), 1.0, 1e-12);
-  EXPECT_NEAR(ramp.at(14.0), 2.0, 1e-12);
-  EXPECT_NEAR(ramp.at(100.0), 2.0, 1e-12);  // clamped
-
-  RampWaveform down{-0.5, 0.0, -1.0};
-  EXPECT_NEAR(down.at(10.0), -1.0, 1e-12);
-}
-
 TEST(Waveform, SquareDutyCycle) {
   SquareWaveform sq{1.0, 10.0};
   EXPECT_DOUBLE_EQ(sq.at(1.0), 1.0);
@@ -69,17 +53,17 @@ TEST(Waveform, SquareDutyCycle) {
 }
 
 TEST(Waveform, HoldNoiseIsDeterministicAndPiecewiseConstant) {
-  HoldNoiseWaveform noise{1.0, 10.0, 42};
+  HoldNoiseWaveform noise{1.0, 10.0, StreamKey{42}};
   EXPECT_DOUBLE_EQ(noise.at(3.0), noise.at(7.0));    // same hold slot
   EXPECT_DOUBLE_EQ(noise.at(3.0), noise.at(3.0));    // repeatable
-  HoldNoiseWaveform same{1.0, 10.0, 42};
+  HoldNoiseWaveform same{1.0, 10.0, StreamKey{42}};
   EXPECT_DOUBLE_EQ(noise.at(123.0), same.at(123.0));  // seed-deterministic
-  HoldNoiseWaveform other{1.0, 10.0, 43};
+  HoldNoiseWaveform other{1.0, 10.0, StreamKey{43}};
   EXPECT_NE(noise.at(123.0), other.at(123.0));
 }
 
 TEST(Waveform, HoldNoiseRoughlyUnitVariance) {
-  HoldNoiseWaveform noise{2.0, 1.0, 7};
+  HoldNoiseWaveform noise{2.0, 1.0, StreamKey{7}};
   double acc = 0.0;
   double acc2 = 0.0;
   const int n = 20000;
@@ -92,24 +76,6 @@ TEST(Waveform, HoldNoiseRoughlyUnitVariance) {
   const double var = acc2 / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.05);
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
-}
-
-TEST(Waveform, CompositeSumsWithScales) {
-  CompositeWaveform comp;
-  comp.add(std::make_unique<ConstantWaveform>(1.0), 2.0);
-  comp.add(std::make_unique<StepWaveform>(3.0, 10.0), -1.0);
-  EXPECT_DOUBLE_EQ(comp.at(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(comp.at(10.0), -1.0);
-  EXPECT_EQ(comp.size(), 2u);
-}
-
-TEST(Waveform, CompositeCopyIsDeep) {
-  CompositeWaveform comp;
-  comp.add(std::make_unique<SineWaveform>(1.0, 100.0));
-  CompositeWaveform copy{comp};
-  EXPECT_DOUBLE_EQ(copy.at(25.0), comp.at(25.0));
-  auto cloned = comp.clone();
-  EXPECT_DOUBLE_EQ(cloned->at(25.0), comp.at(25.0));
 }
 
 TEST(Waveform, SampleGrid) {

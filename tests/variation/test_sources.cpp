@@ -190,36 +190,11 @@ TEST(CompositeVariation, DeepCopy) {
   EXPECT_DOUBLE_EQ(clone->at(25.0, kCentre), comp.at(25.0, kCentre));
 }
 
-TEST(WaveformVariation, WrapsWaveformHomogeneously) {
-  WaveformVariation wv{std::make_unique<signal::SineWaveform>(0.2, 100.0),
-                       "test HoDV"};
-  EXPECT_NEAR(wv.at(25.0, kCentre), 0.2, 1e-12);
-  EXPECT_DOUBLE_EQ(wv.at(25.0, kCentre), wv.at(25.0, kCorner));
-  EXPECT_EQ(wv.name(), "test HoDV");
-  auto clone = wv.clone();
-  EXPECT_DOUBLE_EQ(clone->at(10.0, kCentre), wv.at(10.0, kCentre));
-}
-
 TEST(Scenario, HarmonicHodvFactory) {
   auto hodv = make_harmonic_hodv(0.2, 1600.0);
   EXPECT_EQ(hodv->temporal_class(), TemporalClass::kDynamic);
   EXPECT_EQ(hodv->spatial_class(), SpatialClass::kHomogeneous);
   EXPECT_NEAR(hodv->at(400.0, kCentre), 0.2, 1e-12);
-}
-
-TEST(Scenario, SingleEventFactory) {
-  auto droop = make_single_event_hodv(0.15, 100.0, 64.0);
-  EXPECT_NEAR(droop->at(132.0, kCentre), 0.15, 1e-12);
-  EXPECT_DOUBLE_EQ(droop->at(0.0, kCentre), 0.0);
-}
-
-TEST(Scenario, SocEnvironmentComposesEverything) {
-  auto env = make_soc_environment();
-  EXPECT_EQ(env->temporal_class(), TemporalClass::kDynamic);
-  EXPECT_EQ(env->spatial_class(), SpatialClass::kHeterogeneous);
-  // Deterministic in the seed.
-  auto env2 = make_soc_environment();
-  EXPECT_DOUBLE_EQ(env->at(12345.0, kCorner), env2->at(12345.0, kCorner));
 }
 
 }  // namespace

@@ -10,8 +10,8 @@ namespace roclk::variation {
 namespace {
 
 TEST(SpatialMap, DeterministicInSeed) {
-  SpatialMap a{42, 0.1};
-  SpatialMap b{42, 0.1};
+  SpatialMap a{StreamKey{42}, 0.1};
+  SpatialMap b{StreamKey{42}, 0.1};
   for (double x : {0.1, 0.3, 0.77}) {
     for (double y : {0.2, 0.9}) {
       EXPECT_DOUBLE_EQ(a.at({x, y}), b.at({x, y}));
@@ -20,8 +20,8 @@ TEST(SpatialMap, DeterministicInSeed) {
 }
 
 TEST(SpatialMap, DifferentSeedsProduceDifferentFields) {
-  SpatialMap a{1, 0.1};
-  SpatialMap b{2, 0.1};
+  SpatialMap a{StreamKey{1}, 0.1};
+  SpatialMap b{StreamKey{2}, 0.1};
   int distinct = 0;
   for (int i = 0; i < 16; ++i) {
     const DiePoint p{(i % 4) * 0.25 + 0.1, (i / 4) * 0.25 + 0.1};
@@ -31,7 +31,7 @@ TEST(SpatialMap, DifferentSeedsProduceDifferentFields) {
 }
 
 TEST(SpatialMap, ApproximatelyZeroMeanUnitScaledSpread) {
-  SpatialMap map{7, 0.05, 4, 2};
+  SpatialMap map{StreamKey{7}, 0.05, 4, 2};
   RunningStats stats;
   for (int ix = 0; ix < 64; ++ix) {
     for (int iy = 0; iy < 64; ++iy) {
@@ -46,7 +46,7 @@ TEST(SpatialMap, ApproximatelyZeroMeanUnitScaledSpread) {
 
 TEST(SpatialMap, SpatiallySmooth) {
   // Neighbouring points must be far more similar than distant ones.
-  SpatialMap map{11, 1.0, 3, 1};
+  SpatialMap map{StreamKey{11}, 1.0, 3, 1};
   double near_diff = 0.0;
   double far_diff = 0.0;
   int n = 0;
@@ -60,8 +60,8 @@ TEST(SpatialMap, SpatiallySmooth) {
 }
 
 TEST(SpatialMap, InvalidConfigRejected) {
-  EXPECT_THROW((SpatialMap{1, 0.1, 0, 1}), std::logic_error);
-  EXPECT_THROW((SpatialMap{1, 0.1, 4, 0}), std::logic_error);
+  EXPECT_THROW((SpatialMap{StreamKey{1}, 0.1, 0, 1}), std::logic_error);
+  EXPECT_THROW((SpatialMap{StreamKey{1}, 0.1, 4, 0}), std::logic_error);
 }
 
 TEST(GaussianBump, PeakAtCentreDecaysOutward) {

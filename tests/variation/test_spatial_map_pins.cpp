@@ -80,8 +80,11 @@ TEST(SpatialMapPins, AtHashInsideOnEdgesAndOutside) {
       const StreamKey key = StreamKey{0x5A7A11ULL}.at(s);
       const SpatialMap keyed{key, 0.04 + 0.01 * static_cast<double>(s),
                              kShapes[s].cells, kShapes[s].octaves};
-      const SpatialMap seeded{1000 + s, 0.05, kShapes[s].cells,
-                              kShapes[s].octaves};
+      // Keyed as the raw-seed constructor (since removed) derived it, so
+      // the recorded hashes still hold.
+      const SpatialMap seeded{
+          StreamKey{1000 + s}.split("variation.spatial_map"), 0.05,
+          kShapes[s].cells, kShapes[s].octaves};
       for (const DiePoint p : sets[set]) {
         hash.add(keyed.at(p));
         hash.add(seeded.at(p));
