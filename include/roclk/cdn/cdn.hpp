@@ -22,24 +22,6 @@
 
 namespace roclk::cdn {
 
-/// Sample-domain CDN interface: push the generated period of cycle n,
-/// receive the period delivered at the leaves during cycle n.
-class DiscreteCdn {
- public:
-  virtual ~DiscreteCdn() = default;
-
-  /// `generated_period` in stages; returns the delivered period in stages.
-  virtual double push(double generated_period) = 0;
-
-  /// Restores power-on state; `initial_period` pre-fills the pipeline (the
-  /// clock was already running at that period before the simulation
-  /// window).
-  virtual void reset(double initial_period) = 0;
-
-  /// Current delay in samples (diagnostic).
-  [[nodiscard]] virtual std::size_t current_delay_samples() const = 0;
-};
-
 /// How the real-valued sample delay t_clk / T_clk[n] is mapped onto the
 /// discrete history:
 ///  * kRound  — M[n] = round(t_clk / T_clk[n]): the literal reading of the
@@ -54,8 +36,9 @@ enum class DelayQuantization { kRound, kFloor, kLinearInterp };
 
 /// The paper's model: M[n] = t_clk / T_clk[n] is re-computed every cycle
 /// from the period currently entering the CDN; the delivered period is the
-/// one generated M[n] cycles ago.
-class QuantizedTimeCdn final : public DiscreteCdn {
+/// one generated M[n] cycles ago.  push() the generated period of cycle n
+/// to receive the period delivered at the leaves during cycle n.
+class QuantizedTimeCdn {
  public:
   /// `delay_stages` is t_clk; `history` bounds the look-back window and
   /// must exceed every M that can occur (t_clk / min-period).
@@ -68,10 +51,10 @@ class QuantizedTimeCdn final : public DiscreteCdn {
                                 DelayQuantization::kRound,
                             std::size_t ring_depth = 0);
 
-  // push() is the per-simulated-cycle hot path of every sweep; it is
-  // defined inline (class is final, so calls through the concrete type
-  // devirtualise and fuse into the simulation loop).
-  double push(double generated_period) override {
+  /// `generated_period` in stages; returns the delivered period in
+  /// stages.  The per-simulated-cycle hot path of every sweep, so it is
+  /// defined inline.
+  double push(double generated_period) {
     ROCLK_CHECK(generated_period > 0.0,
                 "generated period must be positive, got "
                     << generated_period << " stages");
@@ -103,10 +86,12 @@ class QuantizedTimeCdn final : public DiscreteCdn {
     return generated_period;
   }
 
-  void reset(double initial_period) override;
-  [[nodiscard]] std::size_t current_delay_samples() const override {
-    return last_m_;
-  }
+  /// Restores power-on state; `initial_period` pre-fills the pipeline
+  /// (the clock was already running at that period before the
+  /// simulation window).
+  void reset(double initial_period);
+  /// Current delay in samples (diagnostic).
+  [[nodiscard]] std::size_t current_delay_samples() const { return last_m_; }
   [[nodiscard]] double delay_stages() const { return delay_stages_; }
   [[nodiscard]] DelayQuantization quantization() const {
     return quantization_;

@@ -13,6 +13,7 @@
 // drive an unbounded allocation or read.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -84,8 +85,26 @@ class FdStream {
 /// ByteStream over a file descriptor.  Either owns the fd (FdStream
 /// constructor) or borrows one owned elsewhere (int constructor — the
 /// server session path, where the accept loop keeps ownership).
+///
+/// Reads go through a read-ahead buffer inside the object: one read(2)
+/// takes whatever the peer has sent, up to kReadAheadBytes, so a frame
+/// that arrived whole costs one system call, and the bytes past it wait
+/// here for the next read.  So a stream must be the ONLY reader of its fd
+/// for its whole lifetime: bytes it has buffered are invisible to any
+/// other reader of the same fd, and lost when the stream goes away.
+///
+/// A socket read that would block first polls: a non-blocking recv,
+/// retried with the CPU yielded in between, for at most a fixed bound
+/// (kPollBound in transport.cpp), and only while this stream's previous
+/// wait ended within that bound.  A peer that answers that fast costs
+/// less to poll for than to sleep on; one that did not is waited for in
+/// read(2) at once.  A fd that is not a socket (the daemon's --stdio
+/// pipes) never polls.
 class FdByteStream final : public ByteStream {
  public:
+  /// Read-ahead capacity.
+  static constexpr std::size_t kReadAheadBytes = 4096;
+
   explicit FdByteStream(FdStream stream)
       : owned_{std::move(stream)}, fd_{owned_.fd()} {}
   explicit FdByteStream(int fd) : fd_{fd} {}
@@ -98,8 +117,16 @@ class FdByteStream final : public ByteStream {
   [[nodiscard]] bool valid() const override { return fd_ >= 0; }
 
  private:
+  /// One read from the fd into `buffer`, polling first as described.
+  IoResult receive(void* buffer, std::size_t bytes);
+
   FdStream owned_;
   int fd_{-1};
+  bool poll_{true};  // the previous wait ended within the poll bound
+  // The unread bytes are ahead_[ahead_begin_, ahead_end_).
+  std::size_t ahead_begin_{0};
+  std::size_t ahead_end_{0};
+  unsigned char ahead_[kReadAheadBytes]{};
 };
 
 /// Outcome of reading one frame from a stream.

@@ -122,8 +122,11 @@ Response SweepService::handle(const Request& request) {
                                         ? request.deadline_ms
                                         : impl_->config.default_deadline_ms;
   const bool has_deadline = deadline_ms != 0;
+  // Every use of `deadline` is behind has_deadline, so a request without
+  // one (every hot query) reads no clock.
   const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds{deadline_ms};
+      has_deadline ? Clock::now() + std::chrono::milliseconds{deadline_ms}
+                   : Clock::time_point::max();
 
   std::shared_ptr<InFlight> flight;
   bool owner = false;

@@ -4,14 +4,23 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
 namespace roclk::service {
 
 namespace {
+
+/// Longest a socket read polls before it blocks.  One leg of a hot round
+/// trip takes ~3 us polled and ~8 us through a blocked read(2) on the
+/// reference host, and a cache miss ~300 us (docs/service.md §1): 30 us
+/// keeps a hot stream polling and bounds what a slow peer costs.
+constexpr std::chrono::microseconds kPollBound{30};
 
 /// Reads exactly `bytes`; 0 = clean EOF before any byte, -1 = error or
 /// mid-buffer EOF, 1 = success.  Interrupted operations are retried —
@@ -34,6 +43,18 @@ int read_exact(ByteStream& stream, void* buffer, std::size_t bytes) {
     }
   }
   return 1;
+}
+
+/// Maps a read(2)/recv(2) return value and errno onto an IoResult.
+IoResult read_result(ssize_t n) {
+  if (n > 0) return IoResult::ok(static_cast<std::size_t>(n));
+  if (n == 0) return IoResult::eof();
+  return errno == EINTR ? IoResult::interrupted() : IoResult::error();
+}
+
+/// True when a non-blocking recv(2) found nothing to read yet.
+bool would_block(ssize_t n) {
+  return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
 }
 
 bool write_all(ByteStream& stream, const void* buffer, std::size_t bytes) {
@@ -59,10 +80,43 @@ bool write_all(ByteStream& stream, const void* buffer, std::size_t bytes) {
 
 IoResult FdByteStream::read_some(void* buffer, std::size_t bytes) {
   if (fd_ < 0) return IoResult::error();
-  const ssize_t n = ::read(fd_, buffer, bytes);
-  if (n > 0) return IoResult::ok(static_cast<std::size_t>(n));
-  if (n == 0) return IoResult::eof();
-  return errno == EINTR ? IoResult::interrupted() : IoResult::error();
+  if (ahead_begin_ == ahead_end_) {
+    const IoResult r = receive(ahead_, kReadAheadBytes);
+    if (r.kind != IoResult::Kind::kOk) return r;
+    ahead_begin_ = 0;
+    ahead_end_ = r.bytes;
+  }
+  const std::size_t n = std::min(bytes, ahead_end_ - ahead_begin_);
+  std::memcpy(buffer, ahead_ + ahead_begin_, n);
+  ahead_begin_ += n;
+  return IoResult::ok(n);
+}
+
+IoResult FdByteStream::receive(void* buffer, std::size_t bytes) {
+  ssize_t n = ::recv(fd_, buffer, bytes, MSG_DONTWAIT);
+  // Non-socket fds (the daemon's --stdio pipes) report ENOTSOCK and fall
+  // back to a blocking read(2), so they never poll.
+  if (n < 0 && errno == ENOTSOCK) {
+    return read_result(::read(fd_, buffer, bytes));
+  }
+  if (!would_block(n)) {
+    poll_ = true;  // no wait at all
+    return read_result(n);
+  }
+  // The peer has not sent yet.  Poll while it answered fast last time,
+  // then sleep in read(2); how long this wait took decides the next one.
+  const auto start = std::chrono::steady_clock::now();
+  bool waiting = true;
+  while (poll_ && waiting &&
+         std::chrono::steady_clock::now() - start < kPollBound) {
+    std::this_thread::yield();
+    n = ::recv(fd_, buffer, bytes, MSG_DONTWAIT);
+    waiting = would_block(n);
+  }
+  if (waiting) n = ::read(fd_, buffer, bytes);
+  const IoResult r = read_result(n);
+  poll_ = std::chrono::steady_clock::now() - start <= kPollBound;
+  return r;
 }
 
 IoResult FdByteStream::write_some(const void* buffer, std::size_t bytes) {

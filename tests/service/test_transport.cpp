@@ -1,7 +1,9 @@
 #include "roclk/service/transport.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -98,6 +100,124 @@ TEST(Transport, BadMagicVersionAndChecksumAreTyped) {
     EXPECT_EQ(outcome.result, ReadFrameResult::kMalformed);
     EXPECT_EQ(outcome.error, DecodeError::kBadChecksum);
   }
+}
+
+TEST(Transport, FramesSentInOneWriteReadBackOneByOne) {
+  FdStream a, b;
+  ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+  FdByteStream writer{a.fd()};
+  FdByteStream reader{b.fd()};
+  const std::vector<Frame> frames = {{FrameType::kRequest, {1, 2, 3}},
+                                     {FrameType::kPing, {}},
+                                     {FrameType::kResponse, {4, 5}}};
+  std::vector<std::uint64_t> words;
+  for (const Frame& frame : frames) {
+    const std::vector<std::uint64_t> encoded = encode_frame(frame);
+    words.insert(words.end(), encoded.begin(), encoded.end());
+  }
+  ASSERT_TRUE(write_words(writer, words));
+  a.close();
+
+  for (const Frame& frame : frames) {
+    const FrameReadOutcome outcome = read_frame(reader);
+    ASSERT_EQ(outcome.result, ReadFrameResult::kFrame);
+    EXPECT_EQ(outcome.frame.type, frame.type);
+    EXPECT_EQ(outcome.frame.payload, frame.payload);
+  }
+  EXPECT_EQ(read_frame(reader).result, ReadFrameResult::kClosed);
+}
+
+TEST(Transport, FrameWrittenByteByByteArrivesIntact) {
+  FdStream a, b;
+  ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+  const Frame frame{FrameType::kRequest, {7, 8, 9, 10}};
+  const std::vector<std::uint64_t> words = encode_frame(frame);
+  // The writer owns its end, so a reader that lost bytes sees EOF
+  // instead of waiting for them.
+  std::thread trickle{[fd = a.release(), &words] {
+    FdByteStream writer{FdStream{fd}};
+    const auto* bytes = reinterpret_cast<const unsigned char*>(words.data());
+    for (std::size_t i = 0; i < words.size() * sizeof(std::uint64_t); ++i) {
+      const IoResult r = writer.write_some(bytes + i, 1);
+      EXPECT_TRUE(r.kind == IoResult::Kind::kOk && r.bytes == 1);
+      // Every other byte comes after the reader's poll has given up, so
+      // reads that poll and reads that block in read(2) both take part.
+      if (i % 2 == 0) {
+        std::this_thread::yield();
+      } else {
+        std::this_thread::sleep_for(std::chrono::microseconds{200});
+      }
+    }
+  }};
+  FdByteStream reader{b.fd()};
+  const FrameReadOutcome outcome = read_frame(reader);
+  trickle.join();
+  ASSERT_EQ(outcome.result, ReadFrameResult::kFrame);
+  EXPECT_EQ(outcome.frame.type, frame.type);
+  EXPECT_EQ(outcome.frame.payload, frame.payload);
+}
+
+TEST(Transport, PayloadLargerThanTheReadAheadRoundTrips) {
+  FdStream a, b;
+  ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+  Frame frame{FrameType::kResponse, {}};
+  frame.payload.resize(3 * FdByteStream::kReadAheadBytes /
+                           sizeof(std::uint64_t) + 5);
+  for (std::size_t i = 0; i < frame.payload.size(); ++i) {
+    frame.payload[i] = 0x9E3779B97F4A7C15ULL * (i + 1);
+  }
+  std::thread sender{[fd = a.release(), &frame] {
+    FdByteStream writer{FdStream{fd}};
+    EXPECT_TRUE(write_frame(writer, frame));
+    EXPECT_TRUE(write_frame(writer, {FrameType::kPing, {}}));
+  }};
+  FdByteStream reader{b.fd()};
+  const FrameReadOutcome big = read_frame(reader);
+  const FrameReadOutcome after = read_frame(reader);
+  sender.join();
+  ASSERT_EQ(big.result, ReadFrameResult::kFrame);
+  EXPECT_EQ(big.frame.payload, frame.payload);
+  ASSERT_EQ(after.result, ReadFrameResult::kFrame);
+  EXPECT_EQ(after.frame.type, FrameType::kPing);
+}
+
+TEST(Transport, BufferedBytesThenEofMidFrameReadAsTruncated) {
+  FdStream a, b;
+  ASSERT_TRUE(make_stream_pair(a, b).is_ok());
+  FdByteStream writer{a.fd()};
+  FdByteStream reader{b.fd()};
+  // A whole frame and the first half of the next one in one write, so the
+  // half frame is already in the reader's buffer when EOF comes.
+  std::vector<std::uint64_t> words =
+      encode_frame({FrameType::kRequest, {1, 2}});
+  const std::vector<std::uint64_t> next =
+      encode_frame({FrameType::kRequest, {3, 4, 5, 6}});
+  words.insert(words.end(), next.begin(), next.begin() + 5);
+  ASSERT_TRUE(write_words(writer, words));
+  a.close();
+
+  ASSERT_EQ(read_frame(reader).result, ReadFrameResult::kFrame);
+  const FrameReadOutcome outcome = read_frame(reader);
+  EXPECT_EQ(outcome.result, ReadFrameResult::kMalformed);
+  EXPECT_EQ(outcome.error, DecodeError::kTruncated);
+}
+
+TEST(Transport, FramesRoundTripOverAPipe) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  FdStream read_end{fds[0]};
+  FdStream write_end{fds[1]};
+  FdByteStream writer{write_end.fd()};
+  FdByteStream reader{read_end.fd()};
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const Frame frame{FrameType::kRequest, {i, i * i}};
+    ASSERT_TRUE(write_frame(writer, frame));
+    const FrameReadOutcome outcome = read_frame(reader);
+    ASSERT_EQ(outcome.result, ReadFrameResult::kFrame);
+    EXPECT_EQ(outcome.frame.payload, frame.payload);
+  }
+  write_end.close();
+  EXPECT_EQ(read_frame(reader).result, ReadFrameResult::kClosed);
 }
 
 TEST(Session, ClientAndServiceRoundTripOverASocketPair) {

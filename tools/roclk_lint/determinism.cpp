@@ -5,10 +5,11 @@
 // variables) and deriving an RNG substream from a tag string nobody
 // registered (a later duplicate tag then aliases two streams).  This
 // pass bans the former in library code and cross-checks the latter
-// against the DESIGN.md §13 registry.
+// against the DESIGN.md §13 registry, both ways: no unregistered tag in
+// the code, no registered tag without a call site.
 //
 // Allowlist: tools/, bench/, examples/, tests/ (drivers measure real
-// time by design) and the service transport TU (socket timeouts need a
+// time by design) and the service transport TU (its poll bound needs a
 // real clock).  Anything else carries a one-line justified waiver.
 #include <cctype>
 #include <regex>
@@ -151,6 +152,7 @@ std::vector<Finding> check_determinism(
   // --- tag-unregistered: every split("...") literal in library code
   // must appear in the registry.  Comment-only stripping keeps the
   // string contents visible while prose stays inert.
+  std::set<std::string> used;
   for (const auto& file : files) {
     if (scope_of(file.path) != Scope::kLibrary) continue;
     const auto waivers = collect_waivers(file.text);
@@ -161,6 +163,7 @@ std::vector<Finding> check_determinism(
       for (auto it = std::sregex_iterator(line.begin(), line.end(), kSplitTag);
            it != std::sregex_iterator{}; ++it) {
         const std::string tag = (*it)[1].str();
+        used.insert(tag);
         if (registry->has_tag(tag)) continue;
         if (is_waived(waivers, lineno, "tag-unregistered")) continue;
         findings.push_back(
@@ -171,6 +174,18 @@ std::vector<Finding> check_determinism(
                  "can alias the stream"});
       }
     }
+  }
+
+  // --- tag-orphaned: a row whose tag no library split("...") uses any
+  // more documents a stream nobody derives, and would let a later,
+  // unrelated caller take the tag as if it were still owned.
+  for (const auto& entry : registry->entries) {
+    if (used.count(entry.tag) != 0) continue;
+    findings.push_back({registry_path, entry.line, "tag-orphaned",
+                        "StreamKey tag `" + entry.tag +
+                            "` is registered but no split(\"" + entry.tag +
+                            "\") in library code derives it; delete the "
+                            "row with its last call site"});
   }
 
   return findings;

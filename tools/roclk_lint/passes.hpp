@@ -20,9 +20,10 @@
 //                replayable through injected hooks) — all banned in
 //                library code; tools/, bench/, examples/, tests/ and
 //                the service transport TU are allowlisted, and
-//                service/retry.cpp may sleep — plus `tag-unregistered`
-//                and `tag-duplicate`, cross-checking every StreamKey
-//                split("...") literal against the DESIGN.md §13 registry.
+//                service/retry.cpp may sleep — plus `tag-unregistered`,
+//                `tag-duplicate` and `tag-orphaned`, cross-checking every
+//                StreamKey split("...") literal against the DESIGN.md §13
+//                registry and every registry row against those literals.
 //
 //   locks        pass 3 — lock discipline.  Rules: `naked-lock` (direct
 //                .lock()/.unlock()/.try_lock() on a declared mutex;
@@ -51,7 +52,9 @@ namespace roclk::lint {
 /// Pass 2: wall-clock/environment audit and StreamKey tag cross-check.
 /// `registry` may be null (tag checks are skipped, e.g. fixture trees
 /// without a DESIGN.md); `registry_path` is used to report
-/// `tag-duplicate` findings at their registry row.
+/// `tag-duplicate` and `tag-orphaned` findings at their registry row.
+/// `files` must be the whole project: a row counts as orphaned when no
+/// library file in it derives the tag.
 [[nodiscard]] std::vector<Finding> check_determinism(
     const std::vector<SourceFile>& files, const TagRegistry* registry,
     const std::filesystem::path& registry_path = "DESIGN.md");

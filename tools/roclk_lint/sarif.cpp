@@ -79,7 +79,7 @@ struct RuleInfo {
 
 /// Every rule either pass family can emit, in stable order — the SARIF
 /// driver.rules array and the docs both derive from this list.
-constexpr std::array<RuleInfo, 20> kRules{{
+constexpr std::array<RuleInfo, 21> kRules{{
     {"round", "std::round family bypasses the ties-away contract"},
     {"rng", "raw C/std randomness outside common/rng"},
     {"xoshiro", "direct Xoshiro256 construction outside common/rng"},
@@ -97,6 +97,7 @@ constexpr std::array<RuleInfo, 20> kRules{{
     {"env-source", "environment read in deterministic library code"},
     {"tag-unregistered", "StreamKey tag missing from the DESIGN.md registry"},
     {"tag-duplicate", "StreamKey tag registered twice"},
+    {"tag-orphaned", "registered StreamKey tag no library code derives"},
     {"naked-lock", "direct mutex lock()/unlock() instead of a RAII guard"},
     {"dead-mutex", "header mutex member never guarded by any TU"},
     {"lock-order", "second mutex acquired while one is held"},

@@ -233,12 +233,13 @@ TEST(DeterminismTest, FlagsUnregisteredTag) {
   const TagRegistry registry = small_registry();
   const auto findings = check_determinism(
       {{"src/analysis/yield.cpp",
-        "auto k = root.split(\"analysis.yield\").split(\"oops\");\n"}},
+        "auto k = root.split(\"analysis.yield\").split(\"oops\");\n"
+        "auto c = k.split(\"chip\");\n"}},
       &registry);
   ASSERT_TRUE(has_rule(findings, "tag-unregistered"));
   EXPECT_NE(find_rule(findings, "tag-unregistered")->message.find("`oops`"),
             std::string::npos);
-  // The registered tag on the same line is not a finding.
+  // The registered tags, one on the same line, are not findings.
   EXPECT_EQ(findings.size(), 1u);
 }
 
@@ -259,9 +260,28 @@ TEST(DeterminismTest, WaiverSuppressesUnregisteredTag) {
   const auto findings = check_determinism(
       {{"src/analysis/yield.cpp",
         "auto k = root.split(\"scratch\");  "
-        "// roclk-lint: allow(tag-unregistered)\n"}},
+        "// roclk-lint: allow(tag-unregistered)\n"
+        "auto c = root.split(\"analysis.yield\").split(\"chip\");\n"}},
       &registry);
   EXPECT_TRUE(findings.empty());
+}
+
+TEST(DeterminismTest, FlagsOrphanedRegistryRow) {
+  // `chip` is registered, but only prose, app-scope code and a
+  // lookalike name derive it: the row has no library call site left.
+  const TagRegistry registry = small_registry();
+  const std::vector<SourceFile> files = {
+      {"src/analysis/yield.cpp",
+       "// per chip: key.split(\"chip\")\n"
+       "auto k = root.split(\"analysis.yield\").resplit(\"chip\");\n"},
+      {"tests/analysis/test_yield.cpp", "auto c = k.split(\"chip\");\n"},
+  };
+  const auto findings = check_determinism(files, &registry, "DESIGN.md");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "tag-orphaned");
+  EXPECT_EQ(findings[0].file.generic_string(), "DESIGN.md");
+  EXPECT_EQ(findings[0].line, 11u);
+  EXPECT_NE(findings[0].message.find("`chip`"), std::string::npos);
 }
 
 TEST(DeterminismTest, FlagsDuplicateRegistryTag) {
