@@ -176,7 +176,8 @@ struct WorkedExample {
 /// per lane; the lane count is the longer of the two.  Results (and memo
 /// entries) are bit-for-bit identical to calling measure_system per lane —
 /// lanes already memoised are not re-simulated, the rest run as the lanes
-/// of one simulate_system_ensemble call.
+/// of one simulate_system_ensemble call on the shared process-wide pool
+/// (per-lane results are bitwise identical for every choice of pool).
 [[nodiscard]] std::vector<RunMetrics> measure_system_ensemble(
     SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
     double amplitude_stages, double period_stages,
@@ -184,17 +185,6 @@ struct WorkedExample {
     std::size_t cycles, std::size_t skip, double free_ro_margin = 0.0,
     cdn::DelayQuantization cdn_quantization =
         cdn::DelayQuantization::kLinearInterp);
-
-/// Same, on an explicit pool (nullptr = strictly sequential), following
-/// the DESIGN.md §13 convention of the other MC entry points.  Per-lane
-/// results are bitwise identical for every choice of pool; the overload
-/// above runs on the shared process-wide pool.
-[[nodiscard]] std::vector<RunMetrics> measure_system_ensemble(
-    SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
-    double amplitude_stages, double period_stages,
-    std::span<const double> mu_stages, double fixed_period,
-    std::size_t cycles, std::size_t skip, double free_ro_margin,
-    cdn::DelayQuantization cdn_quantization, ThreadPool* pool);
 
 /// The memo-free core of measure_system_ensemble: every lane runs through
 /// one EnsembleSimulator with a streaming MetricsReducer, on `pool`

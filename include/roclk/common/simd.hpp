@@ -40,18 +40,18 @@
 //    vector on AVX2/NEON/the scalar pack, a __mmask8 on AVX-512); the
 //    kernels only hand it back to select/iselect/dselect/*mask_bits.
 //
-//  * CacheAlignedAllocator / aligned_vector — lane arrays aligned to (and
-//    padded to a multiple of) the cache line, so vector loads never split
-//    lines and concurrently-run chunks never false-share a line.
+//  * LaneBlock — lane arrays carved from one cache-line-aligned
+//    allocation, each aligned to (and padded to a multiple of) the cache
+//    line, so vector loads never split lines and concurrently-run chunks
+//    never false-share a line.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <new>
+#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "roclk/common/math.hpp"
 
@@ -71,40 +71,54 @@ namespace roclk::simd {
 /// the padding is merely half as effective, never wrong.
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-/// Allocator that over-aligns every allocation to kCacheLineBytes and pads
-/// its size up to a whole number of lines.  Two vectors using it can never
-/// share a cache line, so per-chunk lane state touched by different worker
-/// threads cannot false-share; vector loads at lane-group offsets never
-/// straddle a line.
+/// Bytes an array of `n` T takes in a LaneBlock: whole cache lines.
 template <class T>
-class CacheAlignedAllocator {
+[[nodiscard]] constexpr std::size_t lane_array_bytes(std::size_t n) {
+  return (n * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
+         kCacheLineBytes;
+}
+
+/// One zero-filled, cache-line-aligned allocation carved into lane arrays.
+/// Each array starts on its own line and is padded to whole lines, so
+/// vector loads at lane-group offsets never straddle a line, and arrays
+/// touched by different worker threads never share one.
+///
+/// A layout is a callable that hands each array pointer, with its entry
+/// count, to the binder it is called with: layout(bind) calls
+/// bind(array, n) once per array, in block order.  The constructor runs it
+/// twice, to size the block and to point every array at its lines.
+/// Moving a block moves ownership only: the arrays stay where they are.
+///
+/// The block is one plain allocation with up to a line of slack, aligned
+/// by hand: glibc's aligned allocation frees a fragment before and after
+/// every block, and in a long-running service that builds an ensemble per
+/// miss (perfbench serve_cold) those fragments raised the peak RSS by a
+/// quarter.
+class LaneBlock {
  public:
-  using value_type = T;
+  LaneBlock() = default;
 
-  CacheAlignedAllocator() = default;
-  template <class U>
-  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) {}  // NOLINT
+  template <class Layout>
+  explicit LaneBlock(const Layout& layout) {
+    std::size_t bytes = 0;
+    layout([&bytes]<class T>(T*& /*array*/, std::size_t n) {
+      bytes += lane_array_bytes<T>(n);
+    });
+    std::size_t space = bytes + kCacheLineBytes - 1;
+    data_ = std::make_unique_for_overwrite<std::byte[]>(space);
+    void* start = data_.get();
+    std::byte* next = static_cast<std::byte*>(
+        std::align(kCacheLineBytes, bytes, start, space));
+    std::memset(next, 0, bytes);
+    layout([&next]<class T>(T*& array, std::size_t n) {
+      array = reinterpret_cast<T*>(next);
+      next += lane_array_bytes<T>(n);
+    });
+  }
 
-  [[nodiscard]] T* allocate(std::size_t n) {
-    const std::size_t bytes = n * sizeof(T);
-    const std::size_t padded =
-        (bytes + kCacheLineBytes - 1) / kCacheLineBytes * kCacheLineBytes;
-    return static_cast<T*>(
-        ::operator new(padded, std::align_val_t{kCacheLineBytes}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{kCacheLineBytes});
-  }
-
-  friend bool operator==(const CacheAlignedAllocator&,
-                         const CacheAlignedAllocator&) {
-    return true;
-  }
+ private:
+  std::unique_ptr<std::byte[]> data_;
 };
-
-/// Lane-array vector type used by the ensemble engine's chunk state.
-template <class T>
-using aligned_vector = std::vector<T, CacheAlignedAllocator<T>>;
 
 // -------------------------------------------------- backend dispatch
 

@@ -14,10 +14,13 @@
 //    little else;
 //  * the CDN rings are interleaved per lane chunk ([slot][lane], power of
 //    two slots, mask indexing) and stay L1-resident;
-//  * the IIR control hardware is devirtualized once per ensemble into a
-//    lane-strided integer bank ([tap][lane]), mirroring run_batch's fast
-//    path; other controllers keep one ControlBlock per lane, stepped on
-//    the lane values the vector computed;
+//  * an ensemble has one controller: an IirControlHardware is
+//    devirtualized once into a lane-strided integer bank ([tap][lane]),
+//    mirroring run_batch's fast path; any other controller is cloned per
+//    lane and each clone stepped on the lane values the vector computed;
+//  * each chunk's lane state is one cache-line-aligned block
+//    (simd::LaneBlock), laid out by detail::ChunkLanes, the struct the
+//    kernel reads;
 //  * one per-chunk kernel, templated over the SIMD backend
 //    (src/core/ensemble_simd_kernel.hpp), runs every chunk: vector groups
 //    of lanes, with the tail, and fault-armed groups on their fault
@@ -61,6 +64,13 @@ namespace roclk::core {
 namespace detail {
 struct SimdChunkArgs;  // the per-chunk kernel's arguments
 
+/// How an ensemble's lanes turn delta into l_RO.
+enum class ControlKind {
+  kOpenLoop,  // free-running RO or fixed clock: the lane's open-loop period
+  kIirBank,   // the devirtualized integer IIR bank, on lane vectors
+  kVirtual,   // one ControlBlock per lane, stepped on extracted lane values
+};
+
 /// One feedback tap of the devirtualized IIR bank as the kernel applies
 /// it: where its state row lies from the bank's ring base (its age in the
 /// newest-first tap order, times the bank's row stride) and the magnitude
@@ -68,6 +78,153 @@ struct SimdChunkArgs;  // the per-chunk kernel's arguments
 struct IirTapShift {
   std::int32_t offset{0};
   std::int32_t shift{0};
+};
+
+/// The ensemble-wide constants the kernel reads, built once at
+/// construction: every lane shares them (validated).
+struct KernelConsts {
+  bool fixed_clock{false};
+  bool quantize_lro{true};
+  sensor::Quantization tdc_q{sensor::Quantization::kNearest};
+  cdn::DelayQuantization cdn_q{cdn::DelayQuantization::kRound};
+  double tdc_mismatch{0.0};
+  double tdc_max{0.0};
+
+  ControlKind control{ControlKind::kOpenLoop};
+  // kVirtual: each lane's own ControlBlock, indexed by ensemble lane.
+  const std::unique_ptr<control::ControlBlock>* controllers{nullptr};
+  // kIirBank: the IirControlHardware's power-of-two gains as shift counts.
+  // The feedback taps, each with its row offset, come in four runs: left
+  // shifts added, left shifts subtracted, right shifts added, right shifts
+  // subtracted; the runs end at left_add_end, left_sub_end, right_add_end
+  // and taps.
+  const IirTapShift* tap_shifts{nullptr};
+  std::size_t left_add_end{0};
+  std::size_t left_sub_end{0};
+  std::size_t right_add_end{0};
+  std::size_t taps{0};
+  std::size_t row_stride{0};  // lanes per bank row: the widest chunk's width
+  int k_exp_shift{0};         // log2 k_exp, >= 0 (k_exp >= 1)
+  int k_star_exponent{0};     // log2 k*, either sign (k* > 0)
+  // IirControlHardware's anti-windup clamp, pre-resolved to integers.
+  bool aw_enabled{false};
+  std::int64_t aw_min{0};
+  std::int64_t aw_max{0};
+};
+
+/// One chunk of lanes as the kernel reads it: its geometry, its lane
+/// arrays, all carved from one simd::LaneBlock (bind_arrays states the
+/// layout), and its scalar state.  Each array starts on its own cache line
+/// and is padded to whole lines, so vector loads never split a line and
+/// two chunks running on different worker threads never share one.
+struct ChunkLanes {
+  std::size_t first{0};  // the chunk's first ensemble lane
+  std::size_t width{0};
+
+  // z^-1 delay registers, one slot per lane.
+  double* prev_lro{nullptr};
+  double* prev_t_dlv{nullptr};
+  double* prev_e_ro{nullptr};
+  double* prev_e_local{nullptr};  // previous e_tdc - mu
+
+  // Per-lane loop constants.
+  double* setpoint{nullptr};
+  double* open_loop{nullptr};  // resolved open-loop period
+  std::int64_t* min_len{nullptr};
+  std::int64_t* max_len{nullptr};
+  double* min_len_d{nullptr};
+  double* max_len_d{nullptr};
+
+  // Interleaved CDN ring: slot s of lane w at ring[(s << row_shift) + w].
+  // ring_slots is a power of two covering the largest per-lane history,
+  // and the row stride 2^row_shift the power of two at or above the width,
+  // so the kernel's gathered look-back index is a mask and a shift, in
+  // bounds for every lane.  Per-lane history/initial values keep the
+  // boundary conditions (and the d-clamp) bit-identical to each lane's
+  // own QuantizedTimeCdn.
+  double* ring{nullptr};
+  std::size_t ring_slots{0};
+  std::size_t slot_mask{0};
+  int row_shift{0};
+  std::uint64_t pushes{0};  // absolute push counter
+  double* cdn_delay{nullptr};
+  double* cdn_history_d{nullptr};  // history - 2, as double
+  std::int64_t* cdn_history{nullptr};
+  double* cdn_initial{nullptr};
+
+  // Devirtualized IIR bank: 2 * taps rows, lane w of row r at
+  // iir_bank[r * row_stride + w] (one stride for every chunk, so one tap
+  // table serves them all).  The rows form a ring whose base moves back
+  // one row per cycle, so advancing the shift register moves no lane
+  // values; each state is written to row r and its twin r + taps, so at
+  // base b (iir_head) the state W[n-1-i] is row b + i, contiguous and
+  // never wrapped.
+  std::int64_t* iir_bank{nullptr};
+  std::int64_t* iir_prev_input{nullptr};
+  std::size_t iir_head{0};
+  // Every set-point is an integer and the TDC floors or rounds, so delta
+  // is integral and the bank input needs no rounding (off a fault cycle).
+  bool integral_input{false};
+
+  // Per-cycle output staging handed to a reducer that takes slices (each
+  // group's slice points at its lanes); untouched when the reducer hands
+  // out accumulators.
+  double* tau{nullptr};
+  double* delta{nullptr};
+  double* lro{nullptr};
+  double* t_gen{nullptr};
+  double* t_dlv{nullptr};
+  std::uint8_t* violation{nullptr};
+
+  // Fault replay state (armed by attach_faults; `injectors` is null on a
+  // fault-free ensemble).  An isolated lane is skipped by the kernel, so
+  // its staging entries keep repeating the last good cycle, the exact
+  // analogue of LoopSimulator's frozen record, and it folds nothing more
+  // into accumulators.  Bit w of `armed` marks lane w's schedule as having
+  // events.  next_consult[w] is the first cycle on which lane w's injector
+  // can report a fault: the cycle after one that reported a fault, else
+  // the start of its next event (0 after reset: consult on the first
+  // cycle).  A group holding armed lanes leaves the vector path only on
+  // cycles where one of them is isolated or due a consult, and groups
+  // without armed lanes never do.
+  fault::FaultInjector* injectors{nullptr};
+  std::uint8_t* isolated{nullptr};
+  std::uint64_t* next_consult{nullptr};
+  std::uint64_t armed{0};
+  std::uint64_t fault_group_cycles{0};  // see fault_group_cycles()
+
+  /// Calls bind(array, entries) for every lane array, in block order: the
+  /// one statement of a chunk's layout, which simd::LaneBlock runs to size
+  /// the block and to carve it.  Needs width, ring_slots and row_shift;
+  /// the IIR bank holds `bank_entries` (none without the bank).
+  template <class Bind>
+  void bind_arrays(Bind&& bind, std::size_t bank_entries) {
+    bind(prev_lro, width);
+    bind(prev_t_dlv, width);
+    bind(prev_e_ro, width);
+    bind(prev_e_local, width);
+    bind(setpoint, width);
+    bind(open_loop, width);
+    bind(min_len, width);
+    bind(max_len, width);
+    bind(min_len_d, width);
+    bind(max_len_d, width);
+    bind(ring, ring_slots << row_shift);
+    bind(cdn_delay, width);
+    bind(cdn_history_d, width);
+    bind(cdn_history, width);
+    bind(cdn_initial, width);
+    bind(iir_bank, bank_entries);
+    bind(iir_prev_input, width);
+    bind(tau, width);
+    bind(delta, width);
+    bind(lro, width);
+    bind(t_gen, width);
+    bind(t_dlv, width);
+    bind(violation, width);
+    bind(isolated, width);
+    bind(next_consult, width);
+  }
 };
 }  // namespace detail
 
@@ -105,21 +262,26 @@ struct LaneSlice {
 /// fault; the violation is judged before it.  An isolated lane folds
 /// nothing more but keeps counting `seen`.  count and violations are
 /// doubles so the fold stays on lane vectors; they are exact below 2^53.
-/// Each array starts on its own cache line and a chunk covers 32 lanes,
-/// so chunks running on different threads never share a line.
+/// The arrays share one simd::LaneBlock; each starts on its own cache line
+/// and a chunk covers 32 lanes, so chunks running on different threads
+/// never share a line.
 struct LaneAccumulators {
   LaneAccumulators(std::size_t lanes, std::size_t skip);
 
-  [[nodiscard]] std::size_t lanes() const { return seen.size(); }
+  [[nodiscard]] std::size_t lanes() const { return lanes_; }
 
-  simd::aligned_vector<double> worst_delta;
-  simd::aligned_vector<double> mean;
-  simd::aligned_vector<double> count;  // folded cycles
-  simd::aligned_vector<double> tau_min;
-  simd::aligned_vector<double> tau_max;
-  simd::aligned_vector<double> violations;
-  simd::aligned_vector<std::size_t> seen;  // cycles run, skipped included
-  std::size_t skip{0};                     // cycles seen before the fold
+  double* worst_delta{nullptr};
+  double* mean{nullptr};
+  double* count{nullptr};  // folded cycles
+  double* tau_min{nullptr};
+  double* tau_max{nullptr};
+  double* violations{nullptr};
+  std::size_t* seen{nullptr};  // cycles run, skipped included
+  std::size_t skip{0};         // cycles seen before the fold
+
+ private:
+  std::size_t lanes_{0};
+  simd::LaneBlock block_;
 };
 
 /// Streaming consumer of ensemble results.  A reducer whose accumulators()
@@ -164,20 +326,23 @@ class EnsembleSimulator {
   /// One LoopConfig per lane.  All lanes must agree on mode, quantize_lro
   /// and the TDC/CDN quantization (the kernel hoists those branches);
   /// scalar fields — set-point, CDN delay, open-loop period, length range —
-  /// may vary per lane.  In controlled mode `controllers` supplies one
-  /// ControlBlock per lane; in the open-loop modes it must be empty.
-  EnsembleSimulator(
-      std::vector<LoopConfig> lane_configs,
-      std::vector<std::unique_ptr<control::ControlBlock>> controllers);
+  /// may vary per lane.  Every lane runs the one `controller`: the paper's
+  /// controller is one fixed circuit, so a controlled ensemble shares it
+  /// (null in the open-loop modes).  An IirControlHardware becomes the
+  /// lane-vector integer bank, with no per-lane objects; any other
+  /// controller is cloned per lane and each clone stepped on its lane.  The
+  /// prototype is only read during construction.
+  EnsembleSimulator(std::vector<LoopConfig> lane_configs,
+                    const control::ControlBlock* controller);
 
-  /// W lanes of one scalar configuration; `prototype` (may be null for the
-  /// open-loop modes) is cloned per lane.
+  /// W lanes of one scalar configuration.
   [[nodiscard]] static EnsembleSimulator uniform(
       const LoopConfig& config, const control::ControlBlock* prototype,
       std::size_t width);
 
   [[nodiscard]] static Status validate(
-      std::span<const LoopConfig> lane_configs, std::size_t controller_count);
+      std::span<const LoopConfig> lane_configs,
+      const control::ControlBlock* controller);
 
   /// Restores every lane to its error-free equilibrium (same semantics as
   /// LoopSimulator::reset per lane).
@@ -188,7 +353,9 @@ class EnsembleSimulator {
     return configs_.at(lane);
   }
   /// True when every lane runs the devirtualized integer-IIR bank.
-  [[nodiscard]] bool uses_iir_fast_path() const { return iir_bank_active_; }
+  [[nodiscard]] bool uses_iir_fast_path() const {
+    return consts_.control == detail::ControlKind::kIirBank;
+  }
 
   /// Runs block.cycles cycles on every lane, streaming per-cycle results
   /// into `reducer` (slices, or the fold into its accumulators).
@@ -254,87 +421,13 @@ class EnsembleSimulator {
   // 8 AVX2 lane groups, each run through the call's cycles in turn.
   static constexpr std::size_t kChunkLanes = 32;
 
-  // All lane arrays use simd::aligned_vector: every array starts on its
-  // own cache line and is padded to whole lines, so vector loads never
-  // split a line and two chunks running on different worker threads can
-  // never false-share.
   struct Chunk {
-    std::size_t first{0};
-    std::size_t width{0};
-
-    // z^-1 delay registers, one slot per lane.
-    simd::aligned_vector<double> prev_lro;
-    simd::aligned_vector<double> prev_t_dlv;
-    simd::aligned_vector<double> prev_e_ro;
-    simd::aligned_vector<double> prev_e_local;  // previous e_tdc - mu
-
-    // Per-lane loop constants.
-    simd::aligned_vector<double> setpoint;
-    simd::aligned_vector<double> open_loop;  // resolved open-loop period
-    simd::aligned_vector<std::int64_t> min_len;
-    simd::aligned_vector<std::int64_t> max_len;
-    simd::aligned_vector<double> min_len_d;
-    simd::aligned_vector<double> max_len_d;
-
-    // Interleaved CDN ring: slot s of lane w at ring[(s << row_shift) + w].
-    // slots is a power of two covering the largest per-lane history, and
-    // the row stride 2^row_shift the power of two at or above the width,
-    // so the kernel's gathered look-back index is a mask and a shift, in
-    // bounds for every lane.  Per-lane history/initial values keep the
-    // boundary conditions (and the d-clamp) bit-identical to each lane's
-    // own QuantizedTimeCdn.
-    simd::aligned_vector<double> ring;
-    std::size_t ring_slots{0};
-    std::size_t slot_mask{0};
-    int row_shift{0};
-    std::uint64_t pushes{0};
-    simd::aligned_vector<double> cdn_delay;
-    simd::aligned_vector<double> cdn_history_d;  // history - 2, as double
-    simd::aligned_vector<std::int64_t> cdn_history;
-    simd::aligned_vector<double> cdn_initial;
-
-    // Devirtualized IIR bank: 2 * taps rows, lane w of row r at
-    // iir_state[r * iir_row_stride_ + w] (one stride for every chunk, so
-    // one tap table serves them all).  The rows form a ring whose base
-    // moves back one row per cycle, so advancing the shift register moves
-    // no lane values; each state is written to row r and its twin r + taps,
-    // so at base b (iir_head) the state W[n-1-i] is row b + i, contiguous
-    // and never wrapped.
-    simd::aligned_vector<std::int64_t> iir_state;
-    simd::aligned_vector<std::int64_t> iir_prev_input;
-    std::size_t iir_head{0};
-
-    // Per-cycle output staging handed to a reducer that takes slices (each
-    // group's slice points at its lanes); untouched when the reducer hands
-    // out accumulators.
-    simd::aligned_vector<double> tau;
-    simd::aligned_vector<double> delta;
-    simd::aligned_vector<double> lro;
-    simd::aligned_vector<double> t_gen;
-    simd::aligned_vector<double> t_dlv;
-    simd::aligned_vector<std::uint8_t> violation;
-
-    // True when every lane's set-point is exactly integral (precomputed;
-    // feeds the IIR bank's integral-input deduction).
-    bool integral_setpoints{true};
-
-    // Fault replay state (populated only by attach_faults).  An isolated
-    // lane is skipped by the kernel, so its staging entries keep repeating
-    // the last good cycle — the exact analogue of LoopSimulator's frozen
-    // record — and it folds nothing more into accumulators.  Bit w of
-    // `armed` marks lane w's schedule as having events.  next_consult[w]
-    // is the first cycle on which lane w's injector can report a fault (0
-    // after reset: consult on the first cycle).  A group
-    // holding armed lanes leaves the vector path only on cycles where one
-    // of them is isolated or due a consult, and groups without armed
-    // lanes never do.
+    detail::ChunkLanes lanes;
+    simd::LaneBlock block;  // every array of `lanes`
+    // Populated by attach_faults; lanes.injectors points here.
     std::vector<fault::FaultInjector> injectors;
-    simd::aligned_vector<std::uint8_t> isolated;
-    simd::aligned_vector<std::uint64_t> next_consult;
-    std::uint64_t armed{0};
-    std::uint64_t fault_group_cycles{0};  // see fault_group_cycles()
   };
-  static_assert(kChunkLanes <= 64, "Chunk::armed holds one bit per lane");
+  static_assert(kChunkLanes <= 64, "ChunkLanes::armed holds one bit per lane");
 
   /// The one scheduling decision of both run entry points: task(chunk)
   /// for every chunk, sequentially when `pool` is null, has at most one
@@ -349,37 +442,16 @@ class EnsembleSimulator {
   /// on `backend`, or on the scalar pack when a config lies outside the
   /// vector backends' exact-conversion domain.  `args` arrives holding the
   /// inputs (block or homogeneous form), the cycle count and the first
-  /// cycle's index within the run call; this fills in the rest.
+  /// cycle's index within the run call; this adds the ensemble, the chunk
+  /// and the reducer.
   void run_one_chunk(Chunk& chunk, detail::SimdChunkArgs args,
                      StreamingReducer& reducer, simd::Backend backend);
 
   std::vector<LoopConfig> configs_;
+  // One clone of the controller per lane, on the virtual route only.
   std::vector<std::unique_ptr<control::ControlBlock>> controllers_;
-  sensor::Tdc tdc_;  // quantization shared by all lanes (validated)
-  GeneratorMode mode_;
-  bool quantize_lro_;
-  cdn::DelayQuantization cdn_quantization_;
-
-  // IIR fast path (all controllers are IirControlHardware with one shared
-  // config): the power-of-two gains, devirtualized once per ensemble into
-  // shift counts, with each tap's row offset in the bank.  The taps are
-  // ordered into four runs (left shifts added, left shifts subtracted,
-  // right shifts added, right shifts subtracted), which end at the three
-  // iir_*_end indices and iir_tap_shifts_.size().  The bank's row stride
-  // is the first (widest) chunk's width.
-  bool iir_bank_active_{false};
-  std::vector<detail::IirTapShift> iir_tap_shifts_;
-  std::size_t iir_row_stride_{0};
-  std::size_t iir_left_add_end_{0};
-  std::size_t iir_left_sub_end_{0};
-  std::size_t iir_right_add_end_{0};
-  int iir_k_exp_shift_{0};
-  int iir_k_star_exponent_{0};
-  double iir_k_exp_{1.0};
-  bool iir_aw_enabled_{false};
-  std::int64_t iir_aw_min_{0};
-  std::int64_t iir_aw_max_{0};
-
+  std::vector<detail::IirTapShift> tap_shifts_;  // consts_.tap_shifts
+  detail::KernelConsts consts_;
   bool faults_active_{false};
   // Static magnitudes (set-points, TDC range, length bounds) small enough
   // that every int64<->double conversion in the vector backends is exact;

@@ -84,7 +84,9 @@ class FdStream {
 
 /// ByteStream over a file descriptor.  Either owns the fd (FdStream
 /// constructor) or borrows one owned elsewhere (int constructor — the
-/// server session path, where the accept loop keeps ownership).
+/// server session path, where the accept loop keeps ownership).  A
+/// borrowing stream may also read one fd and write another (the daemon's
+/// --stdio session: requests on fd 0, responses on fd 1).
 ///
 /// Reads go through a read-ahead buffer inside the object: one read(2)
 /// takes whatever the peer has sent, up to kReadAheadBytes, so a frame
@@ -106,22 +108,27 @@ class FdByteStream final : public ByteStream {
   static constexpr std::size_t kReadAheadBytes = 4096;
 
   explicit FdByteStream(FdStream stream)
-      : owned_{std::move(stream)}, fd_{owned_.fd()} {}
-  explicit FdByteStream(int fd) : fd_{fd} {}
+      : owned_{std::move(stream)}, fd_{owned_.fd()}, write_fd_{fd_} {}
+  explicit FdByteStream(int fd) : FdByteStream{fd, fd} {}
+  FdByteStream(int read_fd, int write_fd)
+      : fd_{read_fd}, write_fd_{write_fd} {}
 
   [[nodiscard]] IoResult read_some(void* buffer,
                                    std::size_t bytes) override;
   [[nodiscard]] IoResult write_some(const void* buffer,
                                     std::size_t bytes) override;
   void close() override;
-  [[nodiscard]] bool valid() const override { return fd_ >= 0; }
+  [[nodiscard]] bool valid() const override {
+    return fd_ >= 0 && write_fd_ >= 0;
+  }
 
  private:
   /// One read from the fd into `buffer`, polling first as described.
   IoResult receive(void* buffer, std::size_t bytes);
 
   FdStream owned_;
-  int fd_{-1};
+  int fd_{-1};        // read from
+  int write_fd_{-1};  // written to: fd_ unless the stream borrows two
   bool poll_{true};  // the previous wait ended within the poll bound
   // The unread bytes are ahead_[ahead_begin_, ahead_end_).
   std::size_t ahead_begin_{0};

@@ -25,14 +25,14 @@ void MetricsReducer::accumulate(const core::LaneSlice& slice) {
 }
 
 std::size_t MetricsReducer::cycles_seen(std::size_t lane) const {
-  return acc_.seen.at(lane);
+  ROCLK_CHECK(lane < lanes(), "lane " << lane << " out of range");
+  return acc_.seen[lane];
 }
 
 RunMetrics MetricsReducer::metrics(std::size_t lane) const {
   // Same precondition as evaluate_run: the transient skip must leave at
   // least one sample.
-  ROCLK_CHECK(acc_.skip < acc_.seen.at(lane),
-              "transient skip longer than run");
+  ROCLK_CHECK(acc_.skip < cycles_seen(lane), "transient skip longer than run");
   RunMetrics metrics;
   if (acc_.count[lane] == 0.0) {
     // Isolated during the transient: nothing was folded, and the initial

@@ -16,41 +16,39 @@ namespace roclk::analysis {
 
 namespace {
 
-/// Config + controller for one system, shared by the scalar and ensemble
-/// paths so both construct bit-identical loops.
-struct SystemParts {
-  core::LoopConfig config;
-  std::unique_ptr<control::ControlBlock> controller;
-};
-
-SystemParts make_system_parts(SystemKind kind, double setpoint_c,
-                              double cdn_delay_stages, double open_loop_margin,
-                              cdn::DelayQuantization cdn_quantization) {
-  SystemParts parts;
-  core::LoopConfig& cfg = parts.config;
+/// The loop config and the controller (null for the open-loop kinds) of
+/// one system, shared by the scalar and ensemble paths so both construct
+/// bit-identical loops.
+core::LoopConfig system_config(SystemKind kind, double setpoint_c,
+                               double cdn_delay_stages,
+                               double open_loop_margin,
+                               cdn::DelayQuantization cdn_quantization) {
+  core::LoopConfig cfg;
   cfg.setpoint_c = setpoint_c;
   cfg.cdn_delay_stages = cdn_delay_stages;
   cfg.cdn_quantization = cdn_quantization;
+  if (kind == SystemKind::kIir || kind == SystemKind::kTeaTime) {
+    cfg.mode = core::GeneratorMode::kControlledRo;
+  } else {
+    cfg.mode = kind == SystemKind::kFreeRo ? core::GeneratorMode::kFreeRunningRo
+                                           : core::GeneratorMode::kFixedClock;
+    cfg.open_loop_period = setpoint_c + open_loop_margin;
+  }
+  return cfg;
+}
+
+std::unique_ptr<control::ControlBlock> system_controller(SystemKind kind) {
   switch (kind) {
     case SystemKind::kIir:
-      cfg.mode = core::GeneratorMode::kControlledRo;
-      parts.controller = std::make_unique<control::IirControlHardware>(
+      return std::make_unique<control::IirControlHardware>(
           control::paper_iir_config());
-      break;
     case SystemKind::kTeaTime:
-      cfg.mode = core::GeneratorMode::kControlledRo;
-      parts.controller = std::make_unique<control::TeaTimeControl>();
-      break;
+      return std::make_unique<control::TeaTimeControl>();
     case SystemKind::kFreeRo:
-      cfg.mode = core::GeneratorMode::kFreeRunningRo;
-      cfg.open_loop_period = setpoint_c + open_loop_margin;
-      break;
     case SystemKind::kFixedClock:
-      cfg.mode = core::GeneratorMode::kFixedClock;
-      cfg.open_loop_period = setpoint_c + open_loop_margin;
       break;
   }
-  return parts;
+  return nullptr;
 }
 
 }  // namespace
@@ -59,9 +57,10 @@ core::LoopSimulator make_system(SystemKind kind, double setpoint_c,
                                 double cdn_delay_stages,
                                 double open_loop_margin,
                                 cdn::DelayQuantization cdn_quantization) {
-  SystemParts parts = make_system_parts(kind, setpoint_c, cdn_delay_stages,
-                                        open_loop_margin, cdn_quantization);
-  return core::LoopSimulator{parts.config, std::move(parts.controller)};
+  return core::LoopSimulator{
+      system_config(kind, setpoint_c, cdn_delay_stages, open_loop_margin,
+                    cdn_quantization),
+      system_controller(kind)};
 }
 
 std::size_t cycles_for(const ExperimentParams& params, double te_over_c) {
@@ -149,20 +148,20 @@ std::vector<RunMetrics> simulate_system_ensemble(
     cdn::DelayQuantization cdn_quantization, ThreadPool* pool) {
   const std::size_t lanes = lane_count(tclk_stages, mu_stages);
   std::vector<core::LoopConfig> configs;
-  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
   std::vector<double> lane_mus;
   configs.reserve(lanes);
   lane_mus.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
-    SystemParts parts =
-        make_system_parts(kind, setpoint_c, lane_value(tclk_stages, i),
-                          free_ro_margin, cdn_quantization);
-    configs.push_back(parts.config);
-    if (parts.controller) controllers.push_back(std::move(parts.controller));
+    configs.push_back(system_config(kind, setpoint_c,
+                                    lane_value(tclk_stages, i),
+                                    free_ro_margin, cdn_quantization));
     lane_mus.push_back(lane_value(mu_stages, i));
   }
-  core::EnsembleSimulator ensemble{std::move(configs),
-                                   std::move(controllers)};
+  // One controller for every lane: the ensemble devirtualizes the IIR
+  // hardware into its bank and clones any other kind per lane.
+  const std::unique_ptr<control::ControlBlock> controller =
+      system_controller(kind);
+  core::EnsembleSimulator ensemble{std::move(configs), controller.get()};
 
   // All lanes share the harmonic HoDV waveform: the bit-identical fast
   // path of per-lane SimulationInputs::harmonic sampling, streamed in
@@ -191,18 +190,6 @@ std::vector<RunMetrics> measure_system_ensemble(
     std::span<const double> mu_stages, double fixed_period,
     std::size_t cycles, std::size_t skip, double free_ro_margin,
     cdn::DelayQuantization cdn_quantization) {
-  return measure_system_ensemble(kind, setpoint_c, tclk_stages,
-                                 amplitude_stages, period_stages, mu_stages,
-                                 fixed_period, cycles, skip, free_ro_margin,
-                                 cdn_quantization, &ThreadPool::shared());
-}
-
-std::vector<RunMetrics> measure_system_ensemble(
-    SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
-    double amplitude_stages, double period_stages,
-    std::span<const double> mu_stages, double fixed_period,
-    std::size_t cycles, std::size_t skip, double free_ro_margin,
-    cdn::DelayQuantization cdn_quantization, ThreadPool* pool) {
   const std::size_t lanes = lane_count(tclk_stages, mu_stages);
   const auto key_for = [&](std::size_t i) {
     return SweepKey{static_cast<int>(kind),
@@ -240,7 +227,7 @@ std::vector<RunMetrics> measure_system_ensemble(
   const std::vector<RunMetrics> measured = simulate_system_ensemble(
       kind, setpoint_c, pending_tclks, amplitude_stages, period_stages,
       pending_mus, fixed_period, cycles, skip, free_ro_margin,
-      cdn_quantization, pool);
+      cdn_quantization, &ThreadPool::shared());
   for (std::size_t j = 0; j < pending.size(); ++j) {
     out[pending[j]] = measured[j];
     memo.store(key_for(pending[j]), measured[j]);

@@ -93,13 +93,6 @@
 
 namespace roclk::core::detail {
 
-/// How a chunk's lanes turn delta into l_RO.
-enum class ControlKind {
-  kOpenLoop,  // free-running RO or fixed clock: the lane's open-loop period
-  kIirBank,   // the devirtualized integer IIR bank, on lane vectors
-  kVirtual,   // one ControlBlock per lane, stepped on extracted lane values
-};
-
 /// Which of step_impl's fault sites a cycle body compiles in.
 enum class FaultSites {
   kNone,       // a group without armed lanes
@@ -108,51 +101,13 @@ enum class FaultSites {
   kAll,        // one armed lane (width 1): every site
 };
 
-/// Devirtualized IIR bank parameters for the vector kernel (mirrors
-/// EnsembleSimulator's cached IirControlHardware configuration).
-struct SimdIirArgs {
-  // Feedback taps in four runs: left shifts added, left shifts subtracted,
-  // right shifts added, right shifts subtracted; the runs end at
-  // left_add_end, left_sub_end, right_add_end and taps.
-  const IirTapShift* tap_shifts{nullptr};
-  std::size_t left_add_end{0};
-  std::size_t left_sub_end{0};
-  std::size_t right_add_end{0};
-  std::size_t taps{0};
-  std::size_t row_stride{0};  // lanes per bank row, >= cw
-  int k_exp_shift{0};      // log2 k_exp, >= 0 (k_exp >= 1)
-  int k_star_exponent{0};  // log2 k*, either sign (k* > 0)
-  std::int64_t* prev_input{nullptr};
-  // 2 * taps rows, [row * row_stride + w]; rows r and r + taps are twins,
-  // so at ring base b the state W[n-1-i] is row b + i.
-  std::int64_t* bank{nullptr};
-  std::size_t* head{nullptr};  // in/out: the ring base
-  bool integral_input{false};
-  bool aw_enabled{false};
-  std::int64_t aw_min{0};
-  std::int64_t aw_max{0};
-};
-
-/// A reducer's LaneAccumulators as one chunk sees them: each array from
-/// the chunk's first lane on.  `mean == nullptr` means the reducer takes
-/// slices instead.
-struct SimdFoldArgs {
-  double* worst_delta{nullptr};
-  double* mean{nullptr};
-  double* count{nullptr};
-  double* tau_min{nullptr};
-  double* tau_max{nullptr};
-  double* violations{nullptr};
-  std::size_t* seen{nullptr};
-  std::size_t skip{0};
-};
-
-/// Raw-pointer view of one chunk plus the ensemble-level constants the
-/// kernel needs; assembled by EnsembleSimulator::run_one_chunk.
+/// One kernel call: the ensemble, the chunk, the inputs and the sink;
+/// assembled by EnsembleSimulator::run_one_chunk.  The chunk's arrays and
+/// state are read through `chunk`, the ensemble's constants through
+/// `consts`, both built at construction.
 struct SimdChunkArgs {
-  // Geometry.
-  std::size_t first{0};        // chunk's first lane (slice labelling)
-  std::size_t cw{0};           // chunk width
+  const KernelConsts* consts{nullptr};
+  ChunkLanes* chunk{nullptr};  // in/out: the chunk's lanes and state
   std::size_t cycles{0};       // cycles to run
   std::size_t first_cycle{0};  // LaneSlice::cycle of the first cycle run
 
@@ -170,70 +125,10 @@ struct SimdChunkArgs {
   const double* wave{nullptr};
   const double* lane_mu{nullptr};
 
-  // z^-1 delay registers and per-lane constants.
-  double* prev_lro{nullptr};
-  double* prev_t_dlv{nullptr};
-  double* prev_e_ro{nullptr};
-  double* prev_e_local{nullptr};
-  const double* setpoint{nullptr};
-  const double* open_loop{nullptr};
-  const std::int64_t* min_len{nullptr};
-  const std::int64_t* max_len{nullptr};
-  const double* min_len_d{nullptr};
-  const double* max_len_d{nullptr};
-
-  // Interleaved CDN ring: slot s of lane w at ring[(s << row_shift) + w].
-  // The row stride 2^row_shift is a power of two >= cw.
-  double* ring{nullptr};
-  std::size_t slot_mask{0};
-  int row_shift{0};
-  const double* cdn_delay{nullptr};
-  const double* cdn_history_d{nullptr};
-  const std::int64_t* cdn_history{nullptr};
-  const double* cdn_initial{nullptr};
-  std::uint64_t* pushes{nullptr};  // in/out: absolute push counter
-
-  // Per-cycle staging handed to a reducer that takes slices.
-  double* out_tau{nullptr};
-  double* out_delta{nullptr};
-  double* out_lro{nullptr};
-  double* out_t_gen{nullptr};
-  double* out_t_dlv{nullptr};
-  std::uint8_t* out_violation{nullptr};
-
-  // Mode flags and TDC constants (uniform across lanes, validated).
-  bool fixed_clock{false};
-  bool quantize_lro{true};
-  sensor::Quantization tdc_q{sensor::Quantization::kNearest};
-  cdn::DelayQuantization cdn_q{cdn::DelayQuantization::kRound};
-  double tdc_mismatch{0.0};
-  double tdc_max{0.0};
-
-  // Controller: `iir` serves kIirBank, `controllers` (from the chunk's
-  // first lane on) serves kVirtual.
-  ControlKind control{ControlKind::kOpenLoop};
-  SimdIirArgs iir;
-  const std::unique_ptr<control::ControlBlock>* controllers{nullptr};
-
   // Streaming sink: slices to `reducer`, or the fold into its
-  // accumulators when `fold.mean` is set.
+  // accumulators `acc` (indexed by ensemble lane) when set.
   StreamingReducer* reducer{nullptr};
-  SimdFoldArgs fold;
-
-  // Fault replay, set on a fault-armed ensemble only.  Bit w of `armed`
-  // marks lane w's schedule as having events; `isolated` is the chunk's
-  // isolation mask, written by armed lanes and handed to the reducer as
-  // LaneSlice::isolated (nullptr on a fault-free run).  next_consult[w]
-  // is the first cycle on which armed lane w's injector can report a
-  // fault: the cycle after one that reported a fault, else the start of
-  // its next event.
-  fault::FaultInjector* injectors{nullptr};
-  std::uint64_t armed{0};
-  std::uint8_t* isolated{nullptr};
-  std::uint64_t* next_consult{nullptr};
-
-  // In/out: vector-group cycles run lane by lane because of faults.
-  std::uint64_t* fault_group_cycles{nullptr};
+  LaneAccumulators* acc{nullptr};
 };
 
 /// Backend entry points.  Each is defined in its ensemble_kernel_*.cpp TU;
@@ -282,16 +177,26 @@ inline double lane_value(typename V::D v) {
   return x;
 }
 
+/// A kernel call as run_group reads it: local copies of the call's
+/// arguments, the ensemble's constants and the chunk's lanes.  The cycle
+/// body's stores (the ring, the tap rows, staging) may alias any memory,
+/// but not a local, so nothing here is reloaded after a store.
+struct Call {
+  SimdChunkArgs a;
+  KernelConsts k;
+  ChunkLanes l;
+};
+
 /// step_impl's l_RO from a scalar controller command: rounded and clamped
 /// to the lane's length range, or clamped unrounded.
-[[gnu::always_inline]] inline double command_to_lro(const SimdChunkArgs& a,
+[[gnu::always_inline]] inline double command_to_lro(const Call& c,
                                                    std::size_t lane,
                                                    double commanded) {
-  if (a.quantize_lro) {
-    return static_cast<double>(std::clamp(llround_ties_away(commanded),
-                                          a.min_len[lane], a.max_len[lane]));
+  if (c.k.quantize_lro) {
+    return static_cast<double>(std::clamp(
+        llround_ties_away(commanded), c.l.min_len[lane], c.l.max_len[lane]));
   }
-  return std::clamp(commanded, a.min_len_d[lane], a.max_len_d[lane]);
+  return std::clamp(commanded, c.l.min_len_d[lane], c.l.max_len_d[lane]);
 }
 
 /// The check step_impl makes through Tdc::measure_additive, reported for
@@ -328,18 +233,19 @@ struct LaneConsts {
 };
 
 template <class V>
-[[gnu::always_inline]] inline LaneConsts<V> load_consts(const SimdChunkArgs& a,
+[[gnu::always_inline]] inline LaneConsts<V> load_consts(const Call& c,
                                                        std::size_t w) {
+  const ChunkLanes& l = c.l;
   LaneConsts<V> g;
-  g.setpoint = V::load(a.setpoint + w);
-  g.open_loop = V::load(a.open_loop + w);
-  g.min_len = V::iload(a.min_len + w);
-  g.max_len = V::iload(a.max_len + w);
-  g.cdn_delay = V::load(a.cdn_delay + w);
-  g.history_d = V::load(a.cdn_history_d + w);
-  g.history = V::iload(a.cdn_history + w);
-  g.initial = V::load(a.cdn_initial + w);
-  g.mu = a.wave != nullptr ? V::load(a.lane_mu + w) : V::broadcast(0.0);
+  g.setpoint = V::load(l.setpoint + w);
+  g.open_loop = V::load(l.open_loop + w);
+  g.min_len = V::iload(l.min_len + w);
+  g.max_len = V::iload(l.max_len + w);
+  g.cdn_delay = V::load(l.cdn_delay + w);
+  g.history_d = V::load(l.cdn_history_d + w);
+  g.history = V::iload(l.cdn_history + w);
+  g.initial = V::load(l.cdn_initial + w);
+  g.mu = c.a.wave != nullptr ? V::load(c.a.lane_mu + w) : V::broadcast(0.0);
   return g;
 }
 
@@ -363,57 +269,57 @@ struct LaneState {
 };
 
 template <class V, ControlKind kControl>
-[[gnu::always_inline]] inline LaneState<V> load_state(const SimdChunkArgs& a,
+[[gnu::always_inline]] inline LaneState<V> load_state(const Call& c,
                                                      std::size_t w) {
+  const ChunkLanes& l = c.l;
   LaneState<V> s;
-  s.prev_lro = V::load(a.prev_lro + w);
-  s.prev_t_dlv = V::load(a.prev_t_dlv + w);
-  s.prev_e_ro = V::load(a.prev_e_ro + w);
-  s.prev_e_local = V::load(a.prev_e_local + w);
+  s.prev_lro = V::load(l.prev_lro + w);
+  s.prev_t_dlv = V::load(l.prev_t_dlv + w);
+  s.prev_e_ro = V::load(l.prev_e_ro + w);
+  s.prev_e_local = V::load(l.prev_e_local + w);
   s.prev_input = kControl == ControlKind::kIirBank
-                     ? V::iload(a.iir.prev_input + w)
+                     ? V::iload(l.iir_prev_input + w)
                      : V::ibroadcast(0);
-  const SimdFoldArgs& f = a.fold;
-  const bool folding = f.mean != nullptr;
+  const LaneAccumulators* acc = c.a.acc;
+  const std::size_t lane = l.first + w;
   const typename V::D zero = V::broadcast(0.0);
-  s.worst_delta = folding ? V::load(f.worst_delta + w) : zero;
-  s.mean = folding ? V::load(f.mean + w) : zero;
-  s.count = folding ? V::load(f.count + w) : zero;
-  s.tau_min = folding ? V::load(f.tau_min + w) : zero;
-  s.tau_max = folding ? V::load(f.tau_max + w) : zero;
-  s.violations = folding ? V::load(f.violations + w) : zero;
+  s.worst_delta = acc != nullptr ? V::load(acc->worst_delta + lane) : zero;
+  s.mean = acc != nullptr ? V::load(acc->mean + lane) : zero;
+  s.count = acc != nullptr ? V::load(acc->count + lane) : zero;
+  s.tau_min = acc != nullptr ? V::load(acc->tau_min + lane) : zero;
+  s.tau_max = acc != nullptr ? V::load(acc->tau_max + lane) : zero;
+  s.violations = acc != nullptr ? V::load(acc->violations + lane) : zero;
   return s;
 }
 
 template <class V, ControlKind kControl>
-[[gnu::always_inline]] inline void store_state(const SimdChunkArgs& a,
-                                              std::size_t w,
+[[gnu::always_inline]] inline void store_state(const Call& c, std::size_t w,
                                               const LaneState<V>& s) {
-  V::store(a.prev_lro + w, s.prev_lro);
-  V::store(a.prev_t_dlv + w, s.prev_t_dlv);
-  V::store(a.prev_e_ro + w, s.prev_e_ro);
-  V::store(a.prev_e_local + w, s.prev_e_local);
+  const ChunkLanes& l = c.l;
+  V::store(l.prev_lro + w, s.prev_lro);
+  V::store(l.prev_t_dlv + w, s.prev_t_dlv);
+  V::store(l.prev_e_ro + w, s.prev_e_ro);
+  V::store(l.prev_e_local + w, s.prev_e_local);
   if constexpr (kControl == ControlKind::kIirBank) {
-    V::istore(a.iir.prev_input + w, s.prev_input);
+    V::istore(l.iir_prev_input + w, s.prev_input);
   }
-  const SimdFoldArgs& f = a.fold;
-  if (f.mean != nullptr) {
-    V::store(f.worst_delta + w, s.worst_delta);
-    V::store(f.mean + w, s.mean);
-    V::store(f.count + w, s.count);
-    V::store(f.tau_min + w, s.tau_min);
-    V::store(f.tau_max + w, s.tau_max);
-    V::store(f.violations + w, s.violations);
+  if (LaneAccumulators* acc = c.a.acc) {
+    const std::size_t lane = l.first + w;
+    V::store(acc->worst_delta + lane, s.worst_delta);
+    V::store(acc->mean + lane, s.mean);
+    V::store(acc->count + lane, s.count);
+    V::store(acc->tau_min + lane, s.tau_min);
+    V::store(acc->tau_max + lane, s.tau_max);
+    V::store(acc->violations + lane, s.violations);
   }
 }
 
 /// The IIR bank's ring base one row back, as a lane offset: the row the
 /// cycle's new state goes to (twinned taps rows further on), and the next
 /// cycle's base.
-[[gnu::always_inline]] inline std::size_t next_tap_row(const SimdChunkArgs& a,
+[[gnu::always_inline]] inline std::size_t next_tap_row(const KernelConsts& k,
                                                        std::size_t tap_row) {
-  const std::size_t stride = a.iir.row_stride;
-  return tap_row == 0 ? (a.iir.taps - 1) * stride : tap_row - stride;
+  return tap_row == 0 ? (k.taps - 1) * k.row_stride : tap_row - k.row_stride;
 }
 
 /// One cycle's inputs and sink as the cycle body reads them.  Block form:
@@ -433,9 +339,9 @@ struct CycleInputs {
 
 /// One simulated cycle for the V::kWidth lanes starting at chunk offset w:
 /// LoopSimulator::step_impl statement by statement, on the group's state
-/// `s`.  `a` is the caller's local copy of the call's arguments (so
-/// nothing is reloaded after a store), `tap_row` the IIR bank's ring base
-/// this cycle, as an offset in lanes (the base row times the row stride).
+/// `s`.  `c` is run_group's local copy of the call (so nothing is reloaded
+/// after a store), `tap_row` the IIR bank's ring base this cycle, as an
+/// offset in lanes (the base row times the row stride).
 /// kSites
 /// selects the fault sites compiled in (see FaultSites); kAll (width 1
 /// only) has all of step_impl's, in its order:
@@ -445,9 +351,10 @@ struct CycleInputs {
 template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
           ControlKind kControl, FaultSites kSites>
 [[gnu::always_inline]] inline unsigned simd_cycle_lanes(
-    const SimdChunkArgs& a, std::size_t w, const LaneConsts<V>& g,
-    LaneState<V>& s, const CycleInputs& in, std::uint64_t pos,
-    std::size_t tap_row) {
+    const Call& c, std::size_t w, const LaneConsts<V>& g, LaneState<V>& s,
+    const CycleInputs& in, std::uint64_t pos, std::size_t tap_row) {
+  const KernelConsts& k = c.k;
+  const ChunkLanes& l = c.l;
   using D = typename V::D;
   using I = typename V::I;
   constexpr std::size_t W = V::kWidth;
@@ -460,14 +367,14 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
   // entries keep the last good cycle, exactly like LoopSimulator's frozen
   // record, and it folds nothing.  Its injector is consulted only on
   // cycles that can report a fault, which next_consult tracks (see
-  // SimdChunkArgs).
+  // ChunkLanes).
   [[maybe_unused]] fault::CycleFaults faults;
   if constexpr (kSites == FaultSites::kAll) {
-    if (a.isolated[w] != 0) return 0;
-    if (pos >= a.next_consult[w]) {
-      faults = a.injectors[w].begin_cycle(pos);
-      a.next_consult[w] =
-          faults.any ? pos + 1 : a.injectors[w].next_start_cycle();
+    if (l.isolated[w] != 0) return 0;
+    if (pos >= l.next_consult[w]) {
+      faults = l.injectors[w].begin_cycle(pos);
+      l.next_consult[w] =
+          faults.any ? pos + 1 : l.injectors[w].next_start_cycle();
     }
   }
 
@@ -478,10 +385,10 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
   if (V::mask_bits(V::cmp_lt(zero, s.prev_t_dlv)) != kAllLanes) {
     double lanes[W];
     V::store(lanes, s.prev_t_dlv);
-    fail_nonpositive_period(lanes, W, a.first + w);
+    fail_nonpositive_period(lanes, W, l.first + w);
   }
   const D raw = V::add(V::sub(s.prev_t_dlv, s.prev_e_local),
-                       V::broadcast(a.tdc_mismatch));
+                       V::broadcast(k.tdc_mismatch));
   D tau;
   if constexpr (TdcQ == sensor::Quantization::kFloor) {
     tau = V::floor(raw);
@@ -490,7 +397,7 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
   } else {
     tau = raw;
   }
-  tau = dclamp<V>(tau, zero, V::broadcast(a.tdc_max));
+  tau = dclamp<V>(tau, zero, V::broadcast(k.tdc_max));
 
   // Violation is judged on the TRUE reading, before any sensor fault.
   const auto violated = V::cmp_lt(tau, g.setpoint);
@@ -500,11 +407,11 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
       // reading still passes through the chain's saturation.
       double t = lane_value<V>(tau);
       if (faults.tau_stuck) {
-        t = std::clamp(faults.tau_stuck_value, 0.0, a.tdc_max);
+        t = std::clamp(faults.tau_stuck_value, 0.0, k.tdc_max);
       } else if (faults.tau_dropped) {
         t = 0.0;
       } else if (faults.tau_glitch != 0.0) {
-        t = std::clamp(t + faults.tau_glitch, 0.0, a.tdc_max);
+        t = std::clamp(t + faults.tau_glitch, 0.0, k.tdc_max);
       }
       tau = V::broadcast(t);
     }
@@ -517,10 +424,9 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
     // IirControlHardware::step on a lane-vector: feedback taps, shift-scaled
     // state update, anti-windup back-write — all exact integer arithmetic,
     // every gain one variable shift by a per-call count.
-    const SimdIirArgs& iir = a.iir;
-    std::int64_t* const ring = iir.bank + w;
+    std::int64_t* const ring = l.iir_bank + w;
     const std::int64_t* const newest = ring + tap_row;
-    const IirTapShift* const taps = iir.tap_shifts;
+    const IirTapShift* const taps = k.tap_shifts;
     const auto shifted = [&](const IirTapShift* t, auto shift) {
       return shift(V::iload(newest + t->offset), V::ibroadcast(t->shift));
     };
@@ -528,36 +434,36 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
     const auto right = [](I x, I count) { return V::isra(x, count); };
     I feedback = V::ibroadcast(0);
     const IirTapShift* t = taps;
-    for (; t != taps + iir.left_add_end; ++t) {
+    for (; t != taps + k.left_add_end; ++t) {
       feedback = V::iadd(feedback, shifted(t, left));
     }
-    for (; t != taps + iir.left_sub_end; ++t) {
+    for (; t != taps + k.left_sub_end; ++t) {
       feedback = V::isub(feedback, shifted(t, left));
     }
-    for (; t != taps + iir.right_add_end; ++t) {
+    for (; t != taps + k.right_add_end; ++t) {
       feedback = V::iadd(feedback, shifted(t, right));
     }
-    for (; t != taps + iir.taps; ++t) {
+    for (; t != taps + k.taps; ++t) {
       feedback = V::isub(feedback, shifted(t, right));
     }
-    const I k_exp = V::ibroadcast(iir.k_exp_shift);
+    const I k_exp = V::ibroadcast(k.k_exp_shift);
     const I acc = V::iadd(V::ishl(s.prev_input, k_exp), feedback);
     const I state =
-        V::isra(V::ishl(acc, V::ibroadcast(std::max(iir.k_star_exponent, 0))),
-                V::ibroadcast(std::max(-iir.k_star_exponent, 0)));
+        V::isra(V::ishl(acc, V::ibroadcast(std::max(k.k_star_exponent, 0))),
+                V::ibroadcast(std::max(-k.k_star_exponent, 0)));
     // delta is integral whenever the set-points are and the TDC quantizes
-    // (iir.integral_input), so rounding it is the identity — except on a
+    // (l.integral_input), so rounding it is the identity — except on a
     // fault cycle, whose sensor override can carry a real value.
-    if (iir.integral_input && kSites != FaultSites::kAll) {
+    if (l.integral_input && kSites != FaultSites::kAll) {
       s.prev_input = V::to_int_exact(delta);
     } else {
       s.prev_input = V::to_int_exact(V::round_ties_away(delta));
     }
     const I y = V::isra(state, k_exp);
     I new_row = state;
-    if (iir.aw_enabled) {
-      const I bounded = iclamp<V>(y, V::ibroadcast(iir.aw_min),
-                                  V::ibroadcast(iir.aw_max));
+    if (k.aw_enabled) {
+      const I bounded =
+          iclamp<V>(y, V::ibroadcast(k.aw_min), V::ibroadcast(k.aw_max));
       // Scalar: `if (bounded != y) row = k_exp.apply(bounded)`; y itself
       // stays unbounded (the l_RO clamp below is the output limiter).
       new_row = V::iselect(V::icmp_eq(bounded, y), state,
@@ -565,9 +471,9 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
     }
     // The new state is the newest at the next cycle's base, one row back,
     // and its twin.
-    const std::size_t next_row = next_tap_row(a, tap_row);
+    const std::size_t next_row = next_tap_row(k, tap_row);
     V::istore(ring + next_row, new_row);
-    V::istore(ring + next_row + iir.taps * iir.row_stride, new_row);
+    V::istore(ring + next_row + k.taps * k.row_stride, new_row);
     // The scalar path computes commanded = double(y), then rounds and
     // clamps it to the length range (quantize_lro) or clamps it unrounded.
     // Inside the exact conversion window |y| < 2^51 double(y) is exact, so
@@ -586,7 +492,7 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
       double lro_lanes[W];
       for (std::size_t j = 0; j < W; ++j) {
         lro_lanes[j] =
-            command_to_lro(a, w + j, static_cast<double>(y_lanes[j]));
+            command_to_lro(c, w + j, static_cast<double>(y_lanes[j]));
       }
       lro_now = V::load(lro_lanes);
     }
@@ -597,7 +503,7 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
     double lro_lanes[W];
     for (std::size_t j = 0; j < W; ++j) {
       lro_lanes[j] = command_to_lro(
-          a, w + j, a.controllers[w + j]->step(delta_lanes[j]));
+          c, w + j, k.controllers[l.first + w + j]->step(delta_lanes[j]));
     }
     lro_now = V::load(lro_lanes);
   } else {
@@ -610,7 +516,7 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
   // failure steps the l_RO -> period mapping.
   D e_at_ro = s.prev_e_ro;
   if constexpr (kControl == ControlKind::kOpenLoop) {
-    if (a.fixed_clock) e_at_ro = zero;
+    if (k.fixed_clock) e_at_ro = zero;
   }
   D t_gen_raw = V::add(s.prev_lro, e_at_ro);
   if constexpr (kSites == FaultSites::kAll) {
@@ -621,7 +527,7 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
   const D t_gen = V::select(V::cmp_lt(one, t_gen_raw), t_gen_raw, one);
 
   // CDN push into the interleaved ring (lane-contiguous: vector store).
-  V::store(a.ring + ((pos & a.slot_mask) << a.row_shift) + w, t_gen);
+  V::store(l.ring + ((pos & l.slot_mask) << l.row_shift) + w, t_gen);
 
   // d = std::min(cdn_delay / t_gen, history_d): b < a ? b : a.  With
   // cdn_delay finite and >= 0 and t_gen >= 1, d lies in [0, history - 2].
@@ -637,13 +543,13 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
   // discards included: the mask bounds the slot, and the row stride is a
   // power of two >= the chunk width.
   const I pos_v = V::ibroadcast(static_cast<std::int64_t>(pos));
-  const I slot_mask = V::ibroadcast(static_cast<std::int64_t>(a.slot_mask));
-  const I row_shift = V::ibroadcast(a.row_shift);
+  const I slot_mask = V::ibroadcast(static_cast<std::int64_t>(l.slot_mask));
+  const I row_shift = V::ibroadcast(l.row_shift);
   const auto look_back = [&](I m) {
     const I slot = V::iand(V::isub(pos_v, m), slot_mask);
     const I index =
         V::iadd(V::ishl(slot, row_shift), V::iload(kLaneOffset));
-    const D held = V::gather(a.ring + w, index);
+    const D held = V::gather(l.ring + w, index);
     return V::dselect(V::icmp_lt(pos_v, m), g.initial,
                       V::dselect(V::icmp_lt(m, g.history), held, g.initial));
   };
@@ -688,10 +594,10 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
                           V::mask_bits(V::cmp_lt(tau, inf)) &
                           V::mask_bits(V::cmp_lt(zero, t_dlv)) &
                           V::mask_bits(V::cmp_lt(t_dlv, inf));
-    frozen = static_cast<unsigned>((a.armed >> w) & kAllLanes) & ~kept;
+    frozen = static_cast<unsigned>((l.armed >> w) & kAllLanes) & ~kept;
     if (frozen != 0) {
       for (unsigned bits = frozen; bits != 0; bits &= bits - 1) {
-        a.isolated[w + static_cast<std::size_t>(std::countr_zero(bits))] = 1;
+        l.isolated[w + static_cast<std::size_t>(std::countr_zero(bits))] = 1;
       }
       if (frozen == kAllLanes) return frozen;
       const I bit = V::iload(kLaneBit);
@@ -715,15 +621,15 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
 
   if (in.stage) {
     // Stage the cycle's results for a reducer that takes slices.
-    stage(a.out_tau, tau);
-    stage(a.out_delta, delta);
-    stage(a.out_lro, lro_now);
-    stage(a.out_t_gen, t_gen);
-    stage(a.out_t_dlv, t_dlv);
+    stage(l.tau, tau);
+    stage(l.delta, delta);
+    stage(l.lro, lro_now);
+    stage(l.t_gen, t_gen);
+    stage(l.t_dlv, t_dlv);
     const unsigned viol_bits = V::mask_bits(violated);
     for (std::size_t j = 0; j < W; ++j) {
       if (((frozen >> j) & 1u) == 0) {
-        a.out_violation[w + j] =
+        l.violation[w + j] =
             static_cast<std::uint8_t>((viol_bits >> j) & 1u);
       }
     }
@@ -798,13 +704,13 @@ template <class V, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ,
 /// the bits of `group`, has a fault cycle: one of its armed lanes is
 /// isolated (every cycle from now) or due a consult of its injector.
 [[gnu::always_inline]] inline std::uint64_t next_fault_cycle(
-    const SimdChunkArgs& a, std::uint64_t group, std::size_t w) {
+    const ChunkLanes& l, std::uint64_t group, std::size_t w) {
   std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
   for (; group != 0; group &= group - 1) {
     const std::size_t lane =
         w + static_cast<std::size_t>(std::countr_zero(group));
-    if (a.isolated[lane] != 0) return 0;
-    next = std::min(next, a.next_consult[lane]);
+    if (l.isolated[lane] != 0) return 0;
+    next = std::min(next, l.next_consult[lane]);
   }
   return next;
 }
@@ -824,63 +730,62 @@ void run_group(const SimdChunkArgs& a, std::size_t w, std::size_t k_begin,
                std::uint64_t& fault_group_cycles) {
   using S1 = simd::ScalarTraits<1>;
   constexpr std::size_t W = V::kWidth;
-  // A local copy of the arguments: the cycle body's stores (the ring, the
-  // tap rows, staging) may alias any memory, but not this.
-  const SimdChunkArgs c = a;
+  const Call c{a, *a.consts, *a.chunk};
+  const ChunkLanes& l = c.l;
   const LaneConsts<V> g = load_consts<V>(c, w);
   LaneState<V> s = load_state<V, kControl>(c, w);
 
   // A reducer with accumulators folds from its lanes' cycle `skip` on.
   // Every lane of a chunk runs every cycle, so their cycles-seen count is
   // one number, advanced once per call.
-  const bool stage = c.fold.mean == nullptr;
+  const bool stage = a.acc == nullptr;
   std::size_t fold_from = k_end;
   if (!stage) {
-    const std::size_t seen = c.fold.seen[0];
-    fold_from = seen >= c.fold.skip
-                    ? k_begin
-                    : std::clamp(c.fold.skip - seen, k_begin, k_end);
+    const std::size_t seen = a.acc->seen[l.first];
+    const std::size_t skip = a.acc->skip;
+    fold_from = seen >= skip ? k_begin
+                             : std::clamp(skip - seen, k_begin, k_end);
   }
   LaneSlice slice;
-  slice.first_lane = c.first + w;
+  slice.first_lane = l.first + w;
   slice.width = W;
-  slice.tau = c.out_tau + w;
-  slice.delta = c.out_delta + w;
-  slice.lro = c.out_lro + w;
-  slice.t_gen = c.out_t_gen + w;
-  slice.t_dlv = c.out_t_dlv + w;
-  slice.violation = c.out_violation + w;
-  slice.isolated = c.isolated != nullptr ? c.isolated + w : nullptr;
+  slice.tau = l.tau + w;
+  slice.delta = l.delta + w;
+  slice.lro = l.lro + w;
+  slice.t_gen = l.t_gen + w;
+  slice.t_dlv = l.t_dlv + w;
+  slice.violation = l.violation + w;
+  slice.isolated = l.injectors != nullptr ? l.isolated + w : nullptr;
 
   // The IIR bank's ring base moves back one row per cycle, so the row the
   // step overwrites (the oldest state) holds the newest one next cycle.
   std::size_t tap_row = 0;
   if constexpr (kControl == ControlKind::kIirBank) {
-    const std::size_t taps = c.iir.taps;
-    tap_row = (*c.iir.head + taps - k_begin % taps) % taps * c.iir.row_stride;
+    const std::size_t taps = c.k.taps;
+    tap_row = (l.iir_head + taps - k_begin % taps) % taps * c.k.row_stride;
   }
 
   [[maybe_unused]] const std::uint64_t group =
-      (c.armed >> w) & ((std::uint64_t{1} << W) - 1);
+      (l.armed >> w) & ((std::uint64_t{1} << W) - 1);
   [[maybe_unused]] std::uint64_t quiet_until =
-      kSites == FaultSites::kIsolation ? next_fault_cycle(c, group, w) : 0;
+      kSites == FaultSites::kIsolation ? next_fault_cycle(l, group, w) : 0;
 
   // The cycles in two spans, before the fold starts and from it on:
   // `fold` is constant over a span, so no cycle compares k with
   // fold_from, and the compiler keeps one copy of the loop.
   const std::size_t span_end[] = {fold_from, k_end};
-  std::uint64_t pos = *c.pushes + k_begin;
+  std::uint64_t pos = l.pushes + k_begin;
   std::size_t k = k_begin;
   for (const std::size_t end : span_end) {
     const bool fold = !stage && k >= fold_from;
     for (; k < end; ++k, ++pos) {
-      const CycleInputs in = cycle_inputs(c, k, stage, fold);
+      const CycleInputs in = cycle_inputs(c.a, k, stage, fold);
       if constexpr (kSites == FaultSites::kIsolation) {
         if (pos >= quiet_until) {
           store_state<V, kControl>(c, w, s);
           ++fault_group_cycles;
           for (std::size_t lane = w; lane < w + W; ++lane) {
-            if (((c.armed >> lane) & 1u) != 0) {
+            if (((l.armed >> lane) & 1u) != 0) {
               run_group<S1, TdcQ, CdnQ, kControl, FaultSites::kAll>(
                   a, lane, k, k + 1, false, fault_group_cycles);
             } else {
@@ -889,7 +794,7 @@ void run_group(const SimdChunkArgs& a, std::size_t w, std::size_t k_begin,
             }
           }
           s = load_state<V, kControl>(c, w);
-          quiet_until = next_fault_cycle(c, group, w);
+          quiet_until = next_fault_cycle(l, group, w);
         } else if (simd_cycle_lanes<V, TdcQ, CdnQ, kControl, kSites>(
                        c, w, g, s, in, pos, tap_row) != 0) {
           quiet_until = 0;  // an isolated lane: every cycle a fault cycle
@@ -899,11 +804,11 @@ void run_group(const SimdChunkArgs& a, std::size_t w, std::size_t k_begin,
                                                           pos, tap_row);
       }
       if (stage && emit) {
-        slice.cycle = c.first_cycle + k;
-        c.reducer->accumulate(slice);
+        slice.cycle = c.a.first_cycle + k;
+        c.a.reducer->accumulate(slice);
       }
       if constexpr (kControl == ControlKind::kIirBank) {
-        tap_row = next_tap_row(c, tap_row);
+        tap_row = next_tap_row(c.k, tap_row);
       }
     }
   }
@@ -919,12 +824,13 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
   using S1 = simd::ScalarTraits<1>;
   constexpr std::size_t W = T::kWidth;
   constexpr std::uint64_t kGroupBits = (std::uint64_t{1} << W) - 1;
-  const std::size_t cw = a.cw;
+  ChunkLanes& chunk = *a.chunk;
+  const std::size_t cw = chunk.width;
   const std::size_t vector_end = cw - cw % W;
 
   std::uint64_t fault_group_cycles = 0;
   for (std::size_t w = 0; w < vector_end; w += W) {
-    if (((a.armed >> w) & kGroupBits) == 0) {
+    if (((chunk.armed >> w) & kGroupBits) == 0) {
       run_group<T, TdcQ, CdnQ, kControl, FaultSites::kNone>(
           a, w, 0, a.cycles, true, fault_group_cycles);
     } else {
@@ -933,7 +839,7 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
     }
   }
   for (std::size_t w = vector_end; w < cw; ++w) {
-    if (((a.armed >> w) & 1u) != 0) {
+    if (((chunk.armed >> w) & 1u) != 0) {
       run_group<S1, TdcQ, CdnQ, kControl, FaultSites::kAll>(
           a, w, 0, a.cycles, true, fault_group_cycles);
     } else {
@@ -942,15 +848,15 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
     }
   }
 
-  if (a.fold.mean != nullptr) {
-    const std::size_t seen = a.fold.seen[0] + a.cycles;
-    for (std::size_t w = 0; w < cw; ++w) a.fold.seen[w] = seen;
+  if (a.acc != nullptr) {
+    std::size_t* const seen = a.acc->seen + chunk.first;
+    std::fill_n(seen, cw, seen[0] + a.cycles);
   }
-  *a.pushes += a.cycles;
-  *a.fault_group_cycles += fault_group_cycles;
+  chunk.pushes += a.cycles;
+  chunk.fault_group_cycles += fault_group_cycles;
   if constexpr (kControl == ControlKind::kIirBank) {
-    const std::size_t taps = a.iir.taps;
-    *a.iir.head = (*a.iir.head + taps - a.cycles % taps) % taps;
+    const std::size_t taps = a.consts->taps;
+    chunk.iir_head = (chunk.iir_head + taps - a.cycles % taps) % taps;
   }
 }
 
@@ -958,7 +864,7 @@ void run_chunk_simd_typed(const SimdChunkArgs& a) {
 /// quantization modes.
 template <class T, sensor::Quantization TdcQ, cdn::DelayQuantization CdnQ>
 void dispatch_simd_control(const SimdChunkArgs& a) {
-  switch (a.control) {
+  switch (a.consts->control) {
     case ControlKind::kOpenLoop:
       run_chunk_simd_typed<T, TdcQ, CdnQ, ControlKind::kOpenLoop>(a);
       break;
@@ -973,7 +879,7 @@ void dispatch_simd_control(const SimdChunkArgs& a) {
 
 template <class T, sensor::Quantization TdcQ>
 void dispatch_simd_cdn(const SimdChunkArgs& a) {
-  switch (a.cdn_q) {
+  switch (a.consts->cdn_q) {
     case cdn::DelayQuantization::kRound:
       dispatch_simd_control<T, TdcQ, cdn::DelayQuantization::kRound>(a);
       break;
@@ -989,7 +895,7 @@ void dispatch_simd_cdn(const SimdChunkArgs& a) {
 
 template <class T>
 void run_chunk_simd_impl(const SimdChunkArgs& a) {
-  switch (a.tdc_q) {
+  switch (a.consts->tdc_q) {
     case sensor::Quantization::kFloor:
       dispatch_simd_cdn<T, sensor::Quantization::kFloor>(a);
       break;

@@ -34,14 +34,18 @@ constexpr std::size_t kWaveTileCycles = 512;
 // --------------------------------------------------- LaneAccumulators
 
 LaneAccumulators::LaneAccumulators(std::size_t lanes, std::size_t skip)
-    : worst_delta(lanes, 0.0),
-      mean(lanes, 0.0),
-      count(lanes, 0.0),
-      tau_min(lanes, std::numeric_limits<double>::infinity()),
-      tau_max(lanes, -std::numeric_limits<double>::infinity()),
-      violations(lanes, 0.0),
-      seen(lanes, 0),
-      skip{skip} {}
+    : skip{skip}, lanes_{lanes}, block_{[&](auto&& bind) {
+        bind(worst_delta, lanes);
+        bind(mean, lanes);
+        bind(count, lanes);
+        bind(tau_min, lanes);
+        bind(tau_max, lanes);
+        bind(violations, lanes);
+        bind(seen, lanes);
+      }} {
+  std::fill_n(tau_min, lanes, std::numeric_limits<double>::infinity());
+  std::fill_n(tau_max, lanes, -std::numeric_limits<double>::infinity());
+}
 
 // ------------------------------------------------------- TraceReducer
 
@@ -74,19 +78,15 @@ const SimulationTrace& TraceReducer::trace(std::size_t lane) const {
 // -------------------------------------------------- EnsembleSimulator
 
 Status EnsembleSimulator::validate(std::span<const LoopConfig> lane_configs,
-                                   std::size_t controller_count) {
+                                   const control::ControlBlock* controller) {
   if (lane_configs.empty()) {
     return Status::invalid_argument("ensemble needs at least one lane");
   }
   const LoopConfig& head = lane_configs.front();
-  if (head.mode == GeneratorMode::kControlledRo) {
-    if (controller_count != lane_configs.size()) {
-      return Status::invalid_argument(
-          "controlled ensemble needs one controller per lane");
-    }
-  } else if (controller_count != 0) {
+  const bool controlled = head.mode == GeneratorMode::kControlledRo;
+  if (!controlled && controller != nullptr) {
     return Status::invalid_argument(
-        "open-loop ensemble must not have controllers");
+        "open-loop ensemble must not have a controller");
   }
   for (const LoopConfig& config : lane_configs) {
     if (config.mode != head.mode) {
@@ -105,175 +105,142 @@ Status EnsembleSimulator::validate(std::span<const LoopConfig> lane_configs,
           "lanes disagree on CDN quantisation");
     }
     if (config.tdc_max_reading != head.tdc_max_reading) {
-      // The kernel shares one Tdc across all lanes; a silently ignored
+      // The kernel shares one TDC across all lanes; a silently ignored
       // per-lane chain length would defeat the max_reading >= c contract.
       return Status::invalid_argument(
           "lanes disagree on TDC max_reading");
     }
-    const Status status = LoopSimulator::validate(
-        config, head.mode == GeneratorMode::kControlledRo);
+    const Status status =
+        LoopSimulator::validate(config, controller != nullptr);
     if (!status.is_ok()) return status;
   }
   return Status::ok();
 }
 
-EnsembleSimulator::EnsembleSimulator(
-    std::vector<LoopConfig> lane_configs,
-    std::vector<std::unique_ptr<control::ControlBlock>> controllers)
-    : configs_{std::move(lane_configs)},
-      controllers_{std::move(controllers)} {
-  ROCLK_CHECK_OK(validate(configs_, controllers_.size()));
-  for (const auto& controller : controllers_) {
-    ROCLK_CHECK(controller != nullptr, "null controller");
-  }
-
-  mode_ = configs_.front().mode;
-  quantize_lro_ = configs_.front().quantize_lro;
-  cdn_quantization_ = configs_.front().cdn_quantization;
-  tdc_ = sensor::Tdc{detail::tdc_config_for(configs_.front())};
-
-  // Devirtualise the IIR hardware once per ensemble, the lane-parallel
-  // analogue of run_batch's dynamic_cast hoist: when every lane runs an
-  // IirControlHardware with one shared configuration, its power-of-two
-  // gains are cached here and the per-lane integer state lives in the
-  // chunk-strided bank instead of the virtual controllers.
-  if (mode_ == GeneratorMode::kControlledRo && !controllers_.empty()) {
-    iir_bank_active_ = true;
-    const control::IirConfig* reference = nullptr;
-    for (const auto& controller : controllers_) {
-      const auto* iir =
-          dynamic_cast<const control::IirControlHardware*>(controller.get());
-      if (iir == nullptr) {
-        iir_bank_active_ = false;
-        break;
-      }
-      if (reference == nullptr) {
-        reference = &iir->config();
-      } else if (iir->config().taps != reference->taps ||
-                 iir->config().k_exp != reference->k_exp ||
-                 iir->config().k_star != reference->k_star ||
-                 iir->config().anti_windup != reference->anti_windup) {
-        iir_bank_active_ = false;
-        break;
-      }
-    }
-    if (iir_bank_active_) {
-      // validate_iir_config holds k_exp >= 1 and k* = 1 / sum(taps) > 0,
-      // so k_exp is a left shift and k* a shift either way, both unsigned.
-      const PowerOfTwoGain k_exp =
-          PowerOfTwoGain::from_value(reference->k_exp).value();
-      const PowerOfTwoGain k_star =
-          PowerOfTwoGain::from_value(reference->k_star).value();
-      ROCLK_CHECK(k_exp.exponent() >= 0 && !k_exp.negative() &&
-                      !k_star.negative(),
-                  "IIR bank needs k_exp >= 1 and k* > 0");
-      iir_k_exp_shift_ = k_exp.exponent();
-      iir_k_star_exponent_ = k_star.exponent();
-      // The taps, ordered into the kernel's four runs.
-      const std::vector<double>& taps = reference->taps;
-      iir_row_stride_ = std::min(kChunkLanes, configs_.size());
-      iir_tap_shifts_.reserve(taps.size());
-      const auto append_run = [&](bool left, bool negative) {
-        for (std::size_t i = 0; i < taps.size(); ++i) {
-          const PowerOfTwoGain gain =
-              PowerOfTwoGain::from_value(taps[i]).value();
-          const int e = gain.exponent();
-          if ((e >= 0) == left && gain.negative() == negative) {
-            iir_tap_shifts_.push_back(
-                {static_cast<std::int32_t>(i * iir_row_stride_),
-                 left ? e : -e});
-          }
-        }
-        return iir_tap_shifts_.size();
-      };
-      iir_left_add_end_ = append_run(true, false);
-      iir_left_sub_end_ = append_run(true, true);
-      iir_right_add_end_ = append_run(false, false);
-      (void)append_run(false, true);
-      iir_k_exp_ = reference->k_exp;
-      if (reference->anti_windup.has_value()) {
-        // Mirror of IirControlHardware's pre-resolved anti-windup clamp.
-        iir_aw_enabled_ = true;
-        iir_aw_min_ = static_cast<std::int64_t>(
-            llround_ties_away(reference->anti_windup->min_output));
-        iir_aw_max_ = static_cast<std::int64_t>(
-            llround_ties_away(reference->anti_windup->max_output));
-      }
-    }
-  }
-
+EnsembleSimulator::EnsembleSimulator(std::vector<LoopConfig> lane_configs,
+                                     const control::ControlBlock* controller)
+    : configs_{std::move(lane_configs)} {
+  ROCLK_CHECK_OK(validate(configs_, controller));
+  const LoopConfig& head = configs_.front();
+  const sensor::Tdc tdc{detail::tdc_config_for(head)};
+  consts_.fixed_clock = head.mode == GeneratorMode::kFixedClock;
+  consts_.quantize_lro = head.quantize_lro;
+  consts_.tdc_q = tdc.config().quantization;
+  consts_.cdn_q = head.cdn_quantization;
+  consts_.tdc_mismatch = tdc.config().mismatch_stages;
+  consts_.tdc_max = static_cast<double>(tdc.config().max_reading);
   const std::size_t total = configs_.size();
+  consts_.row_stride = std::min(kChunkLanes, total);
+
+  // Devirtualise an IIR controller once per ensemble, the lane-parallel
+  // analogue of run_batch's dynamic_cast hoist: its power-of-two gains
+  // become shift counts here and the per-lane integer state lives in the
+  // chunk-strided bank.  Any other controller is cloned per lane.
+  if (const auto* iir =
+          dynamic_cast<const control::IirControlHardware*>(controller)) {
+    const control::IirConfig& config = iir->config();
+    consts_.control = detail::ControlKind::kIirBank;
+    // validate_iir_config holds k_exp >= 1 and k* = 1 / sum(taps) > 0,
+    // so k_exp is a left shift and k* a shift either way, both unsigned.
+    const PowerOfTwoGain k_exp =
+        PowerOfTwoGain::from_value(config.k_exp).value();
+    const PowerOfTwoGain k_star =
+        PowerOfTwoGain::from_value(config.k_star).value();
+    ROCLK_CHECK(k_exp.exponent() >= 0 && !k_exp.negative() &&
+                    !k_star.negative(),
+                "IIR bank needs k_exp >= 1 and k* > 0");
+    consts_.k_exp_shift = k_exp.exponent();
+    consts_.k_star_exponent = k_star.exponent();
+    // The taps, ordered into the kernel's four runs.
+    const std::vector<double>& taps = config.taps;
+    tap_shifts_.reserve(taps.size());
+    const auto append_run = [&](bool left, bool negative) {
+      for (std::size_t i = 0; i < taps.size(); ++i) {
+        const PowerOfTwoGain gain =
+            PowerOfTwoGain::from_value(taps[i]).value();
+        const int e = gain.exponent();
+        if ((e >= 0) == left && gain.negative() == negative) {
+          tap_shifts_.push_back(
+              {static_cast<std::int32_t>(i * consts_.row_stride),
+               left ? e : -e});
+        }
+      }
+      return tap_shifts_.size();
+    };
+    consts_.left_add_end = append_run(true, false);
+    consts_.left_sub_end = append_run(true, true);
+    consts_.right_add_end = append_run(false, false);
+    consts_.taps = append_run(false, true);
+    consts_.tap_shifts = tap_shifts_.data();
+    if (config.anti_windup.has_value()) {
+      // Mirror of IirControlHardware's pre-resolved anti-windup clamp.
+      consts_.aw_enabled = true;
+      consts_.aw_min = static_cast<std::int64_t>(
+          llround_ties_away(config.anti_windup->min_output));
+      consts_.aw_max = static_cast<std::int64_t>(
+          llround_ties_away(config.anti_windup->max_output));
+    }
+  } else if (controller != nullptr) {
+    consts_.control = detail::ControlKind::kVirtual;
+    controllers_.reserve(total);
+    for (std::size_t w = 0; w < total; ++w) {
+      controllers_.push_back(controller->clone());
+    }
+    consts_.controllers = controllers_.data();
+  }
+
+  const std::size_t bank_entries = 2 * consts_.taps * consts_.row_stride;
   chunks_.reserve((total + kChunkLanes - 1) / kChunkLanes);
   for (std::size_t first = 0; first < total; first += kChunkLanes) {
-    const std::size_t cw = std::min(kChunkLanes, total - first);
-    Chunk chunk;
-    chunk.first = first;
-    chunk.width = cw;
-    chunk.prev_lro.resize(cw);
-    chunk.prev_t_dlv.resize(cw);
-    chunk.prev_e_ro.resize(cw);
-    chunk.prev_e_local.resize(cw);
-    chunk.setpoint.resize(cw);
-    chunk.open_loop.resize(cw);
-    chunk.min_len.resize(cw);
-    chunk.max_len.resize(cw);
-    chunk.min_len_d.resize(cw);
-    chunk.max_len_d.resize(cw);
-    chunk.cdn_delay.resize(cw);
-    chunk.cdn_history_d.resize(cw);
-    chunk.cdn_history.resize(cw);
-    chunk.cdn_initial.resize(cw);
-    chunk.tau.resize(cw);
-    chunk.delta.resize(cw);
-    chunk.lro.resize(cw);
-    chunk.t_gen.resize(cw);
-    chunk.t_dlv.resize(cw);
-    chunk.violation.resize(cw);
-
+    Chunk& chunk = chunks_.emplace_back();
+    detail::ChunkLanes& lanes = chunk.lanes;
+    lanes.first = first;
+    lanes.width = std::min(kChunkLanes, total - first);
     std::size_t max_history = 2;
-    for (std::size_t w = 0; w < cw; ++w) {
-      const LoopConfig& config = configs_[first + w];
-      chunk.integral_setpoints = chunk.integral_setpoints &&
-                                 config.setpoint_c ==
-                                     std::trunc(config.setpoint_c);
-      chunk.setpoint[w] = config.setpoint_c;
-      chunk.open_loop[w] =
-          config.open_loop_period.value_or(config.setpoint_c);
-      chunk.min_len[w] = config.min_length;
-      chunk.max_len[w] = config.max_length;
-      chunk.min_len_d[w] = static_cast<double>(config.min_length);
-      chunk.max_len_d[w] = static_cast<double>(config.max_length);
-      const std::size_t history = detail::cdn_history_for(config);
-      chunk.cdn_delay[w] = config.cdn_delay_stages;
-      chunk.cdn_history[w] = static_cast<std::int64_t>(history);
-      chunk.cdn_history_d[w] = static_cast<double>(history - 2);
-      max_history = std::max(max_history, history);
+    for (std::size_t w = 0; w < lanes.width; ++w) {
+      max_history =
+          std::max(max_history, detail::cdn_history_for(configs_[first + w]));
     }
-    chunk.ring_slots = std::bit_ceil(max_history);
+    lanes.ring_slots = std::bit_ceil(max_history);
     // Mask indexing into the interleaved ring is only sound on a
     // power-of-two slot count; bit_ceil guarantees it, the check keeps the
     // invariant explicit if the sizing logic ever changes.
-    ROCLK_DCHECK(is_power_of_two(chunk.ring_slots),
+    ROCLK_DCHECK(is_power_of_two(lanes.ring_slots),
                  "interleaved CDN ring slots must be a power of two, got "
-                     << chunk.ring_slots);
-    chunk.slot_mask = chunk.ring_slots - 1;
+                     << lanes.ring_slots);
+    lanes.slot_mask = lanes.ring_slots - 1;
     // The kernel's ring index is (slot << row_shift) + lane: with a
-    // power-of-two row stride >= cw it stays inside the ring for every
+    // power-of-two row stride >= width it stays inside the ring for every
     // masked slot and every lane.
-    chunk.row_shift = std::countr_zero(std::bit_ceil(cw));
-    chunk.ring.assign(chunk.ring_slots << chunk.row_shift, 0.0);
-    if (iir_bank_active_) {
-      chunk.iir_state.assign(2 * iir_tap_shifts_.size() * iir_row_stride_,
-                             0);
-      chunk.iir_prev_input.assign(cw, 0);
+    lanes.row_shift = std::countr_zero(std::bit_ceil(lanes.width));
+    chunk.block = simd::LaneBlock{[&](auto&& bind) {
+      lanes.bind_arrays(bind, bank_entries);
+    }};
+
+    bool integral_setpoints = true;
+    for (std::size_t w = 0; w < lanes.width; ++w) {
+      const LoopConfig& config = configs_[first + w];
+      integral_setpoints = integral_setpoints &&
+                           config.setpoint_c == std::trunc(config.setpoint_c);
+      lanes.setpoint[w] = config.setpoint_c;
+      lanes.open_loop[w] =
+          config.open_loop_period.value_or(config.setpoint_c);
+      lanes.min_len[w] = config.min_length;
+      lanes.max_len[w] = config.max_length;
+      lanes.min_len_d[w] = static_cast<double>(config.min_length);
+      lanes.max_len_d[w] = static_cast<double>(config.max_length);
+      const std::size_t history = detail::cdn_history_for(config);
+      lanes.cdn_delay[w] = config.cdn_delay_stages;
+      lanes.cdn_history[w] = static_cast<std::int64_t>(history);
+      lanes.cdn_history_d[w] = static_cast<double>(history - 2);
     }
-    chunks_.push_back(std::move(chunk));
+    lanes.integral_input =
+        integral_setpoints && consts_.tdc_q != sensor::Quantization::kNone;
   }
 
   // The CDN look-back distance m lies in [0, history - 2], so a bounded
   // history keeps its conversion exact too.
-  simd_domain_ok_ =
-      static_cast<double>(tdc_.config().max_reading) <= kSimdMaxMagnitude;
+  simd_domain_ok_ = consts_.tdc_max <= kSimdMaxMagnitude;
   for (const LoopConfig& config : configs_) {
     simd_domain_ok_ =
         simd_domain_ok_ &&
@@ -293,52 +260,39 @@ EnsembleSimulator EnsembleSimulator::uniform(
     const LoopConfig& config, const control::ControlBlock* prototype,
     std::size_t width) {
   ROCLK_CHECK(width > 0, "ensemble needs at least one lane");
-  std::vector<LoopConfig> configs(width, config);
-  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
-  if (config.mode == GeneratorMode::kControlledRo) {
-    ROCLK_CHECK(prototype != nullptr,
-                  "controlled ensemble needs a controller prototype");
-    controllers.reserve(width);
-    for (std::size_t w = 0; w < width; ++w) {
-      controllers.push_back(prototype->clone());
-    }
-  }
-  return EnsembleSimulator{std::move(configs), std::move(controllers)};
+  return EnsembleSimulator{std::vector<LoopConfig>(width, config), prototype};
 }
 
 void EnsembleSimulator::reset() {
+  // IirControlHardware::reset: W = round(initial_output * k_exp) in every
+  // tap register, previous input cleared.
+  const double k_exp = std::ldexp(1.0, consts_.k_exp_shift);
   for (Chunk& chunk : chunks_) {
-    const std::size_t cw = chunk.width;
-    chunk.pushes = 0;
-    for (std::size_t w = 0; w < cw; ++w) {
-      const LoopConfig& config = configs_[chunk.first + w];
-      const double equilibrium = detail::equilibrium_for(config);
-      chunk.prev_lro[w] = equilibrium;
-      chunk.prev_t_dlv[w] = equilibrium;
-      chunk.prev_e_ro[w] = 0.0;
-      chunk.prev_e_local[w] = 0.0;
-      chunk.cdn_initial[w] = equilibrium;
-      for (std::size_t s = 0; s < chunk.ring_slots; ++s) {
-        chunk.ring[(s << chunk.row_shift) + w] = equilibrium;
+    detail::ChunkLanes& lanes = chunk.lanes;
+    lanes.pushes = 0;
+    for (std::size_t w = 0; w < lanes.width; ++w) {
+      const double equilibrium =
+          detail::equilibrium_for(configs_[lanes.first + w]);
+      lanes.prev_lro[w] = equilibrium;
+      lanes.prev_t_dlv[w] = equilibrium;
+      lanes.prev_e_ro[w] = 0.0;
+      lanes.prev_e_local[w] = 0.0;
+      lanes.cdn_initial[w] = equilibrium;
+      for (std::size_t s = 0; s < lanes.ring_slots; ++s) {
+        lanes.ring[(s << lanes.row_shift) + w] = equilibrium;
       }
-      if (iir_bank_active_) {
-        // IirControlHardware::reset: W = round(initial_output * k_exp) in
-        // every tap register, previous input cleared.
-        const auto w0 = static_cast<std::int64_t>(
-            llround_ties_away(equilibrium * iir_k_exp_));
-        for (std::size_t row = 0; row < 2 * iir_tap_shifts_.size(); ++row) {
-          chunk.iir_state[row * iir_row_stride_ + w] = w0;
-        }
-        chunk.iir_prev_input[w] = 0;
+      const auto w0 =
+          static_cast<std::int64_t>(llround_ties_away(equilibrium * k_exp));
+      for (std::size_t row = 0; row < 2 * consts_.taps; ++row) {
+        lanes.iir_bank[row * consts_.row_stride + w] = w0;
       }
+      lanes.iir_prev_input[w] = 0;
+      lanes.isolated[w] = 0;
+      lanes.next_consult[w] = 0;
     }
-    chunk.iir_head = 0;
+    lanes.iir_head = 0;
+    lanes.fault_group_cycles = 0;
     for (fault::FaultInjector& injector : chunk.injectors) injector.reset();
-    std::fill(chunk.isolated.begin(), chunk.isolated.end(),
-              std::uint8_t{0});
-    std::fill(chunk.next_consult.begin(), chunk.next_consult.end(),
-              std::uint64_t{0});
-    chunk.fault_group_cycles = 0;
   }
   for (std::size_t lane = 0; lane < controllers_.size(); ++lane) {
     controllers_[lane]->reset(detail::equilibrium_for(configs_[lane]));
@@ -352,36 +306,39 @@ void EnsembleSimulator::attach_faults(
                   << schedules.size() << " for " << width() << " lanes");
   faults_active_ = true;
   for (Chunk& chunk : chunks_) {
+    detail::ChunkLanes& lanes = chunk.lanes;
     chunk.injectors.clear();
-    chunk.injectors.reserve(chunk.width);
-    chunk.armed = 0;
-    for (std::size_t w = 0; w < chunk.width; ++w) {
-      const fault::FaultSchedule& schedule = schedules[chunk.first + w];
-      if (!schedule.empty()) chunk.armed |= std::uint64_t{1} << w;
+    chunk.injectors.reserve(lanes.width);
+    lanes.armed = 0;
+    for (std::size_t w = 0; w < lanes.width; ++w) {
+      const fault::FaultSchedule& schedule = schedules[lanes.first + w];
+      if (!schedule.empty()) lanes.armed |= std::uint64_t{1} << w;
       chunk.injectors.emplace_back(schedule);
+      lanes.isolated[w] = 0;
+      lanes.next_consult[w] = 0;
     }
-    chunk.isolated.assign(chunk.width, 0);
-    chunk.next_consult.assign(chunk.width, 0);
+    lanes.injectors = chunk.injectors.data();
   }
 }
 
 std::uint64_t EnsembleSimulator::fault_group_cycles() const {
   std::uint64_t cycles = 0;
-  for (const Chunk& chunk : chunks_) cycles += chunk.fault_group_cycles;
+  for (const Chunk& chunk : chunks_) cycles += chunk.lanes.fault_group_cycles;
   return cycles;
 }
 
 bool EnsembleSimulator::isolated(std::size_t lane) const {
   ROCLK_CHECK(lane < width(), "lane out of range");
-  if (!faults_active_) return false;
-  const Chunk& chunk = chunks_[lane / kChunkLanes];
-  return chunk.isolated[lane - chunk.first] != 0;
+  return chunks_[lane / kChunkLanes].lanes.isolated[lane % kChunkLanes] != 0;
 }
 
 std::size_t EnsembleSimulator::isolated_count() const {
   std::size_t count = 0;
   for (const Chunk& chunk : chunks_) {
-    for (std::uint8_t flag : chunk.isolated) count += flag != 0 ? 1 : 0;
+    count += static_cast<std::size_t>(
+        std::count_if(chunk.lanes.isolated,
+                      chunk.lanes.isolated + chunk.lanes.width,
+                      [](std::uint8_t flag) { return flag != 0; }));
   }
   return count;
 }
@@ -390,96 +347,22 @@ void EnsembleSimulator::run_one_chunk(Chunk& chunk,
                                       detail::SimdChunkArgs args,
                                       StreamingReducer& reducer,
                                       simd::Backend backend) {
-  args.first = chunk.first;
-  args.cw = chunk.width;
-  args.prev_lro = chunk.prev_lro.data();
-  args.prev_t_dlv = chunk.prev_t_dlv.data();
-  args.prev_e_ro = chunk.prev_e_ro.data();
-  args.prev_e_local = chunk.prev_e_local.data();
-  args.setpoint = chunk.setpoint.data();
-  args.open_loop = chunk.open_loop.data();
-  args.min_len = chunk.min_len.data();
-  args.max_len = chunk.max_len.data();
-  args.min_len_d = chunk.min_len_d.data();
-  args.max_len_d = chunk.max_len_d.data();
-  args.ring = chunk.ring.data();
-  args.slot_mask = chunk.slot_mask;
-  args.row_shift = chunk.row_shift;
-  args.cdn_delay = chunk.cdn_delay.data();
-  args.cdn_history_d = chunk.cdn_history_d.data();
-  args.cdn_history = chunk.cdn_history.data();
-  args.cdn_initial = chunk.cdn_initial.data();
-  args.pushes = &chunk.pushes;
-  args.out_tau = chunk.tau.data();
-  args.out_delta = chunk.delta.data();
-  args.out_lro = chunk.lro.data();
-  args.out_t_gen = chunk.t_gen.data();
-  args.out_t_dlv = chunk.t_dlv.data();
-  args.out_violation = chunk.violation.data();
-  args.fixed_clock = mode_ == GeneratorMode::kFixedClock;
-  args.quantize_lro = quantize_lro_;
-  args.tdc_q = tdc_.config().quantization;
-  args.cdn_q = cdn_quantization_;
-  args.tdc_mismatch = tdc_.config().mismatch_stages;
-  args.tdc_max = static_cast<double>(tdc_.config().max_reading);
-  if (mode_ != GeneratorMode::kControlledRo) {
-    args.control = detail::ControlKind::kOpenLoop;
-  } else if (iir_bank_active_) {
-    args.control = detail::ControlKind::kIirBank;
-    args.iir.tap_shifts = iir_tap_shifts_.data();
-    args.iir.left_add_end = iir_left_add_end_;
-    args.iir.left_sub_end = iir_left_sub_end_;
-    args.iir.right_add_end = iir_right_add_end_;
-    args.iir.taps = iir_tap_shifts_.size();
-    args.iir.row_stride = iir_row_stride_;
-    args.iir.k_exp_shift = iir_k_exp_shift_;
-    args.iir.k_star_exponent = iir_k_star_exponent_;
-    args.iir.prev_input = chunk.iir_prev_input.data();
-    args.iir.bank = chunk.iir_state.data();
-    args.iir.head = &chunk.iir_head;
-    // delta = setpoint - tau is exactly integral when the set-points are
-    // integers and the TDC floors or rounds (tau and the clamp bounds are
-    // then integral), so the bank input needs no rounding.  A fault cycle
-    // voids the deduction: a stuck or glitched reading carries an
-    // arbitrary real magnitude past the quantizer, so the kernel's
-    // every-site body keeps the ties-away rounding of the scalar
-    // controller.
-    args.iir.integral_input =
-        chunk.integral_setpoints &&
-        tdc_.config().quantization != sensor::Quantization::kNone;
-    args.iir.aw_enabled = iir_aw_enabled_;
-    args.iir.aw_min = iir_aw_min_;
-    args.iir.aw_max = iir_aw_max_;
-  } else {
-    args.control = detail::ControlKind::kVirtual;
-    args.controllers = controllers_.data() + chunk.first;
-  }
+  args.consts = &consts_;
+  args.chunk = &chunk.lanes;
   args.reducer = &reducer;
-  if (LaneAccumulators* acc = reducer.accumulators()) {
-    ROCLK_CHECK(chunk.first + chunk.width <= acc->lanes(),
-                "accumulators hold " << acc->lanes() << " lanes, the chunk "
-                                     << "ends at lane "
-                                     << chunk.first + chunk.width);
-    std::size_t* const seen = acc->seen.data() + chunk.first;
-    ROCLK_CHECK(std::all_of(seen, seen + chunk.width,
-                            [&](std::size_t n) { return n == seen[0]; }),
+  args.acc = reducer.accumulators();
+  if (args.acc != nullptr) {
+    const std::size_t first = chunk.lanes.first;
+    const std::size_t end = first + chunk.lanes.width;
+    ROCLK_CHECK(end <= args.acc->lanes(),
+                "accumulators hold " << args.acc->lanes()
+                                     << " lanes, the chunk ends at lane "
+                                     << end);
+    const std::size_t* const seen = args.acc->seen;
+    ROCLK_CHECK(std::all_of(seen + first, seen + end,
+                            [&](std::size_t n) { return n == seen[first]; }),
                 "the lanes of a chunk have seen different cycle counts");
-    args.fold.worst_delta = acc->worst_delta.data() + chunk.first;
-    args.fold.mean = acc->mean.data() + chunk.first;
-    args.fold.count = acc->count.data() + chunk.first;
-    args.fold.tau_min = acc->tau_min.data() + chunk.first;
-    args.fold.tau_max = acc->tau_max.data() + chunk.first;
-    args.fold.violations = acc->violations.data() + chunk.first;
-    args.fold.seen = seen;
-    args.fold.skip = acc->skip;
   }
-  if (faults_active_) {
-    args.injectors = chunk.injectors.data();
-    args.armed = chunk.armed;
-    args.isolated = chunk.isolated.data();
-    args.next_consult = chunk.next_consult.data();
-  }
-  args.fault_group_cycles = &chunk.fault_group_cycles;
 
   if (!simd_domain_ok_) backend = simd::Backend::kScalar;
   switch (backend) {
@@ -539,7 +422,7 @@ void EnsembleSimulator::run(const EnsembleInputBlock& block,
   for_each_chunk(pool, [&](Chunk& chunk) {
     detail::SimdChunkArgs args;
     args.cycles = block.cycles;
-    args.column = chunk.first;
+    args.column = chunk.lanes.first;
     args.stride = block.width;
     args.e_ro = block.e_ro.data();
     args.e_tdc = block.e_tdc.data();
@@ -565,7 +448,7 @@ void EnsembleSimulator::run_homogeneous(
     std::array<double, kWaveTileCycles> wave{};
     detail::SimdChunkArgs args;
     args.wave = wave.data();
-    args.lane_mu = static_mu_stages.data() + chunk.first;
+    args.lane_mu = static_mu_stages.data() + chunk.lanes.first;
     for (std::size_t start = 0; start < cycles; start += kWaveTileCycles) {
       args.cycles = std::min(kWaveTileCycles, cycles - start);
       args.first_cycle = start;

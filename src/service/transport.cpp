@@ -120,13 +120,13 @@ IoResult FdByteStream::receive(void* buffer, std::size_t bytes) {
 }
 
 IoResult FdByteStream::write_some(const void* buffer, std::size_t bytes) {
-  if (fd_ < 0) return IoResult::error();
+  if (write_fd_ < 0) return IoResult::error();
   // MSG_NOSIGNAL: a peer that hung up mid-session must surface as a typed
   // kError the session loop can handle, not a process-killing SIGPIPE.
   // Non-socket fds (the daemon's --stdio pipes) report ENOTSOCK and fall
   // back to write(2).
-  ssize_t n = ::send(fd_, buffer, bytes, MSG_NOSIGNAL);
-  if (n < 0 && errno == ENOTSOCK) n = ::write(fd_, buffer, bytes);
+  ssize_t n = ::send(write_fd_, buffer, bytes, MSG_NOSIGNAL);
+  if (n < 0 && errno == ENOTSOCK) n = ::write(write_fd_, buffer, bytes);
   if (n >= 0) return IoResult::ok(static_cast<std::size_t>(n));
   return errno == EINTR ? IoResult::interrupted() : IoResult::error();
 }
@@ -136,6 +136,7 @@ void FdByteStream::close() {
     owned_.close();  // owning mode: really release the fd
   }
   fd_ = -1;  // borrowing mode: just stop using it
+  write_fd_ = -1;
 }
 
 FdStream::~FdStream() { close(); }

@@ -116,7 +116,7 @@ TEST(KernelBudget, SimulateSystemCornerStaysUnderItsCeiling) {
   // the count on the reference toolchain (GCC 12, libstdc++): building the
   // ensemble, its controller and reducer; the kernel call adds nothing.
   // Lower it with any change that lowers the count.
-  constexpr std::uint64_t kCeiling = 63;
+  constexpr std::uint64_t kCeiling = 34;
   const auto corner = [] {
     (void)analysis::simulate_system(analysis::SystemKind::kIir, kSetpoint,
                                     kSetpoint, 12.8, 3200.0, 1.5, 76.8, 5000,
@@ -124,6 +124,51 @@ TEST(KernelBudget, SimulateSystemCornerStaysUnderItsCeiling) {
   };
   corner();
   const std::uint64_t count = allocations_of(corner);
+  EXPECT_LE(count, kCeiling);
+  RecordProperty("allocations", std::to_string(count));
+}
+
+TEST(KernelBudget, SixteenPointIirGridStaysUnderItsCeiling) {
+  // One grid of a served t_clk or mu sweep: a 16-lane IIR ensemble built,
+  // with one controller for all lanes, and run as simulate_system_ensemble
+  // runs it.  The ceiling is the count on the reference toolchain (GCC 12,
+  // libstdc++); lower it with any change that lowers the count.
+  constexpr std::uint64_t kCeiling = 35;
+  std::vector<double> tclks(16);
+  for (std::size_t i = 0; i < tclks.size(); ++i) {
+    tclks[i] = kSetpoint * (0.5 + 0.125 * static_cast<double>(i));
+  }
+  const double mu = 1.5;
+  const auto grid = [&] {
+    (void)analysis::simulate_system_ensemble(
+        analysis::SystemKind::kIir, kSetpoint, tclks, 12.8, 3200.0, {&mu, 1},
+        76.8, 5000, 1000, 0.0, cdn::DelayQuantization::kLinearInterp,
+        nullptr);
+  };
+  grid();
+  const std::uint64_t count = allocations_of(grid);
+  EXPECT_LE(count, kCeiling);
+  RecordProperty("allocations", std::to_string(count));
+}
+
+TEST(KernelBudget, ThousandLaneSetUpStaysUnderItsCeiling) {
+  // A Monte-Carlo campaign's set-up and pass state: a 1,024-lane IIR
+  // ensemble built from one prototype, and the MetricsReducer a pass
+  // folds into.  The ceiling is the count on the reference toolchain
+  // (GCC 12, libstdc++); lower it with any change that lowers the count.
+  constexpr std::uint64_t kCeiling = 37;
+  constexpr std::size_t kLanes = 1024;
+  core::LoopConfig config;
+  config.setpoint_c = kSetpoint;
+  config.cdn_delay_stages = kSetpoint;
+  config.mode = core::GeneratorMode::kControlledRo;
+  const control::IirControlHardware prototype{control::paper_iir_config()};
+  const auto set_up = [&] {
+    auto ensemble = core::EnsembleSimulator::uniform(config, &prototype, kLanes);
+    analysis::MetricsReducer metrics{std::vector<double>(kLanes, 76.8), kSkip};
+  };
+  set_up();
+  const std::uint64_t count = allocations_of(set_up);
   EXPECT_LE(count, kCeiling);
   RecordProperty("allocations", std::to_string(count));
 }

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "roclk/common/math.hpp"
@@ -31,40 +33,59 @@ bool line_aligned(const void* p) {
 
 // ------------------------------------------------ cache-aligned storage
 
-TEST(CacheAlignedAllocator, AllocationsAreLineAlignedForOddSizes) {
-  CacheAlignedAllocator<double> alloc;
-  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                              std::size_t{9}, std::size_t{1000}}) {
-    double* p = alloc.allocate(n);
-    EXPECT_TRUE(line_aligned(p)) << n << " doubles";
-    alloc.deallocate(p, n);
+/// Two odd-sized arrays of each element type the ensemble keeps, plus an
+/// empty one, in one block.
+struct OddLayout {
+  double* a{nullptr};
+  std::uint8_t* b{nullptr};
+  std::int64_t* c{nullptr};
+  std::uint64_t* d{nullptr};
+  double* e{nullptr};
+  double* empty{nullptr};
+  double* f{nullptr};
+
+  template <class Bind>
+  void bind_arrays(Bind&& bind) {
+    bind(a, 1);
+    bind(b, 3);
+    bind(c, 37);
+    bind(d, 9);
+    bind(e, 1000);
+    bind(empty, 0);
+    bind(f, 7);
   }
-  CacheAlignedAllocator<std::uint8_t> bytes;
-  std::uint8_t* p = bytes.allocate(3);
-  EXPECT_TRUE(line_aligned(p));
-  bytes.deallocate(p, 3);
+};
+
+TEST(LaneBlock, ArraysAreLineAlignedForOddSizes) {
+  OddLayout layout;
+  const LaneBlock block{[&](auto&& bind) { layout.bind_arrays(bind); }};
+  // Each array starts on a line, right after the whole lines of the one
+  // before it, and the block arrives zero-filled.
+  const std::byte* next = reinterpret_cast<const std::byte*>(layout.a);
+  layout.bind_arrays([&]<class T>(T*& array, std::size_t n) {
+    const auto* start = reinterpret_cast<const std::byte*>(array);
+    EXPECT_TRUE(line_aligned(start)) << n << " entries";
+    EXPECT_EQ(start, next) << n << " entries";
+    next = start + lane_array_bytes<T>(n);
+    EXPECT_EQ(lane_array_bytes<T>(n) % kCacheLineBytes, 0u);
+    EXPECT_GE(lane_array_bytes<T>(n), n * sizeof(T));
+    EXPECT_TRUE(std::all_of(array, array + n, [](T x) { return x == T{}; }));
+  });
+  EXPECT_EQ(lane_array_bytes<std::uint8_t>(3), kCacheLineBytes);
+  EXPECT_EQ(lane_array_bytes<double>(9), 2 * kCacheLineBytes);
+  EXPECT_EQ(lane_array_bytes<double>(0), 0u);
 }
 
-TEST(CacheAlignedAllocator, AlignedVectorStaysAlignedThroughGrowth) {
-  aligned_vector<double> v;
-  for (int i = 0; i < 1000; ++i) {
-    v.push_back(static_cast<double>(i));
-    ASSERT_TRUE(line_aligned(v.data())) << "after " << i + 1 << " pushes";
-  }
-  aligned_vector<std::int64_t> iv(37, 0);
-  EXPECT_TRUE(line_aligned(iv.data()));
-}
-
-TEST(CacheAlignedAllocator, RebindsAndComparesEqual) {
-  // std::vector rebinds the allocator internally; equality means any
-  // instance can free any other instance's memory.
-  EXPECT_TRUE(CacheAlignedAllocator<double>{} ==
-              CacheAlignedAllocator<double>{});
-  CacheAlignedAllocator<std::int64_t> from_double{
-      CacheAlignedAllocator<double>{}};
-  std::int64_t* p = from_double.allocate(5);
-  EXPECT_TRUE(line_aligned(p));
-  from_double.deallocate(p, 5);
+TEST(LaneBlock, MovedBlockKeepsItsArrays) {
+  OddLayout layout;
+  LaneBlock block{[&](auto&& bind) { layout.bind_arrays(bind); }};
+  std::fill_n(layout.e, 1000, 2.5);
+  LaneBlock moved{std::move(block)};
+  LaneBlock assigned;
+  assigned = std::move(moved);
+  EXPECT_TRUE(std::all_of(layout.e, layout.e + 1000,
+                          [](double x) { return x == 2.5; }));
+  EXPECT_TRUE(line_aligned(layout.e));
 }
 
 // -------------------------------------------------- backend dispatch

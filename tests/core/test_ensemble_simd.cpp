@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -99,14 +98,10 @@ std::vector<SimulationInputs> varied_inputs(std::size_t lanes) {
   return inputs;
 }
 
-/// Builds lane `lane`'s controller; a null factory means an open-loop
-/// ensemble (free-running RO or fixed clock), which has no controllers.
-using ControllerFactory =
-    std::function<std::unique_ptr<control::ControlBlock>(std::size_t lane)>;
-
-std::unique_ptr<control::ControlBlock> paper_iir(std::size_t /*lane*/) {
-  return std::make_unique<control::IirControlHardware>(
-      control::paper_iir_config());
+/// The paper's IIR controller, the prototype most tests run.
+const control::ControlBlock& paper_iir() {
+  static const control::IirControlHardware iir{control::paper_iir_config()};
+  return iir;
 }
 
 /// Checks lane `w`'s streamed trace against its scalar reference, record
@@ -151,26 +146,19 @@ void expect_same_metrics(const SimulationTrace& reference,
 }
 
 /// Runs an ensemble of `cfg` on `backend` over `block`, one lane per
-/// block lane and one controller per lane from `make_controller`, and
-/// checks every lane's streamed trace bitwise against a fresh scalar
-/// run_batch.  A second, identical ensemble runs the same block into a
-/// MetricsReducer: every lane the reference does not isolate must fold
-/// evaluate_run's figures of that trace, bitwise.
+/// block lane, every lane running `prototype` (null in the open-loop
+/// modes), and checks every lane's streamed trace bitwise against a fresh
+/// scalar run_batch with a clone of it.  A second, identical ensemble runs
+/// the same block into a MetricsReducer: every lane the reference does not
+/// isolate must fold evaluate_run's figures of that trace, bitwise.
 void expect_bit_exact_on(const EnsembleInputBlock& block,
                          const LoopConfig& cfg, simd::Backend backend,
                          const std::vector<fault::FaultSchedule>* faults,
-                         const ControllerFactory& make_controller) {
+                         const control::ControlBlock* prototype) {
   BackendOverrideGuard forced{backend};
   const std::size_t width = block.width;
   const auto make_ensemble = [&] {
-    std::vector<std::unique_ptr<control::ControlBlock>> controllers;
-    if (make_controller) {
-      for (std::size_t w = 0; w < width; ++w) {
-        controllers.push_back(make_controller(w));
-      }
-    }
-    EnsembleSimulator ensemble{std::vector<LoopConfig>(width, cfg),
-                               std::move(controllers)};
+    auto ensemble = EnsembleSimulator::uniform(cfg, prototype, width);
     if (faults != nullptr) ensemble.attach_faults(*faults);
     return ensemble;
   };
@@ -183,7 +171,7 @@ void expect_bit_exact_on(const EnsembleInputBlock& block,
   metered.run(block, metrics);
   for (std::size_t w = 0; w < width; ++w) {
     LoopSimulator scalar{cfg,
-                         make_controller ? make_controller(w) : nullptr};
+                         prototype != nullptr ? prototype->clone() : nullptr};
     if (faults != nullptr) scalar.attach_faults((*faults)[w]);
     const SimulationTrace reference = scalar.run_batch(block.lane(w));
     ASSERT_NO_FATAL_FAILURE(expect_same_trace(reference, reducer.trace(w), w));
@@ -200,10 +188,10 @@ void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
                       simd::Backend backend,
                       const std::vector<fault::FaultSchedule>* faults =
                           nullptr,
-                      const ControllerFactory& make_controller = paper_iir) {
+                      const control::ControlBlock* prototype = &paper_iir()) {
   expect_bit_exact_on(
       sample_ensemble(varied_inputs(width), kCycles, kSetpoint), cfg,
-      backend, faults, make_controller);
+      backend, faults, prototype);
 }
 
 // Widths chosen around the vector geometry: 1 (pure tail), 3 and 5 are
@@ -310,30 +298,21 @@ std::vector<fault::FaultSchedule> route_schedules(std::size_t width) {
   return schedules;
 }
 
-/// Controllers the IIR bank cannot devirtualize: TEAtime, the hardened IIR
-/// wrapper, and IIR lanes whose tap sets differ.
+/// Controllers the IIR bank cannot devirtualize: TEAtime and the hardened
+/// IIR wrapper.
 struct VirtualKind {
   const char* name;
-  ControllerFactory make;
+  std::unique_ptr<control::ControlBlock> prototype;
 };
 
 std::vector<VirtualKind> virtual_kinds() {
-  return {
-      {"teatime",
-       [](std::size_t) { return std::make_unique<control::TeaTimeControl>(); }},
-      {"hardened_iir",
-       [](std::size_t) {
-         return make_hardened_iir_system(kSetpoint, kSetpoint)
-             .controller()
-             ->clone();
-       }},
-      {"mixed_tap_iir",
-       [](std::size_t lane) -> std::unique_ptr<control::ControlBlock> {
-         control::IirConfig config = control::paper_iir_config();
-         if (lane % 2 == 1) config.taps = {2.0, 1.0, 0.5, 0.5};
-         return std::make_unique<control::IirControlHardware>(config);
-       }},
-  };
+  std::vector<VirtualKind> kinds;
+  kinds.push_back({"teatime", std::make_unique<control::TeaTimeControl>()});
+  kinds.push_back({"hardened_iir",
+                   make_hardened_iir_system(kSetpoint, kSetpoint)
+                       .controller()
+                       ->clone()});
+  return kinds;
 }
 
 TEST(EnsembleSimd, VirtualControllersBitExactOnEveryBackend) {
@@ -341,19 +320,15 @@ TEST(EnsembleSimd, VirtualControllersBitExactOnEveryBackend) {
                                      cdn::DelayQuantization::kLinearInterp,
                                      true);
   for (const VirtualKind& kind : virtual_kinds()) {
-    {
-      std::vector<std::unique_ptr<control::ControlBlock>> controllers;
-      for (std::size_t w = 0; w < 2; ++w) controllers.push_back(kind.make(w));
-      const EnsembleSimulator probe{std::vector<LoopConfig>(2, cfg),
-                                    std::move(controllers)};
-      ASSERT_FALSE(probe.uses_iir_fast_path()) << kind.name;
-    }
+    ASSERT_FALSE(EnsembleSimulator::uniform(cfg, kind.prototype.get(), 2)
+                     .uses_iir_fast_path())
+        << kind.name;
     for (const simd::Backend backend : backends_under_test()) {
       for (const std::size_t width : kRouteWidths) {
         SCOPED_TRACE(std::string{kind.name} + " backend " +
                      simd::to_string(backend) + " width " +
                      std::to_string(width));
-        expect_bit_exact(width, cfg, backend, nullptr, kind.make);
+        expect_bit_exact(width, cfg, backend, nullptr, kind.prototype.get());
       }
     }
   }
@@ -370,7 +345,8 @@ TEST(EnsembleSimd, VirtualControllersUnderFaultsBitExactOnEveryBackend) {
                      simd::to_string(backend) + " width " +
                      std::to_string(width));
         const auto schedules = route_schedules(width);
-        expect_bit_exact(width, cfg, backend, &schedules, kind.make);
+        expect_bit_exact(width, cfg, backend, &schedules,
+                         kind.prototype.get());
       }
     }
   }
@@ -483,7 +459,7 @@ void expect_faulted_lanes_exact(
     const EnsembleInputBlock& block,
     const std::vector<fault::FaultSchedule>& schedules, const LoopConfig& cfg) {
   for (std::size_t w = 0; w < block.width; ++w) {
-    LoopSimulator scalar{cfg, paper_iir(w)};
+    LoopSimulator scalar{cfg, paper_iir().clone()};
     scalar.attach_faults(schedules[w]);
     const SimulationTrace reference = scalar.run_batch(block.lane(w));
     ASSERT_NO_FATAL_FAILURE(expect_same_trace(reference, reducer.trace(w), w));
@@ -581,7 +557,7 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
 std::size_t cycles_before_isolation(const LoopConfig& cfg,
                                     const fault::FaultSchedule& schedule,
                                     const InputBlock& lane) {
-  LoopSimulator scalar{cfg, paper_iir(0)};
+  LoopSimulator scalar{cfg, paper_iir().clone()};
   scalar.attach_faults(schedule);
   for (std::size_t k = 0; k < lane.size(); ++k) {
     (void)scalar.step(lane.e_ro[k], lane.e_tdc[k], lane.mu[k]);
@@ -641,7 +617,7 @@ TEST(EnsembleSimd, IsolatedLaneFoldsItsCyclesBeforeIsolation) {
       lane.e_ro.resize(good);
       lane.e_tdc.resize(good);
       lane.mu.resize(good);
-      LoopSimulator scalar{cfg, paper_iir(w)};
+      LoopSimulator scalar{cfg, paper_iir().clone()};
       scalar.attach_faults(schedules[w]);
       ASSERT_NO_FATAL_FAILURE(
           expect_same_metrics(scalar.run_batch(lane), metrics[w], w));
@@ -667,7 +643,7 @@ TEST(EnsembleSimd, UnarmedLaneWithNonFiniteInputRunsOnExactly) {
   }
   for (const simd::Backend backend : backends_under_test()) {
     SCOPED_TRACE(simd::to_string(backend));
-    expect_bit_exact_on(block, cfg, backend, &schedules, paper_iir);
+    expect_bit_exact_on(block, cfg, backend, &schedules, &paper_iir());
     BackendOverrideGuard forced{backend};
     const control::IirControlHardware prototype{control::paper_iir_config()};
     auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, kWidth);
@@ -718,7 +694,7 @@ void expect_splits_exact(const EnsembleSimulator& split,
                          const std::vector<fault::FaultSchedule>& schedules,
                          const LoopConfig& cfg) {
   for (std::size_t w = 0; w < block.width; ++w) {
-    LoopSimulator scalar{cfg, paper_iir(w)};
+    LoopSimulator scalar{cfg, paper_iir().clone()};
     scalar.attach_faults(schedules[w]);
     const SimulationTrace reference = scalar.run_batch(block.lane(w));
     ASSERT_NO_FATAL_FAILURE(

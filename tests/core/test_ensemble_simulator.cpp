@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -52,18 +54,20 @@ std::vector<SimulationInputs> varied_inputs(std::size_t lanes) {
   return inputs;
 }
 
-/// Runs every lane of `ensemble` and checks each against a freshly built
-/// scalar LoopSimulator fed the de-interleaved block through run_batch.
-void expect_lanes_match_scalar(
-    EnsembleSimulator& ensemble, const EnsembleInputBlock& block,
-    const std::function<std::unique_ptr<control::ControlBlock>(std::size_t)>&
-        make_controller,
-    ThreadPool* pool = nullptr) {
+/// Runs every lane of `ensemble`, built with `prototype` (null in the
+/// open-loop modes), and checks each against a freshly built scalar
+/// LoopSimulator with a clone of it, fed the de-interleaved block through
+/// run_batch.
+void expect_lanes_match_scalar(EnsembleSimulator& ensemble,
+                               const EnsembleInputBlock& block,
+                               const control::ControlBlock* prototype,
+                               ThreadPool* pool = nullptr) {
   TraceReducer reducer{ensemble.width(), block.cycles};
   ensemble.reset();
   ensemble.run(block, reducer, pool);
   for (std::size_t w = 0; w < ensemble.width(); ++w) {
-    LoopSimulator scalar{ensemble.lane_config(w), make_controller(w)};
+    LoopSimulator scalar{ensemble.lane_config(w),
+                         prototype != nullptr ? prototype->clone() : nullptr};
     const SimulationTrace reference = scalar.run_batch(block.lane(w));
     const SimulationTrace& lane = reducer.trace(w);
     ASSERT_EQ(reference.size(), lane.size());
@@ -143,9 +147,7 @@ TEST(EnsembleSimulator, IirLanesMatchScalarRunBatchBitForBit) {
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
   EXPECT_TRUE(ensemble.uses_iir_fast_path());
   const auto block = sample_ensemble(varied_inputs(lanes), 2000, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, [](std::size_t) {
-    return std::make_unique<control::IirControlHardware>();
-  });
+  expect_lanes_match_scalar(ensemble, block, &prototype);
 }
 
 TEST(EnsembleSimulator, HeterogeneousCdnDelaysMatchScalar) {
@@ -154,17 +156,14 @@ TEST(EnsembleSimulator, HeterogeneousCdnDelaysMatchScalar) {
   const std::vector<double> delays{0.0, 16.0, 64.0, 96.0, 160.0, 640.0,
                                    48.0, 200.0, 1024.0};
   std::vector<LoopConfig> configs;
-  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
   for (double d : delays) {
     configs.push_back(lane_config(GeneratorMode::kControlledRo, d));
-    controllers.push_back(std::make_unique<control::IirControlHardware>());
   }
-  EnsembleSimulator ensemble{configs, std::move(controllers)};
+  const control::IirControlHardware prototype;
+  EnsembleSimulator ensemble{configs, &prototype};
   const auto block =
       sample_ensemble(varied_inputs(delays.size()), 3000, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, [](std::size_t) {
-    return std::make_unique<control::IirControlHardware>();
-  });
+  expect_lanes_match_scalar(ensemble, block, &prototype);
 }
 
 TEST(EnsembleSimulator, TeaTimeFallbackMatchesScalar) {
@@ -174,36 +173,28 @@ TEST(EnsembleSimulator, TeaTimeFallbackMatchesScalar) {
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
   EXPECT_FALSE(ensemble.uses_iir_fast_path());
   const auto block = sample_ensemble(varied_inputs(lanes), 2000, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, [](std::size_t) {
-    return std::make_unique<control::TeaTimeControl>();
-  });
+  expect_lanes_match_scalar(ensemble, block, &prototype);
 }
 
-TEST(EnsembleSimulator, MixedControllerConfigsDisableFastPathButMatch) {
-  // Same IirControlHardware type but different tap sets: the shared bank
-  // cannot be used, and the per-lane fallback must still be exact.
-  control::IirConfig alt;
-  alt.taps = {2.0, 1.0, 0.5, 0.5};
-  alt.k_star = 0.25;
-  std::vector<LoopConfig> configs;
-  std::vector<std::unique_ptr<control::ControlBlock>> controllers;
-  for (std::size_t w = 0; w < 6; ++w) {
-    configs.push_back(lane_config(GeneratorMode::kControlledRo, 64.0));
-    if (w % 2 == 0) {
-      controllers.push_back(std::make_unique<control::IirControlHardware>());
-    } else {
-      controllers.push_back(
-          std::make_unique<control::IirControlHardware>(alt));
+TEST(EnsembleSimulator, MovedEnsembleMatchesScalar) {
+  // The kernel reads the ensemble's constants, its tap table, its
+  // per-lane controllers and every chunk's lane block through pointers
+  // set at construction; a move (perfbench heap-allocates the result of
+  // uniform()) must leave them valid once the source is gone.
+  const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
+  const control::IirControlHardware iir;
+  const control::TeaTimeControl teatime;
+  const auto block = sample_ensemble(varied_inputs(37), 800, kSetpoint);
+  for (const control::ControlBlock* prototype :
+       {static_cast<const control::ControlBlock*>(&iir),
+        static_cast<const control::ControlBlock*>(&teatime)}) {
+    std::unique_ptr<EnsembleSimulator> moved;
+    {
+      auto source = EnsembleSimulator::uniform(cfg, prototype, 37);
+      moved = std::make_unique<EnsembleSimulator>(std::move(source));
     }
+    expect_lanes_match_scalar(*moved, block, prototype);
   }
-  EnsembleSimulator ensemble{configs, std::move(controllers)};
-  EXPECT_FALSE(ensemble.uses_iir_fast_path());
-  const auto block = sample_ensemble(varied_inputs(6), 1500, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, [&](std::size_t w) {
-    return w % 2 == 0
-               ? std::make_unique<control::IirControlHardware>()
-               : std::make_unique<control::IirControlHardware>(alt);
-  });
 }
 
 TEST(EnsembleSimulator, OpenLoopModesMatchScalar) {
@@ -214,13 +205,9 @@ TEST(EnsembleSimulator, OpenLoopModesMatchScalar) {
       configs.push_back(
           lane_config(mode, 64.0, 1.5 * static_cast<double>(w)));
     }
-    EnsembleSimulator ensemble{configs, {}};
+    EnsembleSimulator ensemble{configs, nullptr};
     const auto block = sample_ensemble(varied_inputs(9), 1500, kSetpoint);
-    expect_lanes_match_scalar(
-        ensemble, block,
-        [](std::size_t) -> std::unique_ptr<control::ControlBlock> {
-          return nullptr;
-        });
+    expect_lanes_match_scalar(ensemble, block, nullptr);
   }
 }
 
@@ -232,9 +219,7 @@ TEST(EnsembleSimulator, LinearInterpCdnMatchesScalar) {
   const control::IirControlHardware prototype;
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, 7);
   const auto block = sample_ensemble(varied_inputs(7), 1500, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, [](std::size_t) {
-    return std::make_unique<control::IirControlHardware>();
-  });
+  expect_lanes_match_scalar(ensemble, block, &prototype);
 }
 
 TEST(EnsembleSimulator, ParallelRunMatchesScalar) {
@@ -243,12 +228,8 @@ TEST(EnsembleSimulator, ParallelRunMatchesScalar) {
   const control::IirControlHardware prototype;
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
   const auto block = sample_ensemble(varied_inputs(lanes), 1200, kSetpoint);
-  expect_lanes_match_scalar(
-      ensemble, block,
-      [](std::size_t) {
-        return std::make_unique<control::IirControlHardware>();
-      },
-      &ThreadPool::shared());
+  expect_lanes_match_scalar(ensemble, block, &prototype,
+                            &ThreadPool::shared());
 }
 
 TEST(EnsembleSimulator, SuccessiveRunsContinueLikeRunBatch) {
@@ -356,34 +337,67 @@ TEST(EnsembleMetrics, ReducerRejectsSkipLongerThanRun) {
   EXPECT_THROW((void)reducer.metrics(0), std::logic_error);
 }
 
+// ------------------------------------------------------- lane storage
+
+TEST(EnsembleSimulator, LaneArraysStartOnTheirOwnLines) {
+  // A chunk's arrays lie back to back in its block, each on its own cache
+  // line and padded to whole lines: chunks of odd widths, with and without
+  // an IIR bank.
+  for (const std::size_t width : {std::size_t{1}, std::size_t{5},
+                                  std::size_t{31}, std::size_t{32}}) {
+    for (const std::size_t bank : {std::size_t{0}, 12 * width}) {
+      SCOPED_TRACE("width " + std::to_string(width) + " bank " +
+                   std::to_string(bank));
+      detail::ChunkLanes lanes;
+      lanes.width = width;
+      lanes.ring_slots = 128;
+      lanes.row_shift = std::countr_zero(std::bit_ceil(width));
+      const simd::LaneBlock block{
+          [&](auto&& bind) { lanes.bind_arrays(bind, bank); }};
+      const auto* next = reinterpret_cast<const std::byte*>(lanes.prev_lro);
+      lanes.bind_arrays(
+          [&]<class T>(T*& array, std::size_t n) {
+            const auto* start = reinterpret_cast<const std::byte*>(array);
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(start) %
+                          simd::kCacheLineBytes,
+                      0u);
+            EXPECT_EQ(start, next) << n << " entries";
+            next = start + simd::lane_array_bytes<T>(n);
+          },
+          bank);
+    }
+  }
+}
+
 // ------------------------------------------------------- validation
 
 TEST(EnsembleSimulator, ValidateRejectsBadEnsembles) {
   const LoopConfig controlled =
       lane_config(GeneratorMode::kControlledRo, 64.0);
   const LoopConfig free_ro = lane_config(GeneratorMode::kFreeRunningRo, 64.0);
+  const control::IirControlHardware iir;
 
   // Empty ensemble.
-  EXPECT_FALSE(EnsembleSimulator::validate({}, 0).is_ok());
+  EXPECT_FALSE(EnsembleSimulator::validate({}, &iir).is_ok());
 
-  // Controller count mismatch.
+  // A controlled ensemble without its controller.
   {
     const std::vector<LoopConfig> configs{controlled, controlled};
-    EXPECT_FALSE(EnsembleSimulator::validate(configs, 1).is_ok());
-    EXPECT_TRUE(EnsembleSimulator::validate(configs, 2).is_ok());
+    EXPECT_FALSE(EnsembleSimulator::validate(configs, nullptr).is_ok());
+    EXPECT_TRUE(EnsembleSimulator::validate(configs, &iir).is_ok());
   }
 
-  // Controllers supplied to an open-loop ensemble.
+  // A controller supplied to an open-loop ensemble.
   {
     const std::vector<LoopConfig> configs{free_ro};
-    EXPECT_FALSE(EnsembleSimulator::validate(configs, 1).is_ok());
-    EXPECT_TRUE(EnsembleSimulator::validate(configs, 0).is_ok());
+    EXPECT_FALSE(EnsembleSimulator::validate(configs, &iir).is_ok());
+    EXPECT_TRUE(EnsembleSimulator::validate(configs, nullptr).is_ok());
   }
 
   // Mixed generator modes.
   {
     const std::vector<LoopConfig> configs{controlled, free_ro};
-    EXPECT_FALSE(EnsembleSimulator::validate(configs, 2).is_ok());
+    EXPECT_FALSE(EnsembleSimulator::validate(configs, &iir).is_ok());
   }
 
   // Mixed quantisation settings.
@@ -391,7 +405,7 @@ TEST(EnsembleSimulator, ValidateRejectsBadEnsembles) {
     LoopConfig other = controlled;
     other.tdc_quantization = sensor::Quantization::kNone;
     const std::vector<LoopConfig> configs{controlled, other};
-    EXPECT_FALSE(EnsembleSimulator::validate(configs, 2).is_ok());
+    EXPECT_FALSE(EnsembleSimulator::validate(configs, &iir).is_ok());
   }
 
   // A lane config that LoopSimulator itself would reject.
@@ -399,7 +413,7 @@ TEST(EnsembleSimulator, ValidateRejectsBadEnsembles) {
     LoopConfig bad = controlled;
     bad.setpoint_c = -1.0;
     const std::vector<LoopConfig> configs{controlled, bad};
-    EXPECT_FALSE(EnsembleSimulator::validate(configs, 2).is_ok());
+    EXPECT_FALSE(EnsembleSimulator::validate(configs, &iir).is_ok());
   }
 }
 
@@ -407,8 +421,8 @@ TEST(EnsembleSimulator, RejectsOutOfRangeLroAtConstruction) {
   LoopConfig bad = lane_config(GeneratorMode::kControlledRo, 64.0);
   bad.min_length = 0;
   const std::vector<LoopConfig> configs{bad};
-  EXPECT_FALSE(EnsembleSimulator::validate(configs, 1).is_ok());
   const control::IirControlHardware prototype;
+  EXPECT_FALSE(EnsembleSimulator::validate(configs, &prototype).is_ok());
   EXPECT_THROW(EnsembleSimulator::uniform(bad, &prototype, 3),
                std::logic_error);
 }

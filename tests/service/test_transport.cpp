@@ -259,6 +259,50 @@ TEST(Session, ClientAndServiceRoundTripOverASocketPair) {
   EXPECT_EQ(service.stats().simulations, 1u);
 }
 
+TEST(Session, StdioSessionAnswersOverTwoPipes) {
+  // roclk_sweepd --stdio reads requests from one pipe and writes responses
+  // to another, through the same stream and session calls.
+  int requests[2];
+  int responses[2];
+  ASSERT_EQ(::pipe(requests), 0);
+  ASSERT_EQ(::pipe(responses), 0);
+  FdStream request_read{requests[0]};
+  FdStream request_write{requests[1]};
+  FdStream response_read{responses[0]};
+  FdStream response_write{responses[1]};
+
+  SweepService service{{}};
+  std::thread server{[&] {
+    FdByteStream stdio{request_read.fd(), response_write.fd()};
+    EXPECT_EQ(run_server_session(stdio, service), SessionEnd::kClientClosed);
+  }};
+
+  FdByteStream to_server{request_write.fd()};
+  FdByteStream from_server{response_read.fd()};
+  const auto answer = [&](const Frame& frame) {
+    EXPECT_TRUE(write_frame(to_server, frame));
+    const FrameReadOutcome reply = read_frame(from_server);
+    EXPECT_EQ(reply.result, ReadFrameResult::kFrame);
+    EXPECT_EQ(reply.frame.type, FrameType::kResponse);
+    WireReader reader{reply.frame.payload.data(), reply.frame.payload.size()};
+    Result<Response> response = decode_response(reader);
+    EXPECT_TRUE(response.is_ok());
+    return response.is_ok() ? response.value() : Response{};
+  };
+  const Response pong = answer({FrameType::kPing, {}});
+  EXPECT_EQ(pong.status, ResponseStatus::kOk);
+  EXPECT_EQ(pong.message, "ready");
+  WireWriter payload;
+  encode_request(corner_request(), payload);
+  const Response corner = answer({FrameType::kRequest, payload.words});
+  EXPECT_EQ(corner.status, ResponseStatus::kOk);
+  EXPECT_FALSE(corner.values.empty());
+
+  request_write.close();  // end of stdin ends the session
+  server.join();
+  EXPECT_EQ(service.stats().simulations, 1u);
+}
+
 TEST(Session, MalformedFrameGetsTypedAnswerAndClosesTheSession) {
   FdStream client_end, server_end;
   ASSERT_TRUE(make_stream_pair(client_end, server_end).is_ok());

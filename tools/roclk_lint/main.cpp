@@ -9,15 +9,10 @@
 //                           <root>/{include,src,tools,bench}
 //   --design <file>         stream-key registry source
 //                           (default: <root>/DESIGN.md)
-//   --baseline <file>       fingerprints that do not gate (still
-//                           reported, marked suppressed in SARIF)
 //   --sarif <out>           write a SARIF 2.1.0 log of every finding
-//   --write-baseline <out>  accept the current findings as the baseline
 //
-// Exit codes: 0 clean (or every finding baselined), 1 findings, 2 usage
-// or I/O error.  CI runs:
-//   roclk_lint include src tools --project . --baseline
-//     tools/roclk_lint/baseline.json --sarif roclk_lint.sarif
+// Exit codes: 0 clean, 1 findings, 2 usage or I/O error.  CI runs:
+//   roclk_lint include src tools --project . --sarif roclk_lint.sarif
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -54,8 +49,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: roclk_lint [--project <root>] [--design <file>]\n"
-      "                  [--baseline <file>] [--sarif <out>]\n"
-      "                  [--write-baseline <out>] [<dir-or-file>...]\n");
+      "                  [--sarif <out>] [<dir-or-file>...]\n");
   return 2;
 }
 
@@ -65,9 +59,7 @@ int main(int argc, char** argv) {
   std::vector<fs::path> roots;
   fs::path project_root;
   fs::path design_path;
-  fs::path baseline_path;
   fs::path sarif_path;
-  fs::path write_baseline_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
@@ -82,18 +74,10 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       design_path = v;
-    } else if (arg == "--baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      baseline_path = v;
     } else if (arg == "--sarif") {
       const char* v = value();
       if (v == nullptr) return usage();
       sarif_path = v;
-    } else if (arg == "--write-baseline") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      write_baseline_path = v;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "roclk_lint: unknown option %s\n", argv[i]);
       return usage();
@@ -169,11 +153,7 @@ int main(int argc, char** argv) {
                       std::make_move_iterator(project_findings.end()));
     }
 
-    // --- fingerprints, baseline, reports.
-    roclk::lint::Baseline baseline;
-    if (!baseline_path.empty() && fs::is_regular_file(baseline_path)) {
-      baseline = roclk::lint::parse_baseline(read_file(baseline_path));
-    }
+    // --- fingerprints, reports.
     const auto line_of = [&](const fs::path& path,
                              std::size_t line) -> std::string {
       const auto it = texts.find(path.generic_string());
@@ -185,16 +165,11 @@ int main(int argc, char** argv) {
       }
       return {};
     };
-    const auto annotated =
-        roclk::lint::annotate_findings(findings, line_of, baseline);
-
-    std::size_t gating = 0;
+    const auto annotated = roclk::lint::annotate_findings(findings, line_of);
     for (const auto& f : annotated) {
-      std::fprintf(stderr, "%s:%zu: [%s] %s%s\n",
+      std::fprintf(stderr, "%s:%zu: [%s] %s\n",
                    f.finding.file.generic_string().c_str(), f.finding.line,
-                   f.finding.rule.c_str(), f.finding.message.c_str(),
-                   f.baselined ? " (baselined)" : "");
-      if (!f.baselined) ++gating;
+                   f.finding.rule.c_str(), f.finding.message.c_str());
     }
 
     if (!sarif_path.empty()) {
@@ -205,23 +180,11 @@ int main(int argc, char** argv) {
       }
       out << roclk::lint::to_sarif(annotated);
     }
-    if (!write_baseline_path.empty()) {
-      std::ofstream out{write_baseline_path, std::ios::binary};
-      if (!out) {
-        throw std::runtime_error("roclk_lint: cannot write " +
-                                 write_baseline_path.string());
-      }
-      out << roclk::lint::render_baseline(annotated);
-      std::fprintf(stderr, "roclk_lint: wrote %zu fingerprint(s) to %s\n",
-                   annotated.size(), write_baseline_path.string().c_str());
-    }
-
-    if (gating != 0) {
-      std::fprintf(stderr, "roclk_lint: %zu finding(s)\n", gating);
+    if (!annotated.empty()) {
+      std::fprintf(stderr, "roclk_lint: %zu finding(s)\n", annotated.size());
       return 1;
     }
-    std::printf("roclk_lint: clean (%zu baselined)\n",
-                annotated.size() - gating);
+    std::printf("roclk_lint: clean\n");
     return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s\n", error.what());

@@ -1,6 +1,5 @@
 #include "sarif.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <sstream>
@@ -29,8 +28,8 @@ std::string hex16(std::uint64_t value) {
   return out;
 }
 
-/// Collapses all whitespace runs so reformatting does not move a
-/// finding out of the baseline.
+/// Collapses all whitespace runs so reformatting does not change a
+/// finding's fingerprint.
 std::string normalize_ws(std::string_view text) {
   std::string out;
   bool pending_space = false;
@@ -121,51 +120,10 @@ std::string finding_fingerprint(const Finding& finding,
          hex16(fnv1a(context));
 }
 
-Baseline parse_baseline(std::string_view text) {
-  Baseline baseline;
-  // Minimal reader: collect every quoted string after the "findings"
-  // key.  The file is machine-written (render_baseline), so this does
-  // not need a general JSON parser.
-  const std::size_t key = text.find("\"findings\"");
-  if (key == std::string_view::npos) return baseline;
-  std::size_t pos = text.find('[', key);
-  const std::size_t end = text.find(']', key);
-  if (pos == std::string_view::npos || end == std::string_view::npos) {
-    return baseline;
-  }
-  while (pos < end) {
-    const std::size_t open = text.find('"', pos);
-    if (open == std::string_view::npos || open >= end) break;
-    const std::size_t close = text.find('"', open + 1);
-    if (close == std::string_view::npos || close > end) break;
-    baseline.fingerprints.insert(
-        std::string{text.substr(open + 1, close - open - 1)});
-    pos = close + 1;
-  }
-  return baseline;
-}
-
-std::string render_baseline(const std::vector<AnnotatedFinding>& findings) {
-  std::vector<std::string> prints;
-  prints.reserve(findings.size());
-  for (const auto& f : findings) prints.push_back(f.fingerprint);
-  std::sort(prints.begin(), prints.end());
-  prints.erase(std::unique(prints.begin(), prints.end()), prints.end());
-  std::ostringstream out;
-  out << "{\n  \"version\": 1,\n  \"findings\": [";
-  for (std::size_t i = 0; i < prints.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << json_escape(prints[i])
-        << "\"";
-  }
-  out << (prints.empty() ? "" : "\n  ") << "]\n}\n";
-  return out.str();
-}
-
 std::vector<AnnotatedFinding> annotate_findings(
     const std::vector<Finding>& findings,
     const std::function<std::string(const std::filesystem::path&,
-                                    std::size_t)>& line_of,
-    const Baseline& baseline) {
+                                    std::size_t)>& line_of) {
   std::vector<AnnotatedFinding> out;
   out.reserve(findings.size());
   for (const auto& finding : findings) {
@@ -173,8 +131,6 @@ std::vector<AnnotatedFinding> annotate_findings(
     annotated.finding = finding;
     annotated.fingerprint = finding_fingerprint(
         finding, line_of ? line_of(finding.file, finding.line) : "");
-    annotated.baselined =
-        baseline.fingerprints.count(annotated.fingerprint) != 0;
     out.push_back(std::move(annotated));
   }
   return out;
@@ -226,13 +182,8 @@ std::string to_sarif(const std::vector<AnnotatedFinding>& findings) {
         << "            }\n"
         << "          ],\n"
         << "          \"partialFingerprints\": {\"roclkFingerprint/v1\": \""
-        << json_escape(f.fingerprint) << "\"}";
-    if (f.baselined) {
-      out << ",\n          \"suppressions\": [{\"kind\": \"external\", "
-             "\"status\": \"accepted\", \"justification\": \"baselined in "
-             "tools/roclk_lint/baseline.json\"}]";
-    }
-    out << "\n        }" << (i + 1 < findings.size() ? ",\n" : "\n");
+        << json_escape(f.fingerprint) << "\"}\n"
+        << "        }" << (i + 1 < findings.size() ? ",\n" : "\n");
   }
   out << "      ]\n"
       << "    }\n"

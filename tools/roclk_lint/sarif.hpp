@@ -1,18 +1,15 @@
-// SARIF 2.1.0 emission and the findings baseline.
+// SARIF 2.1.0 emission.
 //
 // Fingerprints make findings stable across unrelated edits: a finding
 // is identified by (rule, file, hash of the whitespace-normalized line
 // text), never by line number — inserting a line above a historical
-// finding does not churn the baseline.  The checked-in baseline file
-// (tools/roclk_lint/baseline.json) lists fingerprints that do not gate:
-// they still appear in the SARIF log, marked with a `suppressions`
-// entry, so dashboards keep history while CI only fails on new
-// findings.
+// finding does not change its fingerprint, so a dashboard reading the
+// SARIF log's partialFingerprints keeps the finding's history.  Every
+// finding gates.
 #pragma once
 
 #include <filesystem>
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +21,6 @@ namespace roclk::lint {
 struct AnnotatedFinding {
   Finding finding;
   std::string fingerprint;
-  bool baselined{false};
 };
 
 /// `line_text` is the raw source line the finding anchors to (empty if
@@ -32,33 +28,15 @@ struct AnnotatedFinding {
 [[nodiscard]] std::string finding_fingerprint(const Finding& finding,
                                               std::string_view line_text);
 
-struct Baseline {
-  std::set<std::string> fingerprints;
-};
-
-/// Parses a baseline file: JSON of the form
-///   {"version": 1, "findings": ["<fingerprint>", ...]}
-/// (a minimal reader — exactly the shape render_baseline writes).
-[[nodiscard]] Baseline parse_baseline(std::string_view text);
-
-/// Renders every finding's fingerprint as a baseline file, one per
-/// line, sorted — `roclk_lint --write-baseline` uses this to accept the
-/// current state of the tree.
-[[nodiscard]] std::string render_baseline(
-    const std::vector<AnnotatedFinding>& findings);
-
-/// Computes fingerprints and marks baselined findings.  `line_of` maps
-/// (repo-relative path, 1-based line) to the raw line text; return ""
-/// when unknown.
+/// Computes fingerprints.  `line_of` maps (repo-relative path, 1-based
+/// line) to the raw line text; return "" when unknown.
 [[nodiscard]] std::vector<AnnotatedFinding> annotate_findings(
     const std::vector<Finding>& findings,
     const std::function<std::string(const std::filesystem::path&,
-                                    std::size_t)>& line_of,
-    const Baseline& baseline);
+                                    std::size_t)>& line_of);
 
 /// Serializes findings as a SARIF 2.1.0 log (one run, tool `roclk_lint`,
-/// every finding a `result` with rule metadata, partialFingerprints and
-/// — for baselined findings — an accepted suppression).
+/// every finding a `result` with rule metadata and partialFingerprints).
 [[nodiscard]] std::string to_sarif(
     const std::vector<AnnotatedFinding>& findings);
 

@@ -1,4 +1,4 @@
-// Fingerprint, baseline and SARIF tests, including the end-to-end
+// Fingerprint and SARIF tests, including the end-to-end
 // seeded-violation fixture tree the acceptance criteria call for.
 #include "sarif.hpp"
 
@@ -49,55 +49,15 @@ TEST(FingerprintTest, DistinguishesRuleFileAndContent) {
   EXPECT_NE(finding_fingerprint(a, "x"), finding_fingerprint(a, "y"));
 }
 
-TEST(BaselineTest, RenderParseRoundTrip) {
-  std::vector<AnnotatedFinding> findings;
-  AnnotatedFinding f;
-  f.finding = make_finding();
-  f.fingerprint = "wall-clock:src/core/loop.cpp:0123456789abcdef";
-  findings.push_back(f);
-  f.fingerprint = "env-source:src/common/flags.cpp:fedcba9876543210";
-  findings.push_back(f);
-  const std::string rendered = render_baseline(findings);
-  const Baseline parsed = parse_baseline(rendered);
-  EXPECT_EQ(parsed.fingerprints.size(), 2u);
-  EXPECT_EQ(parsed.fingerprints.count(
-                "wall-clock:src/core/loop.cpp:0123456789abcdef"),
-            1u);
-}
-
-TEST(BaselineTest, EmptyBaselineParses) {
-  const Baseline parsed =
-      parse_baseline("{\n  \"version\": 1,\n  \"findings\": []\n}\n");
-  EXPECT_TRUE(parsed.fingerprints.empty());
-}
-
-TEST(BaselineTest, AnnotateMarksBaselinedFindings) {
-  const Finding finding = make_finding();
-  const std::string line_text = "auto t = steady_clock::now();";
-  Baseline baseline;
-  baseline.fingerprints.insert(finding_fingerprint(finding, line_text));
-  const auto annotated = annotate_findings(
-      {finding},
-      [&](const fs::path&, std::size_t) { return line_text; }, baseline);
-  ASSERT_EQ(annotated.size(), 1u);
-  EXPECT_TRUE(annotated[0].baselined);
-  // A different line text (the finding changed) no longer matches.
-  const auto moved = annotate_findings(
-      {finding}, [&](const fs::path&, std::size_t) { return "changed"; },
-      baseline);
-  EXPECT_FALSE(moved[0].baselined);
-}
-
 TEST(SarifTest, EmitsValid210Skeleton) {
   AnnotatedFinding f;
   f.finding = make_finding();
   f.fingerprint = "wall-clock:src/core/loop.cpp:0123456789abcdef";
-  AnnotatedFinding suppressed;
-  suppressed.finding = make_finding();
-  suppressed.finding.rule = "env-source";
-  suppressed.fingerprint = "env-source:src/core/loop.cpp:aaaa";
-  suppressed.baselined = true;
-  const std::string sarif = to_sarif({f, suppressed});
+  AnnotatedFinding other;
+  other.finding = make_finding();
+  other.finding.rule = "env-source";
+  other.fingerprint = "env-source:src/core/loop.cpp:aaaa";
+  const std::string sarif = to_sarif({f, other});
 
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
@@ -105,11 +65,11 @@ TEST(SarifTest, EmitsValid210Skeleton) {
   EXPECT_NE(sarif.find("\"ruleId\": \"wall-clock\""), std::string::npos);
   EXPECT_NE(sarif.find("\"uri\": \"src/core/loop.cpp\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 7"), std::string::npos);
-  EXPECT_NE(sarif.find("roclkFingerprint/v1"), std::string::npos);
-  // Exactly the baselined finding carries a suppression.
-  EXPECT_NE(sarif.find("\"suppressions\""), std::string::npos);
-  EXPECT_EQ(sarif.find("\"suppressions\""),
-            sarif.rfind("\"suppressions\""));
+  EXPECT_NE(sarif.find("\"roclkFingerprint/v1\": \"env-source:src/core/"
+                      "loop.cpp:aaaa\""),
+            std::string::npos);
+  // Every finding gates: none carries a suppression.
+  EXPECT_EQ(sarif.find("\"suppressions\""), std::string::npos);
   // Rule metadata is present for every rule the passes can emit.
   EXPECT_NE(sarif.find("\"id\": \"lock-order\""), std::string::npos);
   EXPECT_NE(sarif.find("\"id\": \"tag-unregistered\""), std::string::npos);
@@ -207,8 +167,7 @@ TEST_F(FixtureTreeTest, AllThreePassesFireAndSarifIsEmitted) {
           }
         }
         return {};
-      },
-      Baseline{});
+      });
   const std::string sarif = to_sarif(annotated);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\": \"include-cycle\""), std::string::npos);
@@ -217,21 +176,6 @@ TEST_F(FixtureTreeTest, AllThreePassesFireAndSarifIsEmitted) {
             std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\": \"naked-lock\""), std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\": \"lock-order\""), std::string::npos);
-
-  // Baselining every fingerprint turns the tree green: each result now
-  // carries a suppression and none gate.
-  Baseline accept_all;
-  for (const auto& f : annotated) accept_all.fingerprints.insert(f.fingerprint);
-  const auto rebaselined = annotate_findings(
-      findings, [](const fs::path&, std::size_t) { return std::string{}; },
-      accept_all);
-  // Line text lookup differs, so re-annotate with the same lookup:
-  std::size_t gating = 0;
-  for (const auto& f : annotated) {
-    if (accept_all.fingerprints.count(f.fingerprint) == 0) ++gating;
-  }
-  EXPECT_EQ(gating, 0u);
-  (void)rebaselined;
 }
 
 }  // namespace

@@ -28,10 +28,11 @@ using namespace roclk;
 using namespace roclk::service;
 
 int serve_stdio(SweepService& sweep_service) {
-  // fd 0 carries requests, fd 1 responses; logs go to stderr so framing
-  // stays clean.
+  // fd 0 carries requests, fd 1 responses (two pipes, or one socket on
+  // both); logs go to stderr so framing stays clean.
   std::fprintf(stderr, "[roclk_sweepd] serving one session on stdio\n");
-  const SessionEnd end = run_server_session(0, sweep_service);
+  FdByteStream stdio{0, 1};
+  const SessionEnd end = run_server_session(stdio, sweep_service);
   std::fprintf(stderr, "[roclk_sweepd] session ended (%u)\n",
                static_cast<unsigned>(end));
   return end == SessionEnd::kTransportError ? 1 : 0;
