@@ -11,6 +11,7 @@
 
 #include "bench_util.hpp"
 #include "roclk/analysis/metrics.hpp"
+#include "roclk/common/math.hpp"
 #include "roclk/control/iir_control.hpp"
 #include "roclk/core/loop_simulator.hpp"
 
@@ -42,7 +43,7 @@ int main() {
     double acc = 0.0;
     const int n = 200;
     for (int i = 0; i < n; ++i) {
-      const double delta = std::round(
+      const double delta = round_ties_away(
           6.0 * std::sin(2.0 * 3.14159265358979 * i / 40.0));
       acc += std::fabs(ref.step(delta) - hw.step(delta));
     }

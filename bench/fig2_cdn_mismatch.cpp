@@ -12,6 +12,7 @@
 #include "roclk/analysis/analytic.hpp"
 #include "roclk/analysis/experiments.hpp"
 #include "roclk/common/ascii_plot.hpp"
+#include "roclk/common/math.hpp"
 #include "roclk/common/table.hpp"
 #include "roclk/signal/waveform.hpp"
 
@@ -108,7 +109,7 @@ int main() {
       for (std::size_t i = 1000; i < err.size(); ++i) {
         worst = std::max(worst, std::fabs(err[i]));
       }
-      const double m_eff = std::round(tclk_over_c) + 1.0;
+      const double m_eff = round_ties_away(tclk_over_c) + 1.0;
       const double expected = analysis::harmonic_worst_mismatch(
           m_eff * c, te_over_c * c, amp);
       sim_table.add_row_values({tclk_over_c, te_over_c, worst, expected});

@@ -1,12 +1,11 @@
 // Splittable, counter-based pseudo-random streams.
 //
-// Xoshiro256 (roclk/common/rng.hpp) is reproducible, but only *serially*:
-// draw k depends on having made draws 0..k-1 on the same object, so a
-// Monte-Carlo that threads one generator through its trials cannot be
-// split across threads, shards or processes without changing its results.
-// Historically the repo worked around that with ad-hoc xor-tags
-// (`hash64(seed ^ 0x11)`), which are collision-prone across call sites and
-// leave the derivation hierarchy implicit.
+// A sequential generator is reproducible only *serially*: draw k depends
+// on having made draws 0..k-1 on the same object, so a Monte-Carlo that
+// threads one generator through its trials cannot be split across
+// threads, shards or processes without changing its results.  Ad-hoc
+// xor-tag seeding (`hash64(seed ^ 0x11)`) is collision-prone across call
+// sites and leaves the derivation hierarchy implicit.
 //
 // This header replaces both idioms:
 //
@@ -96,8 +95,7 @@ class StreamKey {
     return StreamKey{detail::key_mix(state_, kIndexSalt, index), Raw{}};
   }
 
-  /// The derived 64-bit state.  Also usable as a seed for legacy APIs that
-  /// still take a raw std::uint64_t (e.g. Xoshiro256-backed components).
+  /// The derived 64-bit state.
   [[nodiscard]] constexpr std::uint64_t state() const { return state_; }
 
   [[nodiscard]] constexpr bool operator==(const StreamKey&) const = default;
@@ -146,8 +144,7 @@ class CounterRng {
     have_spare_ = false;
   }
 
-  /// Uniform double in [0, 1) with 53 bits of randomness (the same output
-  /// mapping as Xoshiro256::uniform).
+  /// Uniform double in [0, 1) with 53 bits of randomness.
   double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).

@@ -65,14 +65,4 @@ void parallel_for(ThreadPool& pool, std::size_t n,
 /// Same, on the shared process-wide pool.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-/// Back-compat aliases for the pre-batching API.
-inline void parallel_for_index(ThreadPool& pool, std::size_t n,
-                               const std::function<void(std::size_t)>& fn) {
-  parallel_for(pool, n, fn);
-}
-inline void parallel_for_index(std::size_t n,
-                               const std::function<void(std::size_t)>& fn) {
-  parallel_for(n, fn);
-}
-
 }  // namespace roclk

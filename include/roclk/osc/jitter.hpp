@@ -10,7 +10,7 @@
 
 #include <cstdint>
 
-#include "roclk/common/rng.hpp"
+#include "roclk/common/stream_key.hpp"
 
 namespace roclk::osc {
 
@@ -22,6 +22,7 @@ struct JitterConfig {
   /// The walk is leaky so long runs stay bounded (models the 1/f corner):
   /// walk[n] = leak * walk[n-1] + N(0, walk_sigma).
   double walk_leak{0.995};
+  /// Keys the noise stream: StreamKey{seed}.split("osc.jitter").
   std::uint64_t seed{0x5EED};
 };
 
@@ -32,6 +33,7 @@ class JitterModel {
   /// Period perturbation (stages) for the next cycle.
   double sample();
 
+  /// Replays the noise from its first draw and zeroes the walk.
   void reset();
 
   [[nodiscard]] const JitterConfig& config() const { return config_; }
@@ -39,7 +41,7 @@ class JitterModel {
 
  private:
   JitterConfig config_;
-  Xoshiro256 rng_;
+  CounterRng rng_;
   double walk_{0.0};
 };
 

@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "roclk/common/rng.hpp"
 #include "roclk/common/status.hpp"
+#include "roclk/common/stream_key.hpp"
 #include "roclk/osc/stage_chain.hpp"
 
 namespace roclk::sensor {
@@ -45,7 +45,7 @@ class ThermometerCode {
 
   /// Flips each bit within `radius` of the 1->0 boundary with probability
   /// `p` (metastability model); deterministic in rng state.
-  void inject_boundary_noise(Xoshiro256& rng, double p,
+  void inject_boundary_noise(CounterRng& rng, double p,
                              std::size_t radius = 2);
 
  private:
@@ -60,6 +60,8 @@ struct DetailedTdcConfig {
   /// Probability that a boundary latch resolves the wrong way.
   double metastability_p{0.0};
   std::size_t metastability_radius{2};
+  /// Keys the metastability draws:
+  /// StreamKey{seed}.split("sensor.metastability").
   std::uint64_t seed{0xDEC0DE};
 };
 
@@ -84,7 +86,7 @@ class DetailedTdc {
  private:
   DetailedTdcConfig config_;
   osc::StageChain chain_;
-  Xoshiro256 rng_;
+  CounterRng rng_;
   ThermometerCode last_;
 };
 

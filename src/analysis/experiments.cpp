@@ -37,13 +37,18 @@ core::LoopConfig system_config(SystemKind kind, double setpoint_c,
   return cfg;
 }
 
-std::unique_ptr<control::ControlBlock> system_controller(SystemKind kind) {
+/// Built and validated once per process; callers read or clone it.
+const control::ControlBlock* system_controller(SystemKind kind) {
   switch (kind) {
-    case SystemKind::kIir:
-      return std::make_unique<control::IirControlHardware>(
-          control::paper_iir_config());
-    case SystemKind::kTeaTime:
-      return std::make_unique<control::TeaTimeControl>();
+    case SystemKind::kIir: {
+      static const control::IirControlHardware iir{
+          control::paper_iir_config()};
+      return &iir;
+    }
+    case SystemKind::kTeaTime: {
+      static const control::TeaTimeControl teatime;
+      return &teatime;
+    }
     case SystemKind::kFreeRo:
     case SystemKind::kFixedClock:
       break;
@@ -57,10 +62,11 @@ core::LoopSimulator make_system(SystemKind kind, double setpoint_c,
                                 double cdn_delay_stages,
                                 double open_loop_margin,
                                 cdn::DelayQuantization cdn_quantization) {
+  const control::ControlBlock* controller = system_controller(kind);
   return core::LoopSimulator{
       system_config(kind, setpoint_c, cdn_delay_stages, open_loop_margin,
                     cdn_quantization),
-      system_controller(kind)};
+      controller != nullptr ? controller->clone() : nullptr};
 }
 
 std::size_t cycles_for(const ExperimentParams& params, double te_over_c) {
@@ -159,9 +165,8 @@ std::vector<RunMetrics> simulate_system_ensemble(
   }
   // One controller for every lane: the ensemble devirtualizes the IIR
   // hardware into its bank and clones any other kind per lane.
-  const std::unique_ptr<control::ControlBlock> controller =
-      system_controller(kind);
-  core::EnsembleSimulator ensemble{std::move(configs), controller.get()};
+  core::EnsembleSimulator ensemble{std::move(configs),
+                                   system_controller(kind)};
 
   // All lanes share the harmonic HoDV waveform: the bit-identical fast
   // path of per-lane SimulationInputs::harmonic sampling, streamed in

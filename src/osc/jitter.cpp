@@ -5,7 +5,7 @@
 namespace roclk::osc {
 
 JitterModel::JitterModel(JitterConfig config)
-    : config_{config}, rng_{config.seed} {
+    : config_{config}, rng_{StreamKey{config.seed}.split("osc.jitter")} {
   ROCLK_CHECK(config_.white_sigma >= 0.0, "white sigma cannot be negative");
   ROCLK_CHECK(config_.walk_sigma >= 0.0, "walk sigma cannot be negative");
   ROCLK_CHECK(config_.walk_leak >= 0.0 && config_.walk_leak <= 1.0,
@@ -25,9 +25,7 @@ double JitterModel::sample() {
 }
 
 void JitterModel::reset() {
-  // The jitter random walk genuinely accumulates state draw after draw, so
-  // a sequential generator is the right tool here — not a counter stream.
-  rng_ = Xoshiro256{config_.seed};  // roclk-lint: allow(xoshiro)
+  rng_.seek(0);
   walk_ = 0.0;
 }
 

@@ -40,7 +40,7 @@ std::size_t ThermometerCode::decode_ones_count() const {
       std::count(bits_.begin(), bits_.end(), true));
 }
 
-void ThermometerCode::inject_boundary_noise(Xoshiro256& rng, double p,
+void ThermometerCode::inject_boundary_noise(CounterRng& rng, double p,
                                             std::size_t radius) {
   ROCLK_CHECK(p >= 0.0 && p <= 1.0, "probability out of range");
   if (bits_.empty() || p == 0.0) return;
@@ -54,7 +54,9 @@ void ThermometerCode::inject_boundary_noise(Xoshiro256& rng, double p,
 }
 
 DetailedTdc::DetailedTdc(DetailedTdcConfig config)
-    : config_{config}, chain_{config.chain}, rng_{config.seed} {
+    : config_{config},
+      chain_{config.chain},
+      rng_{StreamKey{config.seed}.split("sensor.metastability")} {
   ROCLK_CHECK(config_.metastability_p >= 0.0 &&
                     config_.metastability_p <= 1.0,
                 "metastability probability out of range");

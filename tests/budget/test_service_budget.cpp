@@ -90,7 +90,7 @@ TEST(ServiceBudget, ExecuteCornerMissStaysUnderItsCeiling) {
   // One 2000-cycle corner: the one-lane ensemble simulate_system builds
   // (KernelBudget.SimulateSystemCornerStaysUnderItsCeiling) and the
   // response.
-  constexpr std::uint64_t kCeiling = 35;
+  constexpr std::uint64_t kCeiling = 9;
   const Result<Request> normalized = normalize(corner_request());
   ASSERT_TRUE(normalized.is_ok());
   ASSERT_TRUE(execute(normalized.value()).ok());

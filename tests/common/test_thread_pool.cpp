@@ -38,7 +38,7 @@ TEST(ThreadPool, NullTaskRejected) {
 TEST(ParallelForIndex, CoversEveryIndexExactlyOnce) {
   ThreadPool pool{4};
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for_index(pool, hits.size(), [&](std::size_t i) {
+  parallel_for(pool, hits.size(), [&](std::size_t i) {
     hits[i].fetch_add(1);
   });
   for (const auto& h : hits) {
@@ -49,13 +49,13 @@ TEST(ParallelForIndex, CoversEveryIndexExactlyOnce) {
 TEST(ParallelForIndex, ZeroIterationsIsNoop) {
   ThreadPool pool{2};
   bool touched = false;
-  parallel_for_index(pool, 0, [&](std::size_t) { touched = true; });
+  parallel_for(pool, 0, [&](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
 TEST(ParallelForIndex, ResultsMatchSerialComputation) {
   std::vector<double> out(500, 0.0);
-  parallel_for_index(out.size(), [&](std::size_t i) {
+  parallel_for(out.size(), [&](std::size_t i) {
     out[i] = static_cast<double>(i) * 2.0;
   });
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -66,8 +66,8 @@ TEST(ParallelForIndex, ResultsMatchSerialComputation) {
 TEST(ParallelForIndex, ReusablePool) {
   ThreadPool pool{2};
   std::atomic<int> total{0};
-  parallel_for_index(pool, 10, [&](std::size_t) { total.fetch_add(1); });
-  parallel_for_index(pool, 20, [&](std::size_t) { total.fetch_add(1); });
+  parallel_for(pool, 10, [&](std::size_t) { total.fetch_add(1); });
+  parallel_for(pool, 20, [&](std::size_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 30);
 }
 

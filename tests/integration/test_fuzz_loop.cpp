@@ -5,7 +5,7 @@
 #include <cmath>
 #include <memory>
 
-#include "roclk/common/rng.hpp"
+#include "roclk/common/stream_key.hpp"
 #include "roclk/control/iir_control.hpp"
 #include "roclk/control/teatime.hpp"
 #include "roclk/core/loop_simulator.hpp"
@@ -37,7 +37,7 @@ void check_trace_invariants(const SimulationTrace& trace,
 class FuzzLoop : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzLoop, RandomConfigAndInputsKeepInvariants) {
-  Xoshiro256 rng{GetParam()};
+  CounterRng rng{StreamKey{GetParam()}};
 
   LoopConfig cfg;
   cfg.setpoint_c = rng.uniform(16.0, 128.0);

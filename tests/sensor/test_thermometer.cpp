@@ -41,7 +41,7 @@ TEST(ThermometerCode, BalancedBubblesCancelInOnesCount) {
 
 TEST(ThermometerCode, BoundaryNoiseOnlyTouchesBoundary) {
   auto code = ThermometerCode::ideal(10, 20);
-  Xoshiro256 rng{7};
+  CounterRng rng{StreamKey{7}};
   code.inject_boundary_noise(rng, 1.0, 2);  // flip everything in radius
   // Bits far from the boundary are untouched.
   for (std::size_t i = 0; i < 8; ++i) EXPECT_TRUE(code.bit(i)) << i;
@@ -52,7 +52,7 @@ TEST(ThermometerCode, BoundaryNoiseOnlyTouchesBoundary) {
 
 TEST(ThermometerCode, ZeroProbabilityNoiseIsNoop) {
   auto code = ThermometerCode::ideal(10, 20);
-  Xoshiro256 rng{7};
+  CounterRng rng{StreamKey{7}};
   code.inject_boundary_noise(rng, 0.0);
   EXPECT_TRUE(code.is_clean());
   EXPECT_EQ(code.decode_priority(), 10u);

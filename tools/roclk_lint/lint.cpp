@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <iterator>
 #include <regex>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 namespace roclk::lint {
@@ -164,15 +161,9 @@ std::vector<Finding> lint_source(const std::filesystem::path& display_path,
                                  std::string_view source) {
   std::vector<Finding> findings;
   const auto waivers = collect_waivers(source);
-  const auto waived = [&](std::size_t line, std::string_view rule) {
-    for (const auto& [wline, wrule] : waivers) {
-      if (wline == line && wrule == rule) return true;
-    }
-    return false;
-  };
   const auto report = [&](std::size_t line, std::string rule,
                           std::string message) {
-    if (waived(line, rule)) return;
+    if (is_waived(waivers, line, rule)) return;
     findings.push_back(
         {display_path, line, std::move(rule), std::move(message)});
   };
@@ -188,11 +179,6 @@ std::vector<Finding> lint_source(const std::filesystem::path& display_path,
   const bool may_sockets =
       path_ends_with(display_path, "service/transport.cpp") ||
       path_ends_with(display_path, "service/transport.hpp");
-  const bool may_raw_rng = path_ends_with(display_path, "common/rng.hpp") ||
-                           path_ends_with(display_path, "common/rng.cpp");
-  const std::string generic = display_path.generic_string();
-  const bool is_fault_source = generic.rfind("fault/", 0) == 0 ||
-                               generic.find("/fault/") != std::string::npos;
 
   static const std::regex kRound{R"(std\s*::\s*(l?l?round)\s*\()"};
   static const std::regex kRand{R"((^|[^:\w])(std\s*::\s*)?s?rand\s*\()"};
@@ -208,10 +194,6 @@ std::vector<Finding> lint_source(const std::filesystem::path& display_path,
   static const std::regex kStdRandom{
       R"(std\s*::\s*(mt19937|minstd_rand|ranlux\w*|knuth_b|)"
       R"(default_random_engine|[a-z_]+_distribution)\b)"};
-  // Construction only: `Xoshiro256 rng{seed}` / `Xoshiro256{seed}`.
-  // References, members (`Xoshiro256 rng_;`) and the class definition in
-  // common/rng.hpp don't match.
-  static const std::regex kXoshiroConstruct{R"(Xoshiro256\s*(\w+\s*)?\{)"};
   static const std::regex kSocketHeader{
       R"(#\s*include\s*<(sys/socket\.h|sys/un\.h|netinet/[a-z_/]+\.h|)"
       R"(arpa/inet\.h|poll\.h|sys/epoll\.h|sys/select\.h)>)"};
@@ -229,24 +211,26 @@ std::vector<Finding> lint_source(const std::filesystem::path& display_path,
                                             : "llround_ties_away") +
                  " from roclk/common/math.hpp");
     }
-    if (!may_raw_rng) {
-      if (std::regex_search(line, match, kRand)) {
-        report(lineno, "rng",
-               "raw C rand()/srand() is nondeterministic across platforms; "
-               "use roclk/common/rng.hpp");
-      }
-      if (std::regex_search(line, kRandomDevice)) {
-        report(lineno, "rng",
-               "std::random_device breaks reproducibility; seed via "
-               "roclk/common/rng.hpp");
-      }
-      if (std::regex_search(line, kXoshiroConstruct)) {
-        report(lineno, "xoshiro",
-               "direct Xoshiro256 construction couples draws to evaluation "
-               "order; derive a StreamKey and use CounterRng from "
-               "roclk/common/stream_key.hpp (sequential generators that "
-               "genuinely accumulate state may waive this)");
-      }
+    if (std::regex_search(line, kRand)) {
+      report(lineno, "rng",
+             "raw C rand()/srand() is nondeterministic across platforms; "
+             "draw from a keyed CounterRng (roclk/common/stream_key.hpp)");
+    }
+    if (std::regex_search(line, kRandomDevice)) {
+      report(lineno, "rng",
+             "std::random_device breaks reproducibility; derive a StreamKey "
+             "from an explicit seed (roclk/common/stream_key.hpp)");
+    }
+    if (std::regex_search(line, kRandomHeader)) {
+      report(lineno, "rng",
+             "<random> engines and distributions differ between standard "
+             "libraries; draw from a keyed CounterRng "
+             "(roclk/common/stream_key.hpp)");
+    } else if (std::regex_search(line, match, kStdRandom)) {
+      report(lineno, "rng",
+             "std::" + match[1].str() +
+                 " differs between standard libraries; draw from a keyed "
+                 "CounterRng (roclk/common/stream_key.hpp)");
     }
     // `#include <new>` contains the keyword but allocates nothing.
     const bool include_line = std::regex_search(line, kIncludeLine);
@@ -283,55 +267,6 @@ std::vector<Finding> lint_source(const std::filesystem::path& display_path,
              "raw socket APIs are confined to roclk/service/transport.{hpp,"
              "cpp}; speak Frame values through the transport layer instead");
     }
-    if (is_fault_source) {
-      if (std::regex_search(line, kRandomHeader)) {
-        report(lineno, "fault-rng",
-               "fault/ must not include <random>; draw randomness from "
-               "roclk/common/rng.hpp so (seed, schedule) stays reproducible");
-      } else if (std::regex_search(line, match, kStdRandom)) {
-        report(lineno, "fault-rng",
-               "fault/ must not use std::" + match[1].str() +
-                   "; draw randomness from roclk/common/rng.hpp so "
-                   "(seed, schedule) stays reproducible");
-      }
-    }
-  }
-  return findings;
-}
-
-std::vector<Finding> lint_tree(const std::filesystem::path& root,
-                               const std::filesystem::path& base) {
-  namespace fs = std::filesystem;
-  std::vector<Finding> findings;
-  std::vector<fs::path> files;
-  if (fs::is_regular_file(root)) {
-    files.push_back(root);
-  } else if (fs::is_directory(root)) {
-    for (const auto& entry : fs::recursive_directory_iterator(root)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext == ".hpp" || ext == ".h" || ext == ".cpp" || ext == ".cc") {
-        files.push_back(entry.path());
-      }
-    }
-  } else {
-    throw std::runtime_error("roclk_lint: no such file or directory: " +
-                             root.string());
-  }
-  std::sort(files.begin(), files.end());
-  for (const auto& file : files) {
-    std::ifstream in{file, std::ios::binary};
-    if (!in) {
-      throw std::runtime_error("roclk_lint: cannot read " + file.string());
-    }
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    const fs::path display =
-        base.empty() ? file : fs::proximate(file, base);
-    auto file_findings = lint_source(display, contents.str());
-    findings.insert(findings.end(),
-                    std::make_move_iterator(file_findings.begin()),
-                    std::make_move_iterator(file_findings.end()));
   }
   return findings;
 }

@@ -5,16 +5,15 @@
 //   round       std::round/lround/llround bypass round_ties_away and are
 //               only allowed inside common/math.hpp, the one place the
 //               tie-breaking contract is defined and tested.
-//   rng         rand()/srand()/std::random_device are nondeterministic;
-//               all randomness must flow through common/rng.
+//   rng         rand()/srand()/std::random_device, <random> and the std
+//               engines and distributions, in every file: all randomness
+//               flows through keyed CounterRng streams
+//               (common/stream_key.hpp), so a run is a pure function of
+//               its seeds.
 //   naked-new   owning raw new/delete; use containers or smart pointers.
 //   endl        std::endl flushes on every call; use '\n'.
 //   pragma-once every header must start its include guard with
 //               #pragma once.
-//   fault-rng   fault/ sources must draw randomness exclusively from
-//               common/rng: <random> engines and distributions would
-//               break the (seed, schedule) -> run reproducibility
-//               contract of the fault subsystem.
 //   socket-include
 //               raw socket headers (<sys/socket.h>, <sys/un.h>, poll /
 //               select / epoll, inet) are confined to the service
@@ -58,16 +57,10 @@ collect_waivers(std::string_view source);
     std::size_t line, std::string_view rule);
 
 /// Lints one file's contents.  `display_path` is used both for reporting
-/// and for the per-file rule exemptions (math.hpp may round, rng.hpp/.cpp
-/// may use the raw generators), so pass a path rooted at the repo.
+/// and for the per-file rule exemptions (math.hpp may round, simd.hpp may
+/// include intrinsics, the service transport may include socket headers),
+/// so pass a path rooted at the repo.
 [[nodiscard]] std::vector<Finding> lint_source(
     const std::filesystem::path& display_path, std::string_view source);
-
-/// Recursively lints every .hpp/.cpp under `root` (files are reported
-/// relative to `base` when given).  Throws std::runtime_error on I/O
-/// failure.
-[[nodiscard]] std::vector<Finding> lint_tree(
-    const std::filesystem::path& root,
-    const std::filesystem::path& base = {});
 
 }  // namespace roclk::lint

@@ -12,7 +12,8 @@
 //   --sarif <out>           write a SARIF 2.1.0 log of every finding
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.  CI runs:
-//   roclk_lint include src tools --project . --sarif roclk_lint.sarif
+//   roclk_lint include src tools bench examples --project .
+//              --sarif roclk_lint.sarif
 #include <algorithm>
 #include <cstdio>
 #include <exception>

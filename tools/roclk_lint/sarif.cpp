@@ -78,14 +78,12 @@ struct RuleInfo {
 
 /// Every rule either pass family can emit, in stable order — the SARIF
 /// driver.rules array and the docs both derive from this list.
-constexpr std::array<RuleInfo, 21> kRules{{
+constexpr std::array<RuleInfo, 19> kRules{{
     {"round", "std::round family bypasses the ties-away contract"},
-    {"rng", "raw C/std randomness outside common/rng"},
-    {"xoshiro", "direct Xoshiro256 construction outside common/rng"},
+    {"rng", "raw C/std randomness instead of a keyed CounterRng"},
     {"naked-new", "owning raw new/delete"},
     {"endl", "std::endl forces a flush"},
     {"pragma-once", "header missing #pragma once"},
-    {"fault-rng", "fault/ must draw randomness from common/rng"},
     {"simd-include", "vendor intrinsics outside the simd.hpp shim"},
     {"socket-include", "socket headers outside service/transport"},
     {"layer-include", "include edge violates the module layering DAG"},

@@ -51,14 +51,23 @@ TEST(LintTest, FlagsStdRoundOutsideMathHeader) {
 }
 
 TEST(LintTest, FlagsRawRandomnessOutsideRng) {
+  // rand, random_device, <random> and the std engines and distributions
+  // are findings in every file; no path is exempt.
   EXPECT_TRUE(has_rule(lint_source("src/foo.cpp", "int r = rand();\n"),
                        "rng"));
   EXPECT_TRUE(has_rule(
       lint_source("src/foo.cpp", "std::random_device rd;\n"), "rng"));
-  EXPECT_TRUE(
+  EXPECT_TRUE(has_rule(
+      lint_source("src/core/foo.cpp", "#include <random>\n"), "rng"));
+  EXPECT_TRUE(has_rule(lint_source("src/core/foo.cpp", "std::mt19937 g;\n"),
+                       "rng"));
+  EXPECT_TRUE(has_rule(
+      lint_source("bench/foo.cpp", "std::normal_distribution<double> d;\n"),
+      "rng"));
+  EXPECT_TRUE(has_rule(
       lint_source("include/roclk/common/rng.hpp",
-                  "#pragma once\ninline int r() { return rand(); }\n")
-          .empty());
+                  "#pragma once\ninline int r() { return rand(); }\n"),
+      "rng"));
   // Identifiers merely containing "rand" are not findings.
   EXPECT_TRUE(lint_source("src/foo.cpp", "int grand(int); grand(2);\n")
                   .empty());
@@ -96,29 +105,21 @@ TEST(LintTest, FlagsEndlAndMissingPragmaOnce) {
 }
 
 TEST(LintTest, FaultSourcesMustUseCommonRng) {
-  // <random> and std engines/distributions are findings inside fault/...
-  EXPECT_TRUE(has_rule(
-      lint_source("src/fault/injector.cpp", "#include <random>\n"),
-      "fault-rng"));
-  EXPECT_TRUE(has_rule(lint_source("include/roclk/fault/fault.hpp",
-                                   "#pragma once\nstd::mt19937 gen;\n"),
-                       "fault-rng"));
-  EXPECT_TRUE(has_rule(
-      lint_source("src/fault/fault.cpp",
-                  "std::uniform_int_distribution<int> d(0, 9);\n"),
-      "fault-rng"));
-  // ...but not elsewhere, and common/rng usage inside fault/ is clean
-  // as far as this rule goes (direct construction is the xoshiro rule's
-  // concern, not fault-rng's).
-  EXPECT_FALSE(has_rule(lint_source("src/core/foo.cpp", "std::mt19937 g;\n"),
-                        "fault-rng"));
-  EXPECT_FALSE(has_rule(lint_source("src/fault/fault.cpp",
-                                    "#include \"roclk/common/rng.hpp\"\n"
-                                    "common::Xoshiro256 rng{seed};\n"),
-                        "fault-rng"));
-  // "default/" must not be mistaken for a fault/ path.
-  EXPECT_FALSE(has_rule(
-      lint_source("src/default/foo.cpp", "std::mt19937 g;\n"), "fault-rng"));
+  // fault/ sources fall under the same rng rule as every other file.
+  for (const auto& findings :
+       {lint_source("src/fault/injector.cpp", "#include <random>\n"),
+        lint_source("include/roclk/fault/fault.hpp",
+                    "#pragma once\nstd::mt19937 gen;\n"),
+        lint_source("src/fault/fault.cpp",
+                    "std::uniform_int_distribution<int> d(0, 9);\n")}) {
+    ASSERT_FALSE(findings.empty());
+    for (const auto& f : findings) EXPECT_EQ(f.rule, "rng");
+  }
+  // A keyed stream is clean.
+  EXPECT_TRUE(lint_source("src/fault/fault.cpp",
+                          "#include \"roclk/common/stream_key.hpp\"\n"
+                          "CounterRng rng{StreamKey{seed}.at(event)};\n")
+                  .empty());
 }
 
 TEST(LintTest, IntrinsicsHeadersConfinedToSimdShim) {
@@ -172,31 +173,6 @@ TEST(LintTest, SocketHeadersConfinedToServiceTransport) {
       lint_source("include/roclk/service/transport.hpp",
                   "#pragma once\n#include <sys/socket.h>\n"),
       "socket-include"));
-}
-
-TEST(LintTest, FlagsDirectXoshiroConstructionOutsideCommonRng) {
-  // Declarations with an initialiser and temporaries are findings...
-  EXPECT_TRUE(has_rule(
-      lint_source("src/core/foo.cpp", "Xoshiro256 rng{seed};\n"), "xoshiro"));
-  EXPECT_TRUE(has_rule(
-      lint_source("src/core/foo.cpp", "auto v = Xoshiro256{s}.uniform();\n"),
-      "xoshiro"));
-  // ...but references, parameters and uninitialised members are not
-  // (consuming a generator someone else seeded is fine).
-  EXPECT_FALSE(has_rule(
-      lint_source("src/core/foo.cpp", "void f(Xoshiro256& rng);\n"),
-      "xoshiro"));
-  EXPECT_FALSE(has_rule(
-      lint_source("src/core/foo.cpp", "Xoshiro256 rng_;\n"), "xoshiro"));
-  // The generator's own home may construct freely, and a waiver works.
-  EXPECT_FALSE(has_rule(
-      lint_source("include/roclk/common/rng.hpp",
-                  "#pragma once\nXoshiro256 make() { return Xoshiro256{1}; }\n"),
-      "xoshiro"));
-  EXPECT_FALSE(has_rule(
-      lint_source("src/osc/jitter.cpp",
-                  "rng_ = Xoshiro256{seed};  // roclk-lint: allow(xoshiro)\n"),
-      "xoshiro"));
 }
 
 TEST(LintTest, InlineWaiverSuppressesNamedRuleOnly) {
