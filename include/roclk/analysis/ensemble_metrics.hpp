@@ -74,15 +74,15 @@ class MetricsReducer final : public core::StreamingReducer {
 
 /// The homogeneous Monte-Carlo fast path: equivalent to
 /// sample_homogeneous_ensemble + evaluate_ensemble over `cycles` cycles
-/// sampled at `dt`, but one EnsembleSimulator::run_homogeneous call: each
-/// 32-lane chunk is one pool task that samples the waveform into a
-/// 512-cycle (4 KiB) tile, which the kernel broadcasts to the chunk's
-/// lanes beside their own mu, so a long study never materialises
-/// cycles * lanes * 3 doubles at once.  Per-lane results are
-/// bit-identical to the whole-block path — and therefore to per-lane
-/// run_batch + evaluate_run — and for every choice of `pool` (nullptr =
-/// strictly sequential): the scheduling-invariance contract the MC gating
-/// tests enforce.
+/// sampled at `dt`, but one EnsembleSimulator::run_homogeneous call: the
+/// calling thread samples the waveform once per 8192-cycle (64 KiB)
+/// segment, and every 32-lane chunk runs over it as one pool task while
+/// the kernel broadcasts each sample to the chunk's lanes beside their own
+/// mu, so a long study never materialises cycles * lanes * 3 doubles at
+/// once.  Per-lane results are bit-identical to the whole-block path —
+/// and therefore to per-lane run_batch + evaluate_run — and for every
+/// choice of `pool` (nullptr = strictly sequential): the
+/// scheduling-invariance contract the MC gating tests enforce.
 [[nodiscard]] std::vector<RunMetrics> evaluate_homogeneous_mc(
     core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
     std::span<const double> static_mu_stages, std::size_t cycles, double dt,

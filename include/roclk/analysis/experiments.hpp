@@ -188,11 +188,12 @@ struct WorkedExample {
 
 /// The memo-free core of measure_system_ensemble: every lane runs through
 /// one EnsembleSimulator with a streaming MetricsReducer, on `pool`
-/// (nullptr = strictly sequential), and SweepMemo is never touched.  Each
-/// 32-lane chunk samples the waveform into 512-cycle (4 KiB) tiles of its
-/// own, broadcast to its lanes (EnsembleSimulator::run_homogeneous), so a
-/// call's memory does not grow with `cycles`.  Lane i is bitwise identical to simulate_system at lane
-/// i's operating point, whichever other lanes run beside it.
+/// (nullptr = strictly sequential), and SweepMemo is never touched.  The
+/// waveform is sampled once per cycle for all lanes, 8192 cycles (64 KiB)
+/// at a time, and broadcast to them (EnsembleSimulator::run_homogeneous),
+/// so a call's memory does not grow with `cycles`.  Lane i is bitwise
+/// identical to simulate_system at lane i's operating point, whichever
+/// other lanes run beside it.
 [[nodiscard]] std::vector<RunMetrics> simulate_system_ensemble(
     SystemKind kind, double setpoint_c, std::span<const double> tclk_stages,
     double amplitude_stages, double period_stages,

@@ -181,7 +181,9 @@ class CounterRng {
   StreamKey key_;
   std::uint64_t counter_{0};
   bool have_spare_{false};
-  double spare_{0.0};
+  // The pending spare's Box-Muller radius and angle.
+  double spare_r_{0.0};
+  double spare_theta_{0.0};
 };
 
 }  // namespace roclk

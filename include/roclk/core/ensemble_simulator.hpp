@@ -74,10 +74,12 @@ enum class ControlKind {
 /// One feedback tap of the devirtualized IIR bank as the kernel applies
 /// it: where its state row lies from the bank's ring base (its age in the
 /// newest-first tap order, times the bank's row stride) and the magnitude
-/// of its power-of-two gain's exponent, a shift count.
+/// of its power-of-two gain's exponent, a shift count.  Both are 64-bit,
+/// so the kernel broadcasts a shift count straight from memory into a lane
+/// vector of int64.
 struct IirTapShift {
-  std::int32_t offset{0};
-  std::int32_t shift{0};
+  std::int64_t offset{0};
+  std::int64_t shift{0};
 };
 
 /// The ensemble-wide constants the kernel reads, built once at
@@ -285,16 +287,20 @@ struct LaneAccumulators {
 };
 
 /// Streaming consumer of ensemble results.  A reducer whose accumulators()
-/// is null gets accumulate() once per cycle per lane group: a chunk runs
-/// its groups one after another, each through all of the call's cycles,
-/// so each group's slices arrive with cycles 0..n-1 in order, the groups
-/// of a chunk cover its lanes once, and slices of different groups do
+/// is null gets accumulate() once per cycle per lane group: a kernel call
+/// runs its chunk's groups one after another, each through all of the
+/// kernel call's cycles (run() makes one kernel call per chunk,
+/// run_homogeneous one per chunk per segment), so each group's slices
+/// arrive with cycles 0..n-1 in order, the groups of a chunk cover its
+/// lanes once, and within one kernel call slices of different groups do
 /// not interleave by cycle.  One that returns accumulators gets no call
 /// at all: the kernel folds into them (see LaneAccumulators).  When a run
-/// call has a pool, each chunk runs as one pool task for the whole call,
-/// so chunks covering disjoint lane ranges may call accumulate() or fold
-/// concurrently — implementations must only touch per-lane state (as
-/// TraceReducer does).
+/// call has a pool, each chunk runs as one pool task per fork/join (one
+/// per run() call, one per run_homogeneous segment), so chunks covering
+/// disjoint lane ranges may call accumulate() or fold concurrently, and a
+/// chunk's successive segments may run on different threads, ordered by
+/// the join between them — implementations must only touch per-lane
+/// state (as TraceReducer does).
 class StreamingReducer {
  public:
   virtual ~StreamingReducer() = default;
@@ -372,15 +378,16 @@ class EnsembleSimulator {
   /// sees `waveform` sampled at t = k * dt (k counted from 0 in this
   /// call) on both e_ro and e_tdc, plus its own static mismatch
   /// static_mu_stages[w] — bitwise the same as running
-  /// sample_homogeneous_ensemble's block through run().  Each chunk is one
-  /// pool task for the whole call: it samples the waveform into a
-  /// 512-cycle (4 KiB) tile of its own, and the kernel broadcasts each
-  /// sample to the chunk's lanes and reads their mu straight from
-  /// `static_mu_stages`, so the chunk's state stays on one core, sampling
-  /// runs on every thread, and memory does not grow with `cycles`.
-  /// waveform.at() is therefore called concurrently (every waveform in
-  /// roclk::signal is stateless).  The loop state continues from the
-  /// previous call, as in run().
+  /// sample_homogeneous_ensemble's block through run().  The call runs
+  /// segment-major: the calling thread samples the next segment of at
+  /// most 8192 cycles (64 KiB, on its stack) once, then every chunk runs
+  /// over it, one pool task and one kernel call per chunk, while the
+  /// kernel broadcasts each sample to the chunk's lanes and reads their
+  /// mu straight from `static_mu_stages`.  So waveform.at() is called
+  /// exactly `cycles` times at any width, only on the calling thread; a
+  /// pooled call pays one fork/join per segment, and memory does not grow
+  /// with `cycles`.  The loop state continues from the previous call, as
+  /// in run().
   void run_homogeneous(const signal::Waveform& waveform,
                        std::span<const double> static_mu_stages, double dt,
                        std::size_t cycles, StreamingReducer& reducer,

@@ -170,7 +170,8 @@ std::vector<RunMetrics> simulate_system_ensemble(
 
   // All lanes share the harmonic HoDV waveform: the bit-identical fast
   // path of per-lane SimulationInputs::harmonic sampling, streamed in
-  // tiles that never map memory (EnsembleSimulator::run_homogeneous).
+  // segments on the stack that never map memory
+  // (EnsembleSimulator::run_homogeneous).
   const signal::SineWaveform waveform{amplitude_stages, period_stages};
   return evaluate_homogeneous_mc(ensemble, waveform, lane_mus, cycles,
                                  setpoint_c, {fixed_period}, skip, pool);

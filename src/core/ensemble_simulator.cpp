@@ -23,11 +23,12 @@ namespace {
 /// Configs beyond this run the scalar pack, whose conversions are casts.
 constexpr double kSimdMaxMagnitude = 0x1p49;
 
-/// Cycles per waveform tile of run_homogeneous: 4 KiB of samples, one per
-/// cycle, shared by every lane of a chunk.  A chunk task holds its tile on
-/// its stack while it runs, so a call's memory does not grow with its
-/// cycles.
-constexpr std::size_t kWaveTileCycles = 512;
+/// Cycles per segment of run_homogeneous: the calling thread samples a
+/// segment once, 64 KiB of samples on its stack, and every chunk runs over
+/// it.  A pooled call pays one fork/join per segment, so longer segments
+/// mean fewer of them but a larger stack frame; memory does not grow with
+/// the call's cycles.
+constexpr std::size_t kSegmentCycles = 8192;
 
 }  // namespace
 
@@ -161,7 +162,7 @@ EnsembleSimulator::EnsembleSimulator(std::vector<LoopConfig> lane_configs,
         const int e = gain.exponent();
         if ((e >= 0) == left && gain.negative() == negative) {
           tap_shifts_.push_back(
-              {static_cast<std::int32_t>(i * consts_.row_stride),
+              {static_cast<std::int64_t>(i * consts_.row_stride),
                left ? e : -e});
         }
       }
@@ -441,23 +442,24 @@ void EnsembleSimulator::run_homogeneous(
   ROCLK_CHECK(dt > 0.0, "sampling period must be positive, got " << dt);
   if (cycles == 0) return;
   const simd::Backend backend = simd::active_backend();
-  for_each_chunk(pool, [&](Chunk& chunk) {
-    // Sample k of a tile is the waveform at (start + k) * dt: the value
-    // sample_homogeneous_ensemble's block holds in every lane's e_ro and
-    // e_tdc at cycle start + k, whatever the tile length.
-    std::array<double, kWaveTileCycles> wave{};
-    detail::SimdChunkArgs args;
-    args.wave = wave.data();
-    args.lane_mu = static_mu_stages.data() + chunk.lanes.first;
-    for (std::size_t start = 0; start < cycles; start += kWaveTileCycles) {
-      args.cycles = std::min(kWaveTileCycles, cycles - start);
-      args.first_cycle = start;
-      for (std::size_t k = 0; k < args.cycles; ++k) {
-        wave[k] = waveform.at(static_cast<double>(start + k) * dt);
-      }
-      run_one_chunk(chunk, args, reducer, backend);
+  // Sample k of a segment is the waveform at (start + k) * dt: the value
+  // sample_homogeneous_ensemble's block holds in every lane's e_ro and
+  // e_tdc at cycle start + k, whatever the segment length.
+  std::array<double, kSegmentCycles> wave;
+  detail::SimdChunkArgs args;
+  args.wave = wave.data();
+  for (std::size_t start = 0; start < cycles; start += kSegmentCycles) {
+    args.cycles = std::min(kSegmentCycles, cycles - start);
+    args.first_cycle = start;
+    for (std::size_t k = 0; k < args.cycles; ++k) {
+      wave[k] = waveform.at(static_cast<double>(start + k) * dt);
     }
-  });
+    for_each_chunk(pool, [&](Chunk& chunk) {
+      detail::SimdChunkArgs chunk_args = args;
+      chunk_args.lane_mu = static_mu_stages.data() + chunk.lanes.first;
+      run_one_chunk(chunk, chunk_args, reducer, backend);
+    });
+  }
 }
 
 }  // namespace roclk::core

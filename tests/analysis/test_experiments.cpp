@@ -104,10 +104,11 @@ TEST(Experiments, SimulateSystemMatchesScalarRunBatchBitForBit) {
 }
 
 TEST(Experiments, SimulateSystemEnsembleIsTileInvariant) {
-  // simulate_system_ensemble samples its waveform in tiles of 512 cycles
-  // at any lane count.  Runs spanning several tiles (3 for the 16-lane
-  // grid, 12 for the one-lane corner, each with a partial last one) must
-  // equal the scalar reference.
+  // simulate_system_ensemble samples its waveform in segments of 8192
+  // cycles at any lane count, each run by one kernel call per chunk.
+  // Runs spanning several segments (3 for the 16-lane grid, 5 for the
+  // one-lane corner, each with a partial last one) must equal the scalar
+  // reference.
   const double c = 64.0;
   const double amplitude = 0.2 * c;
   const double te = 40.0 * c;
@@ -133,16 +134,16 @@ TEST(Experiments, SimulateSystemEnsembleIsTileInvariant) {
   };
 
   const std::vector<RunMetrics> grid = simulate_system_ensemble(
-      SystemKind::kIir, c, tclks, amplitude, te, mus, fixed, 1500, 300, 0.0,
+      SystemKind::kIir, c, tclks, amplitude, te, mus, fixed, 18000, 300, 0.0,
       cdn::DelayQuantization::kLinearInterp, nullptr);
   ASSERT_EQ(grid.size(), tclks.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     SCOPED_TRACE(i);
-    expect_same(grid[i], reference(tclks[i], mus[i], 1500));
+    expect_same(grid[i], reference(tclks[i], mus[i], 18000));
   }
   expect_same(simulate_system(SystemKind::kIir, c, tclks[5], amplitude, te,
-                              mus[5], fixed, 6000, 300),
-              reference(tclks[5], mus[5], 6000));
+                              mus[5], fixed, 40000, 300),
+              reference(tclks[5], mus[5], 40000));
 }
 
 TEST(Experiments, Fig7WindowAndSystems) {

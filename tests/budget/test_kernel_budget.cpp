@@ -9,12 +9,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "../support/counting_new.hpp"
 #include "roclk/analysis/ensemble_metrics.hpp"
 #include "roclk/analysis/experiments.hpp"
+#include "roclk/common/thread_pool.hpp"
 #include "roclk/control/iir_control.hpp"
 #include "roclk/core/ensemble_simulator.hpp"
 #include "roclk/core/inputs.hpp"
@@ -27,12 +29,15 @@ namespace {
 using testing::allocations_of;
 
 constexpr double kSetpoint = 64.0;
-// Crosses run_homogeneous's 512-cycle waveform tiles twice.
 constexpr std::size_t kCycles = 1100;
+// Crosses run_homogeneous's 8192-cycle segment boundary.
+constexpr std::size_t kHomogeneousCycles = 8192 + 100;
 constexpr std::size_t kSkip = 100;
 constexpr std::size_t kWidths[] = {1, 9, 1024};
 
-core::EnsembleSimulator iir_ensemble(std::size_t width, bool faulted) {
+/// `faulted` arms random events, over twice `cycles`, on every 8th lane.
+core::EnsembleSimulator iir_ensemble(std::size_t width, bool faulted,
+                                     std::size_t cycles) {
   core::LoopConfig config;
   config.setpoint_c = kSetpoint;
   config.cdn_delay_stages = kSetpoint;
@@ -42,7 +47,7 @@ core::EnsembleSimulator iir_ensemble(std::size_t width, bool faulted) {
   if (faulted) {
     // Random events on every 8th lane, as in a fault campaign.
     fault::RandomFaultSpec spec;
-    spec.horizon_cycles = 2 * kCycles;
+    spec.horizon_cycles = 2 * cycles;
     std::vector<fault::FaultSchedule> schedules(width);
     for (std::size_t w = 0; w < width; w += 8) {
       schedules[w] = fault::FaultSchedule::random(500 + w, spec);
@@ -71,7 +76,7 @@ TEST(KernelBudget, SequentialRunAllocatesNothing) {
     for (const std::size_t width : kWidths) {
       SCOPED_TRACE(std::string{faulted ? "faulted" : "clean"} + " width " +
                    std::to_string(width));
-      auto ensemble = iir_ensemble(width, faulted);
+      auto ensemble = iir_ensemble(width, faulted, kCycles);
       std::vector<core::SimulationInputs> inputs;
       for (std::size_t w = 0; w < width; ++w) {
         inputs.push_back(core::SimulationInputs::harmonic(
@@ -95,18 +100,55 @@ TEST(KernelBudget, SequentialRunHomogeneousAllocatesNothing) {
     for (const std::size_t width : kWidths) {
       SCOPED_TRACE(std::string{faulted ? "faulted" : "clean"} + " width " +
                    std::to_string(width));
-      auto ensemble = iir_ensemble(width, faulted);
+      auto ensemble = iir_ensemble(width, faulted, kHomogeneousCycles);
       const std::vector<double> mus = lane_mus(width);
       analysis::MetricsReducer metrics{std::vector<double>(width, 76.8), kSkip};
       DiscardReducer discard;
       const auto run = [&](core::StreamingReducer& reducer) {
-        ensemble.run_homogeneous(wave, mus, kSetpoint, kCycles, reducer,
-                                 nullptr);
+        ensemble.run_homogeneous(wave, mus, kSetpoint, kHomogeneousCycles,
+                                 reducer, nullptr);
       };
       run(metrics);
       EXPECT_EQ(allocations_of([&] { run(metrics); }), 0u);
       EXPECT_EQ(allocations_of([&] { run(discard); }), 0u);
     }
+  }
+}
+
+/// A sine that counts its evaluations.  The count is a plain integer:
+/// run_homogeneous samples the waveform on its calling thread only, so a
+/// call from a pool worker would be a data race that ThreadSanitizer
+/// reports.
+class CountingWave final : public signal::Waveform {
+ public:
+  [[nodiscard]] double at(double t) const override {
+    ++calls_;
+    return sine_.at(t);
+  }
+  [[nodiscard]] std::unique_ptr<signal::Waveform> clone() const override {
+    return std::make_unique<CountingWave>(*this);
+  }
+  [[nodiscard]] std::size_t calls() const { return calls_; }
+
+ private:
+  signal::SineWaveform sine_{12.8, 3200.0};
+  mutable std::size_t calls_{0};
+};
+
+TEST(KernelBudget, HomogeneousRunSamplesEachCycleOnce) {
+  // Every lane sees the one waveform, so a run evaluates it once per
+  // cycle at any width: the 1,024-lane run's 32 chunks share each
+  // segment's samples, on a pool as sequentially.
+  constexpr std::size_t kRunCycles = 2 * 8192 + 17;
+  ThreadPool pool{3};
+  for (const std::size_t width : {std::size_t{1024}, std::size_t{1}}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    auto ensemble = iir_ensemble(width, false, kRunCycles);
+    analysis::MetricsReducer metrics{std::vector<double>(width, 76.8), kSkip};
+    const CountingWave wave;
+    ensemble.run_homogeneous(wave, lane_mus(width), kSetpoint, kRunCycles,
+                             metrics, &pool);
+    EXPECT_EQ(wave.calls(), kRunCycles);
   }
 }
 

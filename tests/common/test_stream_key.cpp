@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <set>
 #include <vector>
 
@@ -201,6 +202,45 @@ TEST(CounterRngTest, SeekClearsTheNormalSpare) {
   // If seek kept the spare, a's next normal would pop the stale cache
   // instead of re-deriving draw 0.
   for (int i = 0; i < 4; ++i) EXPECT_EQ(a.normal(), b.normal());
+}
+
+/// `x` read back from memory the optimizer cannot see into, so the libm
+/// calls on it run at run time, as the library's do, instead of being
+/// folded at compile time.
+double opaque(double x) {
+  volatile double held = x;
+  return held;
+}
+
+TEST(CounterRngTest, NormalPairIsBoxMullerAndTheSpareIsDrawnLazily) {
+  const StreamKey key = StreamKey{8}.split("lazy_spare");
+  // The pair equals the explicit Box-Muller formula over draws 0 and 1,
+  // bitwise: the spare is r * sin(theta) whenever it is computed.
+  const CounterRng words{key};
+  const double u1 =
+      opaque(1.0 - static_cast<double>(words.word_at(0) >> 11) * 0x1.0p-53);
+  const double u2 =
+      opaque(static_cast<double>(words.word_at(1) >> 11) * 0x1.0p-53);
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * std::numbers::pi * u2;
+  CounterRng rng{key};
+  EXPECT_EQ(rng.normal(), r * std::cos(theta));
+  // A copy made between the two draws returns the pending spare too.
+  CounterRng copy = rng;
+  EXPECT_EQ(rng.normal(), r * std::sin(theta));
+  EXPECT_EQ(copy.normal(), r * std::sin(theta));
+  EXPECT_EQ(rng.counter(), 2u);
+  EXPECT_EQ(copy.counter(), 2u);
+
+  // seek() drops a pending spare: the next normal starts a new pair at
+  // the sought draw instead of returning r * sin(theta).
+  CounterRng sought{key};
+  (void)sought.normal();
+  sought.seek(2);
+  CounterRng skipped{key};
+  skipped.seek(2);
+  EXPECT_EQ(sought.normal(), skipped.normal());
+  EXPECT_EQ(sought.counter(), 4u);
 }
 
 }  // namespace

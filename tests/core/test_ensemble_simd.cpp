@@ -390,12 +390,12 @@ TEST(EnsembleSimd, OutOfDomainConfigBitExactOnEveryBackend) {
 }
 
 // Fault windows against every boundary the fault route carries state
-// across: run() calls, run_homogeneous's waveform tiles and reset().
+// across: run() calls, run_homogeneous's waveform segments and reset().
 // 33 lanes are a full chunk plus a 1-lane second chunk; run_homogeneous
-// samples the waveform in tiles of 512 cycles for every chunk, so its
-// tiles start at cycles 512 and 1024.
+// samples the waveform in segments of 8192 cycles and runs every chunk
+// over each, so its second segment starts at cycle 8192.
 constexpr std::size_t kWindowWidth = 33;
-constexpr std::size_t kWindowCycles = 1100;
+constexpr std::size_t kWindowCycles = 8300;
 const std::size_t kRunSplits[] = {0, 100, 257, kWindowCycles};
 
 /// Hand-placed schedules on lanes 0, 8, 9, 16, 24 and 32; every other
@@ -404,12 +404,12 @@ std::vector<fault::FaultSchedule> window_schedules() {
   using fault::FaultEvent;
   using fault::FaultKind;
   std::vector<fault::FaultSchedule> schedules(kWindowWidth);
-  // An event on cycle 0, and windows across the tile boundaries at 512
-  // and 1024.
+  // An event on cycle 0, and two windows across the segment boundary at
+  // 8192: one ending on its first cycle, one starting on its last.
   schedules[0]
       .add({FaultKind::kTdcGlitch, 0, 1, 5.0})
-      .add({FaultKind::kRoStageFailure, 510, 5, 3.0})
-      .add({FaultKind::kCdnDeliveryDrop, 1022, 4, 0.0});
+      .add({FaultKind::kRoStageFailure, 8188, 5, 3.0})
+      .add({FaultKind::kCdnDeliveryDrop, 8191, 4, 0.0});
   // Overlapping windows on one lane, and a window on a second lane of
   // its vector group (lanes 8-15 on AVX-512, 8-11 on AVX2 and the scalar
   // pack, 8-9 on NEON) that overlaps both.
@@ -498,7 +498,7 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
     // `ensemble` runs into a TraceReducer and `metered`, the same way,
     // into a MetricsReducer whose skip (150) falls inside the second run()
     // call, so its cycles-seen count is carried across calls and, in
-    // run_homogeneous, across wave tiles.
+    // run_homogeneous, across segments.
     auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, kWindowWidth);
     auto metered = EnsembleSimulator::uniform(cfg, &prototype, kWindowWidth);
     ensemble.attach_faults(schedules);
@@ -716,17 +716,19 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
   // A kernel call loads each lane group's state into registers and stores
   // it at the end, so every call boundary is a state round trip.  run()
   // over 600 cycles in calls of 1 + 255 + 344 cycles, and run_homogeneous
-  // over 511, 512, 513 and 1025 cycles (around its 512-cycle waveform
-  // tiles) in calls of 257 cycles and the rest, must match one call and
-  // run_batch bitwise: widths 1, 9 and 33, with and without armed lanes,
-  // into a TraceReducer and a MetricsReducer, on every backend.
+  // over 8191, 8192, 8193 and 2 * 8192 + 1 cycles (around its 8192-cycle
+  // segments, each a kernel call per chunk) in calls of 257 cycles and
+  // the rest, must match one call and run_batch bitwise: widths 1, 9 and
+  // 33, with and without armed lanes, into a TraceReducer and a
+  // MetricsReducer, on every backend.
   const LoopConfig cfg = make_config(sensor::Quantization::kNearest,
                                      cdn::DelayQuantization::kRound, true);
   const std::size_t kRunCalls[] = {1, 255, 344};
-  const std::size_t kHomogeneousCycles[] = {511, 512, 513, 1025};
+  constexpr std::size_t kLongest = 2 * 8192 + 1;
+  const std::size_t kHomogeneousCycles[] = {8191, 8192, 8193, kLongest};
   constexpr std::size_t kFirstCall = 257;
   const std::vector<double> wave =
-      signal::SineWaveform{10.0, 1600.0}.sample(1025, kSetpoint);
+      signal::SineWaveform{10.0, 1600.0}.sample(kLongest, kSetpoint);
 
   for (const simd::Backend backend : backends_under_test()) {
     BackendOverrideGuard forced{backend};
@@ -738,7 +740,7 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
         std::vector<fault::FaultSchedule> schedules(width);
         if (armed) {
           fault::RandomFaultSpec spec;
-          spec.horizon_cycles = 1025;
+          spec.horizon_cycles = kLongest;
           for (std::size_t w = 0; w < width; w += 8) {
             schedules[w] = fault::FaultSchedule::random(9100 + w, spec);
           }

@@ -257,12 +257,13 @@ TEST(EnsembleSimulator, SuccessiveRunsContinueLikeRunBatch) {
 }
 
 TEST(EnsembleSimulator, RunHomogeneousMatchesWholeBlockRun) {
-  // 70 lanes: two 32-lane chunks and a 6-lane chunk, each sampling the
-  // waveform into its own 512-cycle tiles (two over 1000 cycles) and
-  // reading its own lanes' mu.  Every streamed value must equal a run over
-  // the whole sampled block, both sequentially and on a pool.
+  // 70 lanes: two 32-lane chunks and a 6-lane chunk, each running over
+  // the waveform segments the call samples once for all of them (8192
+  // cycles, two over 9000 cycles) and reading its own lanes' mu.  Every
+  // streamed value must equal a run over the whole sampled block, both
+  // sequentially and on a pool.
   const std::size_t lanes = 70;
-  const std::size_t cycles = 1000;
+  const std::size_t cycles = 9000;
   const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
   const control::IirControlHardware prototype{control::paper_iir_config()};
   const signal::SineWaveform wave{10.0, 1600.0, 0.25};
@@ -498,27 +499,26 @@ class ChunkScheduleReducer final : public StreamingReducer {
 
   void accumulate(const LaneSlice& slice) override {
     const std::size_t chunk = slice.first_lane / kChunkLanes;
-    threads[chunk].push_back(std::this_thread::get_id());
+    threads[chunk].emplace_back(slice.cycle, std::this_thread::get_id());
     groups[chunk][{slice.first_lane, slice.width}].push_back(slice.cycle);
   }
 
-  std::vector<std::vector<std::thread::id>> threads;
+  /// Per chunk: each slice's cycle and the thread that delivered it.
+  std::vector<std::vector<std::pair<std::size_t, std::thread::id>>> threads;
   /// Per chunk: the cycle indices of each lane group (first lane, width).
   std::vector<std::map<std::pair<std::size_t, std::size_t>,
                        std::vector<std::size_t>>>
       groups;
 };
 
-TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
-  // run_homogeneous makes each chunk one pool task for the whole call: its
-  // slices all come from one thread.  The chunk runs lane group by lane
-  // group, each group's cycles 0..999 exactly once and in order across
-  // the two 512-cycle tiles it samples, and its groups cover the chunk's
-  // lanes exactly once.  A fork/join per tile would hand chunks between
-  // threads and restart the index per tile.
+/// Runs a 128-lane ensemble (4 chunks) through run_homogeneous for
+/// `cycles` cycles on a 4-worker pool, then checks each chunk's schedule:
+/// the slices of each span of `span_cycles` cycles came from one thread,
+/// each lane group's cycles 0..cycles-1 arrived exactly once and in
+/// order, and the groups cover the chunk's lanes exactly once.
+void expect_chunk_schedule(std::size_t cycles, std::size_t span_cycles) {
   const std::size_t lanes = 128;
   const std::size_t chunks = lanes / ChunkScheduleReducer::kChunkLanes;
-  const std::size_t cycles = 1000;
   const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
   const control::IirControlHardware prototype{control::paper_iir_config()};
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
@@ -538,8 +538,13 @@ TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
     SCOPED_TRACE(c);
     const auto& threads = reducer.threads[c];
     ASSERT_FALSE(threads.empty());
-    EXPECT_EQ(std::count(threads.begin(), threads.end(), threads.front()),
-              static_cast<std::ptrdiff_t>(threads.size()));
+    std::map<std::size_t, std::thread::id> span_thread;
+    for (const auto& [cycle, thread] : threads) {
+      const auto it =
+          span_thread.try_emplace(cycle / span_cycles, thread).first;
+      ASSERT_EQ(it->second, thread) << "cycle " << cycle;
+    }
+    EXPECT_EQ(span_thread.size(), (cycles - 1) / span_cycles + 1);
     std::size_t next_lane = c * ChunkScheduleReducer::kChunkLanes;
     for (const auto& [range, group_cycles] : reducer.groups[c]) {
       EXPECT_EQ(range.first, next_lane);
@@ -548,6 +553,23 @@ TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
     }
     EXPECT_EQ(next_lane, (c + 1) * ChunkScheduleReducer::kChunkLanes);
   }
+}
+
+TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerCall) {
+  // A run_homogeneous call shorter than its 8192-cycle segment makes each
+  // chunk one pool task: its slices all come from one thread.  The chunk
+  // runs lane group by lane group, each group's cycles 0..999 exactly once
+  // and in order, and its groups cover the chunk's lanes exactly once.
+  expect_chunk_schedule(1000, 1000);
+}
+
+TEST(EnsembleSimulator, ChunkRunsOnOneThreadPerSegment) {
+  // Over several segments, each segment of a chunk is one pool task (one
+  // thread per segment, though not the same one for every segment), and
+  // each lane group's cycles still arrive once and in order across the
+  // segment boundaries: the slice index counts from the call's start,
+  // not the segment's.
+  expect_chunk_schedule(2 * 8192 + 17, 8192);
 }
 
 TEST(EnsembleSimulator, RunRejectsMismatchedBlock) {

@@ -180,7 +180,8 @@ std::vector<Finding> lint_source(const std::filesystem::path& display_path,
       path_ends_with(display_path, "service/transport.cpp") ||
       path_ends_with(display_path, "service/transport.hpp");
 
-  static const std::regex kRound{R"(std\s*::\s*(l?l?round)\s*\()"};
+  static const std::regex kRound{
+      R"(std\s*::\s*(l?l?round|nearbyint|l?l?rint)\s*\()"};
   static const std::regex kRand{R"((^|[^:\w])(std\s*::\s*)?s?rand\s*\()"};
   static const std::regex kRandomDevice{R"(\brandom_device\b)"};
   static const std::regex kNakedNew{R"(\bnew\b)"};
@@ -204,11 +205,12 @@ std::vector<Finding> lint_source(const std::filesystem::path& display_path,
   for (std::size_t lineno = 1; std::getline(in, line); ++lineno) {
     std::smatch match;
     if (!may_round && std::regex_search(line, match, kRound)) {
+      // lround, llround, lrint and llrint return an integer.
+      const std::string name = match[1].str();
       report(lineno, "round",
-             "std::" + match[1].str() +
-                 " bypasses the ties-away contract; use " +
-                 (match[1].str() == "round" ? "round_ties_away"
-                                            : "llround_ties_away") +
+             "std::" + name + " bypasses the ties-away contract; use " +
+                 (name.front() == 'l' ? "llround_ties_away"
+                                      : "round_ties_away") +
                  " from roclk/common/math.hpp");
     }
     if (std::regex_search(line, kRand)) {

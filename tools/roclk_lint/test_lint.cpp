@@ -50,6 +50,23 @@ TEST(LintTest, FlagsStdRoundOutsideMathHeader) {
                   .empty());
 }
 
+TEST(LintTest, FlagsTiesToEvenRoundingOutsideMathHeader) {
+  // nearbyint and rint round by the current mode (ties to even by
+  // default), against the ties-away contract, as do their integer forms.
+  for (const std::string name : {"nearbyint", "rint", "lrint", "llrint"}) {
+    SCOPED_TRACE(name);
+    const auto findings =
+        lint_source("src/foo.cpp", "auto d = std::" + name + "(x);\n");
+    ASSERT_TRUE(has_rule(findings, "round"));
+    EXPECT_NE(findings.front().message.find(
+                  name.front() == 'l' ? "llround_ties_away" : "round_ties_away"),
+              std::string::npos);
+    EXPECT_TRUE(lint_source("include/roclk/common/math.hpp",
+                            "#pragma once\nauto d = std::" + name + "(x);\n")
+                    .empty());
+  }
+}
+
 TEST(LintTest, FlagsRawRandomnessOutsideRng) {
   // rand, random_device, <random> and the std engines and distributions
   // are findings in every file; no path is exempt.
