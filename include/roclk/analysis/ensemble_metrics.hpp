@@ -68,20 +68,21 @@ class MetricsReducer final : public core::StreamingReducer {
 /// `fixed_periods` must either hold one shared value or one per lane.
 /// Per-lane results are bitwise identical for every choice of pool.
 [[nodiscard]] std::vector<RunMetrics> evaluate_ensemble(
-    core::EnsembleSimulator& ensemble, const core::EnsembleInputBlock& block,
+    core::EnsembleSimulator& ensemble, const core::InputBlock& block,
     std::vector<double> fixed_periods, std::size_t skip,
     ThreadPool* pool = nullptr);
 
-/// The homogeneous Monte-Carlo fast path: equivalent to
-/// sample_homogeneous_ensemble + evaluate_ensemble over `cycles` cycles
-/// sampled at `dt`, but one EnsembleSimulator::run_homogeneous call: the
-/// calling thread samples the waveform once per 8192-cycle (64 KiB)
-/// segment, and every 32-lane chunk runs over it as one pool task while
-/// the kernel broadcasts each sample to the chunk's lanes beside their own
-/// mu, so a long study never materialises cycles * lanes * 3 doubles at
-/// once.  Per-lane results are bit-identical to the whole-block path —
-/// and therefore to per-lane run_batch + evaluate_run — and for every
-/// choice of `pool` (nullptr = strictly sequential): the
+/// The homogeneous Monte-Carlo fast path: equivalent to evaluate_ensemble
+/// over the block sample_ensemble makes of one
+/// SimulationInputs::homogeneous(waveform, static_mu_stages[w]) per lane,
+/// `cycles` cycles at `dt`, but one EnsembleSimulator::run_homogeneous
+/// call: the calling thread samples the waveform once per 8192-cycle
+/// (64 KiB) segment, and every 32-lane chunk runs over it as one pool task
+/// while the kernel broadcasts each sample to the chunk's lanes beside
+/// their own mu, so a long study never materialises cycles * lanes * 3
+/// doubles at once.  Per-lane results are bit-identical to the
+/// whole-block path — and therefore to per-lane run_batch + evaluate_run —
+/// and for every choice of `pool` (nullptr = strictly sequential): the
 /// scheduling-invariance contract the MC gating tests enforce.
 [[nodiscard]] std::vector<RunMetrics> evaluate_homogeneous_mc(
     core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,

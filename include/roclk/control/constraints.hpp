@@ -53,8 +53,12 @@ struct ClosedLoopStability {
     const signal::Polynomial& numerator, const signal::Polynomial& denominator,
     std::size_t cdn_delay_m);
 
-/// Largest M (searching 0..max_m) for which the closed loop is stable;
-/// nullopt if unstable already at M = 0.
+/// The delay margin.  Searches M = 0, 1, ..., max_m and stops at the first
+/// unstable M after a stable one, returning the last stable M; unstable M
+/// before the first stable one do not stop the search.  Returns nullopt
+/// if no M in [0, max_m] is stable.  Each M is decided by
+/// signal::jury_test on closed_loop_characteristic; tests hold that
+/// verdict to closed_loop_stability's roots.
 [[nodiscard]] std::optional<std::size_t> max_stable_cdn_delay(
     const signal::Polynomial& numerator, const signal::Polynomial& denominator,
     std::size_t max_m = 256);

@@ -371,14 +371,15 @@ class EnsembleSimulator {
   /// scheduling-invariance gates hold.  Like run_batch, successive calls
   /// continue from the current loop state; call reset() to start a fresh
   /// run.
-  void run(const EnsembleInputBlock& block, StreamingReducer& reducer,
+  void run(const InputBlock& block, StreamingReducer& reducer,
            ThreadPool* pool = nullptr);
 
   /// The homogeneous Monte-Carlo run: `cycles` cycles in which every lane
   /// sees `waveform` sampled at t = k * dt (k counted from 0 in this
   /// call) on both e_ro and e_tdc, plus its own static mismatch
-  /// static_mu_stages[w] — bitwise the same as running
-  /// sample_homogeneous_ensemble's block through run().  The call runs
+  /// static_mu_stages[w] — bitwise the same as running through run() the
+  /// block sample_ensemble makes of one SimulationInputs::homogeneous(
+  /// waveform, static_mu_stages[w]) per lane.  The call runs
   /// segment-major: the calling thread samples the next segment of at
   /// most 8192 cycles (64 KiB, on its stack) once, then every chunk runs
   /// over it, one pool task and one kernel call per chunk, while the

@@ -21,43 +21,30 @@
 
 namespace roclk::core {
 
-/// Structure-of-arrays block of pre-evaluated perturbation samples: the
-/// batched counterpart of SimulationInputs.  Sampling once up front moves
+/// Pre-evaluated perturbation samples for W independent loop instances,
+/// lane-interleaved: sample k of lane w lives at index k * width + w, so
+/// the ensemble kernel's inner loop over lanes reads one contiguous row
+/// per cycle.  A single loop's block is the one-lane case, which
+/// LoopSimulator::run_batch streams over.  Sampling once up front moves
 /// the waveform / variation-source evaluation (sin, spatial-map lookups,
-/// three std::function indirections per cycle) out of the simulation hot
-/// loop; LoopSimulator::run_batch then streams straight over the arrays.
+/// three std::function indirections per cycle) out of every engine's hot
+/// loop.  sample_ensemble fills it, so lane w holds the same doubles
+/// whatever the width, which keeps EnsembleSimulator bit-for-bit equal to
+/// per-lane run_batch.
 struct InputBlock {
-  double dt{0.0};  // sampling period the block was evaluated at (stages)
-  std::vector<double> e_ro;
-  std::vector<double> e_tdc;
-  std::vector<double> mu;
-
-  [[nodiscard]] std::size_t size() const { return e_ro.size(); }
-  [[nodiscard]] bool empty() const { return e_ro.empty(); }
-};
-
-/// Lane-interleaved perturbation samples for an ensemble of W independent
-/// loop instances: sample k of lane w lives at index k * width + w, so the
-/// ensemble kernel's inner loop over lanes reads one contiguous row per
-/// cycle.  Filled in one pass by the batched samplers below; per lane the
-/// values are identical to InputBlock's (same signal evaluated at the same
-/// t), which keeps EnsembleSimulator bit-for-bit equal to per-lane
-/// run_batch.
-struct EnsembleInputBlock {
-  double dt{0.0};          // sampling period all lanes were evaluated at
-  std::size_t width{0};    // number of lanes W
-  std::size_t cycles{0};   // samples per lane
+  std::size_t width{0};   // number of lanes W
+  std::size_t cycles{0};  // samples per lane
   std::vector<double> e_ro;
   std::vector<double> e_tdc;
   std::vector<double> mu;
 
   [[nodiscard]] bool empty() const { return width == 0 || cycles == 0; }
-
-  /// De-interleaves one lane back into a scalar InputBlock (tests, debug,
-  /// feeding a single lane through LoopSimulator::run_batch).
-  [[nodiscard]] InputBlock lane(std::size_t w) const;
 };
 
+/// The three signals of one loop, as functions of time in stages.  Each
+/// must be a pure function of t: the engines sample a whole run up front
+/// (LoopSimulator::run included), so a signal cannot depend on how often
+/// or in which order it is called.  Every signal in the tree is.
 struct SimulationInputs {
   using Signal = std::function<double(double t_stages)>;
 
@@ -89,27 +76,20 @@ struct SimulationInputs {
       double setpoint_c, variation::DiePoint ro_location = {0.5, 0.5},
       std::size_t tdc_grid = 3);
 
-  /// Evaluates the three signals at t = k * dt for k in [0, n), exactly as
-  /// LoopSimulator::run samples them, into an SoA block for run_batch.
+  /// The one-lane block of the three signals at t = k * dt for k in
+  /// [0, n): sample_ensemble over this lane alone, as LoopSimulator::run
+  /// samples it at dt = c, for run_batch.
   [[nodiscard]] InputBlock sample(std::size_t n, double dt) const;
 };
 
-/// Samples one SimulationInputs per lane into an interleaved ensemble
-/// block in a single pass (cycle-major).  `pool` distributes lane groups
-/// over its workers (nullptr = strictly sequential); per-lane results are
-/// independent of the schedule.
-[[nodiscard]] EnsembleInputBlock sample_ensemble(
+/// Samples one SimulationInputs per lane at t = k * dt for k in [0, n)
+/// into an interleaved block in a single pass (cycle-major): the one place
+/// the core layer evaluates input signals per cycle, besides
+/// EnsembleSimulator::run_homogeneous's waveform segments.  `pool`
+/// distributes lane groups over its workers (nullptr = strictly
+/// sequential); per-lane results are independent of the schedule.
+[[nodiscard]] InputBlock sample_ensemble(
     std::span<const SimulationInputs> lanes, std::size_t n, double dt,
     ThreadPool* pool = nullptr);
-
-/// The Monte-Carlo fast path: every lane sees the same homogeneous
-/// waveform (e_ro == e_tdc, the paper's HoDV setup) plus its own static
-/// mismatch mu.  The waveform is evaluated once per cycle and broadcast,
-/// so W lanes cost one signal evaluation per sample instead of W —
-/// bit-for-bit identical to sampling SimulationInputs::homogeneous(wave,
-/// mu[w]) per lane.
-[[nodiscard]] EnsembleInputBlock sample_homogeneous_ensemble(
-    const signal::Waveform& waveform, std::span<const double> static_mu_stages,
-    std::size_t n, double dt);
 
 }  // namespace roclk::core

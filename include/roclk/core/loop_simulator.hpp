@@ -68,9 +68,6 @@ struct LoopConfig {
   /// the literal z^-M reading of the paper's Fig. 4; kLinearInterp resolves
   /// fractional t_clk/T ratios, which the Fig. 8/9 sweeps need.
   cdn::DelayQuantization cdn_quantization{cdn::DelayQuantization::kRound};
-  /// Sampling period of the perturbation signals; defaults to setpoint_c
-  /// (one sample per nominal period, as in the paper's model).
-  std::optional<double> sample_period{};
   /// TDC chain length (readings saturate here); defaults to 1 << 20.  The
   /// simulators check max_reading >= c wherever a set-point is compared —
   /// a chain shorter than the set-point could never report "period OK" and
@@ -92,13 +89,15 @@ class LoopSimulator {
   /// Advances one period with explicit perturbation samples (stages).
   StepRecord step(double e_ro, double e_tdc, double mu);
 
-  /// Runs n cycles, sampling `inputs` at t = n * sample_period.
+  /// Runs n cycles of `inputs` sampled once per nominal period, at
+  /// t = k * c (the set-point when the call starts): run_batch over
+  /// inputs.sample(n, c).
   SimulationTrace run(const SimulationInputs& inputs, std::size_t n);
 
-  /// Batched hot loop: runs block.size() cycles over pre-evaluated SoA
-  /// samples (see SimulationInputs::sample), with no per-cycle signal
-  /// indirections.  Bit-for-bit equivalent to run() on the same inputs
-  /// when the block was sampled at this simulator's sample period.
+  /// Batched hot loop: runs block.cycles cycles over a one-lane block of
+  /// pre-evaluated samples (see SimulationInputs::sample), with no
+  /// per-cycle signal indirections.  Each cycle is step()'s arithmetic in
+  /// step()'s order, so the trace is bit-for-bit a step() loop's.
   SimulationTrace run_batch(const InputBlock& block);
 
   [[nodiscard]] const LoopConfig& config() const { return config_; }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "roclk/common/status.hpp"
 #include "roclk/common/stream_key.hpp"
@@ -25,10 +24,6 @@ class Waveform {
   virtual ~Waveform() = default;
   [[nodiscard]] virtual double at(double t) const = 0;
   [[nodiscard]] virtual std::unique_ptr<Waveform> clone() const = 0;
-
-  /// Samples the waveform at t = offset + k*step for k in [0, n).
-  [[nodiscard]] std::vector<double> sample(std::size_t n, double step,
-                                           double offset = 0.0) const;
 };
 
 /// Identically zero.

@@ -64,29 +64,13 @@ std::vector<RunMetrics> MetricsReducer::all() const {
   return out;
 }
 
-std::vector<RunMetrics> evaluate_ensemble(
-    core::EnsembleSimulator& ensemble, const core::EnsembleInputBlock& block,
-    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool) {
-  const std::size_t lanes = ensemble.width();
-  ROCLK_CHECK(skip < block.cycles, "transient skip "
-                                       << skip
-                                       << " must leave at least one of the "
-                                       << block.cycles << " cycles");
-  if (fixed_periods.size() == 1 && lanes > 1) {
-    fixed_periods.assign(lanes, fixed_periods.front());
-  }
-  ROCLK_CHECK(fixed_periods.size() == lanes,
-                "need one fixed period per lane (or one shared)");
-  MetricsReducer reducer{std::move(fixed_periods), skip};
-  ensemble.reset();
-  ensemble.run(block, reducer, pool);
-  return reducer.all();
-}
+namespace {
 
-std::vector<RunMetrics> evaluate_homogeneous_mc(
-    core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
-    std::span<const double> static_mu_stages, std::size_t cycles, double dt,
-    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool) {
+/// The set-up both wrappers share: checks that the transient skip leaves
+/// a cycle, gives every lane its fixed period (one shared value is
+/// broadcast), resets the ensemble, and returns the reducer to run into.
+MetricsReducer start_run(core::EnsembleSimulator& ensemble, std::size_t cycles,
+                         std::vector<double> fixed_periods, std::size_t skip) {
   const std::size_t lanes = ensemble.width();
   ROCLK_CHECK(skip < cycles, "transient skip " << skip
                                                << " must leave at least one "
@@ -98,8 +82,27 @@ std::vector<RunMetrics> evaluate_homogeneous_mc(
   ROCLK_CHECK(fixed_periods.size() == lanes,
               "need one fixed period per lane (or one shared), got "
                   << fixed_periods.size() << " for " << lanes << " lanes");
-  MetricsReducer reducer{std::move(fixed_periods), skip};
   ensemble.reset();
+  return MetricsReducer{std::move(fixed_periods), skip};
+}
+
+}  // namespace
+
+std::vector<RunMetrics> evaluate_ensemble(
+    core::EnsembleSimulator& ensemble, const core::InputBlock& block,
+    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool) {
+  MetricsReducer reducer =
+      start_run(ensemble, block.cycles, std::move(fixed_periods), skip);
+  ensemble.run(block, reducer, pool);
+  return reducer.all();
+}
+
+std::vector<RunMetrics> evaluate_homogeneous_mc(
+    core::EnsembleSimulator& ensemble, const signal::Waveform& waveform,
+    std::span<const double> static_mu_stages, std::size_t cycles, double dt,
+    std::vector<double> fixed_periods, std::size_t skip, ThreadPool* pool) {
+  MetricsReducer reducer =
+      start_run(ensemble, cycles, std::move(fixed_periods), skip);
   ensemble.run_homogeneous(waveform, static_mu_stages, dt, cycles, reducer,
                            pool);
   return reducer.all();

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "roclk/signal/jury.hpp"
 #include "roclk/signal/roots.hpp"
 
 namespace roclk::control {
@@ -43,15 +44,18 @@ Result<ClosedLoopStability> closed_loop_stability(
 std::optional<std::size_t> max_stable_cdn_delay(
     const signal::Polynomial& numerator, const signal::Polynomial& denominator,
     std::size_t max_m) {
+  // The Jury table decides each M from the coefficients alone.  Finding
+  // the roots costs far more, above all for tap sets stable at no M,
+  // whose search runs to max_m over characteristics of degree ~max_m.
   std::optional<std::size_t> best;
   for (std::size_t m = 0; m <= max_m; ++m) {
-    auto stab = closed_loop_stability(numerator, denominator, m);
-    if (!stab.is_ok()) break;
-    if (stab.value().stable) {
+    const auto jury = signal::jury_test(
+        closed_loop_characteristic(numerator, denominator, m));
+    if (!jury.is_ok()) break;
+    if (jury.value().stable) {
       best = m;
     } else if (best.has_value()) {
-      // Stability region for these loops is contiguous from M = 0.
-      break;
+      break;  // the first unstable M after a stable one ends the search
     }
   }
   return best;

@@ -404,7 +404,7 @@ void EnsembleSimulator::for_each_chunk(ThreadPool* pool, const Task& task) {
                [&](std::size_t i) { task(chunks_[i]); });
 }
 
-void EnsembleSimulator::run(const EnsembleInputBlock& block,
+void EnsembleSimulator::run(const InputBlock& block,
                             StreamingReducer& reducer, ThreadPool* pool) {
   ROCLK_CHECK(block.width == width(),
               "input block has " << block.width << " lanes but the ensemble "
@@ -443,8 +443,8 @@ void EnsembleSimulator::run_homogeneous(
   if (cycles == 0) return;
   const simd::Backend backend = simd::active_backend();
   // Sample k of a segment is the waveform at (start + k) * dt: the value
-  // sample_homogeneous_ensemble's block holds in every lane's e_ro and
-  // e_tdc at cycle start + k, whatever the segment length.
+  // every lane's SimulationInputs::homogeneous(waveform, mu) samples into
+  // e_ro and e_tdc at cycle start + k, whatever the segment length.
   std::array<double, kSegmentCycles> wave;
   detail::SimdChunkArgs args;
   args.wave = wave.data();

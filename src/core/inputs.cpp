@@ -8,22 +8,6 @@
 
 namespace roclk::core {
 
-InputBlock EnsembleInputBlock::lane(std::size_t w) const {
-  ROCLK_CHECK(w < width, "lane out of range");
-  InputBlock block;
-  block.dt = dt;
-  block.e_ro.resize(cycles);
-  block.e_tdc.resize(cycles);
-  block.mu.resize(cycles);
-  for (std::size_t k = 0; k < cycles; ++k) {
-    const std::size_t idx = k * width + w;
-    block.e_ro[k] = e_ro[idx];
-    block.e_tdc[k] = e_tdc[idx];
-    block.mu[k] = mu[idx];
-  }
-  return block;
-}
-
 SimulationInputs SimulationInputs::none() { return SimulationInputs{}; }
 
 SimulationInputs SimulationInputs::homogeneous(
@@ -78,28 +62,14 @@ SimulationInputs SimulationInputs::from_variation_source(
 }
 
 InputBlock SimulationInputs::sample(std::size_t n, double dt) const {
-  ROCLK_CHECK(dt > 0.0, "sample period must be positive");
-  InputBlock block;
-  block.dt = dt;
-  block.e_ro.resize(n);
-  block.e_tdc.resize(n);
-  block.mu.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double t = static_cast<double>(k) * dt;
-    block.e_ro[k] = e_ro(t);
-    block.e_tdc[k] = e_tdc(t);
-    block.mu[k] = mu(t);
-  }
-  return block;
+  return sample_ensemble({this, 1}, n, dt);
 }
 
-EnsembleInputBlock sample_ensemble(std::span<const SimulationInputs> lanes,
-                                   std::size_t n, double dt,
-                                   ThreadPool* pool) {
+InputBlock sample_ensemble(std::span<const SimulationInputs> lanes,
+                           std::size_t n, double dt, ThreadPool* pool) {
   ROCLK_CHECK(dt > 0.0, "sample period must be positive");
   ROCLK_CHECK(!lanes.empty(), "no lanes");
-  EnsembleInputBlock block;
-  block.dt = dt;
+  InputBlock block;
   block.width = lanes.size();
   block.cycles = n;
   block.e_ro.resize(block.width * n);
@@ -107,7 +77,10 @@ EnsembleInputBlock sample_ensemble(std::span<const SimulationInputs> lanes,
   block.mu.resize(block.width * n);
 
   // Each task fills a contiguous group of lanes (cycle-major columns), so
-  // concurrent tasks never write into the same cache line.
+  // no two tasks write the same element.  They can write the same cache
+  // line, though: the arrays have only the allocator's 16-byte alignment,
+  // so where two groups meet in a row the line is shared.  That is false
+  // sharing, which costs time, never correctness.
   constexpr std::size_t kLanesPerTask = 8;
   const std::size_t tasks =
       (block.width + kLanesPerTask - 1) / kLanesPerTask;
@@ -128,32 +101,6 @@ EnsembleInputBlock sample_ensemble(std::span<const SimulationInputs> lanes,
     parallel_for(*pool, tasks, fill_group);
   } else {
     for (std::size_t g = 0; g < tasks; ++g) fill_group(g);
-  }
-  return block;
-}
-
-EnsembleInputBlock sample_homogeneous_ensemble(
-    const signal::Waveform& waveform,
-    std::span<const double> static_mu_stages, std::size_t n, double dt) {
-  ROCLK_CHECK(dt > 0.0, "sample period must be positive");
-  ROCLK_CHECK(!static_mu_stages.empty(), "no lanes");
-  const std::size_t width = static_mu_stages.size();
-  EnsembleInputBlock block;
-  block.dt = dt;
-  block.width = width;
-  block.cycles = n;
-  block.e_ro.resize(width * n);
-  block.e_tdc.resize(width * n);
-  block.mu.resize(width * n);
-  double* const e_ro = block.e_ro.data();
-  double* const e_tdc = block.e_tdc.data();
-  double* const mu = block.mu.data();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double e = waveform.at(static_cast<double>(k) * dt);
-    const std::size_t row = k * width;
-    std::fill_n(e_ro + row, width, e);
-    std::fill_n(e_tdc + row, width, e);
-    std::copy(static_mu_stages.begin(), static_mu_stages.end(), mu + row);
   }
   return block;
 }

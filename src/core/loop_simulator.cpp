@@ -39,9 +39,6 @@ Status LoopSimulator::validate(const LoopConfig& config, bool has_controller) {
   if (config.open_loop_period && *config.open_loop_period <= 0.0) {
     return Status::invalid_argument("open-loop period must be positive");
   }
-  if (config.sample_period && *config.sample_period <= 0.0) {
-    return Status::invalid_argument("sample period must be positive");
-  }
   if (config.tdc_max_reading && *config.tdc_max_reading < 1) {
     return Status::invalid_argument("TDC max_reading must be >= 1");
   }
@@ -248,26 +245,22 @@ StepRecord LoopSimulator::step(double e_ro, double e_tdc, double mu) {
 
 SimulationTrace LoopSimulator::run(const SimulationInputs& inputs,
                                    std::size_t n) {
-  const double dt = config_.sample_period.value_or(config_.setpoint_c);
-  SimulationTrace trace;
-  trace.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double t = static_cast<double>(k) * dt;
-    trace.push(step(inputs.e_ro(t), inputs.e_tdc(t), inputs.mu(t)));
-  }
-  return trace;
+  return run_batch(inputs.sample(n, config_.setpoint_c));
 }
 
 SimulationTrace LoopSimulator::run_batch(const InputBlock& block) {
-  const std::size_t n = block.size();
-  ROCLK_CHECK(block.e_tdc.size() == n && block.mu.size() == n,
-                "ragged input block");
+  ROCLK_CHECK(block.width == 1,
+              "run_batch runs one lane, the block has " << block.width);
+  const std::size_t n = block.cycles;
+  ROCLK_CHECK(block.e_ro.size() == n && block.e_tdc.size() == n &&
+                  block.mu.size() == n,
+              "ragged input block");
   SimulationTrace trace;
   trace.reserve(n);
   const double* const e_ro = block.e_ro.data();
   const double* const e_tdc = block.e_tdc.data();
   const double* const mu = block.mu.data();
-  // The arithmetic is shared with run() via step_impl to keep the two
+  // The arithmetic is shared with step() via step_impl to keep the two
   // paths bit-identical.  For the common controller the virtual dispatch
   // is hoisted out of the loop: IirControlHardware is final with an inline
   // step(), so the whole datapath fuses into this loop body.

@@ -37,15 +37,15 @@ SimulationTrace run_with_governor(LoopSimulator& simulator,
                                   control::SetpointGovernor& governor,
                                   const SimulationInputs& inputs,
                                   std::size_t n) {
-  const double dt =
-      simulator.config().sample_period.value_or(simulator.config().setpoint_c);
+  // Sampled at the set-point the call starts with; the governor then
+  // moves the set-point every cycle, so the loop steps one cycle at a time.
+  const InputBlock block = inputs.sample(n, simulator.config().setpoint_c);
   simulator.set_setpoint(governor.setpoint());
   SimulationTrace trace;
   trace.reserve(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const double t = static_cast<double>(k) * dt;
     const StepRecord record =
-        simulator.step(inputs.e_ro(t), inputs.e_tdc(t), inputs.mu(t));
+        simulator.step(block.e_ro[k], block.e_tdc[k], block.mu[k]);
     trace.push(record);
     simulator.set_setpoint(governor.observe(record.tau));
   }

@@ -6,16 +6,6 @@
 
 namespace roclk::signal {
 
-std::vector<double> Waveform::sample(std::size_t n, double step,
-                                     double offset) const {
-  std::vector<double> out;
-  out.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    out.push_back(at(offset + static_cast<double>(k) * step));
-  }
-  return out;
-}
-
 SineWaveform::SineWaveform(double amplitude, double period, double phase)
     : amplitude_{amplitude}, period_{period}, phase_{phase} {
   ROCLK_CHECK(period > 0.0, "sine period must be positive");

@@ -20,6 +20,7 @@
 #include "roclk/control/iir_control.hpp"
 #include "roclk/core/ensemble_simulator.hpp"
 #include "roclk/core/inputs.hpp"
+#include "roclk/core/loop_simulator.hpp"
 #include "roclk/fault/fault.hpp"
 #include "roclk/signal/waveform.hpp"
 
@@ -149,6 +150,24 @@ TEST(KernelBudget, HomogeneousRunSamplesEachCycleOnce) {
     ensemble.run_homogeneous(wave, lane_mus(width), kSetpoint, kRunCycles,
                              metrics, &pool);
     EXPECT_EQ(wave.calls(), kRunCycles);
+  }
+}
+
+TEST(KernelBudget, LoopRunAllocatesItsBlockAndTrace) {
+  // LoopSimulator::run samples its inputs into a one-lane block (three
+  // arrays) and runs run_batch over it into a trace reserved up front
+  // (six arrays), so a run of any length n > 0 allocates exactly nine
+  // times: nothing per cycle, and nothing more for a signal evaluation.
+  constexpr std::uint64_t kAllocations = 3 + 6;
+  auto loop = core::make_iir_system(kSetpoint, kSetpoint);
+  const auto inputs = core::SimulationInputs::harmonic(12.8, 3200.0, 1.5);
+  (void)loop.run(inputs, kCycles);
+  for (const std::size_t n :
+       {std::size_t{1}, kCycles, kHomogeneousCycles}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    loop.reset();
+    EXPECT_EQ(allocations_of([&] { (void)loop.run(inputs, n); }),
+              kAllocations);
   }
 }
 

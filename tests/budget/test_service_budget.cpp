@@ -1,9 +1,9 @@
 // Allocation budgets of the sweep service's hot paths: a cache hit in
 // SweepService::handle, a hot Client::query round trip through a framed
-// session, and execute() of a corner miss.  Each ceiling is the count on
-// the reference toolchain (GCC 12, libstdc++), the same natively and with
-// the scalar pack forced; lower it with any change that lowers the count.
-// docs/service.md states the three budgets.
+// session, and execute() of a corner miss and of a yield miss.  Each
+// ceiling is the count on the reference toolchain (GCC 12, libstdc++),
+// the same natively and with the scalar pack forced; lower it with any
+// change that lowers the count.  docs/service.md states the four budgets.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -92,6 +92,24 @@ TEST(ServiceBudget, ExecuteCornerMissStaysUnderItsCeiling) {
   // response.
   constexpr std::uint64_t kCeiling = 9;
   const Result<Request> normalized = normalize(corner_request());
+  ASSERT_TRUE(normalized.is_ok());
+  ASSERT_TRUE(execute(normalized.value()).ok());
+  const std::uint64_t count =
+      allocations_of([&] { (void)execute(normalized.value()); });
+  EXPECT_LE(count, kCeiling);
+  RecordProperty("allocations", std::to_string(count));
+}
+
+TEST(ServiceBudget, ExecuteYieldMissStaysUnderItsCeiling) {
+  // One yield curve of the default YieldQuery (500 chips of 64 paths, 9
+  // margin points) without a pool: the miss serve_cold sends once per 32
+  // requests.  Each chip builds its within-die SpatialMap, whose two
+  // arrays grow once per octave (4 allocations, 2,000 in all); the curve
+  // and its response make the other 10.
+  constexpr std::uint64_t kCeiling = 2010;
+  Request request;
+  request.kind = QueryKind::kYieldCurve;
+  const Result<Request> normalized = normalize(request);
   ASSERT_TRUE(normalized.is_ok());
   ASSERT_TRUE(execute(normalized.value()).ok());
   const std::uint64_t count =

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <optional>
+#include <vector>
+
 #include "roclk/control/iir_control.hpp"
 #include "roclk/signal/jury.hpp"
 
@@ -102,16 +107,70 @@ TEST(ClosedLoopStability, PureIntegratorLoopHasKnownBoundary) {
   EXPECT_EQ(s0.value().stable, jury.value().stable);
 }
 
+/// Every tap set of the default IIR design space (analysis::
+/// DesignSpaceOptions: 1 to 6 non-increasing taps 2^1 .. 2^-3) whose sum
+/// is a power of two, so that eq. 10's k* = 1 / sum is one as well.
+std::vector<IirConfig> eq10_valid_default_space() {
+  std::vector<IirConfig> configs;
+  std::vector<int> exponents;
+  const auto visit = [&](const auto& self, int max_exponent) -> void {
+    if (!exponents.empty()) {
+      double sum = 0.0;
+      for (const int e : exponents) sum += std::ldexp(1.0, e);
+      int exponent = 0;
+      if (std::frexp(sum, &exponent) == 0.5) {
+        IirConfig config;
+        config.taps.clear();
+        for (const int e : exponents) config.taps.push_back(std::ldexp(1.0, e));
+        config.k_star = 1.0 / sum;
+        configs.push_back(config);
+      }
+    }
+    if (exponents.size() == 6) return;
+    for (int e = max_exponent; e >= -3; --e) {
+      exponents.push_back(e);
+      self(self, e);
+      exponents.pop_back();
+    }
+  };
+  visit(visit, 1);
+  return configs;
+}
+
 TEST(ClosedLoopStability, JuryAgreesWithRootsAcrossM) {
-  const auto [n, d] = iir_polynomials(paper_iir_config());
-  for (std::size_t m = 0; m <= 12; ++m) {
-    const auto roots_verdict = closed_loop_stability(n, d, m);
-    ASSERT_TRUE(roots_verdict.is_ok());
-    const auto jury = signal::jury_test(closed_loop_characteristic(n, d, m));
-    ASSERT_TRUE(jury.is_ok());
-    EXPECT_EQ(roots_verdict.value().stable, jury.value().stable)
-        << "M = " << m;
+  // max_stable_cdn_delay decides each M by the Jury test; the root finder
+  // is its oracle.  The two verdicts must agree on every (tap set, M) of
+  // the default design space with M <= 32 (43 sets, 1,419 pairs, 354 of
+  // them stable, the paper's set among them), and so must the margins
+  // both searches find.
+  constexpr std::size_t kMaxM = 32;
+  const std::vector<IirConfig> configs = eq10_valid_default_space();
+  ASSERT_EQ(configs.size(), 43u);
+  std::size_t stable_pairs = 0;
+  for (const IirConfig& config : configs) {
+    const auto [n, d] = iir_polynomials(config);
+    std::optional<std::size_t> roots_margin;
+    bool searching = true;
+    for (std::size_t m = 0; m <= kMaxM; ++m) {
+      const auto roots_verdict = closed_loop_stability(n, d, m);
+      ASSERT_TRUE(roots_verdict.is_ok());
+      const auto jury = signal::jury_test(closed_loop_characteristic(n, d, m));
+      ASSERT_TRUE(jury.is_ok());
+      const bool stable = roots_verdict.value().stable;
+      EXPECT_EQ(stable, jury.value().stable)
+          << "taps " << config.taps.size() << ", sum " << 1.0 / config.k_star
+          << ", k1 " << config.taps.front() << ", M = " << m;
+      stable_pairs += stable ? 1 : 0;
+      if (stable && searching) {
+        roots_margin = m;
+      } else if (!stable && roots_margin.has_value()) {
+        searching = false;
+      }
+    }
+    EXPECT_EQ(max_stable_cdn_delay(n, d, kMaxM), roots_margin)
+        << "taps " << config.taps.size() << ", sum " << 1.0 / config.k_star;
   }
+  EXPECT_EQ(stable_pairs, 354u);
 }
 
 }  // namespace

@@ -105,11 +105,17 @@ const control::ControlBlock& paper_iir() {
 }
 
 /// Checks lane `w`'s streamed trace against its scalar reference, record
-/// by record.
+/// by record.  Equal arrays compare whole; only a mismatch walks the
+/// records, to name the first one that differs.
 void expect_same_trace(const SimulationTrace& reference,
                        const SimulationTrace& lane, std::size_t w) {
   ASSERT_EQ(reference.size(), lane.size()) << "lane " << w;
-  for (std::size_t k = 0; k < reference.size(); ++k) {
+  const bool same = reference.tau() == lane.tau() &&
+                    reference.delta() == lane.delta() &&
+                    reference.lro() == lane.lro() &&
+                    reference.generated_period() == lane.generated_period() &&
+                    reference.delivered_period() == lane.delivered_period();
+  for (std::size_t k = 0; !same && k < reference.size(); ++k) {
     ASSERT_EQ(reference.tau()[k], lane.tau()[k])
         << "lane " << w << " cycle " << k;
     ASSERT_EQ(reference.delta()[k], lane.delta()[k])
@@ -145,18 +151,59 @@ void expect_same_metrics(const SimulationTrace& reference,
   ASSERT_EQ(bits(want.tau_ripple), bits(lane.tau_ripple)) << "lane " << w;
 }
 
-/// Runs an ensemble of `cfg` on `backend` over `block`, one lane per
-/// block lane, every lane running `prototype` (null in the open-loop
-/// modes), and checks every lane's streamed trace bitwise against a fresh
-/// scalar run_batch with a clone of it.  A second, identical ensemble runs
-/// the same block into a MetricsReducer: every lane the reference does not
-/// isolate must fold evaluate_run's figures of that trace, bitwise.
-void expect_bit_exact_on(const EnsembleInputBlock& block,
+/// One lane's scalar reference: run_batch's trace over the lane's own
+/// inputs under its schedule, and whether that run isolated the lane.
+struct LaneReference {
+  SimulationTrace trace;
+  bool isolated{false};
+};
+
+/// The reference of every lane of `inputs`, sampled for `cycles` cycles:
+/// a fresh LoopSimulator of `cfg` with a clone of `prototype` (null in the
+/// open-loop modes) and, when `faults` is set, the lane's schedule.  No
+/// reference depends on the backend, so a test computes them once and
+/// checks every backend against them.
+std::vector<LaneReference> lane_references(
+    const std::vector<SimulationInputs>& inputs, std::size_t cycles,
+    const LoopConfig& cfg, const std::vector<fault::FaultSchedule>* faults,
+    const control::ControlBlock* prototype = &paper_iir()) {
+  std::vector<LaneReference> references;
+  references.reserve(inputs.size());
+  for (std::size_t w = 0; w < inputs.size(); ++w) {
+    LoopSimulator scalar{cfg,
+                         prototype != nullptr ? prototype->clone() : nullptr};
+    if (faults != nullptr) scalar.attach_faults((*faults)[w]);
+    SimulationTrace trace =
+        scalar.run_batch(inputs[w].sample(cycles, kSetpoint));
+    references.push_back({std::move(trace), scalar.isolated()});
+  }
+  return references;
+}
+
+/// Makes `inputs`' e_ro infinite on cycle `k` of a run sampled at
+/// kSetpoint, leaving every other sample as it was.
+void poison_e_ro(SimulationInputs& inputs, std::size_t k) {
+  inputs.e_ro = [e_ro = std::move(inputs.e_ro), k](double t) {
+    return static_cast<std::size_t>(t / kSetpoint) == k
+               ? std::numeric_limits<double>::infinity()
+               : e_ro(t);
+  };
+}
+
+/// Runs an ensemble of `cfg` on `backend` over `inputs` sampled for
+/// kCycles cycles, one lane per input, every lane running `prototype`
+/// (null in the open-loop modes), and checks every lane's streamed trace
+/// bitwise against a fresh scalar run_batch over the lane's own inputs
+/// with a clone of it.  A second, identical ensemble runs the same block
+/// into a MetricsReducer: every lane the reference does not isolate must
+/// fold evaluate_run's figures of that trace, bitwise.
+void expect_bit_exact_on(const std::vector<SimulationInputs>& inputs,
                          const LoopConfig& cfg, simd::Backend backend,
                          const std::vector<fault::FaultSchedule>* faults,
                          const control::ControlBlock* prototype) {
   BackendOverrideGuard forced{backend};
-  const std::size_t width = block.width;
+  const std::size_t width = inputs.size();
+  const InputBlock block = sample_ensemble(inputs, kCycles, kSetpoint);
   const auto make_ensemble = [&] {
     auto ensemble = EnsembleSimulator::uniform(cfg, prototype, width);
     if (faults != nullptr) ensemble.attach_faults(*faults);
@@ -169,29 +216,27 @@ void expect_bit_exact_on(const EnsembleInputBlock& block,
   analysis::MetricsReducer metrics{
       std::vector<double>(width, kFixedPeriod), kSkip};
   metered.run(block, metrics);
+  const auto references =
+      lane_references(inputs, kCycles, cfg, faults, prototype);
   for (std::size_t w = 0; w < width; ++w) {
-    LoopSimulator scalar{cfg,
-                         prototype != nullptr ? prototype->clone() : nullptr};
-    if (faults != nullptr) scalar.attach_faults((*faults)[w]);
-    const SimulationTrace reference = scalar.run_batch(block.lane(w));
-    ASSERT_NO_FATAL_FAILURE(expect_same_trace(reference, reducer.trace(w), w));
-    ASSERT_EQ(scalar.isolated(), metered.isolated(w)) << "lane " << w;
-    if (!scalar.isolated()) {
+    const LaneReference& reference = references[w];
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_trace(reference.trace, reducer.trace(w), w));
+    ASSERT_EQ(reference.isolated, metered.isolated(w)) << "lane " << w;
+    if (!reference.isolated) {
       ASSERT_NO_FATAL_FAILURE(
-          expect_same_metrics(reference, metrics.metrics(w), w));
+          expect_same_metrics(reference.trace, metrics.metrics(w), w));
     }
   }
 }
 
-/// expect_bit_exact_on over a `width`-lane block of varied harmonics.
+/// expect_bit_exact_on over `width` lanes of varied harmonics.
 void expect_bit_exact(std::size_t width, const LoopConfig& cfg,
                       simd::Backend backend,
                       const std::vector<fault::FaultSchedule>* faults =
                           nullptr,
                       const control::ControlBlock* prototype = &paper_iir()) {
-  expect_bit_exact_on(
-      sample_ensemble(varied_inputs(width), kCycles, kSetpoint), cfg,
-      backend, faults, prototype);
+  expect_bit_exact_on(varied_inputs(width), cfg, backend, faults, prototype);
 }
 
 // Widths chosen around the vector geometry: 1 (pure tail), 3 and 5 are
@@ -435,10 +480,9 @@ std::vector<fault::FaultSchedule> window_schedules() {
 }
 
 /// Cycles [begin, end) of `block`.
-EnsembleInputBlock cycle_range(const EnsembleInputBlock& block,
-                               std::size_t begin, std::size_t end) {
-  EnsembleInputBlock part;
-  part.dt = block.dt;
+InputBlock cycle_range(const InputBlock& block, std::size_t begin,
+                       std::size_t end) {
+  InputBlock part;
   part.width = block.width;
   part.cycles = end - begin;
   const auto first = static_cast<std::ptrdiff_t>(begin * block.width);
@@ -449,25 +493,24 @@ EnsembleInputBlock cycle_range(const EnsembleInputBlock& block,
   return part;
 }
 
-/// Every lane of `ensemble`'s run into `reducer` against run_batch on the
-/// same lane of `block` with the same schedule, isolation verdict
-/// included; and every lane the reference does not isolate of `metered`'s
-/// identical run into `metrics` against evaluate_run over that trace.
+/// Every lane of `ensemble`'s run into `reducer` against its reference
+/// (run_batch over the lane's inputs with the same schedule), isolation
+/// verdict included; and every lane the reference does not isolate of
+/// `metered`'s identical run into `metrics` against evaluate_run over
+/// that trace.
 void expect_faulted_lanes_exact(
     const EnsembleSimulator& ensemble, const TraceReducer& reducer,
     const EnsembleSimulator& metered, const analysis::MetricsReducer& metrics,
-    const EnsembleInputBlock& block,
-    const std::vector<fault::FaultSchedule>& schedules, const LoopConfig& cfg) {
-  for (std::size_t w = 0; w < block.width; ++w) {
-    LoopSimulator scalar{cfg, paper_iir().clone()};
-    scalar.attach_faults(schedules[w]);
-    const SimulationTrace reference = scalar.run_batch(block.lane(w));
-    ASSERT_NO_FATAL_FAILURE(expect_same_trace(reference, reducer.trace(w), w));
-    ASSERT_EQ(scalar.isolated(), ensemble.isolated(w)) << "lane " << w;
-    ASSERT_EQ(scalar.isolated(), metered.isolated(w)) << "lane " << w;
-    if (!scalar.isolated()) {
+    const std::vector<LaneReference>& references) {
+  for (std::size_t w = 0; w < references.size(); ++w) {
+    const LaneReference& reference = references[w];
+    ASSERT_NO_FATAL_FAILURE(
+        expect_same_trace(reference.trace, reducer.trace(w), w));
+    ASSERT_EQ(reference.isolated, ensemble.isolated(w)) << "lane " << w;
+    ASSERT_EQ(reference.isolated, metered.isolated(w)) << "lane " << w;
+    if (!reference.isolated) {
       ASSERT_NO_FATAL_FAILURE(
-          expect_same_metrics(reference, metrics.metrics(w), w));
+          expect_same_metrics(reference.trace, metrics.metrics(w), w));
     }
   }
 }
@@ -479,18 +522,23 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
   // run() inputs: an infinite e_ro sample on armed lane 8 at cycle 310,
   // long after its windows, isolates it on cycle 311 while the other
   // lanes of its group run on.
-  auto block = sample_ensemble(varied_inputs(kWindowWidth), kWindowCycles,
-                               kSetpoint);
-  block.e_ro[310 * kWindowWidth + 8] = std::numeric_limits<double>::infinity();
+  auto inputs = varied_inputs(kWindowWidth);
+  poison_e_ro(inputs[8], 310);
+  const auto block = sample_ensemble(inputs, kWindowCycles, kSetpoint);
   // run_homogeneous inputs: one sine on every lane plus a static mu.
   const signal::SineWaveform wave{10.0, 1600.0};
   std::vector<double> mus(kWindowWidth);
+  std::vector<SimulationInputs> homogeneous;
   for (std::size_t w = 0; w < kWindowWidth; ++w) {
     mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
+    homogeneous.push_back(SimulationInputs::homogeneous(
+        std::make_shared<signal::SineWaveform>(wave), mus[w]));
   }
-  const auto homogeneous =
-      sample_homogeneous_ensemble(wave, mus, kWindowCycles, kSetpoint);
-
+  // The scalar references depend on no backend: each is computed once.
+  const auto block_references =
+      lane_references(inputs, kWindowCycles, cfg, &schedules);
+  const auto homogeneous_references =
+      lane_references(homogeneous, kWindowCycles, cfg, &schedules);
   for (const simd::Backend backend : backends_under_test()) {
     SCOPED_TRACE(simd::to_string(backend));
     BackendOverrideGuard forced{backend};
@@ -521,7 +569,7 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
       ASSERT_TRUE(ensemble.isolated(8));
       ASSERT_TRUE(ensemble.isolated(24));
       ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
-          ensemble, reducer, metered, metrics, block, schedules, cfg));
+          ensemble, reducer, metered, metrics, block_references));
     }
     {
       SCOPED_TRACE("run_homogeneous after reset()");
@@ -535,7 +583,7 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
       metered.run_homogeneous(wave, mus, kSetpoint, kWindowCycles, metrics,
                               nullptr);
       ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
-          ensemble, reducer, metered, metrics, homogeneous, schedules, cfg));
+          ensemble, reducer, metered, metrics, homogeneous_references));
     }
     {
       SCOPED_TRACE("successive run() calls after reset()");
@@ -547,7 +595,7 @@ TEST(EnsembleSimd, FaultWindowsAcrossCallsAndTilesBitExact) {
       run_in_calls(ensemble, reducer);
       run_in_calls(metered, metrics);
       ASSERT_NO_FATAL_FAILURE(expect_faulted_lanes_exact(
-          ensemble, reducer, metered, metrics, block, schedules, cfg));
+          ensemble, reducer, metered, metrics, block_references));
     }
   }
 }
@@ -559,11 +607,11 @@ std::size_t cycles_before_isolation(const LoopConfig& cfg,
                                     const InputBlock& lane) {
   LoopSimulator scalar{cfg, paper_iir().clone()};
   scalar.attach_faults(schedule);
-  for (std::size_t k = 0; k < lane.size(); ++k) {
+  for (std::size_t k = 0; k < lane.cycles; ++k) {
     (void)scalar.step(lane.e_ro[k], lane.e_tdc[k], lane.mu[k]);
     if (scalar.isolated()) return k;
   }
-  return lane.size();
+  return lane.cycles;
 }
 
 TEST(EnsembleSimd, IsolatedLaneFoldsItsCyclesBeforeIsolation) {
@@ -585,8 +633,9 @@ TEST(EnsembleSimd, IsolatedLaneFoldsItsCyclesBeforeIsolation) {
       .add({fault::FaultKind::kVoltageDroop, 60, 4, 1e308})
       .add({fault::FaultKind::kVoltageDroop, 60, 4, 1e308});
   schedules[13].add({fault::FaultKind::kTdcGlitch, 50, 1, 5.0});
-  auto block = sample_ensemble(varied_inputs(kLanes), kRunCycles, kSetpoint);
-  block.e_ro[700 * kLanes + 13] = std::numeric_limits<double>::infinity();
+  auto inputs = varied_inputs(kLanes);
+  poison_e_ro(inputs[13], 700);
+  const auto block = sample_ensemble(inputs, kRunCycles, kSetpoint);
 
   for (const simd::Backend backend : backends_under_test()) {
     SCOPED_TRACE(simd::to_string(backend));
@@ -600,8 +649,8 @@ TEST(EnsembleSimd, IsolatedLaneFoldsItsCyclesBeforeIsolation) {
 
     for (std::size_t w = 0; w < kLanes; ++w) {
       SCOPED_TRACE("lane " + std::to_string(w));
-      InputBlock lane = block.lane(w);
-      const std::size_t good = cycles_before_isolation(cfg, schedules[w], lane);
+      const std::size_t good = cycles_before_isolation(
+          cfg, schedules[w], inputs[w].sample(kRunCycles, kSetpoint));
       ASSERT_EQ(good < kRunCycles, ensemble.isolated(w));
       if (w == 20) {
         // No cycle folded: no figure, rather than a perfect-looking one.
@@ -614,13 +663,11 @@ TEST(EnsembleSimd, IsolatedLaneFoldsItsCyclesBeforeIsolation) {
         continue;
       }
       ASSERT_GT(good, kSkip);
-      lane.e_ro.resize(good);
-      lane.e_tdc.resize(good);
-      lane.mu.resize(good);
       LoopSimulator scalar{cfg, paper_iir().clone()};
       scalar.attach_faults(schedules[w]);
-      ASSERT_NO_FATAL_FAILURE(
-          expect_same_metrics(scalar.run_batch(lane), metrics[w], w));
+      ASSERT_NO_FATAL_FAILURE(expect_same_metrics(
+          scalar.run_batch(inputs[w].sample(good, kSetpoint)), metrics[w],
+          w));
     }
   }
 }
@@ -637,13 +684,14 @@ TEST(EnsembleSimd, UnarmedLaneWithNonFiniteInputRunsOnExactly) {
                                      cdn::DelayQuantization::kRound, true);
   std::vector<fault::FaultSchedule> schedules(kWidth);
   schedules[0].add({fault::FaultKind::kTdcGlitch, 50, 1, 5.0});
-  auto block = sample_ensemble(varied_inputs(kWidth), kCycles, kSetpoint);
+  auto inputs = varied_inputs(kWidth);
   for (const std::size_t lane : {std::size_t{1}, std::size_t{8}}) {
-    block.e_ro[20 * kWidth + lane] = std::numeric_limits<double>::infinity();
+    poison_e_ro(inputs[lane], 20);
   }
+  const auto block = sample_ensemble(inputs, kCycles, kSetpoint);
   for (const simd::Backend backend : backends_under_test()) {
     SCOPED_TRACE(simd::to_string(backend));
-    expect_bit_exact_on(block, cfg, backend, &schedules, &paper_iir());
+    expect_bit_exact_on(inputs, cfg, backend, &schedules, &paper_iir());
     BackendOverrideGuard forced{backend};
     const control::IirControlHardware prototype{control::paper_iir_config()};
     auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, kWidth);
@@ -682,32 +730,28 @@ class TableWave final : public signal::Waveform {
 
 /// Every lane of `split`'s and `whole`'s runs (traces into `split_trace`
 /// and `whole_trace`, metrics into `split_metrics` and `whole_metrics`)
-/// against run_batch on the same lane of `block` and against each other,
-/// bitwise, isolation verdicts included.
+/// against its reference and against each other, bitwise, isolation
+/// verdicts included.
 void expect_splits_exact(const EnsembleSimulator& split,
                          const TraceReducer& split_trace,
                          const analysis::MetricsReducer& split_metrics,
                          const EnsembleSimulator& whole,
                          const TraceReducer& whole_trace,
                          const analysis::MetricsReducer& whole_metrics,
-                         const EnsembleInputBlock& block,
-                         const std::vector<fault::FaultSchedule>& schedules,
-                         const LoopConfig& cfg) {
-  for (std::size_t w = 0; w < block.width; ++w) {
-    LoopSimulator scalar{cfg, paper_iir().clone()};
-    scalar.attach_faults(schedules[w]);
-    const SimulationTrace reference = scalar.run_batch(block.lane(w));
+                         const std::vector<LaneReference>& references) {
+  for (std::size_t w = 0; w < references.size(); ++w) {
+    const LaneReference& reference = references[w];
     ASSERT_NO_FATAL_FAILURE(
-        expect_same_trace(reference, split_trace.trace(w), w));
+        expect_same_trace(reference.trace, split_trace.trace(w), w));
     ASSERT_NO_FATAL_FAILURE(
-        expect_same_trace(reference, whole_trace.trace(w), w));
-    ASSERT_EQ(scalar.isolated(), split.isolated(w)) << "lane " << w;
-    ASSERT_EQ(scalar.isolated(), whole.isolated(w)) << "lane " << w;
-    if (!scalar.isolated()) {
-      ASSERT_NO_FATAL_FAILURE(
-          expect_same_metrics(reference, split_metrics.metrics(w), w));
-      ASSERT_NO_FATAL_FAILURE(
-          expect_same_metrics(reference, whole_metrics.metrics(w), w));
+        expect_same_trace(reference.trace, whole_trace.trace(w), w));
+    ASSERT_EQ(reference.isolated, split.isolated(w)) << "lane " << w;
+    ASSERT_EQ(reference.isolated, whole.isolated(w)) << "lane " << w;
+    if (!reference.isolated) {
+      ASSERT_NO_FATAL_FAILURE(expect_same_metrics(
+          reference.trace, split_metrics.metrics(w), w));
+      ASSERT_NO_FATAL_FAILURE(expect_same_metrics(
+          reference.trace, whole_metrics.metrics(w), w));
     }
   }
 }
@@ -720,47 +764,60 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
   // segments, each a kernel call per chunk) in calls of 257 cycles and
   // the rest, must match one call and run_batch bitwise: widths 1, 9 and
   // 33, with and without armed lanes, into a TraceReducer and a
-  // MetricsReducer, on every backend.
+  // MetricsReducer, on every backend.  The run_batch references depend on
+  // no backend, so each case computes them once and checks every backend
+  // against them.
   const LoopConfig cfg = make_config(sensor::Quantization::kNearest,
                                      cdn::DelayQuantization::kRound, true);
   const std::size_t kRunCalls[] = {1, 255, 344};
   constexpr std::size_t kLongest = 2 * 8192 + 1;
   const std::size_t kHomogeneousCycles[] = {8191, 8192, 8193, kLongest};
   constexpr std::size_t kFirstCall = 257;
-  const std::vector<double> wave =
-      signal::SineWaveform{10.0, 1600.0}.sample(kLongest, kSetpoint);
+  const signal::SineWaveform sine{10.0, 1600.0};
+  std::vector<double> wave(kLongest);
+  for (std::size_t k = 0; k < kLongest; ++k) {
+    wave[k] = sine.at(static_cast<double>(k) * kSetpoint);
+  }
+  const std::vector<simd::Backend> backends = backends_under_test();
 
-  for (const simd::Backend backend : backends_under_test()) {
-    BackendOverrideGuard forced{backend};
-    for (const std::size_t width : {std::size_t{1}, std::size_t{9},
-                                    std::size_t{33}}) {
-      for (const bool armed : {false, true}) {
-        SCOPED_TRACE(std::string{simd::to_string(backend)} + " width " +
-                     std::to_string(width) + (armed ? " armed" : " clean"));
-        std::vector<fault::FaultSchedule> schedules(width);
-        if (armed) {
-          fault::RandomFaultSpec spec;
-          spec.horizon_cycles = kLongest;
-          for (std::size_t w = 0; w < width; w += 8) {
-            schedules[w] = fault::FaultSchedule::random(9100 + w, spec);
-          }
+  for (const std::size_t width : {std::size_t{1}, std::size_t{9},
+                                  std::size_t{33}}) {
+    for (const bool armed : {false, true}) {
+      SCOPED_TRACE("width " + std::to_string(width) +
+                   (armed ? " armed" : " clean"));
+      std::vector<fault::FaultSchedule> schedules(width);
+      if (armed) {
+        fault::RandomFaultSpec spec;
+        spec.horizon_cycles = kLongest;
+        for (std::size_t w = 0; w < width; w += 8) {
+          schedules[w] = fault::FaultSchedule::random(9100 + w, spec);
         }
-        const control::IirControlHardware prototype{
-            control::paper_iir_config()};
-        const auto make = [&] {
-          auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, width);
-          if (armed) ensemble.attach_faults(schedules);
-          return ensemble;
-        };
-        std::vector<double> mus(width);
-        for (std::size_t w = 0; w < width; ++w) {
-          mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
-        }
+      }
+      const control::IirControlHardware prototype{
+          control::paper_iir_config()};
+      const auto make = [&] {
+        auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, width);
+        if (armed) ensemble.attach_faults(schedules);
+        return ensemble;
+      };
+      std::vector<double> mus(width);
+      std::vector<SimulationInputs> homogeneous;
+      for (std::size_t w = 0; w < width; ++w) {
+        mus[w] = -6.0 + 1.7 * static_cast<double>(w % 8);
+        homogeneous.push_back(SimulationInputs::homogeneous(
+            std::make_shared<TableWave>(wave, kSetpoint, std::size_t{0}),
+            mus[w]));
+      }
 
-        {
-          SCOPED_TRACE("run() in calls of 1 + 255 + 344 cycles");
-          const auto block =
-              sample_ensemble(varied_inputs(width), kCycles, kSetpoint);
+      {
+        SCOPED_TRACE("run() in calls of 1 + 255 + 344 cycles");
+        const auto inputs = varied_inputs(width);
+        const auto block = sample_ensemble(inputs, kCycles, kSetpoint);
+        const auto references =
+            lane_references(inputs, kCycles, cfg, &schedules);
+        for (const simd::Backend backend : backends) {
+          SCOPED_TRACE(simd::to_string(backend));
+          BackendOverrideGuard forced{backend};
           auto split = make();
           auto split_metered = make();
           auto whole = make();
@@ -783,15 +840,21 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
           whole_metered.run(block, whole_metrics);
           ASSERT_NO_FATAL_FAILURE(expect_splits_exact(
               split, split_trace, split_metrics, whole, whole_trace,
-              whole_metrics, block, schedules, cfg));
+              whole_metrics, references));
           ASSERT_EQ(split_metered.fault_group_cycles(),
                     whole_metered.fault_group_cycles());
         }
-        for (const std::size_t cycles : kHomogeneousCycles) {
-          SCOPED_TRACE("run_homogeneous over " + std::to_string(cycles) +
-                       " cycles in calls of 257 and the rest");
-          const auto block = sample_homogeneous_ensemble(
-              TableWave{wave, kSetpoint, 0}, mus, cycles, kSetpoint);
+      }
+      for (const std::size_t cycles : kHomogeneousCycles) {
+        SCOPED_TRACE("run_homogeneous over " + std::to_string(cycles) +
+                     " cycles in calls of 257 and the rest");
+        const auto references =
+            lane_references(homogeneous, cycles, cfg, &schedules);
+        const TableWave first{wave, kSetpoint, 0};
+        const TableWave rest{wave, kSetpoint, kFirstCall};
+        for (const simd::Backend backend : backends) {
+          SCOPED_TRACE(simd::to_string(backend));
+          BackendOverrideGuard forced{backend};
           auto split = make();
           auto split_metered = make();
           auto whole = make();
@@ -802,8 +865,6 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
               std::vector<double>(width, kFixedPeriod), kSkip};
           analysis::MetricsReducer whole_metrics{
               std::vector<double>(width, kFixedPeriod), kSkip};
-          const TableWave first{wave, kSetpoint, 0};
-          const TableWave rest{wave, kSetpoint, kFirstCall};
           for (auto* target : {&split, &split_metered}) {
             StreamingReducer& reducer =
                 target == &split ? static_cast<StreamingReducer&>(split_trace)
@@ -819,7 +880,7 @@ TEST(EnsembleSimd, StateCarriedAcrossCallsAndTilesBitExact) {
                                         whole_metrics, nullptr);
           ASSERT_NO_FATAL_FAILURE(expect_splits_exact(
               split, split_trace, split_metrics, whole, whole_trace,
-              whole_metrics, block, schedules, cfg));
+              whole_metrics, references));
           ASSERT_EQ(split_metered.fault_group_cycles(),
                     whole_metered.fault_group_cycles());
         }

@@ -55,20 +55,22 @@ std::vector<SimulationInputs> varied_inputs(std::size_t lanes) {
 }
 
 /// Runs every lane of `ensemble`, built with `prototype` (null in the
-/// open-loop modes), and checks each against a freshly built scalar
-/// LoopSimulator with a clone of it, fed the de-interleaved block through
-/// run_batch.
+/// open-loop modes), over `inputs` sampled for `cycles` cycles, and checks
+/// each against a freshly built scalar LoopSimulator with a clone of it,
+/// fed its own lane's inputs through run_batch.
 void expect_lanes_match_scalar(EnsembleSimulator& ensemble,
-                               const EnsembleInputBlock& block,
+                               const std::vector<SimulationInputs>& inputs,
+                               std::size_t cycles,
                                const control::ControlBlock* prototype,
                                ThreadPool* pool = nullptr) {
-  TraceReducer reducer{ensemble.width(), block.cycles};
+  TraceReducer reducer{ensemble.width(), cycles};
   ensemble.reset();
-  ensemble.run(block, reducer, pool);
+  ensemble.run(sample_ensemble(inputs, cycles, kSetpoint), reducer, pool);
   for (std::size_t w = 0; w < ensemble.width(); ++w) {
     LoopSimulator scalar{ensemble.lane_config(w),
                          prototype != nullptr ? prototype->clone() : nullptr};
-    const SimulationTrace reference = scalar.run_batch(block.lane(w));
+    const SimulationTrace reference =
+        scalar.run_batch(inputs[w].sample(cycles, kSetpoint));
     const SimulationTrace& lane = reducer.trace(w);
     ASSERT_EQ(reference.size(), lane.size());
     for (std::size_t k = 0; k < reference.size(); ++k) {
@@ -98,11 +100,11 @@ TEST(EnsembleInputs, SampleEnsembleMatchesPerLaneSampling) {
   ASSERT_EQ(block.cycles, n);
   for (std::size_t w = 0; w < lanes.size(); ++w) {
     const InputBlock scalar = lanes[w].sample(n, kSetpoint);
-    const InputBlock deinterleaved = block.lane(w);
     for (std::size_t k = 0; k < n; ++k) {
-      ASSERT_EQ(scalar.e_ro[k], deinterleaved.e_ro[k]);
-      ASSERT_EQ(scalar.e_tdc[k], deinterleaved.e_tdc[k]);
-      ASSERT_EQ(scalar.mu[k], deinterleaved.mu[k]);
+      const std::size_t at = k * block.width + w;
+      ASSERT_EQ(scalar.e_ro[k], block.e_ro[at]);
+      ASSERT_EQ(scalar.e_tdc[k], block.e_tdc[at]);
+      ASSERT_EQ(scalar.mu[k], block.mu[at]);
     }
   }
 }
@@ -117,24 +119,6 @@ TEST(EnsembleInputs, ParallelSamplingMatchesSerial) {
   ASSERT_EQ(serial.mu, parallel.mu);
 }
 
-TEST(EnsembleInputs, HomogeneousBroadcastMatchesPerLaneSampling) {
-  const signal::SineWaveform wave{10.0, 1600.0, 0.25};
-  const std::vector<double> mus{-3.0, 0.0, 1.5, 8.0, -12.0};
-  const auto block =
-      sample_homogeneous_ensemble(wave, mus, 200, kSetpoint);
-  for (std::size_t w = 0; w < mus.size(); ++w) {
-    const auto scalar =
-        SimulationInputs::homogeneous(
-            std::make_shared<signal::SineWaveform>(10.0, 1600.0, 0.25),
-            mus[w])
-            .sample(200, kSetpoint);
-    const InputBlock lane = block.lane(w);
-    ASSERT_EQ(scalar.e_ro, lane.e_ro) << "lane " << w;
-    ASSERT_EQ(scalar.e_tdc, lane.e_tdc) << "lane " << w;
-    ASSERT_EQ(scalar.mu, lane.mu) << "lane " << w;
-  }
-}
-
 // ------------------------------------------- bit-for-bit vs run_batch
 
 TEST(EnsembleSimulator, IirLanesMatchScalarRunBatchBitForBit) {
@@ -146,8 +130,7 @@ TEST(EnsembleSimulator, IirLanesMatchScalarRunBatchBitForBit) {
   const control::IirControlHardware prototype;
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
   EXPECT_TRUE(ensemble.uses_iir_fast_path());
-  const auto block = sample_ensemble(varied_inputs(lanes), 2000, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, &prototype);
+  expect_lanes_match_scalar(ensemble, varied_inputs(lanes), 2000, &prototype);
 }
 
 TEST(EnsembleSimulator, HeterogeneousCdnDelaysMatchScalar) {
@@ -161,9 +144,8 @@ TEST(EnsembleSimulator, HeterogeneousCdnDelaysMatchScalar) {
   }
   const control::IirControlHardware prototype;
   EnsembleSimulator ensemble{configs, &prototype};
-  const auto block =
-      sample_ensemble(varied_inputs(delays.size()), 3000, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, &prototype);
+  expect_lanes_match_scalar(ensemble, varied_inputs(delays.size()), 3000,
+                            &prototype);
 }
 
 TEST(EnsembleSimulator, TeaTimeFallbackMatchesScalar) {
@@ -172,8 +154,7 @@ TEST(EnsembleSimulator, TeaTimeFallbackMatchesScalar) {
   const control::TeaTimeControl prototype;
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
   EXPECT_FALSE(ensemble.uses_iir_fast_path());
-  const auto block = sample_ensemble(varied_inputs(lanes), 2000, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, &prototype);
+  expect_lanes_match_scalar(ensemble, varied_inputs(lanes), 2000, &prototype);
 }
 
 TEST(EnsembleSimulator, MovedEnsembleMatchesScalar) {
@@ -184,7 +165,7 @@ TEST(EnsembleSimulator, MovedEnsembleMatchesScalar) {
   const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
   const control::IirControlHardware iir;
   const control::TeaTimeControl teatime;
-  const auto block = sample_ensemble(varied_inputs(37), 800, kSetpoint);
+  const auto inputs = varied_inputs(37);
   for (const control::ControlBlock* prototype :
        {static_cast<const control::ControlBlock*>(&iir),
         static_cast<const control::ControlBlock*>(&teatime)}) {
@@ -193,7 +174,7 @@ TEST(EnsembleSimulator, MovedEnsembleMatchesScalar) {
       auto source = EnsembleSimulator::uniform(cfg, prototype, 37);
       moved = std::make_unique<EnsembleSimulator>(std::move(source));
     }
-    expect_lanes_match_scalar(*moved, block, prototype);
+    expect_lanes_match_scalar(*moved, inputs, 800, prototype);
   }
 }
 
@@ -206,8 +187,7 @@ TEST(EnsembleSimulator, OpenLoopModesMatchScalar) {
           lane_config(mode, 64.0, 1.5 * static_cast<double>(w)));
     }
     EnsembleSimulator ensemble{configs, nullptr};
-    const auto block = sample_ensemble(varied_inputs(9), 1500, kSetpoint);
-    expect_lanes_match_scalar(ensemble, block, nullptr);
+    expect_lanes_match_scalar(ensemble, varied_inputs(9), 1500, nullptr);
   }
 }
 
@@ -218,8 +198,7 @@ TEST(EnsembleSimulator, LinearInterpCdnMatchesScalar) {
   cfg.tdc_quantization = sensor::Quantization::kNone;
   const control::IirControlHardware prototype;
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, 7);
-  const auto block = sample_ensemble(varied_inputs(7), 1500, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, &prototype);
+  expect_lanes_match_scalar(ensemble, varied_inputs(7), 1500, &prototype);
 }
 
 TEST(EnsembleSimulator, ParallelRunMatchesScalar) {
@@ -227,8 +206,7 @@ TEST(EnsembleSimulator, ParallelRunMatchesScalar) {
   const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
   const control::IirControlHardware prototype;
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
-  const auto block = sample_ensemble(varied_inputs(lanes), 1200, kSetpoint);
-  expect_lanes_match_scalar(ensemble, block, &prototype,
+  expect_lanes_match_scalar(ensemble, varied_inputs(lanes), 1200, &prototype,
                             &ThreadPool::shared());
 }
 
@@ -245,7 +223,7 @@ TEST(EnsembleSimulator, SuccessiveRunsContinueLikeRunBatch) {
   for (std::size_t w = 0; w < 4; ++w) {
     LoopSimulator scalar{cfg,
                          std::make_unique<control::IirControlHardware>()};
-    const InputBlock lane_block = first.lane(w);
+    const InputBlock lane_block = inputs[w].sample(500, kSetpoint);
     SimulationTrace reference = scalar.run_batch(lane_block);
     const SimulationTrace continued = scalar.run_batch(lane_block);
     ASSERT_EQ(reducer.trace(w).size(), 1000u);
@@ -271,10 +249,15 @@ TEST(EnsembleSimulator, RunHomogeneousMatchesWholeBlockRun) {
   for (std::size_t w = 0; w < lanes; ++w) {
     mus[w] = -6.0 + 0.17 * static_cast<double>(w);
   }
+  // The whole-block run: each lane's own homogeneous inputs, sampled.
+  std::vector<SimulationInputs> inputs;
+  for (const double mu : mus) {
+    inputs.push_back(SimulationInputs::homogeneous(
+        std::make_shared<signal::SineWaveform>(wave), mu));
+  }
   auto whole = EnsembleSimulator::uniform(cfg, &prototype, lanes);
   TraceReducer reference{lanes, cycles};
-  whole.run(sample_homogeneous_ensemble(wave, mus, cycles, kSetpoint),
-            reference);
+  whole.run(sample_ensemble(inputs, cycles, kSetpoint), reference);
 
   ThreadPool pool{3};
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
@@ -311,17 +294,19 @@ TEST(EnsembleMetrics, MetricsReducerMatchesEvaluateRunBitForBit) {
   const LoopConfig cfg = lane_config(GeneratorMode::kControlledRo, 64.0);
   const control::IirControlHardware prototype;
   auto ensemble = EnsembleSimulator::uniform(cfg, &prototype, lanes);
-  const auto block = sample_ensemble(varied_inputs(lanes), cycles, kSetpoint);
+  const auto inputs = varied_inputs(lanes);
 
   const std::vector<RunMetrics> streamed = analysis::evaluate_ensemble(
-      ensemble, block, {fixed_period}, skip);
+      ensemble, sample_ensemble(inputs, cycles, kSetpoint), {fixed_period},
+      skip);
   ASSERT_EQ(streamed.size(), lanes);
 
   for (std::size_t w = 0; w < lanes; ++w) {
     LoopSimulator scalar{cfg,
                          std::make_unique<control::IirControlHardware>()};
     const RunMetrics reference = analysis::evaluate_run(
-        scalar.run_batch(block.lane(w)), kSetpoint, fixed_period, skip);
+        scalar.run_batch(inputs[w].sample(cycles, kSetpoint)), kSetpoint,
+        fixed_period, skip);
     ASSERT_EQ(reference.safety_margin, streamed[w].safety_margin)
         << "lane " << w;
     ASSERT_EQ(reference.mean_period, streamed[w].mean_period) << "lane " << w;

@@ -39,9 +39,10 @@ TEST(Inputs, NullWaveformRejected) {
 TEST(Inputs, SampleEvaluatesSignalsOnTheRunGrid) {
   const auto inputs = SimulationInputs::harmonic(12.8, 1600.0, -2.5);
   const InputBlock block = inputs.sample(64, 32.0);
-  ASSERT_EQ(block.size(), 64u);
-  EXPECT_DOUBLE_EQ(block.dt, 32.0);
-  for (std::size_t k = 0; k < block.size(); ++k) {
+  ASSERT_EQ(block.width, 1u);
+  ASSERT_EQ(block.cycles, 64u);
+  ASSERT_EQ(block.e_ro.size(), 64u);
+  for (std::size_t k = 0; k < block.cycles; ++k) {
     const double t = static_cast<double>(k) * 32.0;
     EXPECT_EQ(block.e_ro[k], inputs.e_ro(t)) << "k = " << k;
     EXPECT_EQ(block.e_tdc[k], inputs.e_tdc(t)) << "k = " << k;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "roclk/analysis/experiments.hpp"
 #include "roclk/control/iir_control.hpp"
@@ -248,26 +249,25 @@ TEST(LoopSimulator, FasterPerturbationNeedsMoreMargin) {
   EXPECT_GT(sm_fast, sm_slow);
 }
 
-TEST(LoopSimulator, SamplePeriodOverrideChangesPerturbationSampling) {
-  LoopConfig cfg = linear_config();
-  cfg.sample_period = 32.0;  // sample the waveform twice per nominal period
-  LoopSimulator sim{cfg, std::make_unique<control::IirControlReference>()};
-  const auto inputs = SimulationInputs::harmonic(12.8, 1600.0);
-  const auto trace = sim.run(inputs, 100);
-  EXPECT_EQ(trace.size(), 100u);
-}
-
 // ------------------------------------------------------- run_batch parity
 
 namespace {
 
-/// Asserts run_batch on a pre-sampled block reproduces run() bit for bit.
-void expect_batch_matches_run(LoopSimulator& a, LoopSimulator& b,
+/// Asserts run_batch on `a` reproduces a step() loop on `b` over the same
+/// one-lane block, sampled from `inputs` at `dt` (default: the set-point,
+/// as run() samples), bit for bit.  run() is run_batch over that block,
+/// so this is the gate that the batched loop is step()'s arithmetic.
+void expect_batch_matches_steps(LoopSimulator& a, LoopSimulator& b,
                               const SimulationInputs& inputs,
-                              std::size_t cycles) {
-  const double dt = a.config().sample_period.value_or(a.config().setpoint_c);
-  const auto reference = a.run(inputs, cycles);
-  const auto batched = b.run_batch(inputs.sample(cycles, dt));
+                              std::size_t cycles,
+                              std::optional<double> dt = std::nullopt) {
+  const InputBlock block =
+      inputs.sample(cycles, dt.value_or(a.config().setpoint_c));
+  const auto batched = a.run_batch(block);
+  SimulationTrace reference;
+  for (std::size_t k = 0; k < cycles; ++k) {
+    reference.push(b.step(block.e_ro[k], block.e_tdc[k], block.mu[k]));
+  }
   ASSERT_EQ(reference.size(), batched.size());
   for (std::size_t k = 0; k < cycles; ++k) {
     ASSERT_EQ(reference.tau()[k], batched.tau()[k]) << "cycle " << k;
@@ -289,19 +289,19 @@ TEST(LoopSimulatorBatch, MatchesRunBitForBitOnHarmonicInputs) {
   const auto inputs = SimulationInputs::harmonic(12.8, 1600.0, 3.0);
   auto a_iir = make_iir_system(64.0, 64.0);
   auto b_iir = make_iir_system(64.0, 64.0);
-  expect_batch_matches_run(a_iir, b_iir, inputs, 3000);
+  expect_batch_matches_steps(a_iir, b_iir, inputs, 3000);
 
   auto a_tea = paper_system(analysis::SystemKind::kTeaTime);
   auto b_tea = paper_system(analysis::SystemKind::kTeaTime);
-  expect_batch_matches_run(a_tea, b_tea, inputs, 3000);
+  expect_batch_matches_steps(a_tea, b_tea, inputs, 3000);
 
   auto a_free = paper_system(analysis::SystemKind::kFreeRo, 12.8);
   auto b_free = paper_system(analysis::SystemKind::kFreeRo, 12.8);
-  expect_batch_matches_run(a_free, b_free, inputs, 3000);
+  expect_batch_matches_steps(a_free, b_free, inputs, 3000);
 
   auto a_fix = paper_system(analysis::SystemKind::kFixedClock, 12.8);
   auto b_fix = paper_system(analysis::SystemKind::kFixedClock, 12.8);
-  expect_batch_matches_run(a_fix, b_fix, inputs, 3000);
+  expect_batch_matches_steps(a_fix, b_fix, inputs, 3000);
 }
 
 TEST(LoopSimulatorBatch, MatchesRunBitForBitOnFallbackControllers) {
@@ -316,12 +316,12 @@ TEST(LoopSimulatorBatch, MatchesRunBitForBitOnFallbackControllers) {
   {
     LoopSimulator a{cfg, std::make_unique<control::ProportionalControl>(0.5)};
     LoopSimulator b{cfg, std::make_unique<control::ProportionalControl>(0.5)};
-    expect_batch_matches_run(a, b, inputs, 2000);
+    expect_batch_matches_steps(a, b, inputs, 2000);
   }
   {
     LoopSimulator a{cfg, std::make_unique<control::PiControl>(0.5, 0.125)};
     LoopSimulator b{cfg, std::make_unique<control::PiControl>(0.5, 0.125)};
-    expect_batch_matches_run(a, b, inputs, 2000);
+    expect_batch_matches_steps(a, b, inputs, 2000);
   }
   {
     control::TeaTimeConfig tea;
@@ -329,7 +329,7 @@ TEST(LoopSimulatorBatch, MatchesRunBitForBitOnFallbackControllers) {
     tea.delayed_sign = true;
     LoopSimulator a{cfg, std::make_unique<control::TeaTimeControl>(tea)};
     LoopSimulator b{cfg, std::make_unique<control::TeaTimeControl>(tea)};
-    expect_batch_matches_run(a, b, inputs, 2000);
+    expect_batch_matches_steps(a, b, inputs, 2000);
   }
 }
 
@@ -340,11 +340,11 @@ TEST(LoopSimulatorBatch, MatchesRunBitForBitOnOpenLoopMargins) {
   for (double margin : {0.0, 6.4, 19.2}) {
     auto a_free = paper_system(analysis::SystemKind::kFreeRo, margin);
     auto b_free = paper_system(analysis::SystemKind::kFreeRo, margin);
-    expect_batch_matches_run(a_free, b_free, inputs, 1500);
+    expect_batch_matches_steps(a_free, b_free, inputs, 1500);
 
     auto a_fix = paper_system(analysis::SystemKind::kFixedClock, margin);
     auto b_fix = paper_system(analysis::SystemKind::kFixedClock, margin);
-    expect_batch_matches_run(a_fix, b_fix, inputs, 1500);
+    expect_batch_matches_steps(a_fix, b_fix, inputs, 1500);
   }
 }
 
@@ -355,22 +355,24 @@ TEST(LoopSimulatorBatch, MatchesRunBitForBitOnVariationSourceInputs) {
       SimulationInputs::from_variation_source(source, 64.0, {0.25, 0.75});
   auto a = make_iir_system(64.0, 96.0);
   auto b = make_iir_system(64.0, 96.0);
-  expect_batch_matches_run(a, b, inputs, 2000);
+  expect_batch_matches_steps(a, b, inputs, 2000);
 }
 
 TEST(LoopSimulatorBatch, MatchesRunWithFractionalSamplePeriod) {
+  // The block is sampled at a fractional period unrelated to c = 100.
   LoopConfig cfg = linear_config(100.0);
-  cfg.sample_period = 31.7;
   cfg.cdn_quantization = cdn::DelayQuantization::kLinearInterp;
   LoopSimulator a{cfg, std::make_unique<control::IirControlReference>()};
   LoopSimulator b{cfg, std::make_unique<control::IirControlReference>()};
-  expect_batch_matches_run(a, b, SimulationInputs::harmonic(5.0, 731.0),
-                           1500);
+  expect_batch_matches_steps(a, b, SimulationInputs::harmonic(5.0, 731.0),
+                           1500, 31.7);
 }
 
 TEST(LoopSimulatorBatch, RejectsRaggedBlock) {
   auto sim = make_iir_system(64.0, 64.0);
   InputBlock block;
+  block.width = 1;
+  block.cycles = 10;
   block.e_ro.assign(10, 0.0);
   block.e_tdc.assign(9, 0.0);
   block.mu.assign(10, 0.0);

@@ -202,7 +202,8 @@ TEST(FaultInjection, EnsembleLanesMatchScalarUnderPerLaneSchedules) {
   for (std::size_t w = 0; w < kLanes; ++w) {
     LoopSimulator scalar{config, make_iir()};
     scalar.attach_faults(schedules[w]);
-    const SimulationTrace reference = scalar.run_batch(block.lane(w));
+    const SimulationTrace reference =
+        scalar.run_batch(inputs[w].sample(kCycles, kSetpoint));
     SCOPED_TRACE("lane " + std::to_string(w));
     expect_traces_equal(reference, reducer.trace(w));
   }

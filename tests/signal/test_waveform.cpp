@@ -78,18 +78,6 @@ TEST(Waveform, HoldNoiseRoughlyUnitVariance) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
 }
 
-TEST(Waveform, SampleGrid) {
-  SineWaveform s{1.0, 4.0};
-  const auto xs = s.sample(4, 1.0);
-  ASSERT_EQ(xs.size(), 4u);
-  EXPECT_NEAR(xs[0], 0.0, 1e-12);
-  EXPECT_NEAR(xs[1], 1.0, 1e-12);
-  EXPECT_NEAR(xs[2], 0.0, 1e-12);
-  EXPECT_NEAR(xs[3], -1.0, 1e-12);
-  const auto offset = s.sample(2, 1.0, 1.0);
-  EXPECT_NEAR(offset[0], 1.0, 1e-12);
-}
-
 TEST(Waveform, CloneIsIndependentPolymorphicCopy) {
   std::unique_ptr<Waveform> tri =
       std::make_unique<TrianglePulseWaveform>(1.0, 0.0, 2.0);
